@@ -27,7 +27,9 @@ echo "== benchmark budget gates (smoke) =="
 # regen_results.sh regenerates from the same list, so a budget and
 # its gate can never drift apart. Per bin:
 #   hotpath — per-instance allocation bytes of the interned Steps 2-5
-#             path (e.g. a return to per-instance string cloning).
+#             path (e.g. a return to per-instance string cloning), and
+#             bytes allocated per body byte to encode and to read +
+#             decode a 2 MiB Report frame (a return to joined copies).
 #   ingest  — batch identity of the resident daemon, then the
 #             deterministic checkpoint bytes-per-trace budget.
 #   spill   — resident and zero-budget spilling daemons serve

@@ -20,19 +20,29 @@
 //! hotpath [--smoke] [--obsv] [--write <path>] [--check <path>]
 //! ```
 //!
+//! A second pair of regions measures the daemon's wire framing: one
+//! 2 MiB `Response::Report` through `Response::encode`, then through
+//! `read_frame` + `Response::decode`, each reported as bytes allocated
+//! per body byte. A frame built in one buffer costs ~1 body copy to
+//! encode and ~2 to receive (the frame body, then the decoded string).
+//!
 //! `--smoke` shrinks the fleet for CI; `--write` stores the report as
 //! JSON (see `BENCH_hotpath.json` at the repo root); `--check` re-runs
 //! the measurement and fails (exit 1) if bytes allocated per instance
 //! on the hot path exceed the `budget_bytes_per_instance` recorded in
-//! the given JSON file — the CI regression gate. `--obsv` attaches a
-//! live metrics registry to the pipeline, so the measured regions
-//! include the per-stage span instrumentation; `--obsv --check`
-//! against the stored budget is the metrics-overhead gate.
+//! the given JSON file, or either frame region exceeds its
+//! `budget_frame_*_bytes_per_body_byte` — the CI regression gate.
+//! Allocator counts repeat exactly, so the gate does not flake.
+//! `--obsv` attaches a live metrics registry to the pipeline, so the
+//! measured regions include the per-stage span instrumentation;
+//! `--obsv --check` against the stored budget is the metrics-overhead
+//! gate.
 
 use energydx::pipeline::{
     step2_rank, step3_normalize, step4_detect, step5_report, EventGroups,
 };
 use energydx::{AnalysisConfig, DiagnosisInput, EnergyDx};
+use energydx_fleetd::protocol::{read_frame, Response};
 use energydx_trace::event::{Direction, EventRecord, EventTrace};
 use energydx_trace::join_power;
 use energydx_trace::power::{PowerSample, PowerTrace};
@@ -157,6 +167,32 @@ fn user_trace(
     (events, power)
 }
 
+/// JSON bytes of the framed `Report` the frame regions move.
+const FRAME_JSON_BYTES: usize = 2 << 20;
+/// Allocation budgets of the frame regions, in bytes per body byte:
+/// one body copy to encode, two to receive, plus a tenth of headroom.
+const BUDGET_FRAME_ENCODE: f64 = 1.1;
+const BUDGET_FRAME_DECODE: f64 = 2.1;
+
+/// The frame regions: encode, then read + decode, of one `Report`.
+/// Returns the frame's body length with the two regions.
+fn frame_regions() -> (usize, Region, Region) {
+    let unit = "{\"amplitudes\": [1.5, 2.25, 3.125]}\n";
+    let resp = Response::Report {
+        json: unit.repeat(FRAME_JSON_BYTES / unit.len()),
+    };
+    let (bytes, encode) = measured(|| resp.encode());
+    let ((body, decoded), decode) = measured(|| {
+        let frame = read_frame(&mut bytes.as_slice())
+            .expect("frame reads")
+            .expect("one frame");
+        let decoded = Response::decode(&frame).expect("frame decodes");
+        (frame.body.len(), decoded)
+    });
+    assert_eq!(decoded, resp, "frame round trip");
+    (body, encode, decode)
+}
+
 struct Report {
     mode: &'static str,
     traces: usize,
@@ -168,6 +204,9 @@ struct Report {
     render: Region,
     diagnose_secs: f64,
     budget_bytes_per_instance: u64,
+    frame_body_bytes: usize,
+    frame_encode: Region,
+    frame_decode: Region,
 }
 
 impl Report {
@@ -185,6 +224,10 @@ impl Report {
         self.hotpath.bytes as f64 / self.instances as f64
     }
 
+    fn per_body_byte(&self, r: &Region) -> f64 {
+        r.bytes as f64 / self.frame_body_bytes as f64
+    }
+
     fn to_json(&self) -> String {
         let per = |r: &Region| {
             format!(
@@ -198,6 +241,16 @@ impl Report {
                 r.bytes as f64 / self.instances as f64,
             )
         };
+        let frame = |r: &Region| {
+            format!(
+                "{{\"secs\": {:.6}, \"allocs\": {}, \"bytes\": {}, \
+                 \"bytes_per_body_byte\": {:.3}}}",
+                r.secs,
+                r.allocs,
+                r.bytes,
+                self.per_body_byte(r),
+            )
+        };
         format!(
             "{{\n  \"mode\": \"{}\",\n  \"traces\": {},\n  \
              \"instances\": {},\n  \"vocab\": {},\n  \
@@ -206,7 +259,11 @@ impl Report {
              \"render\": {},\n  \"diagnose_secs\": {:.6},\n  \
              \"reduction_allocs_per_instance\": {:.2},\n  \
              \"reduction_bytes_per_instance\": {:.2},\n  \
-             \"budget_bytes_per_instance\": {}\n}}\n",
+             \"budget_bytes_per_instance\": {},\n  \
+             \"frame_body_bytes\": {},\n  \"frame_encode\": {},\n  \
+             \"frame_read_decode\": {},\n  \
+             \"budget_frame_encode_bytes_per_body_byte\": {},\n  \
+             \"budget_frame_decode_bytes_per_body_byte\": {}\n}}\n",
             self.mode,
             self.traces,
             self.instances,
@@ -220,6 +277,11 @@ impl Report {
             self.reduction_allocs(),
             self.reduction_bytes(),
             self.budget_bytes_per_instance,
+            self.frame_body_bytes,
+            frame(&self.frame_encode),
+            frame(&self.frame_decode),
+            BUDGET_FRAME_ENCODE,
+            BUDGET_FRAME_DECODE,
         )
     }
 }
@@ -314,6 +376,8 @@ fn run(smoke: bool, obsv: bool) -> Report {
         eprintln!("obsv: per-stage spans recorded for map/analyze/render");
     }
 
+    let (frame_body_bytes, frame_encode, frame_decode) = frame_regions();
+
     let mut out = Report {
         mode: if smoke { "smoke" } else { "full" },
         traces: users,
@@ -325,6 +389,9 @@ fn run(smoke: bool, obsv: bool) -> Report {
         render,
         diagnose_secs,
         budget_bytes_per_instance: 0,
+        frame_body_bytes,
+        frame_encode,
+        frame_decode,
     };
     // Regression budget: double the measured footprint, so the gate
     // trips on an accidental return to per-instance cloning without
@@ -334,15 +401,17 @@ fn run(smoke: bool, obsv: bool) -> Report {
     out
 }
 
-/// Pulls `"budget_bytes_per_instance": <n>` out of a stored report
+/// Pulls the number stored under `"<key>":` out of a stored report
 /// without a JSON dependency.
-fn parse_budget(json: &str) -> Option<u64> {
-    let key = "\"budget_bytes_per_instance\":";
-    let at = json.find(key)? + key.len();
+fn parse_budget(json: &str, key: &str) -> Option<f64> {
+    let key = format!("\"{key}\":");
+    let at = json.find(&key)? + key.len();
     let rest = json[at..].trim_start();
-    let digits: String =
-        rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
+    let number: String = rest
+        .chars()
+        .take_while(|c| c.is_ascii_digit() || *c == '.')
+        .collect();
+    number.parse().ok()
 }
 
 fn main() {
@@ -393,20 +462,46 @@ fn main() {
     if let Some(path) = check {
         let stored = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        let budget = parse_budget(&stored).unwrap_or_else(|| {
-            panic!("no budget_bytes_per_instance in {path}")
-        });
-        let measured = report.hotpath_bytes_per_instance();
-        if measured > budget as f64 {
-            eprintln!(
-                "hot-path regression: {measured:.1} bytes/instance \
-                 exceeds the checked-in budget of {budget}"
-            );
+        let budget = |key: &str| {
+            parse_budget(&stored, key)
+                .unwrap_or_else(|| panic!("no {key} in {path}"))
+        };
+        let gates = [
+            (
+                "hot path",
+                report.hotpath_bytes_per_instance(),
+                budget("budget_bytes_per_instance"),
+                "bytes/instance",
+            ),
+            (
+                "frame encode",
+                report.per_body_byte(&report.frame_encode),
+                budget("budget_frame_encode_bytes_per_body_byte"),
+                "bytes allocated per body byte",
+            ),
+            (
+                "frame read + decode",
+                report.per_body_byte(&report.frame_decode),
+                budget("budget_frame_decode_bytes_per_body_byte"),
+                "bytes allocated per body byte",
+            ),
+        ];
+        let mut failed = false;
+        for (what, measured, budget, unit) in gates {
+            if measured > budget {
+                eprintln!(
+                    "{what} regression: {measured:.3} {unit} exceeds the \
+                     checked-in budget of {budget}"
+                );
+                failed = true;
+            } else {
+                eprintln!(
+                    "{what} within budget: {measured:.3} <= {budget} {unit}"
+                );
+            }
+        }
+        if failed {
             std::process::exit(1);
         }
-        eprintln!(
-            "hot path within budget: {measured:.1} <= {budget} \
-             bytes/instance"
-        );
     }
 }

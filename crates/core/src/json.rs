@@ -17,6 +17,7 @@ use crate::report::{
     AnalysisStats, DiagnosisReport, ManifestationPoint, RankedEvent,
     SkippedTrace, TraceAnalysis,
 };
+use std::fmt::Write as _;
 
 /// Renders a report as canonical, pretty-printed JSON.
 ///
@@ -153,7 +154,7 @@ impl JsonWriter {
 
     /// Writes an unsigned integer value.
     pub fn u64(&mut self, v: u64) {
-        self.out.push_str(&v.to_string());
+        let _ = write!(self.out, "{v}");
     }
 
     fn newline(&mut self) {
@@ -253,10 +254,10 @@ impl JsonWriter {
             // Rust's shortest-round-trip Display: deterministic for
             // given bits, and `-0.0` keeps its sign so distinct bit
             // patterns stay distinguishable in golden files.
-            let s = format!("{v}");
-            self.out.push_str(&s);
+            let start = self.out.len();
+            let _ = write!(self.out, "{v}");
             // Keep every float a JSON number that reads back as f64.
-            if !s.contains(['.', 'e', 'E']) {
+            if !self.out[start..].contains(['.', 'e', 'E']) {
                 self.out.push_str(".0");
             }
         } else {
@@ -266,7 +267,7 @@ impl JsonWriter {
 
     /// Writes an unsigned integer value.
     pub fn usize(&mut self, v: usize) {
-        self.out.push_str(&v.to_string());
+        let _ = write!(self.out, "{v}");
     }
 
     /// Writes a quoted, escaped JSON string.
@@ -280,7 +281,7 @@ impl JsonWriter {
                 '\r' => self.out.push_str("\\r"),
                 '\t' => self.out.push_str("\\t"),
                 c if (c as u32) < 0x20 => {
-                    self.out.push_str(&format!("\\u{:04x}", c as u32));
+                    let _ = write!(self.out, "\\u{:04x}", c as u32);
                 }
                 c => self.out.push(c),
             }

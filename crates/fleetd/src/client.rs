@@ -136,10 +136,13 @@ impl Client {
     /// # Errors
     ///
     /// Socket failures, a missed deadline ([`ClientError::TimedOut`]),
-    /// protocol damage, or a mid-request close.
+    /// protocol damage, or a mid-request close. A request over the
+    /// frame cap fails with [`ProtocolError::FrameTooLarge`] before
+    /// anything is written.
     pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
+        let frame = req.try_encode().map_err(ClientError::Protocol)?;
         self.stream
-            .write_all(&req.encode())
+            .write_all(&frame)
             .and_then(|()| self.stream.flush())
             .map_err(io_error)?;
         match read_frame(&mut self.stream) {
@@ -285,6 +288,31 @@ mod tests {
             started.elapsed() < Duration::from_secs(5),
             "the deadline, not a hang, must end the wait"
         );
+    }
+
+    #[test]
+    fn an_over_cap_request_fails_before_writing_anything() {
+        use std::io::Read;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let mut client = Client::connect(&addr).unwrap();
+        let submit = Request::Submit {
+            app: "maps".into(),
+            payload: vec![0; crate::protocol::MAX_BODY],
+        };
+        let err = client.request(&submit).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ClientError::Protocol(ProtocolError::FrameTooLarge { .. })
+            ),
+            "{err:?}"
+        );
+        drop(client);
+        let (mut peer, _) = listener.accept().unwrap();
+        let mut received = Vec::new();
+        peer.read_to_end(&mut received).unwrap();
+        assert!(received.is_empty(), "{} byte(s) sent", received.len());
     }
 
     #[test]

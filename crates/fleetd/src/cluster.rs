@@ -177,7 +177,7 @@ impl WorkerTransport for InProcessTransport {
                 return Err(ClientError::Io("connection refused".to_string()))
             }
         };
-        let mut wire = req.encode();
+        let mut wire = req.try_encode().map_err(ClientError::Protocol)?;
         if let Some(tamper) = &mut self.tamper {
             wire = tamper(wire, Leg::Request);
         }

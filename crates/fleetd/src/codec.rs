@@ -55,6 +55,18 @@ impl Writer {
         Writer::default()
     }
 
+    /// A writer that takes `capacity` bytes before reallocating.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Writer {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Raw bytes, no length prefix.
+    pub fn raw(&mut self, b: &[u8]) {
+        self.buf.extend_from_slice(b);
+    }
+
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }

@@ -11,13 +11,18 @@
 //! bit anywhere after the magic is caught. Decoding never panics; any
 //! damage maps to a typed [`ProtocolError`] and the server answers
 //! with [`Response::Error`] instead of dropping the connection.
+//!
+//! Both ends enforce the body cap: a reader refuses a longer declared
+//! body before allocating, and an encoder refuses to build one, so an
+//! oversized answer reaches the peer as a readable
+//! [`Response::Error`] rather than a frame it must abandon mid-stream.
 
 use crate::codec::{CodecError, Reader, Writer};
 use energydx::ShardPartial;
 use energydx_trace::store::IngestOutcome;
 use energydx_trace::wire;
 use std::fmt;
-use std::io::{self, Read, Write as IoWrite};
+use std::io::{self, Read};
 
 const MAGIC: &[u8; 4] = b"EDXF";
 const VERSION: u8 = 1;
@@ -27,7 +32,7 @@ const VERSION: u8 = 1;
 /// [`Reader`] bounds-checks every slice against the received body, so
 /// this header check is the only place a length field sizes an
 /// allocation.)
-const MAX_BODY: usize = 64 << 20;
+pub(crate) const MAX_BODY: usize = 64 << 20;
 
 /// Why a frame or message could not be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -413,18 +418,52 @@ pub enum PartialStatus {
     UnknownEpoch,
 }
 
-fn frame(kind: u8, body: &[u8]) -> Vec<u8> {
-    let mut covered = Vec::with_capacity(6 + body.len());
-    covered.push(VERSION);
-    covered.push(kind);
-    covered.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    covered.extend_from_slice(body);
-    let crc = wire::crc32(&covered);
-    let mut out = Vec::with_capacity(4 + covered.len() + 4);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&covered);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+/// Frame bytes before the body: magic, version, kind, body length.
+const HEAD: usize = 4 + 1 + 1 + 4;
+/// Body capacity reserved for messages without a bulk payload.
+const SMALL_BODY: usize = 64;
+
+/// The cap both sides enforce: the reader before allocating, the
+/// sender before writing anything to the peer.
+fn check_body_len(len: usize) -> Result<(), ProtocolError> {
+    if len > MAX_BODY {
+        return Err(ProtocolError::FrameTooLarge {
+            declared: len as u64,
+            max: MAX_BODY as u64,
+        });
+    }
+    Ok(())
+}
+
+/// Starts a frame in one buffer: magic, version, and placeholders for
+/// kind and body length that [`seal`] fills in. `body_len` is the
+/// body's exact length when the message knows it up front (a bulk
+/// payload), checked against the cap before anything is allocated.
+fn open_frame(body_len: Option<usize>) -> Result<Writer, ProtocolError> {
+    if let Some(len) = body_len {
+        check_body_len(len)?;
+    }
+    let mut w =
+        Writer::with_capacity(HEAD + body_len.unwrap_or(SMALL_BODY) + 4);
+    w.raw(MAGIC);
+    w.u8(VERSION);
+    w.u8(0);
+    w.u32(0);
+    Ok(w)
+}
+
+/// Finishes a frame begun by [`open_frame`] once its body is written:
+/// kind, body length, and the CRC32 over everything after the magic.
+fn seal(w: Writer, kind: u8) -> Result<Vec<u8>, ProtocolError> {
+    let mut frame = w.into_vec();
+    let body_len = frame.len() - HEAD;
+    check_body_len(body_len)?;
+    frame[MAGIC.len() + 1] = kind;
+    frame[MAGIC.len() + 2..HEAD]
+        .copy_from_slice(&(body_len as u32).to_le_bytes());
+    let crc = wire::crc32(&frame[MAGIC.len()..]);
+    frame.extend_from_slice(&crc.to_le_bytes());
+    Ok(frame)
 }
 
 /// One decoded frame: the message kind and its body.
@@ -434,20 +473,6 @@ pub struct Frame {
     pub kind: u8,
     /// Message body.
     pub body: Vec<u8>,
-}
-
-/// Writes one frame to a stream.
-///
-/// # Errors
-///
-/// Propagates the stream's I/O errors.
-pub fn write_frame(
-    w: &mut impl IoWrite,
-    kind: u8,
-    body: &[u8],
-) -> io::Result<()> {
-    w.write_all(&frame(kind, body))?;
-    w.flush()
 }
 
 /// Reads one frame from a stream. `Ok(None)` means the peer closed
@@ -482,20 +507,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, ProtocolError> {
     }
     let kind = head[1];
     let body_len = u32::from_le_bytes(head[2..6].try_into().unwrap()) as usize;
-    if body_len > MAX_BODY {
-        return Err(ProtocolError::FrameTooLarge {
-            declared: body_len as u64,
-            max: MAX_BODY as u64,
-        });
-    }
+    check_body_len(body_len)?;
     let mut body = vec![0u8; body_len];
     read_fully(r, &mut body)?;
     let mut crc_bytes = [0u8; 4];
     read_fully(r, &mut crc_bytes)?;
-    let mut covered = Vec::with_capacity(6 + body.len());
-    covered.extend_from_slice(&head);
-    covered.extend_from_slice(&body);
-    if wire::crc32(&covered) != u32::from_le_bytes(crc_bytes) {
+    let crc = wire::crc32_update(wire::crc32(&head), &body);
+    if crc != u32::from_le_bytes(crc_bytes) {
         return Err(ProtocolError::CrcMismatch);
     }
     Ok(Some(Frame { kind, body }))
@@ -514,9 +532,40 @@ fn read_fully(r: &mut impl Read, buf: &mut [u8]) -> Result<(), ProtocolError> {
 }
 
 impl Request {
+    /// The exact body length of a request that carries a bulk payload,
+    /// known before encoding; `None` for the small fixed-shape ones.
+    fn bulk_body_len(&self) -> Option<usize> {
+        match self {
+            Request::Submit { app, payload } => {
+                Some(8 + app.len() + payload.len())
+            }
+            Request::InstallCheckpoint { data } => Some(4 + data.len()),
+            _ => None,
+        }
+    }
+
     /// Encodes the request as one framed message.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the body exceeds the protocol's frame cap (use
+    /// [`Request::try_encode`] to handle that case as an error).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        match self.try_encode() {
+            Ok(frame) => frame,
+            Err(e) => panic!("request not encodable: {e}"),
+        }
+    }
+
+    /// Encodes the request as one framed message, built in a single
+    /// buffer.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::FrameTooLarge`] when the body exceeds the cap
+    /// every reader enforces; nothing should be sent then.
+    pub fn try_encode(&self) -> Result<Vec<u8>, ProtocolError> {
+        let mut w = open_frame(self.bulk_body_len())?;
         let kind = match self {
             Request::Submit { app, payload } => {
                 w.str(app);
@@ -645,7 +694,7 @@ impl Request {
             }
             Request::Catalog => 18,
         };
-        frame(kind, &w.into_vec())
+        seal(w, kind)
     }
 
     /// Decodes a request from a received frame.
@@ -771,9 +820,46 @@ impl Request {
 }
 
 impl Response {
-    /// Encodes the response as one framed message.
+    /// The exact body length of a response that carries a bulk
+    /// payload, known before encoding; `None` for the others.
+    fn bulk_body_len(&self) -> Option<usize> {
+        match self {
+            Response::Outcome { reason, .. } => Some(5 + reason.len()),
+            Response::Report { json }
+            | Response::Stats { json }
+            | Response::Health { json } => Some(4 + json.len()),
+            Response::Error { message } => Some(4 + message.len()),
+            Response::Metrics { text } => Some(4 + text.len()),
+            Response::CheckpointData { data } => Some(4 + data.len()),
+            Response::Degraded { missing, json } => {
+                Some(8 + 4 * missing.len() + json.len())
+            }
+            Response::ReportArtifacts {
+                missing,
+                html,
+                json,
+            } => Some(12 + 4 * missing.len() + html.len() + json.len()),
+            _ => None,
+        }
+    }
+
+    /// Encodes the response as one framed message. A body over the
+    /// protocol's frame cap encodes as a [`Response::Error`] naming
+    /// its size and the cap instead, so the peer always receives a
+    /// frame it can read.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        self.try_encode().unwrap_or_else(|e| {
+            Response::Error {
+                message: e.to_string(),
+            }
+            .encode()
+        })
+    }
+
+    /// Encodes the response as one framed message, built in a single
+    /// buffer; refuses a body over the cap every reader enforces.
+    fn try_encode(&self) -> Result<Vec<u8>, ProtocolError> {
+        let mut w = open_frame(self.bulk_body_len())?;
         let kind = match self {
             Response::Outcome { code, reason } => {
                 w.u8(match code {
@@ -915,7 +1001,7 @@ impl Response {
                 17
             }
         };
-        frame(kind, &w.into_vec())
+        seal(w, kind)
     }
 
     /// Decodes a response from a received frame.
@@ -1377,6 +1463,109 @@ mod tests {
                 "cut {cut}: {err:?}"
             );
         }
+    }
+
+    /// A reader that hands out one byte per `read` call, the worst
+    /// fragmentation a socket can produce.
+    struct OneByteReader<R>(R);
+
+    impl<R: Read> Read for OneByteReader<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(1);
+            self.0.read(&mut buf[..n])
+        }
+    }
+
+    #[test]
+    fn frames_read_identically_one_byte_at_a_time() {
+        let frames = requests()
+            .iter()
+            .map(Request::encode)
+            .chain(responses().iter().map(Response::encode))
+            .collect::<Vec<_>>();
+        for bytes in frames {
+            let whole = read_frame(&mut io::Cursor::new(&bytes)).unwrap();
+            let mut trickle = OneByteReader(io::Cursor::new(&bytes));
+            assert_eq!(read_frame(&mut trickle).unwrap(), whole);
+            assert!(read_frame(&mut trickle).unwrap().is_none());
+        }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn frame_layout_is_pinned_byte_for_byte() {
+        // magic | version | kind | body_len | body | crc32, the CRC
+        // computed independently (zlib) over version..body.
+        let req = Request::Diagnose {
+            app: "maps".into(),
+            epoch: Some(4),
+        };
+        assert_eq!(
+            hex(&req.encode()),
+            "4544584601021100000004000000\
+             6d6170730104000000000000003b5df0ea"
+        );
+        let resp = Response::Report {
+            json: "{}\n".into(),
+        };
+        assert_eq!(
+            hex(&resp.encode()),
+            "45445846010307000000030000007b7d0afd2b4f9f"
+        );
+    }
+
+    #[test]
+    fn bulk_body_lengths_are_exact() {
+        let sized = requests()
+            .iter()
+            .map(|r| (r.bulk_body_len(), r.encode()))
+            .chain(responses().iter().map(|r| (r.bulk_body_len(), r.encode())))
+            .collect::<Vec<_>>();
+        assert!(sized.iter().any(|(len, _)| len.is_some()));
+        for (len, bytes) in sized {
+            if let Some(len) = len {
+                assert_eq!(len, bytes.len() - HEAD - 4, "{}", hex(&bytes));
+            }
+        }
+    }
+
+    #[test]
+    fn an_over_cap_response_arrives_as_a_readable_error_frame() {
+        // Zeroed buffers: the encoder refuses before copying them, so
+        // their pages are never touched.
+        let over = Response::Report {
+            json: String::from_utf8(vec![0; MAX_BODY]).unwrap(),
+        };
+        let declared = MAX_BODY as u64 + 4;
+        let too_large = ProtocolError::FrameTooLarge {
+            declared,
+            max: MAX_BODY as u64,
+        };
+        assert_eq!(over.try_encode().unwrap_err(), too_large);
+        let bytes = over.encode();
+        let frame = read_frame(&mut io::Cursor::new(&bytes)).unwrap().unwrap();
+        match Response::decode(&frame).unwrap() {
+            Response::Error { message } => {
+                assert!(message.contains(&declared.to_string()), "{message}");
+                assert!(message.contains(&MAX_BODY.to_string()), "{message}");
+            }
+            other => panic!("expected an Error frame, got {other:?}"),
+        }
+        // The request side refuses the same way.
+        let submit = Request::Submit {
+            app: "maps".into(),
+            payload: vec![0; MAX_BODY],
+        };
+        assert_eq!(
+            submit.try_encode().unwrap_err(),
+            ProtocolError::FrameTooLarge {
+                declared: MAX_BODY as u64 + 12,
+                max: MAX_BODY as u64,
+            }
+        );
     }
 
     #[test]

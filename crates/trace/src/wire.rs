@@ -73,33 +73,73 @@ const MAX_STRING_BYTES: usize = 4096;
 // CRC32
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The reflected IEEE polynomial (`zlib`, Ethernet, PNG).
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 tables: `T[0]` is the classic bytewise table, and
+/// `T[k][b]` is `T[0][b]` carried on through `k` more zero bytes, so
+/// eight lookups advance the CRC register over eight input bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
         let mut bit = 0;
         while bit < 8 {
             crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
+                (crc >> 1) ^ CRC32_POLY
             } else {
                 crc >> 1
             };
             bit += 1;
         }
-        table[i] = crc;
+        t[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// IEEE CRC32 (the `zlib`/`crc32` polynomial) of `data`.
+///
+/// Every CRC in the workspace — upload sections, daemon frames,
+/// checkpoints and segment blocks — is computed here.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &byte in data {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ byte as u32) & 0xFF) as usize];
+    crc32_update(0, data)
+}
+
+/// Extends the CRC32 `crc` of some bytes `a` over `data`, returning
+/// the CRC32 of `a ++ data`, so a checksum over non-contiguous pieces
+/// needs no joined copy. `crc32_update(0, data) == crc32(data)`.
+pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut crc = !crc;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][lo as u8 as usize]
+            ^ t[6][(lo >> 8) as u8 as usize]
+            ^ t[5][(lo >> 16) as u8 as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][hi as u8 as usize]
+            ^ t[2][(hi >> 8) as u8 as usize]
+            ^ t[1][(hi >> 16) as u8 as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][(crc as u8 ^ byte) as usize];
     }
     !crc
 }
@@ -757,6 +797,7 @@ fn section_crc_matches(r: &mut Reader<'_>, start: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_bundle() -> TraceBundle {
         let mut bundle = TraceBundle::new("volunteer-03", 42, "nexus6");
@@ -1008,5 +1049,52 @@ mod tests {
         // The classic IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// Bit-at-a-time CRC32 straight from the polynomial: the reference
+    /// the table-driven kernel must reproduce.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &byte in data {
+            crc ^= byte as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ CRC32_POLY
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    proptest! {
+        #[test]
+        fn crc32_equals_the_bitwise_reference_at_every_alignment(
+            data in prop::collection::vec(any::<u8>(), 4096 + 8),
+            len in 0usize..=4096,
+        ) {
+            for align in 0..8 {
+                let s = &data[align..align + len];
+                prop_assert_eq!(crc32(s), crc32_bitwise(s), "align {}", align);
+            }
+        }
+
+        #[test]
+        fn crc32_update_over_any_split_equals_one_shot(
+            data in prop::collection::vec(any::<u8>(), 0..4097),
+            a in any::<usize>(),
+            b in any::<usize>(),
+        ) {
+            let whole = crc32(&data);
+            let (x, y) = (a % (data.len() + 1), b % (data.len() + 1));
+            let (i, j) = (x.min(y), x.max(y));
+            prop_assert_eq!(crc32_update(crc32(&data[..i]), &data[i..]), whole);
+            let three = crc32_update(
+                crc32_update(crc32(&data[..i]), &data[i..j]),
+                &data[j..],
+            );
+            prop_assert_eq!(three, whole);
+        }
     }
 }
