@@ -82,6 +82,23 @@ echo "== fleetd cluster soak (coordinator + 3 workers over TCP) =="
 # payloads and a clean whole-cluster shutdown.
 cargo test -q --release -p energydx-cli --test cluster_soak -- --ignored
 
+echo "== fleetbench smoke (end-to-end benchmark builds and answers) =="
+# fleetbench/ is a workspace of its own that compiles against fleetd's
+# public API, so an API break would otherwise first show up when the
+# benchmark runs. Two seconds per workload: build, drive real
+# `energydx serve` processes, and check every answer. The driver exits
+# 0 either way; its last stdout line is the verdict.
+for w in rollout-dashboard spill-cluster; do
+  echo "-- $w"
+  verdict=$(CARGO_TARGET_DIR="$PWD/target" python3 fleetbench/run.py \
+    --workload "$w" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+  if ! grep -q '"correct": true,' <<<"$verdict" \
+    || ! grep -q '"failed": 0,' <<<"$verdict"; then
+    echo "fleetbench $w failed: $verdict"
+    exit 1
+  fi
+done
+
 echo "== differential harness (release, optimized float paths) =="
 # The seq==parallel==sharded byte-identity must also hold under
 # release codegen, where float expression fusion would surface.

@@ -26,51 +26,21 @@
 //! merged answer is asserted byte-identical to the batch pipeline
 //! before any number is printed.
 
+use energydx_bench::harness::corpus;
 use energydx_fleetd::cluster::shard_for_payload;
 use energydx_fleetd::coordinator::{Coordinator, CoordinatorConfig};
-use energydx_fleetd::fixture;
 use energydx_fleetd::protocol::{OutcomeCode, Request, Response};
 use energydx_fleetd::state::{FleetConfig, FleetState};
 use energydx_fleetd::{
     Dispatch, FleetdHandle, InProcessTransport, ServerConfig, WorkerSlot,
     WorkerTransport,
 };
-use energydx_trace::fault::{FaultInjector, FaultKind};
 use std::hint::black_box;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 const WORKERS: usize = 3;
 const APP: &str = "bench";
-
-/// Same damage mix as the ingest bench: every 23rd payload cut below
-/// the wire header (quarantine), every 9th damaged but salvageable —
-/// repair, salvage, and quarantine all ride the routed path.
-fn corpus(users: usize, sessions: u64) -> Vec<Vec<u8>> {
-    let mut injector = FaultInjector::new(0x1276, 1.0);
-    let mut payloads = Vec::with_capacity(users * sessions as usize);
-    for user in 0..users {
-        for session in 0..sessions {
-            let mut payload = fixture::payload(&format!("u{user:04}"), session);
-            let i = payloads.len();
-            if i % 23 == 7 {
-                payload.truncate(6);
-            } else if i % 9 == 4 {
-                let kind = if (i / 9) % 2 == 0 {
-                    FaultKind::Truncate
-                } else {
-                    FaultKind::BitFlip
-                };
-                payload = injector
-                    .corrupt(&payload, kind)
-                    .pop()
-                    .expect("one payload in, one out");
-            }
-            payloads.push(payload);
-        }
-    }
-    payloads
-}
 
 struct Report {
     mode: &'static str,

@@ -34,47 +34,14 @@
 //! path, not a tight timing assertion.
 
 use energydx::EnergyDx;
+use energydx_bench::harness::corpus;
 use energydx_fleetd::checkpoint::{checkpoint_bytes, restore_bytes};
 use energydx_fleetd::convert::bundles_to_input;
-use energydx_fleetd::fixture;
 use energydx_fleetd::state::{FleetConfig, FleetState};
 use energydx_fleetd::{FleetdHandle, ServerConfig, SubmitReply};
-use energydx_trace::fault::{FaultInjector, FaultKind};
 use energydx_trace::store::TraceStore;
 use std::hint::black_box;
 use std::time::Instant;
-
-/// The corpus, in sorted (user, session) submit order so the daemon's
-/// accept order matches a batch `TraceStore` snapshot of the same
-/// payloads. Every 9th payload is damaged but salvageable (alternating
-/// truncation and bit flips), and every 23rd is cut below the wire
-/// header — so repair, salvage, *and* quarantine are all on the
-/// measured path.
-fn corpus(users: usize, sessions: u64) -> Vec<Vec<u8>> {
-    let mut injector = FaultInjector::new(0x1276, 1.0);
-    let mut payloads = Vec::with_capacity(users * sessions as usize);
-    for user in 0..users {
-        for session in 0..sessions {
-            let mut payload = fixture::payload(&format!("u{user:04}"), session);
-            let i = payloads.len();
-            if i % 23 == 7 {
-                payload.truncate(6);
-            } else if i % 9 == 4 {
-                let kind = if (i / 9) % 2 == 0 {
-                    FaultKind::Truncate
-                } else {
-                    FaultKind::BitFlip
-                };
-                payload = injector
-                    .corrupt(&payload, kind)
-                    .pop()
-                    .expect("one payload in, one out");
-            }
-            payloads.push(payload);
-        }
-    }
-    payloads
-}
 
 struct Report {
     mode: &'static str,

@@ -25,56 +25,19 @@
 //! millisecond-scale one, so the margins absorb scheduler noise, not
 //! regressions.
 
+use energydx_bench::harness::{corpus, timed};
 use energydx_fleetd::fixture;
 use energydx_fleetd::protocol::{PartialStatus, Response};
 use energydx_fleetd::state::{
-    FleetConfig, FleetState, PartialSinceOutcome, QueryError,
+    FleetConfig, FleetState, PartialSinceOutcome, QueryError, Selector,
 };
 use energydx_fleetd::SpillConfig;
-use energydx_trace::fault::{FaultInjector, FaultKind};
 use std::hint::black_box;
 use std::path::PathBuf;
-use std::time::Instant;
-
-/// The same damaged-corpus recipe as the ingest and spill benchmarks:
-/// every 9th payload salvageable, every 23rd cut below the wire
-/// header, so the measured queries run over a realistically mixed
-/// accepted set.
-fn corpus(users: usize, sessions: u64) -> Vec<Vec<u8>> {
-    let mut injector = FaultInjector::new(0x1276, 1.0);
-    let mut payloads = Vec::with_capacity(users * sessions as usize);
-    for user in 0..users {
-        for session in 0..sessions {
-            let mut payload = fixture::payload(&format!("u{user:04}"), session);
-            let i = payloads.len();
-            if i % 23 == 7 {
-                payload.truncate(6);
-            } else if i % 9 == 4 {
-                let kind = if (i / 9) % 2 == 0 {
-                    FaultKind::Truncate
-                } else {
-                    FaultKind::BitFlip
-                };
-                payload = injector
-                    .corrupt(&payload, kind)
-                    .pop()
-                    .expect("one payload in, one out");
-            }
-            payloads.push(payload);
-        }
-    }
-    payloads
-}
 
 /// Warm repeats per measurement: the minimum over this many runs is
 /// the figure, so one preempted run cannot inflate it.
 const WARM_REPEATS: usize = 32;
-
-fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let t0 = Instant::now();
-    let result = f();
-    (result, t0.elapsed().as_secs_f64())
-}
 
 /// Minimum seconds over `WARM_REPEATS` runs of one query.
 fn warm_secs(state: &FleetState, app: &str) -> f64 {
@@ -246,7 +209,7 @@ fn run(smoke: bool) -> Report {
 /// a polling coordinator per query, before and after the delta
 /// protocol.
 fn wire_sizes(state: &FleetState) -> Result<(usize, usize), QueryError> {
-    match state.epoch_partial_since("bench", None, None)? {
+    match state.partial_since(&Selector::new("bench", None, None), None)? {
         PartialSinceOutcome::Changed {
             epoch,
             incarnation,

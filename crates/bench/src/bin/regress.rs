@@ -34,6 +34,7 @@
 //! cache hit against a millisecond-scale double fold.
 
 use energydx::{AnalysisConfig, EnergyDx};
+use energydx_bench::harness::timed;
 use energydx_fleetd::fixture;
 use energydx_fleetd::state::{FleetConfig, FleetState};
 use energydx_regress::{compare, RegressConfig, Verdict};
@@ -41,7 +42,6 @@ use energydx_trace::fault::{FaultInjector, FaultKind};
 use energydx_workload::release_fleet;
 use std::hint::black_box;
 use std::path::PathBuf;
-use std::time::Instant;
 
 /// The two releases the latency corpus interleaves.
 const FROM: &str = "1.9.0";
@@ -86,12 +86,6 @@ fn corpus(users: usize, sessions: u64) -> Vec<Vec<u8>> {
 /// Warm repeats per measurement: the minimum over this many runs is
 /// the figure, so one preempted run cannot inflate it.
 const WARM_REPEATS: usize = 32;
-
-fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let t0 = Instant::now();
-    let result = f();
-    (result, t0.elapsed().as_secs_f64())
-}
 
 fn ingest(config: FleetConfig, payloads: &[Vec<u8>]) -> FleetState {
     let mut state = FleetState::new(config);

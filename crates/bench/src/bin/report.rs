@@ -25,6 +25,7 @@
 //! margin absorbs scheduler noise, not regressions; the size gates
 //! are exact byte counts.
 
+use energydx_bench::harness::timed;
 use energydx_fleetd::convert::bundle_to_trace;
 use energydx_fleetd::fixture;
 use energydx_fleetd::report::{fleet_report, RenderedReport};
@@ -40,7 +41,6 @@ use std::collections::BTreeSet;
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The two releases the corpus alternates, so the rendered page
 /// carries regression verdicts like a real release week would.
@@ -73,12 +73,6 @@ fn corpus(users: usize, sessions: u64) -> Vec<Vec<u8>> {
 /// Warm repeats per measurement: the minimum over this many runs is
 /// the figure, so one preempted run cannot inflate it.
 const WARM_REPEATS: usize = 32;
-
-fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let t0 = Instant::now();
-    let result = f();
-    (result, t0.elapsed().as_secs_f64())
-}
 
 struct Report {
     mode: &'static str,

@@ -21,10 +21,9 @@
 //! corpus on one thread, so the gate cannot flake on machine speed —
 //! or if spilling stops being cheaper than staying resident.
 
-use energydx_fleetd::fixture;
+use energydx_bench::harness::corpus;
 use energydx_fleetd::state::{FleetConfig, FleetState};
 use energydx_fleetd::SpillConfig;
-use energydx_trace::fault::{FaultInjector, FaultKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -85,35 +84,6 @@ fn peak_region<R>(f: impl FnOnce() -> R) -> (R, u64, f64) {
     let secs = t0.elapsed().as_secs_f64();
     let peak = (PEAK.load(Ordering::Relaxed) - base).max(0) as u64;
     (result, peak, secs)
-}
-
-/// The same damaged-corpus recipe as the ingest benchmark: every 9th
-/// payload salvageable, every 23rd cut below the wire header, so
-/// repair, salvage, and quarantine are all on the measured path.
-fn corpus(users: usize, sessions: u64) -> Vec<Vec<u8>> {
-    let mut injector = FaultInjector::new(0x1276, 1.0);
-    let mut payloads = Vec::with_capacity(users * sessions as usize);
-    for user in 0..users {
-        for session in 0..sessions {
-            let mut payload = fixture::payload(&format!("u{user:04}"), session);
-            let i = payloads.len();
-            if i % 23 == 7 {
-                payload.truncate(6);
-            } else if i % 9 == 4 {
-                let kind = if (i / 9) % 2 == 0 {
-                    FaultKind::Truncate
-                } else {
-                    FaultKind::BitFlip
-                };
-                payload = injector
-                    .corrupt(&payload, kind)
-                    .pop()
-                    .expect("one payload in, one out");
-            }
-            payloads.push(payload);
-        }
-    }
-    payloads
 }
 
 struct Report {

@@ -30,6 +30,7 @@ pub mod comparison;
 pub mod fig1;
 pub mod fig17;
 pub mod fleetscale;
+pub mod harness;
 pub mod k9;
 pub mod overhead;
 pub mod render;

@@ -743,7 +743,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 /// (self-contained `report.html` + canonical `report.json`) either
 /// over batch input (`--bundles`) or from a live daemon/coordinator
 /// (`--addr`, via `Request::Report`). Both artifacts are written
-/// atomically (write-tmp → rename, like checkpoints), so a failure
+/// atomically (tmp → fsync → rename, like checkpoints), so a failure
 /// never leaves a partial artifact on disk. A degraded cluster answer
 /// still writes the artifacts — they name the missing shards — but
 /// the command exits nonzero so scripts cannot mistake them for the
@@ -939,8 +939,8 @@ fn assemble_app_input(
 }
 
 /// Writes both report artifacts atomically: each lands complete under
-/// its final name or not at all (write-tmp → rename, same discipline
-/// as checkpoints).
+/// its final name or not at all (tmp → fsync → rename, the routine
+/// checkpoints use).
 fn write_report_artifacts(
     out_dir: &Path,
     html: &str,
@@ -956,13 +956,8 @@ fn write_report_artifacts(
 }
 
 fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
-    let tmp = PathBuf::from(format!("{}.tmp", path.display()));
-    std::fs::write(&tmp, bytes)
-        .map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path).map_err(|e| {
-        let _ = std::fs::remove_file(&tmp);
-        format!("cannot finalize {}: {e}", path.display())
-    })
+    energydx_segment::write_atomic(path, bytes)
+        .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 /// Streams diagnosis over a directory without materializing the

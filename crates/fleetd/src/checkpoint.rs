@@ -16,9 +16,9 @@
 //! Each epoch's delta list is folded to its canonical single partial
 //! before serialization, so checkpointing doubles as compaction and
 //! the on-disk size is independent of how bursty ingestion was.
-//! [`save_to`] writes to a temp file and renames over the old
-//! checkpoint, so a crash mid-write leaves the previous checkpoint
-//! intact.
+//! [`save_to`] writes a temp file, fsyncs it and renames it over the
+//! old checkpoint, so a crash or power loss mid-write leaves the
+//! previous checkpoint intact.
 //!
 //! Version 2 adds spill metadata: the state's next segment sequence
 //! number and, per epoch, references to the spilled runs (sequence
@@ -540,9 +540,11 @@ pub fn restore_bytes_with(
     Ok(state)
 }
 
-/// Writes the checkpoint atomically into `dir` (created if missing):
-/// temp file first, then rename over [`CHECKPOINT_FILE`]. Returns the
-/// final path.
+/// Writes the checkpoint into `dir` (created if missing), published
+/// as [`CHECKPOINT_FILE`] through [`energydx_segment::write_atomic`]:
+/// a power loss leaves the previous checkpoint or the new one, never
+/// a torn file that would refuse the next start. Returns the final
+/// path.
 ///
 /// # Errors
 ///
@@ -553,10 +555,9 @@ pub fn save_to(
 ) -> Result<PathBuf, CheckpointError> {
     let io = |e: std::io::Error| CheckpointError::Io(e.to_string());
     std::fs::create_dir_all(dir).map_err(io)?;
-    let tmp = dir.join(format!("{CHECKPOINT_FILE}.tmp"));
     let final_path = dir.join(CHECKPOINT_FILE);
-    std::fs::write(&tmp, checkpoint_bytes(state)).map_err(io)?;
-    std::fs::rename(&tmp, &final_path).map_err(io)?;
+    energydx_segment::write_atomic(&final_path, &checkpoint_bytes(state))
+        .map_err(io)?;
     Ok(final_path)
 }
 

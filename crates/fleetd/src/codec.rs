@@ -95,6 +95,18 @@ impl Writer {
         self.buf.extend_from_slice(b);
     }
 
+    /// A presence flag (`1`, or `0` for `None`), then the value when
+    /// present.
+    pub fn opt<T>(&mut self, v: Option<T>, write: impl FnOnce(&mut Self, T)) {
+        match v {
+            Some(v) => {
+                self.u8(1);
+                write(self, v);
+            }
+            None => self.u8(0),
+        }
+    }
+
     pub fn into_vec(self) -> Vec<u8> {
         self.buf
     }
@@ -164,6 +176,20 @@ impl<'a> Reader<'a> {
     ) -> Result<Vec<u8>, CodecError> {
         let len = self.u32(field)? as usize;
         Ok(self.take(len, field)?.to_vec())
+    }
+
+    /// Reads what [`Writer::opt`] wrote: a presence flag (any nonzero
+    /// byte means present), then the value when present.
+    pub fn opt<T>(
+        &mut self,
+        flag: &'static str,
+        read: impl FnOnce(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<Option<T>, CodecError> {
+        if self.u8(flag)? != 0 {
+            read(self).map(Some)
+        } else {
+            Ok(None)
+        }
     }
 }
 

@@ -36,7 +36,7 @@ use crate::cluster::{
 use crate::protocol::{DeploymentCounters, PartialStatus, Request, Response};
 use crate::replicate::ReplicaStore;
 use crate::server::Dispatch;
-use crate::state::{FleetConfig, QueryError};
+use crate::state::{FleetConfig, QueryError, Selector};
 use energydx::{EnergyDx, JsonWriter, ShardPartial};
 use energydx_obsv::{EventKind, Metrics, MetricsRegistry};
 use energydx_report::{
@@ -92,8 +92,8 @@ struct WorkerSlot {
     breaker: Mutex<CircuitBreaker>,
 }
 
-/// One worker's last-seen versioned partial for one query key — what
-/// a [`Response::PartialNotModified`] lets the coordinator reuse.
+/// One worker's last-seen partial for one cache key — what a
+/// [`Response::PartialNotModified`] lets the coordinator reuse.
 #[derive(Clone)]
 struct CoordCacheEntry {
     /// Resolved epoch id the partial belongs to.
@@ -106,19 +106,21 @@ struct CoordCacheEntry {
     partial: ShardPartial,
 }
 
-/// One worker's delta-query cache: last-seen versioned partials keyed
-/// by `(app, requested epoch, release)` — `None` for the version-blind
-/// whole-epoch partial a [`Request::PartialSince`] fetches, `Some(v)`
-/// for the per-release slice a [`Request::VersionPartialSince`]
-/// fetches on behalf of a regression query.
-type CoordCache =
-    BTreeMap<(String, Option<u64>, Option<String>), CoordCacheEntry>;
+/// One worker's delta-query cache: last-seen partials keyed by
+/// `(app, release)` — `None` for the whole-epoch partial, `Some(v)`
+/// for one release's. The epoch is deliberately not in the key: the
+/// entry's token names its epoch, and a worker answers `NotModified`
+/// only when the whole `(epoch, incarnation, generation)` token
+/// matches the epoch it resolves, so a query of another epoch just
+/// refetches and replaces the entry. The cache is thereby bounded by
+/// apps × releases per worker, and a rollover strands nothing.
+type CoordCache = BTreeMap<(String, Option<String>), CoordCacheEntry>;
 
-/// What one per-release fan-out gathered: the surviving shards'
-/// partials (in worker order), the unreachable shard ids, and whether
-/// any worker disowned the requested epoch.
+/// What one fan-out gathered: the surviving shards' partials (in
+/// worker order), the unreachable shard ids, and whether any worker
+/// disowned the requested epoch.
 #[derive(Default)]
-struct VersionFan {
+struct Fan {
     found: Vec<(usize, u64, ShardPartial)>,
     missing: Vec<u32>,
     unknown_epoch: bool,
@@ -144,7 +146,7 @@ pub struct Coordinator {
     workers: Vec<WorkerSlot>,
     replicas: Mutex<ReplicaStore>,
     /// Per-worker last-seen partials for the delta-query protocol,
-    /// keyed by `(app, requested epoch)`. A worker whose state still
+    /// keyed by `(app, release)`. A worker whose state still
     /// matches the cached `(epoch, incarnation, generation)` answers
     /// `PartialNotModified` and the entry here stands in for the
     /// wire transfer.
@@ -401,7 +403,7 @@ impl Coordinator {
         cache
             .iter()
             .flat_map(|m| m.iter())
-            .map(|((app, _, version), e)| {
+            .map(|((app, version), e)| {
                 ENTRY_OVERHEAD
                     + app.len()
                     + version.as_ref().map_or(0, String::len)
@@ -505,16 +507,16 @@ impl Coordinator {
         }
     }
 
-    /// Fans a diagnosis out to every worker, rebases the surviving
-    /// partials into one contiguous fleet, and finishes it. All
-    /// workers reachable → `Report`; some unreachable → `Degraded`
-    /// (or a typed error under [`DegradePolicy::Hold`]).
-    pub fn diagnose(&self, app: &str, epoch: Option<u64>) -> Response {
-        let mut missing: Vec<u32> = Vec::new();
-        let mut found: Vec<(usize, u64, ShardPartial)> = Vec::new();
-        let mut unknown_epoch = false;
+    /// Fans one selection out to every worker as a
+    /// [`Request::PartialSince`] — the one fan behind diagnoses,
+    /// regressions and both report fans. With the query cache on, each
+    /// request carries the token cached for this worker under
+    /// `(app, release)`, and a `NotModified` reply stands in for the
+    /// cached partial.
+    fn fan(&self, sel: &Selector) -> Result<Fan, Response> {
+        let mut fan = Fan::default();
         let use_cache = self.config.fleet.query_cache;
-        let key = (app.to_string(), epoch, None::<String>);
+        let key = (sel.app.clone(), sel.version.clone());
         let mut updates: Vec<(usize, CoordCacheEntry)> = Vec::new();
         for k in 0..self.workers.len() {
             // Snapshot this worker's cached entry before any I/O —
@@ -527,185 +529,10 @@ impl Coordinator {
             } else {
                 None
             };
-            let req = if use_cache {
-                Request::PartialSince {
-                    app: app.to_string(),
-                    epoch,
-                    token: cached
-                        .as_ref()
-                        .map(|c| (c.epoch, c.incarnation, c.generation)),
-                }
-            } else {
-                Request::Partial {
-                    app: app.to_string(),
-                    epoch,
-                }
-            };
-            match self.call_worker(k, &req) {
-                Ok(Response::Partial {
-                    status,
-                    epoch,
-                    partial,
-                }) => match status {
-                    PartialStatus::Found => found.push((k, epoch, partial)),
-                    PartialStatus::UnknownApp => {}
-                    PartialStatus::UnknownEpoch => unknown_epoch = true,
-                },
-                Ok(Response::PartialNotModified { epoch }) => match &cached {
-                    Some(entry) => {
-                        self.count_cache(true);
-                        found.push((k, epoch, entry.partial.clone()));
-                    }
-                    None => {
-                        return Response::Error {
-                            message: format!(
-                                "worker {k}: NotModified without a token"
-                            ),
-                        }
-                    }
-                },
-                Ok(Response::PartialState {
-                    status,
-                    epoch,
-                    incarnation,
-                    generation,
-                    partial,
-                }) => match status {
-                    PartialStatus::Found => {
-                        self.count_cache(false);
-                        updates.push((
-                            k,
-                            CoordCacheEntry {
-                                epoch,
-                                incarnation,
-                                generation,
-                                partial: partial.clone(),
-                            },
-                        ));
-                        found.push((k, epoch, partial));
-                    }
-                    PartialStatus::UnknownApp => {}
-                    PartialStatus::UnknownEpoch => unknown_epoch = true,
-                },
-                Ok(Response::Error { message }) => {
-                    return Response::Error {
-                        message: format!("worker {k}: {message}"),
-                    }
-                }
-                Ok(other) => {
-                    return Response::Error {
-                        message: format!(
-                            "worker {k}: unexpected response {other:?}"
-                        ),
-                    }
-                }
-                Err(_) => missing.push(k as u32),
-            }
-        }
-        if !updates.is_empty() {
-            let mut cache = self.partial_cache.lock().unwrap();
-            for (k, entry) in updates {
-                cache[k].insert(key.clone(), entry);
-            }
-        }
-        if !missing.is_empty() && self.config.policy == DegradePolicy::Hold {
-            return Response::Error {
-                message: format!(
-                    "shard(s) {missing:?} unreachable after {} attempt(s); \
-                     held back by policy (no degraded answers)",
-                    self.config.retry.max_attempts
-                ),
-            };
-        }
-        if found.is_empty() {
-            // Mirror the single-node daemon's typed query errors. A
-            // worker answers UnknownEpoch only for an explicit epoch
-            // id (`None` resolves to the always-materialized current
-            // epoch), so the unwrap below never fabricates an id.
-            let mut message = if unknown_epoch {
-                QueryError::UnknownEpoch {
-                    app: app.to_string(),
-                    epoch: epoch.unwrap_or_default(),
-                }
-                .to_string()
-            } else {
-                QueryError::UnknownApp(app.to_string()).to_string()
-            };
-            if !missing.is_empty() {
-                message.push_str(&format!(
-                    " ({} shard(s) unreachable: {missing:?})",
-                    missing.len()
-                ));
-            }
-            return Response::Error { message };
-        }
-        let resolved = found[0].1;
-        if found.iter().any(|(_, e, _)| *e != resolved) {
-            let spread: Vec<(usize, u64)> =
-                found.iter().map(|(k, e, _)| (*k, *e)).collect();
-            return Response::Error {
-                message: format!(
-                    "cluster epoch mismatch for app {app:?}: {spread:?} \
-                     (a rollover did not reach every worker)"
-                ),
-            };
-        }
-        // Concatenate the surviving shards in worker order: rebase
-        // each worker's locally-0-based partial to sit after the
-        // traces of the workers before it, then merge.
-        let mut merged = ShardPartial::empty();
-        let mut base = 0usize;
-        for (_, _, partial) in found {
-            let n = partial.trace_count();
-            merged = merged.merge(partial.rebase(base));
-            base += n;
-        }
-        let json = match self.dx.finish(merged) {
-            Ok(report) => report.to_canonical_json(),
-            Err(e) => {
-                return Response::Error {
-                    message: QueryError::Analysis(e.to_string()).to_string(),
-                }
-            }
-        };
-        if missing.is_empty() {
-            Response::Report { json }
-        } else {
-            self.metrics.inc("cluster_degraded_queries_total", &[]);
-            self.metrics.event(
-                EventKind::DegradedQuery,
-                format!("app={app} missing={missing:?}"),
-            );
-            Response::Degraded { missing, json }
-        }
-    }
-
-    /// Fans one release's partial out to every worker via
-    /// [`Request::VersionPartialSince`], honoring the same
-    /// NotModified/token protocol as [`Coordinator::diagnose`]. Cache
-    /// entries live under `(app, epoch, Some(version))`, so a
-    /// regression query's two fans warm independent slots and a
-    /// version-blind diagnosis never collides with them.
-    fn version_partials(
-        &self,
-        app: &str,
-        epoch: Option<u64>,
-        version: &str,
-    ) -> Result<VersionFan, Response> {
-        let mut fan = VersionFan::default();
-        let use_cache = self.config.fleet.query_cache;
-        let key = (app.to_string(), epoch, Some(version.to_string()));
-        let mut updates: Vec<(usize, CoordCacheEntry)> = Vec::new();
-        for k in 0..self.workers.len() {
-            let cached: Option<CoordCacheEntry> = if use_cache {
-                self.partial_cache.lock().unwrap()[k].get(&key).cloned()
-            } else {
-                None
-            };
-            let req = Request::VersionPartialSince {
-                app: app.to_string(),
-                epoch,
-                version: version.to_string(),
+            let req = Request::PartialSince {
+                app: sel.app.clone(),
+                epoch: sel.epoch,
+                version: sel.version.clone(),
                 token: cached
                     .as_ref()
                     .map(|c| (c.epoch, c.incarnation, c.generation)),
@@ -773,23 +600,124 @@ impl Coordinator {
         Ok(fan)
     }
 
-    /// Concatenates one fan's surviving shards in worker order and
-    /// finishes them into a diagnosis report — the same rebase/merge
-    /// the version-blind [`Coordinator::diagnose`] performs.
-    fn finish_fan(
-        &self,
-        fan: &VersionFan,
-    ) -> Result<energydx::DiagnosisReport, Response> {
+    /// Concatenates a fan's surviving shards in worker order — each
+    /// worker's locally-0-based partial rebased to sit after the traces
+    /// of the workers before it — and finishes the merged fleet.
+    fn finish(&self, fan: Fan) -> Result<energydx::DiagnosisReport, Response> {
         let mut merged = ShardPartial::empty();
         let mut base = 0usize;
-        for (_, _, partial) in &fan.found {
+        for (_, _, partial) in fan.found {
             let n = partial.trace_count();
-            merged = merged.merge(partial.clone().rebase(base));
+            merged = merged.merge(partial.rebase(base));
             base += n;
         }
         self.dx.finish(merged).map_err(|e| Response::Error {
             message: QueryError::Analysis(e.to_string()).to_string(),
         })
+    }
+
+    /// The unreachable shards an answer must name, sorted and each
+    /// once — or, under [`DegradePolicy::Hold`], a typed error refusing
+    /// any answer without them.
+    fn hold(&self, mut missing: Vec<u32>) -> Result<Vec<u32>, Response> {
+        missing.sort_unstable();
+        missing.dedup();
+        if !missing.is_empty() && self.config.policy == DegradePolicy::Hold {
+            return Err(Response::Error {
+                message: format!(
+                    "shard(s) {missing:?} unreachable after {} attempt(s); \
+                     held back by policy (no degraded answers)",
+                    self.config.retry.max_attempts
+                ),
+            });
+        }
+        Ok(missing)
+    }
+
+    /// Vets the fans behind one query answer and returns the shards it
+    /// must name as missing. Mirrors the single daemon: the policy
+    /// check of [`Coordinator::hold`]; no reachable holder is its typed
+    /// unknown-app/epoch error, qualified by any outage; and workers
+    /// that resolved different epochs mean a rollover landed partway,
+    /// which is an error rather than a merge across epochs.
+    fn vet(&self, sel: &Selector, fans: &[&Fan]) -> Result<Vec<u32>, Response> {
+        let missing =
+            self.hold(fans.iter().flat_map(|f| f.missing.clone()).collect())?;
+        if fans.iter().all(|f| f.found.is_empty()) {
+            // A worker answers UnknownEpoch only for an explicit epoch
+            // id (`None` resolves to the always-materialized current
+            // epoch), so the unwrap below never fabricates an id.
+            let mut message = if fans.iter().any(|f| f.unknown_epoch) {
+                QueryError::UnknownEpoch {
+                    app: sel.app.clone(),
+                    epoch: sel.epoch.unwrap_or_default(),
+                }
+                .to_string()
+            } else {
+                QueryError::UnknownApp(sel.app.clone()).to_string()
+            };
+            if !missing.is_empty() {
+                message.push_str(&format!(
+                    " ({} shard(s) unreachable: {missing:?})",
+                    missing.len()
+                ));
+            }
+            return Err(Response::Error { message });
+        }
+        let epochs: Vec<(usize, u64)> = fans
+            .iter()
+            .flat_map(|f| f.found.iter().map(|(k, e, _)| (*k, *e)))
+            .collect();
+        if epochs.iter().any(|(_, e)| *e != epochs[0].1) {
+            return Err(Response::Error {
+                message: format!(
+                    "cluster epoch mismatch for app {:?}: {epochs:?} \
+                     (a rollover did not reach every worker)",
+                    sel.app
+                ),
+            });
+        }
+        Ok(missing)
+    }
+
+    /// Counts and logs an answer that leaves shards out; `detail`
+    /// names the query in the event.
+    fn note_degraded(&self, detail: &str, missing: &[u32]) {
+        self.metrics.inc("cluster_degraded_queries_total", &[]);
+        self.metrics.event(
+            EventKind::DegradedQuery,
+            format!("{detail} missing={missing:?}"),
+        );
+    }
+
+    /// A fanned query's answer: `Report` when every shard answered,
+    /// otherwise an explicitly `Degraded` one.
+    fn answer(
+        &self,
+        json: String,
+        missing: Vec<u32>,
+        detail: &str,
+    ) -> Response {
+        if missing.is_empty() {
+            return Response::Report { json };
+        }
+        self.note_degraded(detail, &missing);
+        Response::Degraded { missing, json }
+    }
+
+    /// Fans a diagnosis out to every worker, rebases the surviving
+    /// partials into one contiguous fleet, and finishes it. All
+    /// workers reachable → `Report`; some unreachable → `Degraded`
+    /// (or a typed error under [`DegradePolicy::Hold`]).
+    pub fn diagnose(&self, app: &str, epoch: Option<u64>) -> Response {
+        let sel = Selector::new(app, epoch, None);
+        self.fan(&sel)
+            .and_then(|fan| {
+                let missing = self.vet(&sel, &[&fan])?;
+                let json = self.finish(fan)?.to_canonical_json();
+                Ok(self.answer(json, missing, &format!("app={app}")))
+            })
+            .unwrap_or_else(|error| error)
     }
 
     /// Differential query across two app releases: fans each release's
@@ -809,157 +737,47 @@ impl Coordinator {
     ) -> Response {
         let _span = self.metrics.span("regress");
         self.metrics.inc("fleetd_regress_queries_total", &[]);
-        let from_fan = match self.version_partials(app, epoch, from) {
-            Ok(fan) => fan,
-            Err(resp) => return resp,
-        };
-        let to_fan = match self.version_partials(app, epoch, to) {
-            Ok(fan) => fan,
-            Err(resp) => return resp,
-        };
-        let mut missing: Vec<u32> = from_fan
-            .missing
-            .iter()
-            .chain(to_fan.missing.iter())
-            .copied()
-            .collect();
-        missing.sort_unstable();
-        missing.dedup();
-        if !missing.is_empty() && self.config.policy == DegradePolicy::Hold {
-            return Response::Error {
-                message: format!(
-                    "shard(s) {missing:?} unreachable after {} attempt(s); \
-                     held back by policy (no degraded answers)",
-                    self.config.retry.max_attempts
-                ),
-            };
-        }
-        if from_fan.found.is_empty() && to_fan.found.is_empty() {
-            // No reachable worker knows the app (or the epoch): mirror
-            // the single daemon's typed errors, qualified by outages.
-            let unknown_epoch = from_fan.unknown_epoch || to_fan.unknown_epoch;
-            let mut message = if unknown_epoch {
-                QueryError::UnknownEpoch {
-                    app: app.to_string(),
-                    epoch: epoch.unwrap_or_default(),
-                }
-                .to_string()
-            } else {
-                QueryError::UnknownApp(app.to_string()).to_string()
-            };
-            if !missing.is_empty() {
-                message.push_str(&format!(
-                    " ({} shard(s) unreachable: {missing:?})",
-                    missing.len()
-                ));
-            }
-            return Response::Error { message };
-        }
-        // Both fans hit the same workers, so any epoch skew between
-        // or within them means a rollover landed partway — refuse to
-        // compare releases across different epochs.
-        let epochs: Vec<(usize, u64)> = from_fan
-            .found
-            .iter()
-            .chain(to_fan.found.iter())
-            .map(|(k, e, _)| (*k, *e))
-            .collect();
-        let resolved = epochs[0].1;
-        if epochs.iter().any(|(_, e)| *e != resolved) {
-            return Response::Error {
-                message: format!(
-                    "cluster epoch mismatch for app {app:?}: {epochs:?} \
-                     (a rollover did not reach every worker)"
-                ),
-            };
-        }
-        let from_report = match self.finish_fan(&from_fan) {
-            Ok(report) => report,
-            Err(resp) => return resp,
-        };
-        let to_report = match self.finish_fan(&to_fan) {
-            Ok(report) => report,
-            Err(resp) => return resp,
-        };
-        let config = crate::server::regress_config(threshold);
-        let report = energydx_regress::compare(
-            from,
-            &from_report,
-            to,
-            &to_report,
-            &config,
-        );
-        self.metrics.inc(
-            "fleetd_regress_verdicts_total",
-            &[("verdict", report.verdict.as_str())],
-        );
-        let json = energydx_regress::regression_json(&report);
-        if missing.is_empty() {
-            Response::Report { json }
-        } else {
-            self.metrics.inc("cluster_degraded_queries_total", &[]);
-            self.metrics.event(
-                EventKind::DegradedQuery,
-                format!("app={app} from={from} to={to} missing={missing:?}"),
+        let from_sel = Selector::new(app, epoch, Some(from));
+        let answer = || {
+            let from_fan = self.fan(&from_sel)?;
+            let to_fan = self.fan(&Selector::new(app, epoch, Some(to)))?;
+            // Both fans hit the same workers, so `vet` refuses to
+            // compare releases across epochs as well as within one.
+            let missing = self.vet(&from_sel, &[&from_fan, &to_fan])?;
+            let report = energydx_regress::compare(
+                from,
+                &self.finish(from_fan)?,
+                to,
+                &self.finish(to_fan)?,
+                &crate::server::regress_config(threshold),
             );
-            Response::Degraded { missing, json }
-        }
-    }
-
-    /// Fans one epoch's whole (version-blind) partial out to every
-    /// worker by explicit epoch id — the report path's fan. Workers
-    /// that never saw the app or the epoch skip silently; unreachable
-    /// workers land in `missing`.
-    fn report_epoch_fan(
-        &self,
-        app: &str,
-        epoch: u64,
-    ) -> Result<VersionFan, Response> {
-        let mut fan = VersionFan::default();
-        let req = Request::Partial {
-            app: app.to_string(),
-            epoch: Some(epoch),
+            self.metrics.inc(
+                "fleetd_regress_verdicts_total",
+                &[("verdict", report.verdict.as_str())],
+            );
+            let json = energydx_regress::regression_json(&report);
+            let detail = format!("app={app} from={from} to={to}");
+            Ok(self.answer(json, missing, &detail))
         };
-        for k in 0..self.workers.len() {
-            match self.call_worker(k, &req) {
-                Ok(Response::Partial {
-                    status,
-                    epoch,
-                    partial,
-                }) => match status {
-                    PartialStatus::Found => fan.found.push((k, epoch, partial)),
-                    PartialStatus::UnknownApp => {}
-                    PartialStatus::UnknownEpoch => fan.unknown_epoch = true,
-                },
-                Ok(Response::Error { message }) => {
-                    return Err(Response::Error {
-                        message: format!("worker {k}: {message}"),
-                    })
-                }
-                Ok(other) => {
-                    return Err(Response::Error {
-                        message: format!(
-                            "worker {k}: unexpected response {other:?}"
-                        ),
-                    })
-                }
-                Err(_) => fan.missing.push(k as u32),
-            }
-        }
-        Ok(fan)
+        answer().unwrap_or_else(|error| error)
     }
 
     /// Renders the cluster-wide operator report: fans the catalog out,
-    /// unions the per-worker accounting, re-fans every app epoch (and
-    /// every current-epoch release) as partials, merges them in worker
-    /// order exactly as [`Coordinator::diagnose`] does, and renders
-    /// one pair of artifacts through the shared renderer. Unreachable
-    /// shards are named explicitly in the artifacts' Degraded banner —
-    /// or, under [`DegradePolicy::Hold`], produce a typed error.
+    /// unions the per-worker accounting, fans every app epoch (and
+    /// every current-epoch release) out exactly as
+    /// [`Coordinator::diagnose`] does, and renders one pair of
+    /// artifacts through the shared renderer. Workers that never saw
+    /// an app or epoch contribute nothing; unreachable shards are
+    /// named explicitly in the artifacts' Degraded banner — or, under
+    /// [`DegradePolicy::Hold`], produce a typed error.
     pub fn report(&self, top: Option<u32>) -> Response {
         let _timer = self
             .metrics
             .timer("fleetd_report_render_duration_seconds", &[]);
+        self.try_report(top).unwrap_or_else(|error| error)
+    }
+
+    fn try_report(&self, top: Option<u32>) -> Result<Response, Response> {
         struct EpochAgg {
             clean: u64,
             recovered: u64,
@@ -1029,16 +847,16 @@ impl Coordinator {
                     }
                 }
                 Ok(Response::Error { message }) => {
-                    return Response::Error {
+                    return Err(Response::Error {
                         message: format!("worker {k}: {message}"),
-                    }
+                    })
                 }
                 Ok(other) => {
-                    return Response::Error {
+                    return Err(Response::Error {
                         message: format!(
                             "worker {k}: unexpected response {other:?}"
                         ),
-                    }
+                    })
                 }
                 Err(_) => missing.push(k as u32),
             }
@@ -1047,18 +865,11 @@ impl Coordinator {
         for (app, agg) in &apps {
             let mut epochs = Vec::new();
             for (&id, eagg) in &agg.epochs {
-                let fan = match self.report_epoch_fan(app, id) {
-                    Ok(fan) => fan,
-                    Err(resp) => return resp,
-                };
-                missing.extend(fan.missing.iter().copied());
-                let report = match self.finish_fan(&fan) {
-                    Ok(report) => report,
-                    Err(resp) => return resp,
-                };
+                let fan = self.fan(&Selector::new(app, Some(id), None))?;
+                missing.extend(&fan.missing);
                 epochs.push(EpochInput {
                     epoch: id,
-                    report,
+                    report: self.finish(fan)?,
                     clean: eagg.clean,
                     recovered: eagg.recovered,
                     quarantine: eagg
@@ -1069,26 +880,16 @@ impl Coordinator {
                 });
             }
             let mut versions = Vec::new();
-            if let Some(eagg) = agg.epochs.get(&agg.current_epoch) {
-                for version in &eagg.versions {
-                    let fan = match self.version_partials(
-                        app,
-                        Some(agg.current_epoch),
-                        version,
-                    ) {
-                        Ok(fan) => fan,
-                        Err(resp) => return resp,
-                    };
-                    missing.extend(fan.missing.iter().copied());
-                    let report = match self.finish_fan(&fan) {
-                        Ok(report) => report,
-                        Err(resp) => return resp,
-                    };
-                    versions.push(VersionInput {
-                        version: version.clone(),
-                        report,
-                    });
-                }
+            let current = agg.epochs.get(&agg.current_epoch);
+            for version in current.into_iter().flat_map(|e| &e.versions) {
+                let sel =
+                    Selector::new(app, Some(agg.current_epoch), Some(version));
+                let fan = self.fan(&sel)?;
+                missing.extend(&fan.missing);
+                versions.push(VersionInput {
+                    version: version.clone(),
+                    report: self.finish(fan)?,
+                });
             }
             inputs.push(AppInput {
                 app: app.clone(),
@@ -1097,17 +898,7 @@ impl Coordinator {
                 versions,
             });
         }
-        missing.sort_unstable();
-        missing.dedup();
-        if !missing.is_empty() && self.config.policy == DegradePolicy::Hold {
-            return Response::Error {
-                message: format!(
-                    "shard(s) {missing:?} unreachable after {} attempt(s); \
-                     held back by policy (no degraded answers)",
-                    self.config.retry.max_attempts
-                ),
-            };
-        }
+        let missing = self.hold(missing)?;
         let panel = crate::report::deployment_panel(
             &deployment,
             crate::report::deployment_is_live(&self.metrics),
@@ -1122,17 +913,13 @@ impl Coordinator {
         let json = render_json(&model);
         self.metrics.inc("fleetd_report_renders_total", &[]);
         if !missing.is_empty() {
-            self.metrics.inc("cluster_degraded_queries_total", &[]);
-            self.metrics.event(
-                EventKind::DegradedQuery,
-                format!("report missing={missing:?}"),
-            );
+            self.note_degraded("report", &missing);
         }
-        Response::ReportArtifacts {
+        Ok(Response::ReportArtifacts {
             missing,
             html,
             json,
-        }
+        })
     }
 
     /// Fetches and stores every worker's checkpoint (re-validated
@@ -1517,9 +1304,7 @@ impl Dispatch for Coordinator {
                 threshold,
             } => self.regressions(&app, epoch, &from, &to, threshold),
             Request::Report { top } => self.report(top),
-            Request::Partial { .. }
-            | Request::PartialSince { .. }
-            | Request::VersionPartialSince { .. }
+            Request::PartialSince { .. }
             | Request::FetchCheckpoint
             | Request::InstallCheckpoint { .. }
             | Request::Catalog
@@ -1556,7 +1341,11 @@ mod tests {
         }
     }
 
-    fn cluster_with(config: CoordinatorConfig, workers: usize) -> TestCluster {
+    fn cluster_on(
+        config: CoordinatorConfig,
+        workers: usize,
+        registry: Arc<MetricsRegistry>,
+    ) -> TestCluster {
         let slots: Vec<WorkerSlot> = (0..workers)
             .map(|_| {
                 let handle = FleetdHandle::start(ServerConfig::default())
@@ -1571,8 +1360,13 @@ mod tests {
                     as Box<dyn WorkerTransport>
             })
             .collect();
-        let coordinator = Coordinator::new(config, transports).unwrap();
+        let coordinator =
+            Coordinator::with_registry(config, transports, registry).unwrap();
         TestCluster { coordinator, slots }
+    }
+
+    fn cluster_with(config: CoordinatorConfig, workers: usize) -> TestCluster {
+        cluster_on(config, workers, Arc::new(MetricsRegistry::new()))
     }
 
     fn cluster(workers: usize) -> TestCluster {
@@ -1838,27 +1632,14 @@ mod tests {
     /// so the report's deployment panel pins (the byte-identity
     /// surface contract).
     fn deterministic_cluster(workers: usize) -> TestCluster {
-        let slots: Vec<WorkerSlot> = (0..workers)
-            .map(|_| {
-                let handle = FleetdHandle::start(ServerConfig::default())
-                    .expect("worker start");
-                Arc::new(Mutex::new(Some(Arc::new(handle))))
-            })
-            .collect();
-        let transports: Vec<Box<dyn WorkerTransport>> = slots
-            .iter()
-            .map(|slot| {
-                Box::new(InProcessTransport::new(Arc::clone(slot)))
-                    as Box<dyn WorkerTransport>
-            })
-            .collect();
-        let coordinator = Coordinator::with_registry(
-            test_config(),
-            transports,
-            Arc::new(MetricsRegistry::deterministic()),
-        )
-        .unwrap();
-        TestCluster { coordinator, slots }
+        deterministic_cluster_with(test_config(), workers)
+    }
+
+    fn deterministic_cluster_with(
+        config: CoordinatorConfig,
+        workers: usize,
+    ) -> TestCluster {
+        cluster_on(config, workers, Arc::new(MetricsRegistry::deterministic()))
     }
 
     #[test]
@@ -2146,19 +1927,16 @@ mod tests {
         for req in [
             Request::Counts,
             Request::FetchCheckpoint,
-            Request::Partial {
+            Request::PartialSince {
                 app: "mail".to_string(),
                 epoch: None,
+                version: None,
+                token: None,
             },
             Request::PartialSince {
                 app: "mail".to_string(),
                 epoch: None,
-                token: None,
-            },
-            Request::VersionPartialSince {
-                app: "mail".to_string(),
-                epoch: None,
-                version: "2.0.0".to_string(),
+                version: Some("2.0.0".to_string()),
                 token: None,
             },
         ] {
@@ -2231,6 +2009,129 @@ mod tests {
         // The coordinator's stats document exposes the same counters.
         let stats = cluster.coordinator.stats_json();
         assert!(stats.contains("\"query_cache\""), "{stats}");
+    }
+
+    fn coordinator_cache_counter(cluster: &TestCluster, name: &str) -> u64 {
+        cluster
+            .coordinator
+            .metrics()
+            .registry()
+            .and_then(|r| r.counter_value(name, &[("layer", "coordinator")]))
+            .unwrap_or(0)
+    }
+
+    /// A deterministic cluster and its `query_cache: false` twin, driven
+    /// with the same uploads: every answer of the first must equal the
+    /// second's, whatever the cache did.
+    fn twin_clusters(workers: usize) -> (TestCluster, TestCluster) {
+        let plain = CoordinatorConfig {
+            fleet: FleetConfig {
+                query_cache: false,
+                ..FleetConfig::default()
+            },
+            ..test_config()
+        };
+        (
+            deterministic_cluster(workers),
+            deterministic_cluster_with(plain, workers),
+        )
+    }
+
+    #[test]
+    fn a_report_rides_the_release_partials_a_regression_fetched() {
+        let (cached, plain) = twin_clusters(3);
+        let ups = versioned_uploads(28);
+        drive(&cached, &ups);
+        drive(&plain, &ups);
+        let holders = (0..3)
+            .filter(|&k| {
+                ups.iter().any(|(u, _)| shard_for_user("mail", u, 3) == k)
+            })
+            .count() as u64;
+        let both = |req: Request| {
+            let answer = cached.coordinator.handle_request(req.clone());
+            assert_eq!(answer, plain.coordinator.handle_request(req));
+            answer
+        };
+        let regressions = Request::Regressions {
+            app: "mail".to_string(),
+            epoch: None,
+            from: "1.9.0".to_string(),
+            to: "2.0.0".to_string(),
+            threshold: None,
+        };
+        assert!(matches!(both(regressions), Response::Report { .. }));
+        let hits =
+            coordinator_cache_counter(&cached, "fleetd_query_cache_hits_total");
+        let misses = coordinator_cache_counter(
+            &cached,
+            "fleetd_query_cache_misses_total",
+        );
+        assert_eq!((hits, misses), (0, 2 * holders));
+        // The report's per-release fans of the current epoch present
+        // the tokens the regression stored under `(app, release)`:
+        // every unchanged holder answers NotModified. Only its
+        // whole-epoch fan is cold.
+        let report = both(Request::Report { top: None });
+        assert!(matches!(report, Response::ReportArtifacts { .. }));
+        let hits =
+            coordinator_cache_counter(&cached, "fleetd_query_cache_hits_total");
+        let misses = coordinator_cache_counter(
+            &cached,
+            "fleetd_query_cache_misses_total",
+        );
+        assert_eq!((hits, misses), (2 * holders, 3 * holders));
+        // One entry per release plus the whole-epoch one, per holder —
+        // not one per (requested epoch, release) pair.
+        let cache = cached.coordinator.partial_cache.lock().unwrap();
+        let entries: Vec<usize> = cache.iter().map(BTreeMap::len).collect();
+        assert!(entries.iter().all(|&n| n == 0 || n == 3), "{entries:?}");
+    }
+
+    #[test]
+    fn a_frozen_epoch_diagnose_replaces_the_whole_epoch_entry() {
+        let (cached, plain) = twin_clusters(3);
+        let ups = uploads(21);
+        drive(&cached, &ups);
+        drive(&plain, &ups);
+        let rollover = Request::Rollover {
+            app: "mail".to_string(),
+        };
+        for cluster in [&cached, &plain] {
+            let answer = cluster.coordinator.handle_request(rollover.clone());
+            assert!(matches!(answer, Response::Epoch { epoch: 1 }));
+            drive(cluster, &ups[..7]);
+        }
+        let diagnose = |epoch: Option<u64>| {
+            let req = Request::Diagnose {
+                app: "mail".to_string(),
+                epoch,
+            };
+            let answer = cached.coordinator.handle_request(req.clone());
+            assert_eq!(answer, plain.coordinator.handle_request(req));
+            assert!(matches!(answer, Response::Report { .. }));
+            (
+                coordinator_cache_counter(
+                    &cached,
+                    "fleetd_query_cache_hits_total",
+                ),
+                coordinator_cache_counter(
+                    &cached,
+                    "fleetd_query_cache_misses_total",
+                ),
+            )
+        };
+        // The rollover reached every worker, so all three hold the app.
+        assert_eq!(diagnose(None), (0, 3));
+        // The frozen epoch's fetch cannot ride the current epoch's
+        // token, and it takes over the `(app, None)` entry...
+        assert_eq!(diagnose(Some(0)), (0, 6));
+        // ...so the next current-epoch query fetches again, after
+        // which the entry serves repeats.
+        assert_eq!(diagnose(None), (0, 9));
+        assert_eq!(diagnose(None), (3, 9));
+        let cache = cached.coordinator.partial_cache.lock().unwrap();
+        assert!(cache.iter().all(|m| m.len() == 1));
     }
 
     #[test]

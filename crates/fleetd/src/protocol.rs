@@ -134,15 +134,6 @@ pub enum Request {
     /// Prometheus-text metrics exposition (counters, gauges, stage
     /// duration histograms, queue occupancy).
     Metrics,
-    /// Cluster: fetch an epoch's folded [`ShardPartial`] (the worker's
-    /// locally-offset contribution, for coordinator-side rebasing and
-    /// merging). `None` = the current epoch.
-    Partial {
-        /// The app whose partial is wanted.
-        app: String,
-        /// Epoch id; `None` = the current epoch.
-        epoch: Option<u64>,
-    },
     /// Cluster: serialize the worker's full state as checkpoint bytes
     /// (for coordinator-side replication).
     FetchCheckpoint,
@@ -155,19 +146,27 @@ pub enum Request {
     /// Cluster: cheap accepted/quarantined totals, used as the health
     /// probe and the staleness check before a handoff.
     Counts,
-    /// Cluster: like [`Request::Partial`], but carrying the
-    /// coordinator's last-seen `(epoch, incarnation, generation)`
-    /// token for this app. A worker whose state still matches the
-    /// token answers [`Response::PartialNotModified`] — a few bytes
-    /// instead of a full partial — so a dashboard polling an idle
-    /// fleet pays wire cost proportional to what changed.
+    /// Cluster: fetch the worker's folded, locally-offset
+    /// [`ShardPartial`] of one selection — an epoch's whole fleet or
+    /// one release of it — for coordinator-side rebasing and merging.
+    /// The one partial request behind every cluster query kind. It
+    /// carries the coordinator's last-seen `(epoch, incarnation,
+    /// generation)` token; a worker whose resolved epoch still
+    /// matches it answers [`Response::PartialNotModified`] — a few
+    /// bytes instead of a full partial — so a dashboard polling an
+    /// idle fleet pays wire cost proportional to what changed.
     PartialSince {
         /// The app whose partial is wanted.
         app: String,
         /// Epoch id; `None` = the current epoch.
         epoch: Option<u64>,
+        /// `None` = every release; `Some(v)` = only release `v`'s
+        /// traces, re-anchored to offset 0 (`Some("")` = unversioned
+        /// uploads).
+        version: Option<String>,
         /// Last-seen `(epoch, incarnation, generation)` from a prior
-        /// [`Response::PartialState`]; `None` on a cold coordinator.
+        /// [`Response::PartialState`]; `None` when the coordinator
+        /// holds none (or runs without a query cache).
         token: Option<(u64, u64, u64)>,
     },
     /// Differential query: diagnose the `from` and `to` releases of
@@ -186,20 +185,6 @@ pub enum Request {
         /// Quantile-shift threshold override; `None` = the server's
         /// default [`energydx_regress::RegressConfig`].
         threshold: Option<f64>,
-    },
-    /// Cluster: like [`Request::PartialSince`], but for one release's
-    /// traces only — the worker answers with its version-local partial
-    /// (offsets re-anchored to 0) under the same
-    /// `(epoch, incarnation, generation)` token discipline.
-    VersionPartialSince {
-        /// The app whose partial is wanted.
-        app: String,
-        /// Epoch id; `None` = the current epoch.
-        epoch: Option<u64>,
-        /// The app release whose traces are wanted.
-        version: String,
-        /// Last-seen token from a prior [`Response::PartialState`].
-        token: Option<(u64, u64, u64)>,
     },
     /// Render the deterministic operator report (static HTML +
     /// `report.json`) over the daemon's full fleet state. Served by a
@@ -331,16 +316,6 @@ pub enum Response {
         /// The exposition body, ready to serve to a scraper.
         text: String,
     },
-    /// Cluster: one worker's folded epoch partial (or why there is
-    /// none), serialized with the checkpoint's partial codec.
-    Partial {
-        /// Whether the worker holds the app/epoch at all.
-        status: PartialStatus,
-        /// The resolved epoch id (0 unless `status` is `Found`).
-        epoch: u64,
-        /// The folded, locally-offset partial (empty unless `Found`).
-        partial: ShardPartial,
-    },
     /// Cluster: the worker's serialized checkpoint.
     CheckpointData {
         /// Checkpoint bytes, installable via
@@ -370,10 +345,10 @@ pub enum Response {
         /// The resolved epoch id the token validated against.
         epoch: u64,
     },
-    /// Cluster: a versioned partial answering
-    /// [`Request::PartialSince`] — [`Response::Partial`] plus the
-    /// `(incarnation, generation)` the coordinator should present as
-    /// its token next time.
+    /// Cluster: the partial answering a [`Request::PartialSince`] (or
+    /// why there is none), serialized with the checkpoint's partial
+    /// codec, plus the `(incarnation, generation)` the coordinator
+    /// should present as its token next time.
     PartialState {
         /// Whether the worker holds the app/epoch at all.
         status: PartialStatus,
@@ -407,7 +382,7 @@ pub enum Response {
     },
 }
 
-/// Whether a worker could resolve a [`Request::Partial`] lookup.
+/// Whether a worker could resolve a [`Request::PartialSince`] lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartialStatus {
     /// The worker holds the epoch; the partial is its contribution.
@@ -574,13 +549,7 @@ impl Request {
             }
             Request::Diagnose { app, epoch } => {
                 w.str(app);
-                match epoch {
-                    Some(e) => {
-                        w.u8(1);
-                        w.u64(*e);
-                    }
-                    None => w.u8(0),
-                }
+                w.opt(*epoch, Writer::u64);
                 2
             }
             Request::Stats => 3,
@@ -593,41 +562,26 @@ impl Request {
             }
             Request::Shutdown => 8,
             Request::Metrics => 9,
-            Request::Partial { app, epoch } => {
-                w.str(app);
-                match epoch {
-                    Some(e) => {
-                        w.u8(1);
-                        w.u64(*e);
-                    }
-                    None => w.u8(0),
-                }
-                10
-            }
             Request::FetchCheckpoint => 11,
             Request::InstallCheckpoint { data } => {
                 w.bytes(data);
                 12
             }
             Request::Counts => 13,
-            Request::PartialSince { app, epoch, token } => {
+            Request::PartialSince {
+                app,
+                epoch,
+                version,
+                token,
+            } => {
                 w.str(app);
-                match epoch {
-                    Some(e) => {
-                        w.u8(1);
-                        w.u64(*e);
-                    }
-                    None => w.u8(0),
-                }
-                match token {
-                    Some((known_epoch, incarnation, generation)) => {
-                        w.u8(1);
-                        w.u64(*known_epoch);
-                        w.u64(*incarnation);
-                        w.u64(*generation);
-                    }
-                    None => w.u8(0),
-                }
+                w.opt(*epoch, Writer::u64);
+                w.opt(version.as_deref(), Writer::str);
+                w.opt(*token, |w, (known_epoch, incarnation, generation)| {
+                    w.u64(known_epoch);
+                    w.u64(incarnation);
+                    w.u64(generation);
+                });
                 14
             }
             Request::Regressions {
@@ -638,58 +592,14 @@ impl Request {
                 threshold,
             } => {
                 w.str(app);
-                match epoch {
-                    Some(e) => {
-                        w.u8(1);
-                        w.u64(*e);
-                    }
-                    None => w.u8(0),
-                }
+                w.opt(*epoch, Writer::u64);
                 w.str(from);
                 w.str(to);
-                match threshold {
-                    Some(t) => {
-                        w.u8(1);
-                        w.f64(*t);
-                    }
-                    None => w.u8(0),
-                }
+                w.opt(*threshold, Writer::f64);
                 15
             }
-            Request::VersionPartialSince {
-                app,
-                epoch,
-                version,
-                token,
-            } => {
-                w.str(app);
-                match epoch {
-                    Some(e) => {
-                        w.u8(1);
-                        w.u64(*e);
-                    }
-                    None => w.u8(0),
-                }
-                w.str(version);
-                match token {
-                    Some((known_epoch, incarnation, generation)) => {
-                        w.u8(1);
-                        w.u64(*known_epoch);
-                        w.u64(*incarnation);
-                        w.u64(*generation);
-                    }
-                    None => w.u8(0),
-                }
-                16
-            }
             Request::Report { top } => {
-                match top {
-                    Some(n) => {
-                        w.u8(1);
-                        w.u32(*n);
-                    }
-                    None => w.u8(0),
-                }
+                w.opt(*top, Writer::u32);
                 17
             }
             Request::Catalog => 18,
@@ -709,15 +619,10 @@ impl Request {
                 app: r.str("app")?,
                 payload: r.bytes("payload")?,
             },
-            2 => {
-                let app = r.str("app")?;
-                let epoch = if r.u8("epoch flag")? != 0 {
-                    Some(r.u64("epoch")?)
-                } else {
-                    None
-                };
-                Request::Diagnose { app, epoch }
-            }
+            2 => Request::Diagnose {
+                app: r.str("app")?,
+                epoch: r.opt("epoch flag", |r| r.u64("epoch"))?,
+            },
             3 => Request::Stats,
             4 => Request::Health,
             5 => Request::Compact,
@@ -725,93 +630,37 @@ impl Request {
             7 => Request::Rollover { app: r.str("app")? },
             8 => Request::Shutdown,
             9 => Request::Metrics,
-            10 => {
-                let app = r.str("app")?;
-                let epoch = if r.u8("epoch flag")? != 0 {
-                    Some(r.u64("epoch")?)
-                } else {
-                    None
-                };
-                Request::Partial { app, epoch }
-            }
             11 => Request::FetchCheckpoint,
             12 => Request::InstallCheckpoint {
                 data: r.bytes("checkpoint data")?,
             },
             13 => Request::Counts,
-            14 => {
-                let app = r.str("app")?;
-                let epoch = if r.u8("epoch flag")? != 0 {
-                    Some(r.u64("epoch")?)
-                } else {
-                    None
-                };
-                let token = if r.u8("token flag")? != 0 {
-                    Some((
+            14 => Request::PartialSince {
+                app: r.str("app")?,
+                epoch: r.opt("epoch flag", |r| r.u64("epoch"))?,
+                version: r.opt("version flag", |r| r.str("version"))?,
+                token: r.opt("token flag", |r| {
+                    Ok((
                         r.u64("known epoch")?,
                         r.u64("incarnation")?,
                         r.u64("generation")?,
                     ))
-                } else {
-                    None
-                };
-                Request::PartialSince { app, epoch, token }
-            }
-            15 => {
-                let app = r.str("app")?;
-                let epoch = if r.u8("epoch flag")? != 0 {
-                    Some(r.u64("epoch")?)
-                } else {
-                    None
-                };
-                let from = r.str("from version")?;
-                let to = r.str("to version")?;
-                let threshold = if r.u8("threshold flag")? != 0 {
-                    Some(r.f64("threshold")?)
-                } else {
-                    None
-                };
-                Request::Regressions {
-                    app,
-                    epoch,
-                    from,
-                    to,
-                    threshold,
-                }
-            }
-            16 => {
-                let app = r.str("app")?;
-                let epoch = if r.u8("epoch flag")? != 0 {
-                    Some(r.u64("epoch")?)
-                } else {
-                    None
-                };
-                let version = r.str("version")?;
-                let token = if r.u8("token flag")? != 0 {
-                    Some((
-                        r.u64("known epoch")?,
-                        r.u64("incarnation")?,
-                        r.u64("generation")?,
-                    ))
-                } else {
-                    None
-                };
-                Request::VersionPartialSince {
-                    app,
-                    epoch,
-                    version,
-                    token,
-                }
-            }
-            17 => {
-                let top = if r.u8("top flag")? != 0 {
-                    Some(r.u32("top")?)
-                } else {
-                    None
-                };
-                Request::Report { top }
-            }
+                })?,
+            },
+            15 => Request::Regressions {
+                app: r.str("app")?,
+                epoch: r.opt("epoch flag", |r| r.u64("epoch"))?,
+                from: r.str("from version")?,
+                to: r.str("to version")?,
+                threshold: r.opt("threshold flag", |r| r.f64("threshold"))?,
+            },
+            17 => Request::Report {
+                top: r.opt("top flag", |r| r.u32("top"))?,
+            },
             18 => Request::Catalog,
+            // Kinds 10 and 16 belonged to partial requests that
+            // `PartialSince` replaced. They stay unassigned, so an old
+            // peer's frame is a typed error, never a misread message.
             k => return Err(ProtocolError::UnknownKind(k)),
         };
         expect_drained(&r)?;
@@ -898,20 +747,6 @@ impl Response {
             Response::Metrics { text } => {
                 w.str(text);
                 9
-            }
-            Response::Partial {
-                status,
-                epoch,
-                partial,
-            } => {
-                w.u8(match status {
-                    PartialStatus::Found => 0,
-                    PartialStatus::UnknownApp => 1,
-                    PartialStatus::UnknownEpoch => 2,
-                });
-                w.u64(*epoch);
-                crate::checkpoint::write_partial(&mut w, partial);
-                10
             }
             Response::CheckpointData { data } => {
                 w.bytes(data);
@@ -1048,26 +883,6 @@ impl Response {
             9 => Response::Metrics {
                 text: r.str("text")?,
             },
-            10 => {
-                let status = match r.u8("partial status")? {
-                    0 => PartialStatus::Found,
-                    1 => PartialStatus::UnknownApp,
-                    2 => PartialStatus::UnknownEpoch,
-                    s => {
-                        return Err(ProtocolError::Malformed(format!(
-                            "unknown partial status {s}"
-                        )))
-                    }
-                };
-                let epoch = r.u64("epoch")?;
-                let partial = crate::checkpoint::read_partial(&mut r)
-                    .map_err(|e| ProtocolError::Malformed(e.to_string()))?;
-                Response::Partial {
-                    status,
-                    epoch,
-                    partial,
-                }
-            }
             11 => Response::CheckpointData {
                 data: r.bytes("checkpoint data")?,
             },
@@ -1185,6 +1000,7 @@ impl Response {
                     },
                 }
             }
+            // Kind 10 stays unassigned, like request kinds 10 and 16.
             k => return Err(ProtocolError::UnknownKind(k)),
         };
         expect_drained(&r)?;
@@ -1235,14 +1051,6 @@ mod tests {
             Request::Rollover { app: "maps".into() },
             Request::Shutdown,
             Request::Metrics,
-            Request::Partial {
-                app: "maps".into(),
-                epoch: Some(2),
-            },
-            Request::Partial {
-                app: "maps".into(),
-                epoch: None,
-            },
             Request::FetchCheckpoint,
             Request::InstallCheckpoint {
                 data: vec![9, 8, 7, 6],
@@ -1251,11 +1059,13 @@ mod tests {
             Request::PartialSince {
                 app: "maps".into(),
                 epoch: Some(2),
+                version: None,
                 token: Some((2, 77, 5)),
             },
             Request::PartialSince {
                 app: "maps".into(),
                 epoch: None,
+                version: None,
                 token: None,
             },
             Request::Regressions {
@@ -1272,16 +1082,16 @@ mod tests {
                 to: "v2".into(),
                 threshold: None,
             },
-            Request::VersionPartialSince {
+            Request::PartialSince {
                 app: "maps".into(),
                 epoch: Some(2),
-                version: "2.0.0".into(),
+                version: Some("2.0.0".into()),
                 token: Some((2, 77, 5)),
             },
-            Request::VersionPartialSince {
+            Request::PartialSince {
                 app: "maps".into(),
                 epoch: None,
-                version: String::new(),
+                version: Some(String::new()),
                 token: None,
             },
             Request::Report { top: Some(8) },
@@ -1312,21 +1122,6 @@ mod tests {
             Response::Metrics {
                 text: "# TYPE up gauge\nup 1\n".into(),
             },
-            Response::Partial {
-                status: PartialStatus::Found,
-                epoch: 3,
-                partial: sample_partial(),
-            },
-            Response::Partial {
-                status: PartialStatus::UnknownApp,
-                epoch: 0,
-                partial: ShardPartial::empty(),
-            },
-            Response::Partial {
-                status: PartialStatus::UnknownEpoch,
-                epoch: 0,
-                partial: ShardPartial::empty(),
-            },
             Response::CheckpointData {
                 data: vec![1, 2, 3, 4, 5],
             },
@@ -1352,6 +1147,13 @@ mod tests {
             },
             Response::PartialState {
                 status: PartialStatus::UnknownApp,
+                epoch: 0,
+                incarnation: 0,
+                generation: 0,
+                partial: ShardPartial::empty(),
+            },
+            Response::PartialState {
+                status: PartialStatus::UnknownEpoch,
                 epoch: 0,
                 incarnation: 0,
                 generation: 0,
@@ -1424,6 +1226,27 @@ mod tests {
             let frame = read_frame(&mut cursor).unwrap().unwrap();
             assert_eq!(Response::decode(&frame).unwrap(), resp);
         }
+    }
+
+    #[test]
+    fn retired_kinds_decode_as_unknown() {
+        // Request kinds 10 and 16 and response kind 10 carried the
+        // partial messages `PartialSince` replaced; their bytes stay
+        // unused, so an old peer's frame is a typed error.
+        let frame = |kind: u8| Frame {
+            kind,
+            body: vec![0; 12],
+        };
+        for kind in [10, 16] {
+            assert_eq!(
+                Request::decode(&frame(kind)).unwrap_err(),
+                ProtocolError::UnknownKind(kind)
+            );
+        }
+        assert_eq!(
+            Response::decode(&frame(10)).unwrap_err(),
+            ProtocolError::UnknownKind(10)
+        );
     }
 
     #[test]

@@ -11,7 +11,6 @@
 use crate::checkpoint::{restore_bytes, CheckpointError};
 use crate::state::FleetConfig;
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// One worker's latest replicated checkpoint.
@@ -26,7 +25,7 @@ pub struct Replica {
 
 /// The latest replica per worker (index-aligned with the cluster's
 /// worker list). With a directory, every store also persists to
-/// `worker-<k>.ckpt` via tmp+rename, and a restarted coordinator
+/// `worker-<k>.ckpt` via tmp → fsync → rename, and a restarted coordinator
 /// reloads (and re-validates) them on startup.
 #[derive(Debug)]
 pub struct ReplicaStore {
@@ -94,11 +93,10 @@ impl ReplicaStore {
     }
 
     /// Stores (and, when persistent, atomically writes) a validated
-    /// replica for `worker`: the bytes are written to a tmp file,
-    /// fsynced, renamed into place, and the directory is fsynced — so
-    /// a crash or power loss can never leave a truncated or torn
-    /// `worker-<k>.ckpt` that would refuse the next coordinator
-    /// startup.
+    /// replica for `worker`, published through
+    /// [`energydx_segment::write_atomic`] — so a crash or power loss
+    /// can never leave a truncated or torn `worker-<k>.ckpt` that would
+    /// refuse the next coordinator startup.
     ///
     /// # Errors
     ///
@@ -112,21 +110,8 @@ impl ReplicaStore {
         accepted: u64,
     ) -> Result<(), CheckpointError> {
         if let Some(dir) = &self.dir {
-            let path = replica_path(dir, worker);
-            let tmp = path.with_extension("ckpt.tmp");
-            let io = |e: std::io::Error| CheckpointError::Io(e.to_string());
-            let mut file = fs::File::create(&tmp).map_err(io)?;
-            file.write_all(&data).map_err(io)?;
-            // Flush the contents to disk before the rename makes the
-            // file visible under its final name — otherwise a crash
-            // can publish an empty or torn replica.
-            file.sync_all().map_err(io)?;
-            drop(file);
-            fs::rename(&tmp, &path).map_err(io)?;
-            // Make the rename itself durable. Best-effort: not every
-            // platform lets a directory be opened for fsync, and the
-            // contents above are already safe.
-            let _ = fs::File::open(dir).and_then(|d| d.sync_all());
+            energydx_segment::write_atomic(&replica_path(dir, worker), &data)
+                .map_err(|e| CheckpointError::Io(e.to_string()))?;
         }
         self.replicas[worker] = Some(Replica { data, accepted });
         Ok(())

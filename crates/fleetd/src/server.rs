@@ -20,9 +20,13 @@
 //! TCP protocol in front of it.
 
 use crate::checkpoint::{self, CheckpointError};
-use crate::protocol::{read_frame, OutcomeCode, Request, Response};
+use crate::protocol::{
+    read_frame, OutcomeCode, PartialStatus, Request, Response,
+};
 use crate::queue::{Enqueue, IngestQueue};
-use crate::state::{FleetConfig, FleetState, QueryError};
+use crate::state::{
+    FleetConfig, FleetState, PartialSinceOutcome, QueryError, Selector,
+};
 use energydx::JsonWriter;
 use energydx_obsv::Metrics;
 use energydx_trace::store::{IngestOutcome, RejectReason};
@@ -373,50 +377,18 @@ impl FleetdHandle {
         relock(&self.state).rollover(app)
     }
 
-    /// Resolves `app`'s epoch to its id and folded partial — this
-    /// worker's locally-offset contribution to a cluster query.
+    /// Generation-conditional partial of one selection — this
+    /// worker's locally-offset contribution to any cluster query.
     ///
     /// # Errors
     ///
-    /// As [`FleetState::epoch_partial`].
-    pub fn epoch_partial(
+    /// As [`FleetState::partial_since`].
+    pub fn partial_since(
         &self,
-        app: &str,
-        epoch: Option<u64>,
-    ) -> Result<(u64, energydx::ShardPartial), QueryError> {
-        relock(&self.state).epoch_partial(app, epoch)
-    }
-
-    /// Generation-conditional partial lookup — answers `Unchanged`
-    /// when the caller's token still names the epoch's content.
-    ///
-    /// # Errors
-    ///
-    /// As [`FleetState::epoch_partial_since`].
-    pub fn epoch_partial_since(
-        &self,
-        app: &str,
-        epoch: Option<u64>,
+        sel: &Selector,
         token: Option<(u64, u64, u64)>,
-    ) -> Result<crate::state::PartialSinceOutcome, QueryError> {
-        relock(&self.state).epoch_partial_since(app, epoch, token)
-    }
-
-    /// Generation-conditional versioned partial lookup — one release's
-    /// locally-offset contribution to a cluster regression query.
-    ///
-    /// # Errors
-    ///
-    /// As [`FleetState::epoch_version_partial_since`].
-    pub fn epoch_version_partial_since(
-        &self,
-        app: &str,
-        epoch: Option<u64>,
-        version: &str,
-        token: Option<(u64, u64, u64)>,
-    ) -> Result<crate::state::PartialSinceOutcome, QueryError> {
-        relock(&self.state)
-            .epoch_version_partial_since(app, epoch, version, token)
+    ) -> Result<PartialSinceOutcome, QueryError> {
+        relock(&self.state).partial_since(sel, token)
     }
 
     /// Canonical-JSON differential diagnosis between two releases.
@@ -584,13 +556,11 @@ fn request_kind(req: &Request) -> &'static str {
         Request::Rollover { .. } => "rollover",
         Request::Shutdown => "shutdown",
         Request::Metrics => "metrics",
-        Request::Partial { .. } => "partial",
         Request::FetchCheckpoint => "fetch_checkpoint",
         Request::InstallCheckpoint { .. } => "install_checkpoint",
         Request::Counts => "counts",
         Request::PartialSince { .. } => "partial_since",
         Request::Regressions { .. } => "regressions",
-        Request::VersionPartialSince { .. } => "version_partial_since",
         Request::Report { .. } => "report",
         Request::Catalog => "catalog",
     }
@@ -658,28 +628,6 @@ fn dispatch(handle: &FleetdHandle, req: Request) -> Response {
         Request::Metrics => Response::Metrics {
             text: handle.metrics_text(),
         },
-        Request::Partial { app, epoch } => {
-            match handle.epoch_partial(&app, epoch) {
-                Ok((epoch, partial)) => Response::Partial {
-                    status: crate::protocol::PartialStatus::Found,
-                    epoch,
-                    partial,
-                },
-                Err(QueryError::UnknownApp(_)) => Response::Partial {
-                    status: crate::protocol::PartialStatus::UnknownApp,
-                    epoch: 0,
-                    partial: energydx::ShardPartial::empty(),
-                },
-                Err(QueryError::UnknownEpoch { .. }) => Response::Partial {
-                    status: crate::protocol::PartialStatus::UnknownEpoch,
-                    epoch: 0,
-                    partial: energydx::ShardPartial::empty(),
-                },
-                Err(e) => Response::Error {
-                    message: e.to_string(),
-                },
-            }
-        }
         Request::FetchCheckpoint => Response::CheckpointData {
             data: handle.checkpoint_data(),
         },
@@ -698,9 +646,25 @@ fn dispatch(handle: &FleetdHandle, req: Request) -> Response {
                 quarantined: quarantined as u64,
             }
         }
-        Request::PartialSince { app, epoch, token } => {
-            use crate::state::PartialSinceOutcome;
-            match handle.epoch_partial_since(&app, epoch, token) {
+        Request::PartialSince {
+            app,
+            epoch,
+            version,
+            token,
+        } => {
+            let sel = Selector {
+                app,
+                epoch,
+                version,
+            };
+            let none = |status| Response::PartialState {
+                status,
+                epoch: 0,
+                incarnation: 0,
+                generation: 0,
+                partial: energydx::ShardPartial::empty(),
+            };
+            match handle.partial_since(&sel, token) {
                 Ok(PartialSinceOutcome::Unchanged { epoch }) => {
                     Response::PartialNotModified { epoch }
                 }
@@ -710,27 +674,17 @@ fn dispatch(handle: &FleetdHandle, req: Request) -> Response {
                     generation,
                     partial,
                 }) => Response::PartialState {
-                    status: crate::protocol::PartialStatus::Found,
+                    status: PartialStatus::Found,
                     epoch,
                     incarnation,
                     generation,
                     partial,
                 },
-                Err(QueryError::UnknownApp(_)) => Response::PartialState {
-                    status: crate::protocol::PartialStatus::UnknownApp,
-                    epoch: 0,
-                    incarnation: 0,
-                    generation: 0,
-                    partial: energydx::ShardPartial::empty(),
-                },
+                Err(QueryError::UnknownApp(_)) => {
+                    none(PartialStatus::UnknownApp)
+                }
                 Err(QueryError::UnknownEpoch { .. }) => {
-                    Response::PartialState {
-                        status: crate::protocol::PartialStatus::UnknownEpoch,
-                        epoch: 0,
-                        incarnation: 0,
-                        generation: 0,
-                        partial: energydx::ShardPartial::empty(),
-                    }
+                    none(PartialStatus::UnknownEpoch)
                 }
                 Err(e) => Response::Error {
                     message: e.to_string(),
@@ -747,52 +701,6 @@ fn dispatch(handle: &FleetdHandle, req: Request) -> Response {
             let config = regress_config(threshold);
             match handle.regressions_json(&app, epoch, &from, &to, &config) {
                 Ok(json) => Response::Report { json },
-                Err(e) => Response::Error {
-                    message: e.to_string(),
-                },
-            }
-        }
-        Request::VersionPartialSince {
-            app,
-            epoch,
-            version,
-            token,
-        } => {
-            use crate::state::PartialSinceOutcome;
-            match handle
-                .epoch_version_partial_since(&app, epoch, &version, token)
-            {
-                Ok(PartialSinceOutcome::Unchanged { epoch }) => {
-                    Response::PartialNotModified { epoch }
-                }
-                Ok(PartialSinceOutcome::Changed {
-                    epoch,
-                    incarnation,
-                    generation,
-                    partial,
-                }) => Response::PartialState {
-                    status: crate::protocol::PartialStatus::Found,
-                    epoch,
-                    incarnation,
-                    generation,
-                    partial,
-                },
-                Err(QueryError::UnknownApp(_)) => Response::PartialState {
-                    status: crate::protocol::PartialStatus::UnknownApp,
-                    epoch: 0,
-                    incarnation: 0,
-                    generation: 0,
-                    partial: energydx::ShardPartial::empty(),
-                },
-                Err(QueryError::UnknownEpoch { .. }) => {
-                    Response::PartialState {
-                        status: crate::protocol::PartialStatus::UnknownEpoch,
-                        epoch: 0,
-                        incarnation: 0,
-                        generation: 0,
-                        partial: energydx::ShardPartial::empty(),
-                    }
-                }
                 Err(e) => Response::Error {
                     message: e.to_string(),
                 },

@@ -194,8 +194,8 @@ impl EpochState {
 
     /// The canonical partial of the epoch's *resident* deltas, folded
     /// in accept order. When runs have been spilled this covers only
-    /// the suffix that stayed in memory; `FleetState::epoch_fold`
-    /// prepends the spilled runs.
+    /// the suffix that stayed in memory; a query's fold prepends the
+    /// spilled runs.
     pub fn folded(&self) -> ShardPartial {
         self.deltas
             .iter()
@@ -318,8 +318,38 @@ impl fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// Outcome of a generation-conditional partial query — the worker
-/// half of the cluster delta protocol.
+/// What a query selects: one app's epoch and, within it, every
+/// release's traces or one release's. Every query kind — a diagnosis,
+/// each half of a regression comparison, a report's trend and
+/// per-release sections, a coordinator's partial fetch — is this one
+/// shape, so all of them share one resolve → fold → analyze path and
+/// the same caches.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Selector {
+    /// The app queried.
+    pub app: String,
+    /// Epoch id; `None` = the app's current epoch.
+    pub epoch: Option<u64>,
+    /// `None` selects every release; `Some(v)` only the traces
+    /// uploaded under release `v` (`Some("")` = unversioned uploads),
+    /// re-anchored to dense offsets from 0.
+    pub version: Option<String>,
+}
+
+impl Selector {
+    /// Selects `app`'s epoch (current when `None`), narrowed to one
+    /// release when `version` is given.
+    pub fn new(app: &str, epoch: Option<u64>, version: Option<&str>) -> Self {
+        Selector {
+            app: app.to_string(),
+            epoch,
+            version: version.map(str::to_string),
+        }
+    }
+}
+
+/// Outcome of [`FleetState::partial_since`] — the worker half of the
+/// cluster delta protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PartialSinceOutcome {
     /// The caller's `(epoch, incarnation, generation)` token still
@@ -367,9 +397,9 @@ impl CacheLayer {
     }
 }
 
-/// A cached [`StreamingFold`] prefix for one epoch: any query whose
-/// epoch still starts with the same accepted traces can clone it and
-/// absorb only the suffix.
+/// A cached [`StreamingFold`] prefix for one query key: any query
+/// whose selection still starts with the same accepted traces can
+/// clone it and absorb only the suffix.
 #[derive(Debug)]
 struct FoldEntry {
     fold: StreamingFold,
@@ -378,7 +408,7 @@ struct FoldEntry {
 }
 
 /// A cached [`AnalyzedFleet`], valid only at the exact generation it
-/// was computed at (analysis is a function of the *whole* epoch).
+/// was computed at (analysis is a function of the *whole* selection).
 /// The rendered canonical JSON rides along once a `diagnose_json`
 /// has paid for it, so a dashboard's repeat poll is a string clone.
 #[derive(Debug)]
@@ -418,22 +448,22 @@ pub struct CacheLayerStats {
     pub bytes: usize,
 }
 
+/// What the state-layer caches are keyed by: a [`Selector`] with its
+/// epoch resolved, `(app, epoch id, version)`.
+type QueryKey = (String, u64, Option<String>);
+
 /// All query caches, behind one mutex so `&self` queries can memoize.
 /// Purely derived data: dropping any entry (or the whole cache) never
 /// changes an answer, only its cost — which is why it is not
 /// checkpointed and a restart simply starts cold.
 #[derive(Debug, Default)]
 struct QueryCache {
-    /// Per app, per epoch id: the fold prefix.
-    folds: BTreeMap<String, BTreeMap<u64, FoldEntry>>,
-    /// Per app, per epoch id: the analyzed fleet.
-    analyzed: BTreeMap<String, BTreeMap<u64, AnalyzedEntry>>,
-    /// Per `(app, epoch id, app version)`: the analyzed fleet of that
-    /// release's traces alone — the halves a regression query
-    /// compares. Validated against the epoch generation exactly like
-    /// `analyzed` (any mutation of the epoch invalidates every
-    /// version's entry; coarser than strictly necessary, never stale).
-    vanalyzed: BTreeMap<(String, u64, String), AnalyzedEntry>,
+    /// Per query key: the fold prefix.
+    folds: BTreeMap<QueryKey, FoldEntry>,
+    /// Per query key: the analyzed fleet. Validated against the epoch
+    /// generation, so any mutation of the epoch invalidates every
+    /// release's entry (coarser than strictly necessary, never stale).
+    analyzed: BTreeMap<QueryKey, AnalyzedEntry>,
     /// Per spill sequence number: the segment's folded partial.
     segments: BTreeMap<u64, SegmentEntry>,
     /// LRU clock feeding `last_used`.
@@ -449,20 +479,9 @@ impl QueryCache {
     }
 
     fn state_bytes(&self) -> usize {
-        let folds: usize = self
-            .folds
-            .values()
-            .flat_map(|m| m.values())
-            .map(|e| e.bytes)
-            .sum();
-        let analyzed: usize = self
-            .analyzed
-            .values()
-            .flat_map(|m| m.values())
-            .map(|e| e.bytes)
-            .sum();
-        let vanalyzed: usize = self.vanalyzed.values().map(|e| e.bytes).sum();
-        folds + analyzed + vanalyzed
+        let folds: usize = self.folds.values().map(|e| e.bytes).sum();
+        let analyzed: usize = self.analyzed.values().map(|e| e.bytes).sum();
+        folds + analyzed
     }
 
     fn segment_bytes(&self) -> usize {
@@ -476,29 +495,20 @@ impl QueryCache {
     /// The least-recently-used entry across all three maps, as a
     /// deterministic victim descriptor.
     fn coldest(&self) -> Option<CacheVictim> {
-        let folds = self.folds.iter().flat_map(|(app, m)| {
-            m.iter().map(move |(&id, e)| {
-                (e.last_used, CacheVictim::Fold(app.clone(), id))
-            })
-        });
-        let analyzed = self.analyzed.iter().flat_map(|(app, m)| {
-            m.iter().map(move |(&id, e)| {
-                (e.last_used, CacheVictim::Analyzed(app.clone(), id))
-            })
-        });
-        let vanalyzed = self.vanalyzed.iter().map(|(key, e)| {
-            (
-                e.last_used,
-                CacheVictim::VAnalyzed(key.0.clone(), key.1, key.2.clone()),
-            )
-        });
+        let folds = self
+            .folds
+            .iter()
+            .map(|(key, e)| (e.last_used, CacheVictim::Fold(key.clone())));
+        let analyzed = self
+            .analyzed
+            .iter()
+            .map(|(key, e)| (e.last_used, CacheVictim::Analyzed(key.clone())));
         let segments = self
             .segments
             .iter()
             .map(|(&seq, e)| (e.last_used, CacheVictim::Segment(seq)));
         folds
             .chain(analyzed)
-            .chain(vanalyzed)
             .chain(segments)
             .min_by(|a, b| a.cmp(b))
             .map(|(_, victim)| victim)
@@ -510,9 +520,8 @@ impl QueryCache {
 /// (deterministic) order.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 enum CacheVictim {
-    Fold(String, u64),
-    Analyzed(String, u64),
-    VAnalyzed(String, u64, String),
+    Fold(QueryKey),
+    Analyzed(QueryKey),
     Segment(u64),
 }
 
@@ -664,30 +673,12 @@ impl FleetState {
                     return;
                 };
                 let layer = match &victim {
-                    CacheVictim::Fold(app, id) => {
-                        let entries =
-                            cache.folds.get_mut(app).expect("victim exists");
-                        entries.remove(id);
-                        if entries.is_empty() {
-                            cache.folds.remove(app);
-                        }
+                    CacheVictim::Fold(key) => {
+                        cache.folds.remove(key);
                         CacheLayer::State
                     }
-                    CacheVictim::Analyzed(app, id) => {
-                        let entries =
-                            cache.analyzed.get_mut(app).expect("victim exists");
-                        entries.remove(id);
-                        if entries.is_empty() {
-                            cache.analyzed.remove(app);
-                        }
-                        CacheLayer::State
-                    }
-                    CacheVictim::VAnalyzed(app, id, version) => {
-                        cache.vanalyzed.remove(&(
-                            app.clone(),
-                            *id,
-                            version.clone(),
-                        ));
+                    CacheVictim::Analyzed(key) => {
+                        cache.analyzed.remove(key);
                         CacheLayer::State
                     }
                     CacheVictim::Segment(seq) => {
@@ -1156,62 +1147,76 @@ impl FleetState {
         );
     }
 
-    /// Rebuilds an epoch's full fold: spilled runs loaded oldest
-    /// first, then the resident deltas — exactly the accept order, so
-    /// the fold finishes byte-identically to a never-spilled epoch.
-    /// Every segment is re-validated against its recorded trace count
-    /// and offset range before it is absorbed, so damage surfaces as
-    /// [`QueryError::Storage`] rather than a panic or a wrong answer.
+    /// Resolves a selector to its cache key and epoch — the one
+    /// app/epoch lookup every query goes through.
+    fn resolve(
+        &self,
+        sel: &Selector,
+    ) -> Result<(QueryKey, &EpochState), QueryError> {
+        let state = self
+            .apps
+            .get(&sel.app)
+            .ok_or_else(|| QueryError::UnknownApp(sel.app.clone()))?;
+        let id = sel.epoch.unwrap_or(state.current_epoch);
+        let e =
+            state
+                .epochs
+                .get(&id)
+                .ok_or_else(|| QueryError::UnknownEpoch {
+                    app: sel.app.clone(),
+                    epoch: id,
+                })?;
+        Ok(((sel.app.clone(), id, sel.version.clone()), e))
+    }
+
+    /// Folds the selected traces of one epoch in accept order: spilled
+    /// runs first (their traces precede every resident delta), then
+    /// the resident deltas, each absorbed at
+    /// [`ShardPartial::rebase_to`] the fold's current end. For a
+    /// whole-epoch key the pieces already tile the epoch, so every
+    /// rebase is a no-op and the fold finishes byte-identically to a
+    /// never-spilled epoch; for one release it re-anchors that
+    /// release's traces to a dense local offset space, which is pure
+    /// offset arithmetic (`map_shard(ts, g).rebase_to(l) ==
+    /// map_shard(ts, l)`), so the result is byte-identical to a daemon
+    /// that only ever accepted that release's uploads, in order.
     ///
     /// With the query cache on, the fold resumes from the cached
-    /// prefix for this `(app, epoch)` — epochs are append-only, so a
-    /// fold over the first `k` accepted traces stays a valid prefix of
-    /// every later fold, and only the suffix is absorbed. Absorb order
-    /// is identical either way, so by PR 7's run-merge law the result
-    /// is bit-identical to folding from scratch. Segment loads go
-    /// through the per-segment partial cache and uncached files are
-    /// read in parallel (`par_map`, honoring `ENERGYDX_JOBS`); the
-    /// absorbs themselves stay sequential, in accept order.
-    fn epoch_fold(
+    /// prefix for the same key: a selection only ever grows at its
+    /// end, so a fold over its first `k` traces stays a valid prefix
+    /// of every later fold, and by PR 7's run-merge law absorbing the
+    /// suffix is bit-identical to folding from scratch.
+    fn fold(
         &self,
-        app: &str,
-        id: u64,
+        key: &QueryKey,
         e: &EpochState,
     ) -> Result<StreamingFold, QueryError> {
         let cached = if self.config.query_cache {
-            let entry = {
-                let mut cache = self.cache();
-                let stamp = cache.tick();
-                cache
-                    .folds
-                    .get_mut(app)
-                    .and_then(|entries| entries.get_mut(&id))
-                    .map(|entry| {
-                        entry.last_used = stamp;
-                        entry.fold.clone()
-                    })
-            };
+            // Taken, not cloned: the fold below extends the prefix and
+            // goes back in under the same key, so it is never held twice.
+            let entry = self.cache().folds.remove(key).map(|e| e.fold);
             self.count_cache(CacheLayer::State, entry.is_some());
             entry
         } else {
             None
         };
-        let seed = cached.unwrap_or_default();
-        let fold = match self.fold_onto(e, seed)? {
-            Some(fold) => fold,
-            // The cached prefix no longer lines up with a run/delta
-            // boundary (a spill or compaction merged across it):
-            // refold from scratch. An empty seed always aligns.
-            None => self
-                .fold_onto(e, StreamingFold::new())?
-                .expect("an empty fold prefix always aligns"),
-        };
+        let version = key.2.as_deref();
+        let fold =
+            match self.fold_onto(e, version, cached.unwrap_or_default())? {
+                Some(fold) => fold,
+                // The cached prefix no longer ends on a run/delta boundary
+                // (a spill or compaction merged across it): refold from
+                // scratch. An empty seed always aligns.
+                None => self
+                    .fold_onto(e, version, StreamingFold::new())?
+                    .expect("an empty fold prefix always aligns"),
+            };
         if self.config.query_cache {
             let bytes = fold.approx_bytes();
             let mut cache = self.cache();
             let stamp = cache.tick();
-            cache.folds.entry(app.to_string()).or_default().insert(
-                id,
+            cache.folds.insert(
+                key.clone(),
                 FoldEntry {
                     fold: fold.clone(),
                     bytes,
@@ -1224,20 +1229,56 @@ impl FleetState {
         Ok(fold)
     }
 
-    /// Extends `fold` (a possibly-empty cached prefix of the epoch's
-    /// accept order) with every spilled run and resident delta beyond
-    /// it. Returns `Ok(None)` when the prefix does not line up with a
-    /// run/delta boundary and the caller must refold from scratch.
+    /// Extends `fold`, a possibly-empty prefix of the traces `version`
+    /// selects (`None` = all of them), with every selected spilled run
+    /// and resident delta beyond it. Returns `Ok(None)` when the prefix
+    /// does not end on a run/delta boundary and the caller must refold
+    /// from scratch. Segment loads go through the per-segment partial
+    /// cache; uncached files are read in parallel (`par_map`, honoring
+    /// `ENERGYDX_JOBS`), then validated and absorbed sequentially, in
+    /// accept order, so damage surfaces as [`QueryError::Storage`]
+    /// rather than a panic or a wrong answer.
     fn fold_onto(
         &self,
         e: &EpochState,
+        version: Option<&str>,
         mut fold: StreamingFold,
     ) -> Result<Option<StreamingFold>, QueryError> {
+        let selected = |v: &str| version.is_none_or(|want| want == v);
         let covered = fold.partial().end_offset();
-        if covered > e.trace_count {
+        // Plan: every selected piece past the prefix. `local` counts
+        // the selected traces so far; each run also keeps its place in
+        // the epoch's whole spilled prefix, which its record must match.
+        let mut local = 0;
+        let mut start = 0;
+        let mut runs: Vec<(&SpilledRun, usize)> = Vec::new();
+        for run in &e.spilled {
+            start += run.traces;
+            if !selected(&run.version) {
+                continue;
+            }
+            local += run.traces;
+            if local > covered {
+                if local - run.traces < covered {
+                    return Ok(None);
+                }
+                runs.push((run, start - run.traces));
+            }
+        }
+        let mut deltas: Vec<&ShardPartial> = Vec::new();
+        for d in e.deltas.iter().filter(|d| selected(&d.version)) {
+            local += d.partial.trace_count();
+            if local > covered {
+                if local - d.partial.trace_count() < covered {
+                    return Ok(None);
+                }
+                deltas.push(&d.partial);
+            }
+        }
+        if covered > local {
             return Ok(None);
         }
-        if !e.spilled.is_empty() {
+        if !runs.is_empty() {
             let cfg = self.config.spill.as_ref().ok_or_else(|| {
                 QueryError::Storage(
                     "epoch holds spilled run(s) but no spill directory is \
@@ -1245,77 +1286,37 @@ impl FleetState {
                         .to_string(),
                 )
             })?;
-            // First pass: the expected offset of every run, which runs
-            // the prefix already covers, and which need a disk read.
-            let mut pending: Vec<(usize, &SpilledRun, usize)> = Vec::new();
-            let mut to_load: Vec<(usize, std::path::PathBuf)> = Vec::new();
-            let mut start = 0;
-            for (i, run) in e.spilled.iter().enumerate() {
-                let end = start + run.traces;
-                if end <= covered {
-                    start = end;
-                    continue;
-                }
-                if start < covered {
-                    return Ok(None);
-                }
-                if self.cached_segment(run).is_none() {
-                    to_load.push((i, spill::segment_path(&cfg.dir, run.seq)));
-                }
-                pending.push((i, run, start));
-                start = end;
-            }
+            let cached: Vec<Option<ShardPartial>> = runs
+                .iter()
+                .map(|(run, _)| self.cached_segment(run))
+                .collect();
             // Uncached segments are independent until the absorb:
             // read and decode them in parallel.
+            let to_load: Vec<std::path::PathBuf> = runs
+                .iter()
+                .zip(&cached)
+                .filter(|(_, hit)| hit.is_none())
+                .map(|((run, _), _)| spill::segment_path(&cfg.dir, run.seq))
+                .collect();
             let jobs = energydx::par::resolve_jobs(self.config.jobs);
-            let loaded: Vec<Result<ShardPartial, QueryError>> =
-                energydx::par::par_map(&to_load, jobs, |_, (_, path)| {
+            let mut loaded =
+                energydx::par::par_map(&to_load, jobs, |_, path| {
                     energydx_segment::load_from(path).map_err(|err| {
                         QueryError::Storage(format!(
                             "{}: {err}",
                             path.display()
                         ))
                     })
-                });
-            let mut loaded: BTreeMap<usize, Result<ShardPartial, QueryError>> =
-                to_load.iter().map(|(i, _)| *i).zip(loaded).collect();
-            // Second pass, sequential and in accept order: validate
-            // each run against its recorded shape and absorb it.
-            for (i, run, start) in pending {
-                let (partial, from_disk) = match self.cached_segment(run) {
-                    Some(partial) => (partial, false),
-                    None => (
-                        loaded
-                            .remove(&i)
-                            .expect("every uncached run was loaded")?,
-                        true,
-                    ),
+                })
+                .into_iter();
+            for ((run, start), hit) in runs.into_iter().zip(cached) {
+                let from_disk = hit.is_none();
+                let partial = match hit {
+                    Some(partial) => partial,
+                    None => loaded.next().expect("every uncached run loads")?,
                 };
                 self.count_cache(CacheLayer::Segment, !from_disk);
-                let path = spill::segment_path(&cfg.dir, run.seq);
-                if run.start != start {
-                    return Err(QueryError::Storage(format!(
-                        "{}: run records start offset {} but the epoch's \
-                         spilled prefix places it at {}",
-                        path.display(),
-                        run.start,
-                        start,
-                    )));
-                }
-                if partial.trace_count() != run.traces
-                    || partial.start_offset() != start
-                    || partial.end_offset() != start + run.traces
-                {
-                    return Err(QueryError::Storage(format!(
-                        "{}: segment covers trace(s) [{}, {}) where run of \
-                         {} trace(s) from {} was spilled",
-                        path.display(),
-                        partial.start_offset(),
-                        partial.end_offset(),
-                        run.traces,
-                        start,
-                    )));
-                }
+                check_run(&cfg.dir, run, start, &partial)?;
                 if from_disk {
                     self.metrics.inc("fleetd_foldbacks_total", &[]);
                     if self.config.query_cache {
@@ -1333,21 +1334,16 @@ impl FleetState {
                         );
                     }
                 }
-                fold.absorb(partial);
+                let end = fold.partial().end_offset();
+                fold.absorb(partial.rebase_to(end));
             }
             if self.config.query_cache {
                 self.trim_cache_to_budget();
             }
         }
-        for delta in &e.deltas {
-            let covered = fold.partial().end_offset();
-            if delta.partial.end_offset() <= covered {
-                continue;
-            }
-            if delta.partial.start_offset() < covered {
-                return Ok(None);
-            }
-            fold.absorb(delta.partial.clone());
+        for partial in deltas {
+            let end = fold.partial().end_offset();
+            fold.absorb(partial.clone().rebase_to(end));
         }
         Ok(Some(fold))
     }
@@ -1388,384 +1384,91 @@ impl FleetState {
         epoch
     }
 
-    fn epoch(
-        &self,
-        app: &str,
-        epoch: Option<u64>,
-    ) -> Result<&EpochState, QueryError> {
-        let state = self
-            .apps
-            .get(app)
-            .ok_or_else(|| QueryError::UnknownApp(app.to_string()))?;
-        let id = epoch.unwrap_or(state.current_epoch);
-        state
-            .epochs
-            .get(&id)
-            .ok_or_else(|| QueryError::UnknownEpoch {
-                app: app.to_string(),
-                epoch: id,
-            })
-    }
-
-    /// Resolves `app`'s epoch (current when `None`) to its id and
-    /// folded partial — one worker's locally-offset contribution, for
-    /// a cluster coordinator to rebase and merge with its peers'.
+    /// The generation-conditional partial of a selection — the worker
+    /// half of the cluster delta protocol, for every query kind. When
+    /// the caller's `(epoch, incarnation, generation)` token still
+    /// names the resolved epoch's content (any release of it), answers
+    /// [`PartialSinceOutcome::Unchanged`] without folding anything;
+    /// otherwise returns the selection's locally-offset fold, starting
+    /// at 0, for a coordinator to rebase and merge with its peers'.
     ///
     /// # Errors
     ///
     /// [`QueryError::UnknownApp`] / [`QueryError::UnknownEpoch`] when
     /// nothing was ever accepted under that name;
     /// [`QueryError::Storage`] when a spilled run cannot be re-read.
-    pub fn epoch_partial(
+    pub fn partial_since(
         &self,
-        app: &str,
-        epoch: Option<u64>,
-    ) -> Result<(u64, ShardPartial), QueryError> {
-        let id = epoch.unwrap_or(
-            self.apps
-                .get(app)
-                .ok_or_else(|| QueryError::UnknownApp(app.to_string()))?
-                .current_epoch,
-        );
-        let partial = {
-            let _span = self.metrics.span("merge");
-            self.epoch_fold(app, id, self.epoch(app, Some(id))?)?
-                .into_partial()
-        };
-        Ok((id, partial))
-    }
-
-    /// The generation-conditional variant of
-    /// [`FleetState::epoch_partial`]: when the caller's
-    /// `(epoch, incarnation, generation)` token still names the
-    /// epoch's current content, answers
-    /// [`PartialSinceOutcome::Unchanged`] without folding anything —
-    /// the worker half of the cluster's delta-query protocol.
-    ///
-    /// # Errors
-    ///
-    /// As [`FleetState::epoch_partial`].
-    pub fn epoch_partial_since(
-        &self,
-        app: &str,
-        epoch: Option<u64>,
+        sel: &Selector,
         known: Option<(u64, u64, u64)>,
     ) -> Result<PartialSinceOutcome, QueryError> {
-        let state = self
-            .apps
-            .get(app)
-            .ok_or_else(|| QueryError::UnknownApp(app.to_string()))?;
-        let id = epoch.unwrap_or(state.current_epoch);
-        let e =
-            state
-                .epochs
-                .get(&id)
-                .ok_or_else(|| QueryError::UnknownEpoch {
-                    app: app.to_string(),
-                    epoch: id,
-                })?;
-        if self.config.query_cache {
-            if let Some((kid, kinc, kgen)) = known {
-                if kid == id && kinc == self.incarnation && kgen == e.generation
-                {
-                    self.count_cache(CacheLayer::State, true);
-                    return Ok(PartialSinceOutcome::Unchanged { epoch: id });
-                }
-            }
+        let (key, e) = self.resolve(sel)?;
+        let epoch = key.1;
+        if self.config.query_cache
+            && known == Some((epoch, self.incarnation, e.generation))
+        {
+            self.count_cache(CacheLayer::State, true);
+            return Ok(PartialSinceOutcome::Unchanged { epoch });
         }
         let partial = {
             let _span = self.metrics.span("merge");
-            self.epoch_fold(app, id, e)?.into_partial()
+            self.fold(&key, e)?.into_partial()
         };
         Ok(PartialSinceOutcome::Changed {
-            epoch: id,
+            epoch,
             incarnation: self.incarnation,
             generation: e.generation,
             partial,
         })
     }
 
-    /// Finishes `app`'s epoch (current when `None`) into a full
-    /// diagnosis report — the incremental result that must equal the
-    /// batch run.
+    /// [`FleetState::partial_since`] without a token over `app`'s whole
+    /// epoch (current when `None`): the resolved id and its partial.
     ///
     /// # Errors
     ///
-    /// [`QueryError::UnknownApp`] / [`QueryError::UnknownEpoch`] when
-    /// nothing was ever accepted under that name;
-    /// [`QueryError::Storage`] when a spilled run cannot be re-read.
-    pub fn diagnose(
+    /// As [`FleetState::partial_since`].
+    pub fn epoch_partial(
         &self,
         app: &str,
         epoch: Option<u64>,
+    ) -> Result<(u64, ShardPartial), QueryError> {
+        match self.partial_since(&Selector::new(app, epoch, None), None)? {
+            PartialSinceOutcome::Changed { epoch, partial, .. } => {
+                Ok((epoch, partial))
+            }
+            PartialSinceOutcome::Unchanged { .. } => {
+                unreachable!("a query without a token always folds")
+            }
+        }
+    }
+
+    /// Finishes a selection into a full diagnosis report — the
+    /// incremental result that must equal the batch run over the same
+    /// traces. A release nothing was uploaded under yields an empty
+    /// report, not an error, so a differential query against a
+    /// misspelled or not-yet-shipped version answers "insufficient
+    /// data" honestly.
+    ///
+    /// Generation-exact memoization of the analysis: a repeat query
+    /// over unchanged content renders a clone of the cached
+    /// [`AnalyzedFleet`] — same input to `render`, same bytes out —
+    /// and skips the fold and Steps 2–5 entirely.
+    ///
+    /// # Errors
+    ///
+    /// As [`FleetState::partial_since`].
+    pub fn diagnosis(
+        &self,
+        sel: &Selector,
     ) -> Result<DiagnosisReport, QueryError> {
-        let state = self
-            .apps
-            .get(app)
-            .ok_or_else(|| QueryError::UnknownApp(app.to_string()))?;
-        let id = epoch.unwrap_or(state.current_epoch);
-        let e =
-            state
-                .epochs
-                .get(&id)
-                .ok_or_else(|| QueryError::UnknownEpoch {
-                    app: app.to_string(),
-                    epoch: id,
-                })?;
-        // Generation-exact memoization of the analysis: a repeat query
-        // over unchanged content renders a clone of the cached
-        // [`AnalyzedFleet`] — same input to `render`, same bytes out —
-        // and skips the fold and Steps 2–5 entirely.
+        let (key, e) = self.resolve(sel)?;
         if self.config.query_cache {
             let hit = {
                 let mut cache = self.cache();
                 let stamp = cache.tick();
                 cache
                     .analyzed
-                    .get_mut(app)
-                    .and_then(|entries| entries.get_mut(&id))
-                    .filter(|entry| entry.generation == e.generation)
-                    .map(|entry| {
-                        entry.last_used = stamp;
-                        entry.fleet.clone()
-                    })
-            };
-            self.count_cache(CacheLayer::State, hit.is_some());
-            if let Some(fleet) = hit {
-                let _span = self.metrics.span("finish");
-                return Ok(self.dx.render(fleet));
-            }
-        }
-        let generation = e.generation;
-        let fold = {
-            let _span = self.metrics.span("merge");
-            self.epoch_fold(app, id, e)?
-        };
-        let _span = self.metrics.span("finish");
-        let fleet = self
-            .dx
-            .analyze_streamed(fold)
-            .map_err(|err| QueryError::Analysis(err.to_string()))?;
-        if self.config.query_cache {
-            let bytes = fleet.approx_bytes();
-            {
-                let mut cache = self.cache();
-                let stamp = cache.tick();
-                cache.analyzed.entry(app.to_string()).or_default().insert(
-                    id,
-                    AnalyzedEntry {
-                        generation,
-                        fleet: fleet.clone(),
-                        json: None,
-                        bytes,
-                        last_used: stamp,
-                    },
-                );
-            }
-            self.trim_cache_to_budget();
-        }
-        Ok(self.dx.render(fleet))
-    }
-
-    /// [`FleetState::diagnose`] rendered as canonical JSON — the byte
-    /// string the differential harness compares.
-    ///
-    /// # Errors
-    ///
-    /// As [`FleetState::diagnose`].
-    pub fn diagnose_json(
-        &self,
-        app: &str,
-        epoch: Option<u64>,
-    ) -> Result<String, QueryError> {
-        if !self.config.query_cache {
-            return Ok(self.diagnose(app, epoch)?.to_canonical_json());
-        }
-        // Rendering is a pure function of the analyzed fleet, so the
-        // canonical bytes are themselves generation-keyed: a repeat
-        // poll over unchanged content is one string clone.
-        let (id, generation) = {
-            let state = self
-                .apps
-                .get(app)
-                .ok_or_else(|| QueryError::UnknownApp(app.to_string()))?;
-            let id = epoch.unwrap_or(state.current_epoch);
-            let e = state.epochs.get(&id).ok_or_else(|| {
-                QueryError::UnknownEpoch {
-                    app: app.to_string(),
-                    epoch: id,
-                }
-            })?;
-            (id, e.generation)
-        };
-        let cached_json = {
-            let mut cache = self.cache();
-            let stamp = cache.tick();
-            cache
-                .analyzed
-                .get_mut(app)
-                .and_then(|entries| entries.get_mut(&id))
-                .filter(|entry| entry.generation == generation)
-                .and_then(|entry| {
-                    entry.last_used = stamp;
-                    entry.json.clone()
-                })
-        };
-        if let Some(json) = cached_json {
-            self.count_cache(CacheLayer::State, true);
-            return Ok(json);
-        }
-        let json = self.diagnose(app, epoch)?.to_canonical_json();
-        {
-            // `diagnose` just (re)inserted the analyzed entry at this
-            // generation; attach the rendered bytes to it. A budget
-            // trim may have evicted it again — then there is simply
-            // nothing to attach to.
-            const JSON_OVERHEAD: usize = 48;
-            let mut cache = self.cache();
-            if let Some(entry) = cache
-                .analyzed
-                .get_mut(app)
-                .and_then(|entries| entries.get_mut(&id))
-                .filter(|entry| {
-                    entry.generation == generation && entry.json.is_none()
-                })
-            {
-                entry.bytes += json.len() + JSON_OVERHEAD;
-                entry.json = Some(json.clone());
-            }
-        }
-        self.trim_cache_to_budget();
-        Ok(json)
-    }
-
-    /// Folds only `version`'s traces of one epoch, re-anchored to a
-    /// dense local offset space: spilled runs of that release first
-    /// (they precede every resident delta), then its resident deltas,
-    /// each [`ShardPartial::rebase_to`]-shifted down onto the fold's
-    /// current end. Because `rebase_to` is pure offset arithmetic
-    /// (`map_shard(ts, g).rebase_to(l) == map_shard(ts, l)`), the
-    /// result is byte-identical to a daemon that only ever accepted
-    /// this release's uploads, in the same order.
-    fn version_fold(
-        &self,
-        e: &EpochState,
-        version: &str,
-    ) -> Result<StreamingFold, QueryError> {
-        let mut fold = StreamingFold::new();
-        let matching: Vec<&SpilledRun> = e
-            .spilled
-            .iter()
-            .filter(|run| run.version == version)
-            .collect();
-        if !matching.is_empty() {
-            let cfg = self.config.spill.as_ref().ok_or_else(|| {
-                QueryError::Storage(
-                    "epoch holds spilled run(s) but no spill directory is \
-                     configured"
-                        .to_string(),
-                )
-            })?;
-            for run in matching {
-                let (partial, from_disk) = match self.cached_segment(run) {
-                    Some(partial) => (partial, false),
-                    None => {
-                        let path = spill::segment_path(&cfg.dir, run.seq);
-                        let partial = energydx_segment::load_from(&path)
-                            .map_err(|err| {
-                                QueryError::Storage(format!(
-                                    "{}: {err}",
-                                    path.display()
-                                ))
-                            })?;
-                        (partial, true)
-                    }
-                };
-                self.count_cache(CacheLayer::Segment, !from_disk);
-                if partial.trace_count() != run.traces
-                    || partial.start_offset() != run.start
-                {
-                    let path = spill::segment_path(&cfg.dir, run.seq);
-                    return Err(QueryError::Storage(format!(
-                        "{}: segment covers trace(s) [{}, {}) where run of \
-                         {} trace(s) from {} was spilled",
-                        path.display(),
-                        partial.start_offset(),
-                        partial.end_offset(),
-                        run.traces,
-                        run.start,
-                    )));
-                }
-                if from_disk {
-                    self.metrics.inc("fleetd_foldbacks_total", &[]);
-                    if self.config.query_cache {
-                        let bytes = partial.approx_bytes();
-                        let mut cache = self.cache();
-                        let stamp = cache.tick();
-                        cache.segments.insert(
-                            run.seq,
-                            SegmentEntry {
-                                file_bytes: run.bytes,
-                                partial: partial.clone(),
-                                bytes,
-                                last_used: stamp,
-                            },
-                        );
-                    }
-                }
-                let local = fold.partial().end_offset();
-                fold.absorb(partial.rebase_to(local));
-            }
-            if self.config.query_cache {
-                self.trim_cache_to_budget();
-            }
-        }
-        for delta in e.deltas.iter().filter(|d| d.version == version) {
-            let local = fold.partial().end_offset();
-            fold.absorb(delta.partial.clone().rebase_to(local));
-        }
-        Ok(fold)
-    }
-
-    /// Diagnoses only `version`'s traces of `app`'s epoch (current
-    /// when `None`) — one half of a regression comparison. A release
-    /// nothing was uploaded under yields an empty report, not an
-    /// error, so a differential query against a misspelled or not-yet
-    /// -shipped version answers "insufficient data" honestly.
-    ///
-    /// Memoized per `(app, epoch, version)` at the epoch's exact
-    /// generation, under the same state cache layer and budget as the
-    /// version-blind analysis.
-    ///
-    /// # Errors
-    ///
-    /// As [`FleetState::diagnose`].
-    pub fn diagnose_version(
-        &self,
-        app: &str,
-        epoch: Option<u64>,
-        version: &str,
-    ) -> Result<DiagnosisReport, QueryError> {
-        let state = self
-            .apps
-            .get(app)
-            .ok_or_else(|| QueryError::UnknownApp(app.to_string()))?;
-        let id = epoch.unwrap_or(state.current_epoch);
-        let e =
-            state
-                .epochs
-                .get(&id)
-                .ok_or_else(|| QueryError::UnknownEpoch {
-                    app: app.to_string(),
-                    epoch: id,
-                })?;
-        let key = (app.to_string(), id, version.to_string());
-        if self.config.query_cache {
-            let hit = {
-                let mut cache = self.cache();
-                let stamp = cache.tick();
-                cache
-                    .vanalyzed
                     .get_mut(&key)
                     .filter(|entry| entry.generation == e.generation)
                     .map(|entry| {
@@ -1779,10 +1482,9 @@ impl FleetState {
                 return Ok(self.dx.render(fleet));
             }
         }
-        let generation = e.generation;
         let fold = {
             let _span = self.metrics.span("merge");
-            self.version_fold(e, version)?
+            self.fold(&key, e)?
         };
         let _span = self.metrics.span("finish");
         let fleet = self
@@ -1794,10 +1496,10 @@ impl FleetState {
             {
                 let mut cache = self.cache();
                 let stamp = cache.tick();
-                cache.vanalyzed.insert(
+                cache.analyzed.insert(
                     key,
                     AnalyzedEntry {
-                        generation,
+                        generation: e.generation,
                         fleet: fleet.clone(),
                         json: None,
                         bytes,
@@ -1810,56 +1512,100 @@ impl FleetState {
         Ok(self.dx.render(fleet))
     }
 
-    /// The generation-conditional versioned partial — the worker half
-    /// of a cluster regression query. The returned partial covers only
-    /// `version`'s traces, re-anchored to local offsets starting at 0,
-    /// so a coordinator rebases and concatenates the shards exactly as
-    /// it does version-blind ones. The caller's
-    /// `(epoch, incarnation, generation)` token short-circuits the
-    /// fold when the epoch (any release of it) has not changed.
+    /// [`FleetState::diagnosis`] rendered as canonical JSON — the byte
+    /// string the differential harness compares.
     ///
     /// # Errors
     ///
-    /// As [`FleetState::epoch_partial`].
-    pub fn epoch_version_partial_since(
+    /// As [`FleetState::diagnosis`].
+    pub fn diagnosis_json(&self, sel: &Selector) -> Result<String, QueryError> {
+        if !self.config.query_cache {
+            return Ok(self.diagnosis(sel)?.to_canonical_json());
+        }
+        // Rendering is a pure function of the analyzed fleet, so the
+        // canonical bytes are themselves generation-keyed: a repeat
+        // poll over unchanged content is one string clone.
+        let (key, generation) = {
+            let (key, e) = self.resolve(sel)?;
+            (key, e.generation)
+        };
+        let cached_json = {
+            let mut cache = self.cache();
+            let stamp = cache.tick();
+            cache
+                .analyzed
+                .get_mut(&key)
+                .filter(|entry| entry.generation == generation)
+                .and_then(|entry| {
+                    entry.last_used = stamp;
+                    entry.json.clone()
+                })
+        };
+        if let Some(json) = cached_json {
+            self.count_cache(CacheLayer::State, true);
+            return Ok(json);
+        }
+        let json = self.diagnosis(sel)?.to_canonical_json();
+        {
+            // `diagnosis` just (re)inserted the analyzed entry at this
+            // generation; attach the rendered bytes to it. A budget
+            // trim may have evicted it again — then there is simply
+            // nothing to attach to.
+            const JSON_OVERHEAD: usize = 48;
+            let mut cache = self.cache();
+            if let Some(entry) = cache.analyzed.get_mut(&key).filter(|entry| {
+                entry.generation == generation && entry.json.is_none()
+            }) {
+                entry.bytes += json.len() + JSON_OVERHEAD;
+                entry.json = Some(json.clone());
+            }
+        }
+        self.trim_cache_to_budget();
+        Ok(json)
+    }
+
+    /// [`FleetState::diagnosis`] of `app`'s whole epoch (current when
+    /// `None`).
+    ///
+    /// # Errors
+    ///
+    /// As [`FleetState::diagnosis`].
+    pub fn diagnose(
+        &self,
+        app: &str,
+        epoch: Option<u64>,
+    ) -> Result<DiagnosisReport, QueryError> {
+        self.diagnosis(&Selector::new(app, epoch, None))
+    }
+
+    /// [`FleetState::diagnosis_json`] of `app`'s whole epoch (current
+    /// when `None`).
+    ///
+    /// # Errors
+    ///
+    /// As [`FleetState::diagnosis`].
+    pub fn diagnose_json(
+        &self,
+        app: &str,
+        epoch: Option<u64>,
+    ) -> Result<String, QueryError> {
+        self.diagnosis_json(&Selector::new(app, epoch, None))
+    }
+
+    /// [`FleetState::diagnosis`] of one release's traces of `app`'s
+    /// epoch (current when `None`) — one half of a regression
+    /// comparison.
+    ///
+    /// # Errors
+    ///
+    /// As [`FleetState::diagnosis`].
+    pub fn diagnose_version(
         &self,
         app: &str,
         epoch: Option<u64>,
         version: &str,
-        known: Option<(u64, u64, u64)>,
-    ) -> Result<PartialSinceOutcome, QueryError> {
-        let state = self
-            .apps
-            .get(app)
-            .ok_or_else(|| QueryError::UnknownApp(app.to_string()))?;
-        let id = epoch.unwrap_or(state.current_epoch);
-        let e =
-            state
-                .epochs
-                .get(&id)
-                .ok_or_else(|| QueryError::UnknownEpoch {
-                    app: app.to_string(),
-                    epoch: id,
-                })?;
-        if self.config.query_cache {
-            if let Some((kid, kinc, kgen)) = known {
-                if kid == id && kinc == self.incarnation && kgen == e.generation
-                {
-                    self.count_cache(CacheLayer::State, true);
-                    return Ok(PartialSinceOutcome::Unchanged { epoch: id });
-                }
-            }
-        }
-        let partial = {
-            let _span = self.metrics.span("merge");
-            self.version_fold(e, version)?.into_partial()
-        };
-        Ok(PartialSinceOutcome::Changed {
-            epoch: id,
-            incarnation: self.incarnation,
-            generation: e.generation,
-            partial,
-        })
+    ) -> Result<DiagnosisReport, QueryError> {
+        self.diagnosis(&Selector::new(app, epoch, Some(version)))
     }
 
     /// Differential diagnosis between two releases of `app` within one
@@ -2003,10 +1749,47 @@ impl FleetState {
     }
 }
 
+/// Checks a segment read back from disk (or the segment cache)
+/// against the run it was spilled as: the run's recorded start must be
+/// its place in the epoch's spilled prefix, and the segment must cover
+/// exactly the run's traces from there.
+fn check_run(
+    dir: &std::path::Path,
+    run: &SpilledRun,
+    start: usize,
+    partial: &ShardPartial,
+) -> Result<(), QueryError> {
+    let path = spill::segment_path(dir, run.seq);
+    if run.start != start {
+        return Err(QueryError::Storage(format!(
+            "{}: run records start offset {} but the epoch's spilled \
+             prefix places it at {}",
+            path.display(),
+            run.start,
+            start,
+        )));
+    }
+    if partial.trace_count() != run.traces
+        || partial.start_offset() != start
+        || partial.end_offset() != start + run.traces
+    {
+        return Err(QueryError::Storage(format!(
+            "{}: segment covers trace(s) [{}, {}) where run of {} \
+             trace(s) from {} was spilled",
+            path.display(),
+            partial.start_offset(),
+            partial.end_offset(),
+            run.traces,
+            start,
+        )));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixture::{bundle, payload};
+    use crate::fixture::{bundle, payload, payload_versioned};
     use std::path::{Path, PathBuf};
 
     /// RAII scratch directory: unique per test, removed even when the
@@ -2344,6 +2127,94 @@ mod tests {
         // Accounting surfaces keep working while data is unreadable.
         assert!(state.stats_json().contains("\"spilled_runs\""));
         assert!(state.health_json().contains("\"traces\": 2"));
+    }
+
+    /// The partial a selector folds to, without a token.
+    fn selected(state: &FleetState, sel: &Selector) -> ShardPartial {
+        match state.partial_since(sel, None).unwrap() {
+            PartialSinceOutcome::Changed { partial, .. } => partial,
+            other => panic!("a tokenless query must fold, got {other:?}"),
+        }
+    }
+
+    /// A caching (and spilling) state, a cache-free twin fed the same
+    /// uploads, and a state fed only release `2.0.0`'s uploads — what
+    /// that release's fold must equal once re-anchored to offset 0.
+    struct ReleaseRig {
+        state: FleetState,
+        scratch: FleetState,
+        alone: FleetState,
+        sessions: u64,
+    }
+
+    impl ReleaseRig {
+        fn upload(&mut self, version: &str) {
+            let payload = payload_versioned("u", self.sessions, version);
+            self.sessions += 1;
+            assert!(self.state.submit("app", &payload).accepted());
+            assert!(self.scratch.submit("app", &payload).accepted());
+            if version == "2.0.0" {
+                assert!(self.alone.submit("app", &payload).accepted());
+            }
+        }
+
+        fn check(&self, sel: &Selector) {
+            let folded = selected(&self.state, sel).to_parts();
+            assert_eq!(folded, selected(&self.scratch, sel).to_parts());
+            let whole = Selector::new("app", None, None);
+            assert_eq!(folded, selected(&self.alone, &whole).to_parts());
+        }
+    }
+
+    #[test]
+    fn a_release_fold_resumes_from_its_cached_prefix() {
+        let tmp = TempDir::new("state-release-prefix");
+        let mut rig = ReleaseRig {
+            state: FleetState::new(FleetConfig {
+                compact_every: 0,
+                ..spilling_config(tmp.path(), usize::MAX)
+            }),
+            scratch: FleetState::new(FleetConfig {
+                compact_every: 0,
+                query_cache: false,
+                ..FleetConfig::default()
+            }),
+            alone: FleetState::new(FleetConfig::default()),
+            sessions: 0,
+        };
+        let sel = Selector::new("app", None, Some("2.0.0"));
+        for version in ["1.9.0", "2.0.0", "2.0.0", "1.9.0"] {
+            rig.upload(version);
+        }
+        rig.check(&sel);
+        // K new uploads: the next fold resumes from the cached prefix,
+        // one state-layer hit and no miss.
+        for version in ["2.0.0", "1.9.0", "2.0.0"] {
+            rig.upload(version);
+        }
+        let before = rig.state.query_cache_stats()[0];
+        let resumed = selected(&rig.state, &sel);
+        let after = rig.state.query_cache_stats()[0];
+        assert_eq!(after.hits, before.hits + 1);
+        assert_eq!(after.misses, before.misses);
+        assert_eq!(resumed.to_parts(), selected(&rig.scratch, &sel).to_parts());
+        // A compaction merges the release's last two deltas across the
+        // cached prefix's end; the fold refolds and still agrees.
+        rig.upload("2.0.0");
+        let _ = selected(&rig.state, &sel);
+        rig.upload("2.0.0");
+        assert!(rig.state.compact() > 0);
+        rig.check(&sel);
+        // So does a spill that turns the deltas into segment runs.
+        rig.upload("2.0.0");
+        let _ = selected(&rig.state, &sel);
+        rig.upload("2.0.0");
+        assert!(rig.state.spill_all() > 0);
+        rig.check(&sel);
+        assert_eq!(
+            rig.state.diagnose_version("app", None, "2.0.0").unwrap(),
+            rig.scratch.diagnose_version("app", None, "2.0.0").unwrap()
+        );
     }
 
     #[test]

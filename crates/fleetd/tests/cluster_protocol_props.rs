@@ -1,6 +1,7 @@
 //! Cluster protocol coverage, matching the checkpoint suite's rigor:
-//! every *new* inter-node message (Partial / FetchCheckpoint /
-//! InstallCheckpoint / Counts / CheckpointData / Degraded) must
+//! every inter-node message (PartialSince / PartialState /
+//! PartialNotModified / FetchCheckpoint / InstallCheckpoint / Counts /
+//! CheckpointData / Catalog / Degraded / ReportArtifacts) must
 //! round-trip byte-perfectly through the frame codec, and every
 //! damaged frame — truncated at any byte, any single bit flipped,
 //! injector-corrupted — must surface as a typed [`ProtocolError`],
@@ -9,7 +10,8 @@
 use energydx_fleetd::convert::bundles_to_input;
 use energydx_fleetd::fixture;
 use energydx_fleetd::protocol::{
-    read_frame, PartialStatus, ProtocolError, Request, Response,
+    read_frame, AppCatalog, DeploymentCounters, EpochCatalog, PartialStatus,
+    ProtocolError, Request, Response,
 };
 use energydx_trace::fault::{FaultInjector, FaultKind};
 use proptest::prelude::*;
@@ -68,7 +70,63 @@ impl Wire {
     }
 }
 
-/// Every new cluster message, parameterized by the proptest case.
+/// `None` or a value drawn from `values`, each half the time.
+fn maybe<S>(values: S) -> impl Strategy<Value = Option<S::Value>>
+where
+    S: Strategy + 'static,
+    S::Value: Clone + 'static,
+{
+    prop_oneof![Just(None), values.prop_map(Some)]
+}
+
+/// A report catalog shaped by the case: per-app epochs, quarantine
+/// reasons, version labels, and the deployment counters.
+fn catalog() -> impl Strategy<Value = Response> {
+    let epoch = (
+        0u64..5,
+        0u64..50,
+        0u64..5,
+        prop::collection::vec(("[a-z-]{1,12}", 0u64..9), 0..3),
+        prop::collection::vec("[0-9.]{0,6}", 0..3),
+    )
+        .prop_map(|(epoch, clean, recovered, quarantine, versions)| {
+            EpochCatalog {
+                epoch,
+                clean,
+                recovered,
+                quarantine,
+                versions,
+            }
+        });
+    let app = (
+        (0usize..APPS.len()).prop_map(|i| APPS[i].to_string()),
+        0u64..5,
+        prop::collection::vec(epoch, 0..3),
+    )
+        .prop_map(|(app, current_epoch, epochs)| AppCatalog {
+            app,
+            current_epoch,
+            epochs,
+        });
+    let deployment = (
+        0u64..9,
+        0u64..9,
+        0u64..99,
+        prop::collection::vec(("[a-z]{1,10}", 0u64..99, 0u64..99), 0..3),
+    )
+        .prop_map(|(shed, spilled_runs, spilled_traces, cache)| {
+            DeploymentCounters {
+                shed,
+                spilled_runs,
+                spilled_traces,
+                cache,
+            }
+        });
+    (prop::collection::vec(app, 0..3), deployment)
+        .prop_map(|(apps, deployment)| Response::Catalog { apps, deployment })
+}
+
+/// Every cluster message, parameterized by the proptest case.
 fn cluster_messages() -> impl Strategy<Value = Wire> {
     let app = (0usize..APPS.len()).prop_map(|i| APPS[i].to_string());
     let status = prop_oneof![
@@ -81,22 +139,36 @@ fn cluster_messages() -> impl Strategy<Value = Wire> {
     prop_oneof![
         (
             app.clone(),
-            prop_oneof![Just(None), (0u64..5).prop_map(Some)]
+            maybe(0u64..5),
+            maybe("[0-9.]{0,6}"),
+            maybe((0u64..5, any::<u64>(), any::<u64>())),
         )
-            .prop_map(|(app, epoch)| {
-                Wire::Req(Request::Partial { app, epoch })
+            .prop_map(|(app, epoch, version, token)| {
+                Wire::Req(Request::PartialSince {
+                    app,
+                    epoch,
+                    version,
+                    token,
+                })
             }),
         Just(Wire::Req(Request::FetchCheckpoint)),
         blob.clone().prop_map(|data| {
             Wire::Req(Request::InstallCheckpoint { data })
         }),
         Just(Wire::Req(Request::Counts)),
-        (status, 0u64..5, scripts()).prop_map(|(status, epoch, script)| {
-            Wire::Resp(Response::Partial {
-                status,
-                epoch,
-                partial: partial_of(&script),
-            })
+        (status, 0u64..5, any::<u64>(), any::<u64>(), scripts()).prop_map(
+            |(status, epoch, incarnation, generation, script)| {
+                Wire::Resp(Response::PartialState {
+                    status,
+                    epoch,
+                    incarnation,
+                    generation,
+                    partial: partial_of(&script),
+                })
+            }
+        ),
+        any::<u64>().prop_map(|epoch| {
+            Wire::Resp(Response::PartialNotModified { epoch })
         }),
         blob.prop_map(|data| Wire::Resp(Response::CheckpointData { data })),
         (0u64..100, 0u64..100).prop_map(|(accepted, quarantined)| {
@@ -105,9 +177,21 @@ fn cluster_messages() -> impl Strategy<Value = Wire> {
                 quarantined,
             })
         }),
-        (missing, "[a-z0-9{}:,\"]{0,64}").prop_map(|(missing, json)| {
-            Wire::Resp(Response::Degraded { missing, json })
-        }),
+        (missing.clone(), "[a-z0-9{}:,\"]{0,64}").prop_map(
+            |(missing, json)| {
+                Wire::Resp(Response::Degraded { missing, json })
+            }
+        ),
+        catalog().prop_map(Wire::Resp),
+        (missing, "[a-z<>/ ]{0,64}", "[a-z0-9{}:,\"]{0,64}").prop_map(
+            |(missing, html, json)| {
+                Wire::Resp(Response::ReportArtifacts {
+                    missing,
+                    html,
+                    json,
+                })
+            }
+        ),
     ]
 }
 
@@ -168,27 +252,52 @@ proptest! {
     }
 }
 
-/// Exhaustive single-bit damage over one sample of every new message
-/// kind: the frame CRC (or a header check) catches each flip — no
-/// flipped frame may decode to a *different* message, and none may
-/// panic.
+/// Exhaustive single-bit damage over one sample of every cluster
+/// message kind (and each optional field present and absent): the
+/// frame CRC (or a header check) catches each flip — no flipped frame
+/// may decode to a *different* message, and none may panic.
 #[test]
 fn every_single_bit_flip_is_caught() {
-    let samples = vec![
-        Wire::Req(Request::Partial {
+    let partial_since = |version: Option<&str>, token| {
+        Wire::Req(Request::PartialSince {
             app: "mail".to_string(),
             epoch: Some(2),
-        }),
+            version: version.map(str::to_string),
+            token,
+        })
+    };
+    let partial_state = |status, partial| {
+        Wire::Resp(Response::PartialState {
+            status,
+            epoch: 1,
+            incarnation: 0x5EED,
+            generation: 9,
+            partial,
+        })
+    };
+    let samples = vec![
+        partial_since(None, None),
+        partial_since(Some("2.0.0"), None),
+        partial_since(None, Some((2, 0x5EED, 9))),
+        partial_since(Some(""), Some((2, 0x5EED, 9))),
         Wire::Req(Request::FetchCheckpoint),
         Wire::Req(Request::InstallCheckpoint {
             data: vec![0xAB; 24],
         }),
         Wire::Req(Request::Counts),
-        Wire::Resp(Response::Partial {
-            status: PartialStatus::Found,
-            epoch: 1,
-            partial: partial_of(&[(0, 0), (1, 0), (2, 1)]),
-        }),
+        partial_state(
+            PartialStatus::Found,
+            partial_of(&[(0, 0), (1, 0), (2, 1)]),
+        ),
+        partial_state(
+            PartialStatus::UnknownApp,
+            energydx::ShardPartial::empty(),
+        ),
+        partial_state(
+            PartialStatus::UnknownEpoch,
+            energydx::ShardPartial::empty(),
+        ),
+        Wire::Resp(Response::PartialNotModified { epoch: 3 }),
         Wire::Resp(Response::CheckpointData {
             data: vec![0x5A; 24],
         }),
@@ -199,6 +308,30 @@ fn every_single_bit_flip_is_caught() {
         Wire::Resp(Response::Degraded {
             missing: vec![1, 2],
             json: "{\"x\":1}".to_string(),
+        }),
+        Wire::Resp(Response::Catalog {
+            apps: vec![AppCatalog {
+                app: "mail".to_string(),
+                current_epoch: 1,
+                epochs: vec![EpochCatalog {
+                    epoch: 1,
+                    clean: 6,
+                    recovered: 1,
+                    quarantine: vec![("duplicate".to_string(), 2)],
+                    versions: vec!["1.9.0".to_string(), "2.0.0".to_string()],
+                }],
+            }],
+            deployment: DeploymentCounters {
+                shed: 1,
+                spilled_runs: 2,
+                spilled_traces: 12,
+                cache: vec![("state".to_string(), 4, 3)],
+            },
+        }),
+        Wire::Resp(Response::ReportArtifacts {
+            missing: vec![2],
+            html: "<p>x</p>".to_string(),
+            json: "{}\n".to_string(),
         }),
     ];
     for msg in samples {

@@ -446,10 +446,8 @@ pub fn build_model(
 ///
 /// Traces are folded at dense local offsets in acceptance order; each
 /// named version additionally gets its own fold at dense
-/// version-local offsets, mirroring [`version_fold`]'s rebase-to-end
-/// discipline on the daemon side.
-///
-/// [`version_fold`]: DiagnosisReport
+/// version-local offsets, mirroring the daemon's per-release fold,
+/// which rebases each of the release's runs onto the fold's end.
 #[derive(Debug)]
 pub struct BatchAssembler {
     dx: EnergyDx,

@@ -27,12 +27,14 @@
 //! in `tests/corruption.rs` proves both exhaustively, mirroring the
 //! EDXC checkpoint tests.
 //!
-//! Durability matches the checkpoint discipline: [`save_to`] writes a
-//! temp file, fsyncs it, renames it into place, and best-effort fsyncs
-//! the directory, so a crash can never publish a torn segment.
+//! Durability: [`save_to`] publishes through [`write_atomic`] — temp
+//! file, fsync, rename into place, best-effort directory fsync — so a
+//! crash can never publish a torn segment. The same routine publishes
+//! the daemon's checkpoints, the coordinator's replicas and the CLI's
+//! report artifacts.
 
 use std::fmt;
-use std::fs::{self, File, OpenOptions};
+use std::fs::{self, File};
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::path::Path;
 
@@ -645,10 +647,51 @@ pub fn peek_meta(bytes: &[u8]) -> Result<SegmentMeta, SegmentError> {
 // Files
 // ---------------------------------------------------------------------------
 
-/// Serializes `parts` and atomically publishes the segment at `path`:
-/// temp file, fsync, rename, best-effort directory fsync. A crash at
-/// any point leaves either the old file or the new one, never a torn
-/// segment.
+/// Atomically and durably publishes `bytes` at `path`: writes a
+/// sibling `<name>.tmp`, fsyncs it, renames it over `path`, then
+/// best-effort fsyncs the directory. A crash at any point leaves
+/// either the old file or the new one, never a torn one; any failure
+/// removes the temp file and leaves whatever was at `path` untouched.
+///
+/// # Errors
+///
+/// The first file-system step that failed.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut name = path
+        .file_name()
+        .ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("{} names no file", path.display()),
+            )
+        })?
+        .to_os_string();
+    name.push(".tmp");
+    let tmp = path.with_file_name(name);
+    let publish = || -> std::io::Result<()> {
+        let mut file = File::create(&tmp)?;
+        file.write_all(bytes)?;
+        // Contents reach the disk before the rename makes them
+        // visible under the final name.
+        file.sync_all()?;
+        drop(file);
+        fs::rename(&tmp, path)
+    };
+    if let Err(e) = publish() {
+        let _ = fs::remove_file(&tmp);
+        return Err(e);
+    }
+    // Making the rename itself durable; failure here only delays
+    // durability until the next sync, so it is not fatal.
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    if let Ok(d) = File::open(dir.unwrap_or(Path::new("."))) {
+        let _ = d.sync_all();
+    }
+    Ok(())
+}
+
+/// Serializes `parts` and publishes the segment at `path` through
+/// [`write_atomic`]; returns the file's size.
 ///
 /// # Errors
 ///
@@ -658,27 +701,8 @@ pub fn save_to(
     parts: &ShardPartialParts,
 ) -> Result<u64, SegmentError> {
     let bytes = segment_bytes(parts);
-    let tmp = path.with_extension("seg.tmp");
-    let mut file = OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(&tmp)
-        .map_err(|e| SegmentError::io("create temp segment", &e))?;
-    file.write_all(&bytes)
-        .map_err(|e| SegmentError::io("write segment", &e))?;
-    file.sync_all()
-        .map_err(|e| SegmentError::io("sync segment", &e))?;
-    drop(file);
-    fs::rename(&tmp, path)
+    write_atomic(path, &bytes)
         .map_err(|e| SegmentError::io("publish segment", &e))?;
-    if let Some(dir) = path.parent() {
-        // Making the rename itself durable; failure here only delays
-        // durability until the next sync, so it is not fatal.
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
     Ok(bytes.len() as u64)
 }
 
@@ -836,6 +860,55 @@ mod tests {
         assert_eq!(meta.trace_count, partial.trace_count() as u64);
         let restored = load_from(&path).unwrap();
         assert_eq!(restored.to_parts(), partial.to_parts());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A fresh scratch directory for one test.
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir()
+            .join(format!("energydx-segment-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Every `*.tmp` entry left in `dir`.
+    fn temp_files(dir: &Path) -> Vec<String> {
+        fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.ends_with(".tmp"))
+            .collect()
+    }
+
+    #[test]
+    fn write_atomic_replaces_the_file_and_leaves_no_temp() {
+        let dir = scratch("atomic-ok");
+        let path = dir.join("fleet.ckpt");
+        fs::write(&path, b"old").unwrap();
+        write_atomic(&path, b"new").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"new");
+        assert!(temp_files(&dir).is_empty());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_publish_leaves_the_previous_file_and_no_temp() {
+        let dir = scratch("atomic-fail");
+        // The rename fails after the temp file was written and synced:
+        // the target is a non-empty directory.
+        let blocked = dir.join("blocked.ckpt");
+        fs::create_dir(&blocked).unwrap();
+        fs::write(blocked.join("keep"), b"old").unwrap();
+        assert!(write_atomic(&blocked, b"new").is_err());
+        assert_eq!(fs::read(blocked.join("keep")).unwrap(), b"old");
+        // The temp file cannot be created at all: the target's name
+        // leaves no room for the `.tmp` suffix within NAME_MAX (255).
+        let long = dir.join("x".repeat(253));
+        fs::write(&long, b"old").unwrap();
+        assert!(write_atomic(&long, b"new").is_err());
+        assert_eq!(fs::read(&long).unwrap(), b"old");
+        assert!(temp_files(&dir).is_empty(), "{:?}", temp_files(&dir));
         fs::remove_dir_all(&dir).unwrap();
     }
 
