@@ -30,18 +30,24 @@ echo "== benchmark budget gates (smoke) =="
 #             path (e.g. a return to per-instance string cloning), and
 #             bytes allocated per body byte to encode and to read +
 #             decode a 2 MiB Report frame (a return to joined copies).
-#   ingest  — batch identity of the resident daemon, then the
-#             deterministic checkpoint bytes-per-trace budget.
+#   ingest  — batch identity of the resident daemon, accepted /
+#             quarantined counts and checkpoint bytes exactly as
+#             stored, the checkpoint bytes-per-trace budget, and
+#             O(upload) commits: a submit into a 2,000-trace
+#             two-release epoch costs <= 2x one into a 200-trace epoch.
 #   spill   — resident and zero-budget spilling daemons serve
-#             byte-identical reports; peak live-heap growth of the
-#             spilling daemon stays under budget and under resident.
+#             byte-identical reports; accepted count and segment
+#             count and bytes exactly as stored; peak live-heap
+#             growth of the spilling daemon stays under budget and
+#             under resident.
 #   query   — generation-keyed query cache: warm repeats >= the
 #             speedup budget, spilled warm queries keep up with
 #             resident ones, coordinator NotModified replies stay
 #             smaller on the wire than the full partial.
 #   cluster — the merged 3-worker answer equals one daemon fed the
-#             same payloads in shard order; replicated checkpoints
-#             stay under the bytes-per-trace budget.
+#             same payloads in shard order; accepted / quarantined
+#             counts and replica bytes exactly as stored; replicated
+#             checkpoints stay under the bytes-per-trace budget.
 #   regress — the release gate: every injected v2 bug (loop,
 #             no-sleep, configuration) is flagged regressed, zero
 #             bug-free controls are, and a warm differential query

@@ -20,13 +20,15 @@
 //!
 //! `--write` stores the report as JSON (see `BENCH_cluster.json` at
 //! the repo root); `--check` re-runs the measurement (smoke corpus)
-//! and fails (exit 1) if replicated checkpoints grow past the stored
-//! `budget_replica_bytes_per_trace` — a byte count, fully
-//! deterministic, so the gate cannot flake on machine speed. The
+//! and fails (exit 1) if the accepted and quarantined counts or the
+//! replicated bytes differ from the stored report at all (they are
+//! pure functions of the corpus), or if replicated checkpoints grow
+//! past the stored `budget_replica_bytes_per_trace` — a byte count,
+//! fully deterministic, so the gate cannot flake on machine speed. The
 //! merged answer is asserted byte-identical to the batch pipeline
 //! before any number is printed.
 
-use energydx_bench::harness::corpus;
+use energydx_bench::harness::{corpus, exact_fields_match, stored_u64};
 use energydx_fleetd::cluster::shard_for_payload;
 use energydx_fleetd::coordinator::{Coordinator, CoordinatorConfig};
 use energydx_fleetd::protocol::{OutcomeCode, Request, Response};
@@ -228,17 +230,6 @@ fn run(smoke: bool) -> Report {
     out
 }
 
-/// Pulls `"budget_replica_bytes_per_trace": <n>` out of a stored
-/// report without a JSON dependency.
-fn parse_budget(json: &str) -> Option<u64> {
-    let key = "\"budget_replica_bytes_per_trace\":";
-    let at = json.find(key)? + key.len();
-    let rest = json[at..].trim_start();
-    let digits: String =
-        rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
 fn main() {
     let mut smoke = false;
     let mut write: Option<String> = None;
@@ -278,9 +269,21 @@ fn main() {
     if let Some(path) = check {
         let stored = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        let budget = parse_budget(&stored).unwrap_or_else(|| {
-            panic!("no budget_replica_bytes_per_trace in {path}")
-        });
+        let exact = exact_fields_match(
+            &stored,
+            &[
+                (&["accepted"], report.accepted as u64),
+                (&["quarantined"], report.quarantined as u64),
+                (&["replica", "bytes"], report.replica_bytes as u64),
+            ],
+        );
+        if !exact {
+            std::process::exit(1);
+        }
+        let budget = stored_u64(&stored, &["budget_replica_bytes_per_trace"])
+            .unwrap_or_else(|| {
+                panic!("no budget_replica_bytes_per_trace in {path}")
+            });
         let measured = report.replica_bytes_per_trace();
         if measured > budget as f64 {
             eprintln!(

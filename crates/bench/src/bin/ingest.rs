@@ -14,8 +14,13 @@
 //!   blocks until its upload's outcome, so this is the full path);
 //! - `query_secs` — one snapshot-consistent `diagnose` over the
 //!   resident epoch state;
-//! - `compact_secs` — collapsing the accumulated deltas;
-//! - checkpoint encode/decode time and size per accepted trace.
+//! - checkpoint encode/decode time and size per accepted trace;
+//! - `upload_growth` — the median `FleetState::submit` time of
+//!   [`GROWTH_UPLOADS`] further uploads into an epoch of two
+//!   interleaved releases that already holds 200 traces, the same
+//!   into one holding 2,000, and their ratio. An upload extends the
+//!   epoch's last same-release run in place, so its cost should not
+//!   grow with the epoch.
 //!
 //! ```text
 //! ingest [--smoke] [--obsv] [--write <path>] [--check <path>]
@@ -23,10 +28,14 @@
 //!
 //! `--smoke` shrinks the corpus for CI; `--write` stores the report as
 //! JSON (see `BENCH_ingest.json` at the repo root); `--check` re-runs
-//! the measurement and fails (exit 1) if the checkpoint grows past the
-//! `budget_checkpoint_bytes_per_trace` recorded in the given JSON file
-//! — a byte count, fully deterministic, so the gate cannot flake on
-//! machine speed. `--obsv` additionally records every submit latency
+//! the measurement and fails (exit 1) if the accepted and quarantined
+//! counts or the checkpoint size differ from the stored report at all
+//! (they are pure functions of the corpus), if the checkpoint grows
+//! past the stored `budget_checkpoint_bytes_per_trace`, or if the
+//! upload-growth ratio exceeds the stored `budget_upload_growth` — a
+//! ratio of two medians on one machine, so host speed cancels out and
+//! only cost that grows with the epoch trips it. `--obsv` additionally
+//! records every submit latency
 //! into a metrics histogram on the measured path, cross-checks the
 //! histogram against the exact sorted percentiles, and (with
 //! `--check`) fails if the histogram p50 blows far past the stored
@@ -34,14 +43,24 @@
 //! path, not a tight timing assertion.
 
 use energydx::EnergyDx;
-use energydx_bench::harness::corpus;
+use energydx_bench::harness::{corpus, exact_fields_match, stored_u64};
 use energydx_fleetd::checkpoint::{checkpoint_bytes, restore_bytes};
 use energydx_fleetd::convert::bundles_to_input;
+use energydx_fleetd::fixture::payload_versioned;
 use energydx_fleetd::state::{FleetConfig, FleetState};
 use energydx_fleetd::{FleetdHandle, ServerConfig, SubmitReply};
 use energydx_trace::store::TraceStore;
 use std::hint::black_box;
 use std::time::Instant;
+
+/// Timed uploads per epoch size in the growth measurement.
+const GROWTH_UPLOADS: usize = 200;
+/// Epoch sizes (traces already held) the growth ratio compares.
+const GROWTH_EPOCHS: [usize; 2] = [200, 2_000];
+/// Largest allowed ratio of the two medians. The run-extending commit
+/// measures about 1; a commit that rewrites the epoch on every upload
+/// (the compaction it replaced) measured 6 to 13 here.
+const BUDGET_UPLOAD_GROWTH: f64 = 2.0;
 
 struct Report {
     mode: &'static str,
@@ -53,11 +72,12 @@ struct Report {
     submit_p99_us: f64,
     ingest_secs: f64,
     query_secs: f64,
-    compact_secs: f64,
     checkpoint_bytes: usize,
     checkpoint_encode_secs: f64,
     checkpoint_decode_secs: f64,
     budget_checkpoint_bytes_per_trace: u64,
+    /// Median submit µs into the [`GROWTH_EPOCHS`] epochs.
+    upload_growth_us: [f64; 2],
     /// Histogram p50 of submit latency under `--obsv` (bucket upper
     /// bound, µs); `None` without the flag. Kept out of the JSON so
     /// the stored report format is flag-independent.
@@ -69,6 +89,10 @@ impl Report {
         self.checkpoint_bytes as f64 / self.accepted.max(1) as f64
     }
 
+    fn upload_growth(&self) -> f64 {
+        self.upload_growth_us[1] / self.upload_growth_us[0].max(1e-9)
+    }
+
     fn to_json(&self) -> String {
         format!(
             "{{\n  \"mode\": \"{}\",\n  \"uploads\": {},\n  \
@@ -76,10 +100,13 @@ impl Report {
              \"uploads_per_sec\": {:.0},\n  \
              \"submit_p50_us\": {:.1},\n  \"submit_p99_us\": {:.1},\n  \
              \"ingest_secs\": {:.6},\n  \"query_secs\": {:.6},\n  \
-             \"compact_secs\": {:.6},\n  \"checkpoint\": \
+             \"checkpoint\": \
              {{\"bytes\": {}, \"bytes_per_trace\": {:.1}, \
              \"encode_secs\": {:.6}, \"decode_secs\": {:.6}}},\n  \
-             \"budget_checkpoint_bytes_per_trace\": {}\n}}\n",
+             \"upload_growth\": {{\"epoch_{}_us\": {:.1}, \
+             \"epoch_{}_us\": {:.1}, \"ratio\": {:.2}}},\n  \
+             \"budget_checkpoint_bytes_per_trace\": {},\n  \
+             \"budget_upload_growth\": {:.1}\n}}\n",
             self.mode,
             self.uploads,
             self.accepted,
@@ -89,12 +116,17 @@ impl Report {
             self.submit_p99_us,
             self.ingest_secs,
             self.query_secs,
-            self.compact_secs,
             self.checkpoint_bytes,
             self.checkpoint_bytes_per_trace(),
             self.checkpoint_encode_secs,
             self.checkpoint_decode_secs,
+            GROWTH_EPOCHS[0],
+            self.upload_growth_us[0],
+            GROWTH_EPOCHS[1],
+            self.upload_growth_us[1],
+            self.upload_growth(),
             self.budget_checkpoint_bytes_per_trace,
+            BUDGET_UPLOAD_GROWTH,
         )
     }
 }
@@ -180,11 +212,6 @@ fn run(smoke: bool, obsv: bool) -> Report {
         black_box(state.submit("bench", payload));
     }
     let t0 = Instant::now();
-    let compacted = state.compact();
-    let compact_secs = t0.elapsed().as_secs_f64();
-    assert!(compacted > 0, "the bench epoch must have deltas");
-
-    let t0 = Instant::now();
     let encoded = checkpoint_bytes(&state);
     let checkpoint_encode_secs = t0.elapsed().as_secs_f64();
     let t0 = Instant::now();
@@ -238,11 +265,11 @@ fn run(smoke: bool, obsv: bool) -> Report {
         submit_p99_us: pct(0.99),
         ingest_secs,
         query_secs,
-        compact_secs,
         checkpoint_bytes: encoded.len(),
         checkpoint_encode_secs,
         checkpoint_decode_secs,
         budget_checkpoint_bytes_per_trace: 0,
+        upload_growth_us: GROWTH_EPOCHS.map(upload_median_us),
         obsv_submit_p50_us,
     };
     // The gate metric is a byte count — deterministic for a fixed
@@ -253,21 +280,51 @@ fn run(smoke: bool, obsv: bool) -> Report {
     out
 }
 
-/// Pulls `"budget_checkpoint_bytes_per_trace": <n>` out of a stored
-/// report without a JSON dependency.
-fn parse_budget(json: &str) -> Option<u64> {
-    let key = "\"budget_checkpoint_bytes_per_trace\":";
-    let at = json.find(key)? + key.len();
-    let rest = json[at..].trim_start();
-    let digits: String =
-        rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
+/// Release of the `i`-th upload of the growth epochs: a fixed
+/// pseudo-random bit per upload, so the two releases interleave in
+/// runs of one to a few uploads, as in a staged rollout.
+fn growth_release(i: usize) -> &'static str {
+    if (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 63 == 0 {
+        "1.9.0"
+    } else {
+        "2.0.0"
+    }
 }
 
-/// Pulls `"submit_p50_us": <x.y>` out of a stored report.
-fn parse_stored_p50(json: &str) -> Option<f64> {
-    let key = "\"submit_p50_us\":";
-    let at = json.find(key)? + key.len();
+/// The `i`-th upload of the growth epochs; `(user, session)` never
+/// repeats, so every one is accepted.
+fn growth_payload(i: usize) -> Vec<u8> {
+    payload_versioned(&format!("g{:03}", i % 100), i as u64, growth_release(i))
+}
+
+/// Median µs of [`GROWTH_UPLOADS`] `FleetState::submit` calls into an
+/// epoch that already holds `held` interleaved traces.
+fn upload_median_us(held: usize) -> f64 {
+    let mut state = FleetState::new(FleetConfig {
+        jobs: 1,
+        ..FleetConfig::default()
+    });
+    for i in 0..held {
+        assert!(state.submit("rollout", &growth_payload(i)).accepted());
+    }
+    let mut times_us: Vec<f64> = (held..held + GROWTH_UPLOADS)
+        .map(|i| {
+            let payload = growth_payload(i);
+            let t = Instant::now();
+            black_box(state.submit("rollout", &payload));
+            t.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    assert_eq!(state.accepted_total(), held + GROWTH_UPLOADS);
+    times_us.sort_by(f64::total_cmp);
+    times_us[times_us.len() / 2]
+}
+
+/// Pulls a decimal like `"submit_p50_us": <x.y>` out of a stored
+/// report.
+fn parse_stored_f64(json: &str, key: &str) -> Option<f64> {
+    let key = format!("\"{key}\":");
+    let at = json.find(&key)? + key.len();
     let rest = json[at..].trim_start();
     let digits: String = rest
         .chars()
@@ -320,9 +377,22 @@ fn main() {
     if let Some(path) = check {
         let stored = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        let budget = parse_budget(&stored).unwrap_or_else(|| {
-            panic!("no budget_checkpoint_bytes_per_trace in {path}")
-        });
+        let exact = exact_fields_match(
+            &stored,
+            &[
+                (&["accepted"], report.accepted as u64),
+                (&["quarantined"], report.quarantined as u64),
+                (&["checkpoint", "bytes"], report.checkpoint_bytes as u64),
+            ],
+        );
+        if !exact {
+            std::process::exit(1);
+        }
+        let budget =
+            stored_u64(&stored, &["budget_checkpoint_bytes_per_trace"])
+                .unwrap_or_else(|| {
+                    panic!("no budget_checkpoint_bytes_per_trace in {path}")
+                });
         let measured = report.checkpoint_bytes_per_trace();
         if measured > budget as f64 {
             eprintln!(
@@ -335,13 +405,30 @@ fn main() {
             "checkpoint within budget: {measured:.1} <= {budget} \
              bytes/trace"
         );
+        let growth_budget = parse_stored_f64(&stored, "budget_upload_growth")
+            .unwrap_or_else(|| panic!("no budget_upload_growth in {path}"));
+        let growth = report.upload_growth();
+        let [small, large] = report.upload_growth_us;
+        let [small_epoch, large_epoch] = GROWTH_EPOCHS;
+        if growth > growth_budget {
+            eprintln!(
+                "upload-growth regression: a submit into a {large_epoch}-trace \
+                 epoch takes {large:.1} us, {growth:.2}x the {small:.1} us \
+                 into a {small_epoch}-trace one (budget {growth_budget}x)"
+            );
+            std::process::exit(1);
+        }
+        eprintln!(
+            "upload growth within budget: {growth:.2}x <= {growth_budget}x \
+             ({small:.1} -> {large:.1} us)"
+        );
         // Instrumented-path sanity gate: the histogram p50 may not
         // blow two orders of magnitude past the stored p50. The 100x
         // margin absorbs machine differences; it trips on structural
         // regressions (an accidental sleep, quadratic work per
         // submit), not on noise.
         if let Some(measured_p50) = report.obsv_submit_p50_us {
-            let stored_p50 = parse_stored_p50(&stored)
+            let stored_p50 = parse_stored_f64(&stored, "submit_p50_us")
                 .unwrap_or_else(|| panic!("no submit_p50_us in {path}"));
             if measured_p50 > stored_p50 * 100.0 {
                 eprintln!(

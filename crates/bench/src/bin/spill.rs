@@ -16,12 +16,14 @@
 //!
 //! `--write` stores the report as JSON (see `BENCH_spill.json` at the
 //! repo root); `--check` re-runs the measurement and fails (exit 1)
-//! if the spilling daemon's ingest peak exceeds the stored
-//! `budget_spill_peak_bytes` — a deterministic byte count for a fixed
-//! corpus on one thread, so the gate cannot flake on machine speed —
-//! or if spilling stops being cheaper than staying resident.
+//! if the accepted count, segment count or segment bytes on disk
+//! differ from the stored report at all (they are pure functions of
+//! the corpus), if the spilling daemon's ingest peak exceeds the
+//! stored `budget_spill_peak_bytes` — a deterministic byte count for
+//! a fixed corpus on one thread, so the gate cannot flake on machine
+//! speed — or if spilling stops being cheaper than staying resident.
 
-use energydx_bench::harness::corpus;
+use energydx_bench::harness::{corpus, exact_fields_match, stored_u64};
 use energydx_fleetd::state::{FleetConfig, FleetState};
 use energydx_fleetd::SpillConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -211,17 +213,6 @@ fn run(smoke: bool) -> Report {
     out
 }
 
-/// Pulls `"budget_spill_peak_bytes": <n>` out of a stored report
-/// without a JSON dependency.
-fn parse_budget(json: &str) -> Option<u64> {
-    let key = "\"budget_spill_peak_bytes\":";
-    let at = json.find(key)? + key.len();
-    let rest = json[at..].trim_start();
-    let digits: String =
-        rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
 fn main() {
     let mut smoke = false;
     let mut write: Option<String> = None;
@@ -259,9 +250,21 @@ fn main() {
     if let Some(path) = check {
         let stored = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
-        let budget = parse_budget(&stored).unwrap_or_else(|| {
-            panic!("no budget_spill_peak_bytes in {}", path.display())
-        });
+        let exact = exact_fields_match(
+            &stored,
+            &[
+                (&["accepted"], report.accepted as u64),
+                (&["spilled_segments"], report.spilled_segments as u64),
+                (&["spilled_disk_bytes"], report.spilled_disk_bytes),
+            ],
+        );
+        if !exact {
+            std::process::exit(1);
+        }
+        let budget = stored_u64(&stored, &["budget_spill_peak_bytes"])
+            .unwrap_or_else(|| {
+                panic!("no budget_spill_peak_bytes in {}", path.display())
+            });
         if report.spill_peak_bytes > budget {
             eprintln!(
                 "spill-memory regression: ingest peak {} bytes exceeds \

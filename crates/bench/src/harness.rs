@@ -1,6 +1,7 @@
 //! Scaffolding shared by the gated benchmark bins (`cluster`,
 //! `ingest`, `query`, `spill`, `regress`, `report`): the seeded
-//! damaged upload corpus and a one-shot wall-clock timer.
+//! damaged upload corpus, a one-shot wall-clock timer, and the exact
+//! comparison of a report's deterministic fields with the stored one.
 
 use energydx_fleetd::fixture;
 use energydx_trace::fault::{FaultInjector, FaultKind};
@@ -44,4 +45,49 @@ pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
     let t0 = Instant::now();
     let result = f();
     (result, t0.elapsed().as_secs_f64())
+}
+
+/// The integer stored under a key path in a report written by one of
+/// the bins (`&["replica", "bytes"]` reads `"replica": {"bytes": n}`),
+/// read without a JSON dependency: each key is found after the one
+/// before it.
+pub fn stored_u64(json: &str, path: &[&str]) -> Option<u64> {
+    let mut at = 0;
+    for key in path {
+        let quoted = format!("\"{key}\":");
+        at += json[at..].find(&quoted)? + quoted.len();
+    }
+    let digits: String = json[at..]
+        .trim_start()
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().ok()
+}
+
+/// Compares measured fields that are pure functions of the corpus
+/// (counts, file and checkpoint bytes) with the stored report, exactly.
+/// Prints each mismatch and returns whether all matched; a stored
+/// report that drifted from what the code produces then fails the
+/// gate instead of passing under a budget's margin.
+pub fn exact_fields_match(stored: &str, fields: &[(&[&str], u64)]) -> bool {
+    let mut ok = true;
+    for (path, measured) in fields {
+        let name = path.join(".");
+        match stored_u64(stored, path) {
+            Some(value) if value == *measured => {}
+            Some(value) => {
+                eprintln!(
+                    "{name}: measured {measured} but the stored report \
+                     holds {value}; regenerate it with --smoke --write"
+                );
+                ok = false;
+            }
+            None => {
+                eprintln!("{name}: missing from the stored report");
+                ok = false;
+            }
+        }
+    }
+    ok
 }

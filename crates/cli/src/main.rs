@@ -109,8 +109,8 @@ USAGE:
                    [--top <k>] [--explain] [--jobs <n>] [--shards <n>] [--json]
                    [--timings]
   energydx serve [--listen <addr>] [--state <dir>] [--queue-depth <n>]
-                 [--retry-after-ms <ms>] [--compact-every <n>]
-                 [--checkpoint-every <n>] [--ingest-delay-ms <ms>]
+                 [--retry-after-ms <ms>] [--checkpoint-every <n>]
+                 [--ingest-delay-ms <ms>]
                  [--fraction <0..1>] [--top <k>] [--jobs <n>]
                  [--spill-dir <dir> [--mem-budget <bytes>]]
                  [--no-query-cache]
@@ -124,8 +124,8 @@ USAGE:
   energydx submit --addr <host:port> --app <name> (<payload.edxt>... | --dir <dir>)
                   [--max-attempts <n>] [--app-version <release>]
   energydx query --addr <host:port> (--app <name> [--epoch <n>] | --stats
-                 | --health | metrics | --compact | --checkpoint
-                 | --rollover <app> | --shutdown)
+                 | --health | metrics | --checkpoint | --rollover <app>
+                 | --shutdown)
   energydx query regressions --addr <host:port> --app <name>
                  --from <release> --to <release> [--epoch <n>]
                  [--threshold <fraction>]
@@ -459,7 +459,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let fleet = FleetConfig {
         analysis,
         jobs,
-        compact_every: num_flag(args, "--compact-every", 16usize)?,
         spill,
         query_cache: !args.iter().any(|a| a == "--no-query-cache"),
         ..FleetConfig::default()
@@ -656,8 +655,6 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         Request::Health
     } else if has("metrics") || has("--metrics") {
         Request::Metrics
-    } else if has("--compact") {
-        Request::Compact
     } else if has("--checkpoint") {
         Request::Checkpoint
     } else if has("--shutdown") {
@@ -701,7 +698,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         }
     } else {
         return Err("query needs one of --app, regressions, --stats, \
-                    --health, metrics, --compact, --checkpoint, \
+                    --health, metrics, --checkpoint, \
                     --rollover, --shutdown"
             .to_string());
     };

@@ -115,7 +115,7 @@ fn spawn_worker(state: &Path, listen: &str) -> Daemon {
         let mut child = energydx()
             .args(["serve", "--listen", listen, "--state"])
             .arg(state)
-            .args(["--compact-every", "7", "--retry-after-ms", "20"])
+            .args(["--retry-after-ms", "20"])
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()

@@ -93,7 +93,7 @@ fn spawn_daemon(state: &Path, spool: &Path, extra: &[&str]) -> Daemon {
     let mut child = energydx()
         .args(["serve", "--listen", "127.0.0.1:0", "--state"])
         .arg(state)
-        .args(["--compact-every", "7", "--retry-after-ms", "20"])
+        .args(["--retry-after-ms", "20"])
         .arg("--spill-dir")
         .arg(spool)
         .args(["--mem-budget", "4096"])

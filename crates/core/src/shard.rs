@@ -142,7 +142,7 @@ impl ShardPartial {
 
     /// Whether this is the identity partial — no traces, no
     /// vocabulary. `merge` with an empty partial (from either side) is
-    /// a no-op, which is what lets compaction fold a delta list from
+    /// a no-op, which is what lets a fold start from
     /// [`ShardPartial::empty`] without special-casing the seed.
     pub fn is_empty(&self) -> bool {
         self.segments.is_empty() && self.interner.is_empty()
@@ -210,6 +210,11 @@ impl ShardPartial {
     /// by order-preserving concatenation — so any merge tree over a
     /// partition of the fleet produces the same partial, structurally.
     ///
+    /// When every name of `other` is already in this partial's
+    /// vocabulary, the canonical union *is* this vocabulary, so only
+    /// `other`'s segments are remapped: merging a one-trace delta into
+    /// a large partial costs O(delta + vocabulary), not O(receiver).
+    ///
     /// # Panics
     ///
     /// Panics if the two partials cover overlapping trace ranges —
@@ -227,6 +232,12 @@ impl ShardPartial {
             for (_, segment) in other.segments {
                 self.insert(segment);
             }
+        } else if let Some(remap) = self.embedding(&other.interner) {
+            let vocab = self.interner.len();
+            for (_, mut segment) in other.segments {
+                segment.remap(&remap, vocab);
+                self.insert(segment);
+            }
         } else {
             let (union, remap_self, remap_other) =
                 EventInterner::union(&self.interner, &other.interner);
@@ -242,6 +253,55 @@ impl ShardPartial {
         }
         self.coalesce();
         self
+    }
+
+    /// The ids `sub`'s names have in this partial's vocabulary, indexed
+    /// by `sub`'s ids; `None` when some name is missing here.
+    fn embedding(&self, sub: &EventInterner) -> Option<Vec<u32>> {
+        sub.names()
+            .iter()
+            .map(|name| self.interner.get(name).map(|id| id.index() as u32))
+            .collect()
+    }
+
+    /// The traces at global offsets `from..`, over this partial's
+    /// whole vocabulary — the unread end of a run whose head a fold
+    /// already holds. Keeping the vocabulary (rather than narrowing it
+    /// to the names the tail uses) is what makes `head ⊕ tail` equal
+    /// the whole run: the head's fold plus the tail's names is the
+    /// run's vocabulary again. Group tables are rebuilt from the
+    /// copied traces, so the cost is O(tail + vocabulary).
+    pub fn tail(&self, from: usize) -> ShardPartial {
+        let segments = self
+            .segments
+            .iter()
+            .filter(|(_, s)| s.end() > from)
+            .map(|(&offset, s)| {
+                if offset >= from {
+                    return (offset, s.clone());
+                }
+                let traces = s.traces[from - offset..].to_vec();
+                let mut groups = vec![Vec::new(); s.groups.len()];
+                for trace in &traces {
+                    for (&id, &mw) in trace.ids().iter().zip(trace.powers()) {
+                        groups[id.index()].push(mw);
+                    }
+                }
+                let skipped =
+                    s.skipped.iter().filter(|e| e.0 >= from).copied().collect();
+                let segment = Segment {
+                    offset: from,
+                    traces,
+                    skipped,
+                    groups,
+                };
+                (from, segment)
+            })
+            .collect();
+        ShardPartial {
+            interner: self.interner.clone(),
+            segments,
+        }
     }
 
     fn insert(&mut self, segment: Segment) {
@@ -585,7 +645,7 @@ impl ShardPartial {
 ///
 /// Deltas must arrive in trace order, each extending the fold
 /// contiguously — exactly how the daemon folds spilled segments (seq
-/// order) followed by resident deltas (accept order), and how the
+/// order) followed by resident runs (accept order), and how the
 /// streaming CLI folds one bundle file at a time. Under that
 /// discipline every group's population is the concatenation of its
 /// runs in absorb order, so the merged [`SortedGroup`] — and therefore
@@ -663,7 +723,9 @@ impl StreamingFold {
     /// absorption would silently scramble the run concatenation order,
     /// so it is a caller error, exactly like overlapping merges.
     pub fn absorb(&mut self, delta: ShardPartial) {
-        if delta.is_empty() {
+        // No traces, nothing to fold — also for a partial that kept a
+        // vocabulary, like the tail of a run past its end.
+        if delta.segments.is_empty() {
             return;
         }
         let start = delta

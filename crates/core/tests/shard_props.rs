@@ -3,13 +3,18 @@
 //!
 //! The merge law (`tests/diff_harness.rs` at the workspace root) makes
 //! any shard split finish to the reference report; these tests pin the
-//! two pieces the fleet daemon leans on: the **unit element**
-//! ([`ShardPartial::empty`] merges as an identity from either side)
-//! and the **parts round trip** (`to_parts` → `from_parts` rebuilds a
-//! structurally equal partial, so a checkpointed epoch analyzes to the
-//! same bytes after a restore).
+//! pieces the fleet daemon leans on: the **unit element**
+//! ([`ShardPartial::empty`] merges as an identity from either side),
+//! **one-trace merges** (every commit extends a run by one trace; the
+//! subset-vocabulary fast path must build what the general path
+//! builds), **run tails** (a fold that holds a run's head resumes from
+//! [`ShardPartial::tail`]) and the **parts round trip** (`to_parts` →
+//! `from_parts` rebuilds a structurally equal partial, so a
+//! checkpointed epoch analyzes to the same bytes after a restore).
 
-use energydx::shard::{PartsError, ShardPartial, ShardPartialParts};
+use energydx::shard::{
+    PartsError, ShardPartial, ShardPartialParts, StreamingFold,
+};
 use energydx::{DiagnosisInput, EnergyDx};
 use energydx_trace::event::EventInstance;
 use energydx_trace::intern::{EventId, InternedTrace};
@@ -24,25 +29,32 @@ fn powered(event: &str, index: u64, mw: f64) -> PoweredInstance {
     }
 }
 
-/// Random fleets over a small vocabulary, with occasional NaNs so the
-/// skip list is exercised.
+const VOCAB: [&str; 6] = [
+    "net.poll",
+    "ui.draw",
+    "db.query",
+    "gps.fix",
+    "idle",
+    "push.recv",
+];
+
+/// Instance powers, with occasional NaNs so the skip list is
+/// exercised.
+fn power() -> impl Strategy<Value = f64> {
+    (0u8..16, 1.0f64..800.0).prop_map(
+        |(roll, mw)| {
+            if roll == 0 {
+                f64::NAN
+            } else {
+                mw
+            }
+        },
+    )
+}
+
+/// Random fleets over a small vocabulary.
 fn random_fleet() -> impl Strategy<Value = DiagnosisInput> {
-    const VOCAB: [&str; 6] = [
-        "net.poll",
-        "ui.draw",
-        "db.query",
-        "gps.fix",
-        "idle",
-        "push.recv",
-    ];
-    let power = (0u8..16, 1.0f64..800.0).prop_map(|(roll, mw)| {
-        if roll == 0 {
-            f64::NAN
-        } else {
-            mw
-        }
-    });
-    let trace = prop::collection::vec((0usize..VOCAB.len(), power), 0..24)
+    let trace = prop::collection::vec((0usize..VOCAB.len(), power()), 0..24)
         .prop_map(|items| {
             items
                 .into_iter()
@@ -58,9 +70,9 @@ proptest! {
 
     /// The unit element of the merge law: merging the empty partial
     /// into any partial — from either side — changes nothing, and an
-    /// empty-seeded fold equals the partial itself. Compaction folds
-    /// delta lists from `ShardPartial::empty()`, so this identity is
-    /// what makes a compacted epoch equal to its uncompacted deltas.
+    /// empty-seeded fold equals the partial itself. Folds start from
+    /// `ShardPartial::empty()`, so this identity is what makes a fold
+    /// of an epoch's runs equal the runs themselves.
     #[test]
     fn empty_partial_is_a_two_sided_merge_identity(
         input in random_fleet(),
@@ -117,6 +129,65 @@ proptest! {
             dx.finish(rebuilt).unwrap().to_canonical_json(),
             dx.diagnose_reference(&input).to_canonical_json()
         );
+    }
+
+    /// A one-trace partial merged into a many-trace one — the shape of
+    /// every commit that extends a run — is the batch map of the
+    /// concatenation, in both merge orders. Without a new name the
+    /// receiver's vocabulary already holds every incoming name, so
+    /// `merge` takes its subset-vocabulary fast path; with one it
+    /// takes the general union. Both must build the same structure.
+    #[test]
+    fn one_trace_merges_equal_the_batch_map(
+        input in random_fleet(),
+        picks in prop::collection::vec((0usize..64, power()), 0..12),
+        new_name in any::<bool>(),
+    ) {
+        let dx = EnergyDx::default();
+        let traces = input.traces();
+        let many = dx.map_shard(traces, 0);
+        let names = many.vocabulary().to_vec();
+        let mut trace: Vec<PoweredInstance> = picks
+            .iter()
+            .filter(|_| !names.is_empty())
+            .enumerate()
+            .map(|(i, (pick, mw))| {
+                powered(&names[pick % names.len()], i as u64, *mw)
+            })
+            .collect();
+        if new_name {
+            trace.push(powered("zz.fresh", trace.len() as u64, 42.0));
+        }
+        let one = dx.map_shard(std::slice::from_ref(&trace), traces.len());
+        let mut all = traces.to_vec();
+        all.push(trace);
+        let batch = dx.map_shard(&all, 0);
+        prop_assert_eq!(many.clone().merge(one.clone()), batch.clone());
+        prop_assert_eq!(one.merge(many), batch);
+    }
+
+    /// A run's head, folded, plus the run's tail from the head's end
+    /// is the whole run again — as a merge and as a streaming fold —
+    /// wherever the cut falls, including both ends.
+    #[test]
+    fn a_head_plus_its_tail_is_the_whole_run(
+        input in random_fleet(),
+        offset in 0usize..16,
+        cut in 0usize..9,
+    ) {
+        let dx = EnergyDx::default();
+        let traces = input.traces();
+        let cut = cut.min(traces.len());
+        let run = dx.map_shard(traces, offset);
+        let head = dx.map_shard(&traces[..cut], offset);
+        let tail = run.tail(offset + cut);
+        prop_assert_eq!(tail.trace_count(), traces.len() - cut);
+        prop_assert_eq!(head.clone().merge(tail.clone()), run.clone());
+        prop_assert_eq!(&run.tail(0), &run);
+        let mut fold = StreamingFold::new();
+        fold.absorb(head.rebase_to(0));
+        fold.absorb(tail.rebase_to(cut));
+        prop_assert_eq!(fold.into_partial(), run.rebase_to(0));
     }
 }
 

@@ -13,9 +13,10 @@
 //! magic "EDXC" | version u8 = 3 | body_len u32 | body | crc32(body)
 //! ```
 //!
-//! Each epoch's delta list is folded to its canonical single partial
-//! before serialization, so checkpointing doubles as compaction and
-//! the on-disk size is independent of how bursty ingestion was.
+//! Each epoch's resident traces are written as the state holds them:
+//! one partial per maximal same-release run, which ingestion keeps
+//! maximal by extending the last run in place, so the on-disk size is
+//! independent of how bursty ingestion was.
 //! [`save_to`] writes a temp file, fsyncs it and renames it over the
 //! old checkpoint, so a crash or power loss mid-write leaves the
 //! previous checkpoint intact.
@@ -35,14 +36,16 @@
 //! same-version run instead of a single epoch-wide fold. Version 1
 //! and 2 files still restore, as a single implicit version `""` —
 //! exactly how a version-blind daemon's state reads under the
-//! versioned model.
+//! versioned model. Restore appends the runs it reads the way
+//! ingestion does, so adjacent same-release runs come back merged and
+//! the restored runs are maximal whatever wrote the file.
 //!
 //! [`ShardPartial::to_parts`]: energydx::shard::ShardPartial::to_parts
 //! [`ShardPartial::from_parts`]: energydx::shard::ShardPartial::from_parts
 
 use crate::codec::{CodecError, Reader, Writer};
 use crate::spill::{self, SpilledRun};
-use crate::state::{AppState, Delta, EpochState, FleetConfig, FleetState};
+use crate::state::{AppState, EpochState, FleetConfig, FleetState};
 use energydx::shard::{SegmentParts, ShardPartial, ShardPartialParts};
 use energydx_obsv::{EventKind, MetricsRegistry};
 use energydx_trace::intern::{EventId, InternedTrace};
@@ -181,14 +184,13 @@ pub fn checkpoint_bytes(state: &FleetState) -> Vec<u8> {
                 body.str(&run.version);
                 body.u64(run.start as u64);
             }
-            // Resident state: one partial per maximal same-version
-            // run, so checkpointing still doubles as compaction while
-            // keeping each release's traces separable on restore.
-            let runs = e.version_runs();
-            body.u32(runs.len() as u32);
-            for (version, partial) in &runs {
-                body.str(version);
-                write_partial(&mut body, partial);
+            // Resident state: the runs as they are, one partial per
+            // maximal same-version run, so each release's traces stay
+            // separable on restore.
+            body.u32(e.runs.len() as u32);
+            for run in &e.runs {
+                body.str(&run.version);
+                write_partial(&mut body, &run.partial);
             }
         }
     }
@@ -460,38 +462,51 @@ pub fn restore_bytes_with(
             }
             let spilled_traces: usize =
                 spilled.iter().map(SpilledRun::traces).sum();
-            let mut deltas = Vec::new();
-            let mut resident_traces = 0;
+            let mut runs = Vec::new();
             if version >= 3 {
-                let delta_count = r.u32("resident run count")? as usize;
-                let mut expected = spilled_traces;
-                for _ in 0..delta_count {
-                    let delta_version = r.str("resident run version")?;
-                    let partial = read_partial(&mut r)?;
-                    if partial.start_offset() != expected {
-                        return Err(CheckpointError::Malformed(format!(
-                            "epoch {id}'s resident runs do not tile: a run \
-                             starts at {} where {expected} trace(s) precede \
-                             it",
-                            partial.start_offset()
-                        )));
-                    }
-                    expected = partial.end_offset();
-                    resident_traces += partial.trace_count();
-                    deltas.push(Delta {
-                        version: delta_version,
-                        partial,
-                    });
+                let run_count = r.u32("resident run count")? as usize;
+                for _ in 0..run_count {
+                    let run_version = r.str("resident run version")?;
+                    runs.push((run_version, read_partial(&mut r)?));
                 }
             } else {
                 let partial = read_partial(&mut r)?;
-                resident_traces = partial.trace_count();
                 if !partial.is_empty() {
-                    deltas.push(Delta {
-                        version: String::new(),
-                        partial,
-                    });
+                    runs.push((String::new(), partial));
                 }
+            }
+            let mut epoch = EpochState {
+                trace_count,
+                seen,
+                clean,
+                recovered,
+                quarantine,
+                spilled,
+                // Generations are scheduling state, scoped to one
+                // incarnation — a restored state starts a fresh one,
+                // so old tokens can never validate against it.
+                generation: 0,
+                ..EpochState::default()
+            };
+            let mut expected = spilled_traces;
+            let mut resident_traces = 0;
+            for (run_version, partial) in runs {
+                // Each run must continue where its predecessors end,
+                // without gaps, so appending it (and every later
+                // upload, mapped at `trace_count`) stays contiguous.
+                let (start, end) =
+                    (partial.start_offset(), partial.end_offset());
+                if start != expected || end - start != partial.trace_count() {
+                    return Err(CheckpointError::Malformed(format!(
+                        "epoch {id}'s resident runs do not tile: a run of \
+                         {} trace(s) spans [{start}, {end}) where \
+                         {expected} trace(s) precede it",
+                        partial.trace_count()
+                    )));
+                }
+                expected = end;
+                resident_traces += partial.trace_count();
+                epoch.append(run_version, partial);
             }
             if resident_traces + spilled_traces != trace_count {
                 return Err(CheckpointError::Malformed(format!(
@@ -500,22 +515,7 @@ pub fn restore_bytes_with(
                      spilled runs {spilled_traces}"
                 )));
             }
-            epochs.insert(
-                id,
-                EpochState {
-                    deltas,
-                    trace_count,
-                    seen,
-                    clean,
-                    recovered,
-                    quarantine,
-                    spilled,
-                    // Generations are scheduling state, scoped to one
-                    // incarnation — a restored state starts a fresh
-                    // one, so old tokens can never validate against it.
-                    generation: 0,
-                },
-            );
+            epochs.insert(id, epoch);
         }
         state.apps.insert(
             name,
@@ -648,7 +648,7 @@ pub fn load_from_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixture::payload;
+    use crate::fixture::{payload, payload_versioned};
     use crate::spill::SpillConfig;
     use std::path::Path;
 
@@ -732,12 +732,91 @@ mod tests {
                 state.diagnose_json("app", epoch).unwrap()
             );
         }
-        // Restoring compacts each epoch to one delta; compare against
-        // a round trip of the current format rather than live state.
-        let current =
-            restore_bytes(&checkpoint_bytes(&state), FleetConfig::default())
-                .unwrap();
-        assert_eq!(restored.stats_json(), current.stats_json());
+        // Every upload was unversioned, so each live epoch is one run,
+        // exactly what the single v1 partial restores to.
+        assert_eq!(restored.stats_json(), state.stats_json());
+        assert_eq!(restored.apps(), state.apps());
+    }
+
+    /// Restore leaves maximal same-release runs whatever wrote the
+    /// file: one implicit-version run from v1 and v2, the writer's runs
+    /// from v3 — also when a v3 file splits one release's run in two,
+    /// which restore merges back — and later uploads keep extending
+    /// them.
+    #[test]
+    fn restored_resident_runs_are_maximal() {
+        let dir = std::env::temp_dir()
+            .join(format!("energydx-ckpt-maximal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spilling = FleetConfig {
+            spill: Some(SpillConfig {
+                dir: dir.clone(),
+                mem_budget: usize::MAX,
+            }),
+            ..FleetConfig::default()
+        };
+        let mut state = FleetState::new(spilling.clone());
+        for s in 0..4 {
+            state.submit("app", &payload("u", s));
+        }
+        state.spill_all();
+        state.submit("app", &payload("u", 4));
+        let blind = restore_bytes(&v2_bytes(&state), spilling.clone())
+            .expect("v2 restores");
+        crate::state::tests::assert_runs_maximal(&blind);
+        assert_eq!(blind.apps(), state.apps());
+
+        let mut fresh = FleetState::new(FleetConfig::default());
+        for s in 0..3 {
+            fresh.submit("app", &payload("u", s));
+        }
+        let old = restore_bytes(&v1_bytes(&fresh), FleetConfig::default())
+            .expect("v1 restores");
+        crate::state::tests::assert_runs_maximal(&old);
+
+        for (s, version) in ["1.9.0", "1.9.0", "2.0.0", "", "2.0.0", "2.0.0"]
+            .into_iter()
+            .enumerate()
+        {
+            let upload = payload_versioned("v", s as u64, version);
+            state.submit("app", &upload);
+        }
+        let bytes = checkpoint_bytes(&state);
+        let restored = restore_bytes(&bytes, spilling.clone()).unwrap();
+        crate::state::tests::assert_runs_maximal(&restored);
+        assert_eq!(restored.apps(), state.apps());
+
+        // A v3 file whose writer split the last release's run in two.
+        let mut split = state.apps["app"].epochs[&0].clone();
+        let last = split.runs.pop().expect("a resident run");
+        assert_eq!(last.partial.trace_count(), 2);
+        let mut parts = last.partial.to_parts();
+        parts.segments[0].traces.truncate(1);
+        parts.segments[0].skipped.clear();
+        let head = ShardPartial::from_parts(parts).unwrap();
+        let cut = head.end_offset();
+        for partial in [head, last.partial.tail(cut)] {
+            split.runs.push(crate::state::ResidentRun {
+                version: last.version.clone(),
+                partial,
+            });
+        }
+        let mut twin = FleetState::new(spilling.clone());
+        twin.apps = state.apps.clone();
+        twin.apps.get_mut("app").unwrap().epochs.insert(0, split);
+        twin.next_spill_seq = state.next_spill_seq;
+        let restored =
+            restore_bytes(&checkpoint_bytes(&twin), spilling).unwrap();
+        crate::state::tests::assert_runs_maximal(&restored);
+        let mut grown = restored;
+        grown.submit("app", &payload_versioned("v", 9, "2.0.0"));
+        state.submit("app", &payload_versioned("v", 9, "2.0.0"));
+        crate::state::tests::assert_runs_maximal(&grown);
+        assert_eq!(
+            grown.diagnose_json("app", None).unwrap(),
+            state.diagnose_json("app", None).unwrap()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

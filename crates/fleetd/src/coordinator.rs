@@ -989,20 +989,6 @@ impl Coordinator {
         }
     }
 
-    /// Broadcasts a compaction; best-effort but explicit about misses.
-    fn compact_all(&self) -> Response {
-        let failed = self.broadcast(&Request::Compact);
-        if failed.is_empty() {
-            Response::Done
-        } else {
-            Response::Error {
-                message: format!(
-                    "compaction incomplete: worker(s) {failed:?} unreachable"
-                ),
-            }
-        }
-    }
-
     /// Broadcasts a rollover and then drives every lagging worker
     /// forward until all epochs agree (epoch alignment is what keeps
     /// cluster queries meaningful, and workers only increment). Any
@@ -1268,7 +1254,6 @@ impl Dispatch for Coordinator {
             Request::Diagnose { .. } => "diagnose",
             Request::Stats => "stats",
             Request::Health => "health",
-            Request::Compact => "compact",
             Request::Checkpoint => "checkpoint",
             Request::Rollover { .. } => "rollover",
             Request::Shutdown => "shutdown",
@@ -1289,7 +1274,6 @@ impl Dispatch for Coordinator {
             Request::Health => Response::Health {
                 json: self.health_json(),
             },
-            Request::Compact => self.compact_all(),
             Request::Checkpoint => self.replicate_all(),
             Request::Rollover { app } => self.rollover_all(&app),
             Request::Shutdown => self.shutdown_workers(),

@@ -13,10 +13,10 @@
 //! [`ShardPartial::empty`] as the unit, N single-trace deltas merged
 //! in accept order finish to **byte-identical** reports as one batch
 //! run over the same accepted traces. Everything in this crate —
-//! compaction, checkpoint/restore, crash recovery — preserves that
-//! equality, and `tests/diff_harness.rs` at the workspace root proves
-//! it over random schedules of uploads, compactions, checkpoints,
-//! restarts, and queries.
+//! same-release runs extended in place, spill, checkpoint/restore,
+//! crash recovery — preserves that equality, and
+//! `tests/diff_harness.rs` at the workspace root proves it over random
+//! schedules of uploads, spills, checkpoints, restarts, and queries.
 //!
 //! Module map:
 //!

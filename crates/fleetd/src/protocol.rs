@@ -120,8 +120,6 @@ pub enum Request {
     Stats,
     /// Liveness summary.
     Health,
-    /// Collapse every epoch's deltas to one canonical partial.
-    Compact,
     /// Write a checkpoint now.
     Checkpoint,
     /// Freeze `app`'s current epoch and open the next one.
@@ -554,7 +552,6 @@ impl Request {
             }
             Request::Stats => 3,
             Request::Health => 4,
-            Request::Compact => 5,
             Request::Checkpoint => 6,
             Request::Rollover { app } => {
                 w.str(app);
@@ -625,7 +622,6 @@ impl Request {
             },
             3 => Request::Stats,
             4 => Request::Health,
-            5 => Request::Compact,
             6 => Request::Checkpoint,
             7 => Request::Rollover { app: r.str("app")? },
             8 => Request::Shutdown,
@@ -658,7 +654,8 @@ impl Request {
                 top: r.opt("top flag", |r| r.u32("top"))?,
             },
             18 => Request::Catalog,
-            // Kinds 10 and 16 belonged to partial requests that
+            // Kind 5 asked for a compaction, which ingestion no longer
+            // needs; kinds 10 and 16 belonged to partial requests that
             // `PartialSince` replaced. They stay unassigned, so an old
             // peer's frame is a typed error, never a misread message.
             k => return Err(ProtocolError::UnknownKind(k)),
@@ -1046,7 +1043,6 @@ mod tests {
             },
             Request::Stats,
             Request::Health,
-            Request::Compact,
             Request::Checkpoint,
             Request::Rollover { app: "maps".into() },
             Request::Shutdown,
@@ -1231,13 +1227,15 @@ mod tests {
     #[test]
     fn retired_kinds_decode_as_unknown() {
         // Request kinds 10 and 16 and response kind 10 carried the
-        // partial messages `PartialSince` replaced; their bytes stay
-        // unused, so an old peer's frame is a typed error.
+        // partial messages `PartialSince` replaced, and request kind 5
+        // asked for a compaction the run-extending commit made
+        // unnecessary; their bytes stay unused, so an old peer's frame
+        // is a typed error.
         let frame = |kind: u8| Frame {
             kind,
             body: vec![0; 12],
         };
-        for kind in [10, 16] {
+        for kind in [5, 10, 16] {
             assert_eq!(
                 Request::decode(&frame(kind)).unwrap_err(),
                 ProtocolError::UnknownKind(kind)

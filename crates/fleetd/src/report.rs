@@ -135,19 +135,12 @@ pub fn deployment_counters(
             spilled_traces += epoch.spilled_traces() as u64;
         }
     }
-    let [state_cache, segment_cache] = state.query_cache_stats();
+    let cache = state.query_cache_stats();
     DeploymentCounters {
         shed,
         spilled_runs,
         spilled_traces,
-        cache: vec![
-            ("state".to_string(), state_cache.hits, state_cache.misses),
-            (
-                "segment".to_string(),
-                segment_cache.hits,
-                segment_cache.misses,
-            ),
-        ],
+        cache: vec![("state".to_string(), cache.hits, cache.misses)],
     }
 }
 

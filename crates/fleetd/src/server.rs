@@ -30,6 +30,7 @@ use crate::state::{
 use energydx::JsonWriter;
 use energydx_obsv::Metrics;
 use energydx_trace::store::{IngestOutcome, RejectReason};
+use std::collections::BTreeMap;
 use std::io::Write as IoWrite;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -48,7 +49,7 @@ fn relock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Daemon deployment configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Analysis/repair/compaction parameters of the resident state.
+    /// Analysis/repair/spill parameters of the resident state.
     pub fleet: FleetConfig,
     /// Ingest queue capacity; beyond it submissions get `RetryAfter`.
     pub queue_depth: usize,
@@ -263,20 +264,17 @@ impl FleetdHandle {
             let cache = state.query_cache_stats();
             w.key("query_cache");
             w.obj(|w| {
-                for (layer, s) in [("segment", &cache[1]), ("state", &cache[0])]
-                {
-                    w.key(layer);
-                    w.obj(|w| {
-                        w.key("bytes");
-                        w.usize(s.bytes);
-                        w.key("evictions");
-                        w.u64(s.evictions);
-                        w.key("hits");
-                        w.u64(s.hits);
-                        w.key("misses");
-                        w.u64(s.misses);
-                    });
-                }
+                w.key("state");
+                w.obj(|w| {
+                    w.key("bytes");
+                    w.usize(cache.bytes);
+                    w.key("evictions");
+                    w.u64(cache.evictions);
+                    w.key("hits");
+                    w.u64(cache.hits);
+                    w.key("misses");
+                    w.u64(cache.misses);
+                });
             });
             w.key("queue");
             w.obj(|w| {
@@ -347,11 +345,6 @@ impl FleetdHandle {
         } else {
             saved.elapsed().as_secs_f64()
         })
-    }
-
-    /// Collapses every epoch's deltas; returns epochs compacted.
-    pub fn compact(&self) -> usize {
-        relock(&self.state).compact()
     }
 
     /// Writes a checkpoint now. `Ok(None)` when the daemon runs
@@ -551,7 +544,6 @@ fn request_kind(req: &Request) -> &'static str {
         Request::Diagnose { .. } => "diagnose",
         Request::Stats => "stats",
         Request::Health => "health",
-        Request::Compact => "compact",
         Request::Checkpoint => "checkpoint",
         Request::Rollover { .. } => "rollover",
         Request::Shutdown => "shutdown",
@@ -611,10 +603,6 @@ fn dispatch(handle: &FleetdHandle, req: Request) -> Response {
         Request::Health => Response::Health {
             json: handle.health_json(),
         },
-        Request::Compact => {
-            handle.compact();
-            Response::Done
-        }
         Request::Checkpoint => match handle.checkpoint_now() {
             Ok(_) => Response::Done,
             Err(e) => Response::Error {
@@ -771,6 +759,12 @@ pub fn serve(
 /// [`Dispatch`] implementation until a `Shutdown` request arrives,
 /// then runs its [`Dispatch::finish`]. One thread per connection.
 ///
+/// The accept loop holds a clone of each *open* connection only, so
+/// it can cut idle sockets at shutdown: a handler drops its clone as
+/// it exits, and finished handler threads are joined on the next
+/// accept. Descriptors and threads therefore track live connections,
+/// not every connection ever accepted.
+///
 /// # Errors
 ///
 /// Socket-level failures of the listener itself and whatever
@@ -781,26 +775,33 @@ pub fn serve_dispatcher<D: Dispatch + 'static>(
 ) -> std::io::Result<()> {
     let local = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
-    let mut conns = Vec::new();
-    let mut peers: Vec<TcpStream> = Vec::new();
-    for stream in listener.incoming() {
+    let peers: Arc<Mutex<BTreeMap<u64, TcpStream>>> = Arc::default();
+    let mut conns: Vec<JoinHandle<()>> = Vec::new();
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
         if stop.load(Ordering::SeqCst) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        // Registered before the handler starts, so its removal on
+        // exit always finds the entry.
         if let Ok(clone) = stream.try_clone() {
-            peers.push(clone);
+            relock(&peers).insert(id, clone);
         }
+        // A finished handler's thread is gone; dropping its handle
+        // releases what is left of it.
+        conns.retain(|conn| !conn.is_finished());
         let dispatcher = Arc::clone(&dispatcher);
         let stop = Arc::clone(&stop);
+        let peers = Arc::clone(&peers);
         conns.push(std::thread::spawn(move || {
             handle_connection(stream, &*dispatcher, &stop, local);
+            relock(&peers).remove(&id);
         }));
     }
     // Unblock handlers parked in `read_frame` on idle connections —
     // every request sent before shutdown has been answered, so
     // cutting the sockets loses nothing.
-    for peer in peers {
+    for peer in std::mem::take(&mut *relock(&peers)).into_values() {
         let _ = peer.shutdown(std::net::Shutdown::Both);
     }
     for conn in conns {

@@ -1,11 +1,13 @@
-//! Deterministic fleet state: per-app epochs of interned deltas.
+//! Deterministic fleet state: per-app epochs of interned same-release
+//! runs.
 //!
 //! [`FleetState`] is the daemon's brain with everything nondeterminism
 //! stripped away: no threads, no sockets, no clocks. Each accepted
 //! upload costs one [`EnergyDx::map_shard`] over a single trace plus
-//! one merge at query/compaction time — never a re-analysis of the
-//! epoch — and every query folds the epoch's deltas in accept order,
-//! so the report is byte-identical to a batch
+//! one append to the epoch's last same-release run — O(upload), never
+//! a re-analysis or a rewrite of the epoch — and every query folds the
+//! epoch's runs in accept order, so the report is byte-identical to a
+//! batch
 //! [`EnergyDx::diagnose_reference`] over the same accepted traces in
 //! the same order. The differential harness drives this type directly;
 //! the server wraps it in a mutex and feeds it from the ingest queue.
@@ -45,15 +47,12 @@ pub struct FleetConfig {
     pub jobs: usize,
     /// Bounds on upload repair, as in [`energydx_trace::store`].
     pub repair: RepairPolicy,
-    /// Auto-compact an epoch once it holds this many deltas;
-    /// `0` disables auto-compaction (explicit requests still work).
-    pub compact_every: usize,
     /// When set, cold epochs are spilled to on-disk segments whenever
-    /// resident delta state exceeds the budget. `None` keeps
+    /// resident run state exceeds the budget. `None` keeps
     /// everything resident (and the state free of I/O).
     pub spill: Option<SpillConfig>,
-    /// Generation-keyed memoization of query results (folds, analyzed
-    /// fleets, per-segment partials). Purely an optimization: every
+    /// Generation-keyed memoization of query results (fold prefixes and
+    /// analyzed fleets). Purely an optimization: every
     /// cached answer is byte-identical to the re-computed one, which
     /// the diff harness proves against `query_cache: false` states.
     pub query_cache: bool,
@@ -67,35 +66,36 @@ impl Default for FleetConfig {
             // single-trace maps, where a pool would only add overhead.
             jobs: 1,
             repair: RepairPolicy::default(),
-            compact_every: 16,
             spill: None,
             query_cache: true,
         }
     }
 }
 
-/// One resident delta: a partial tagged with the app release its
-/// traces were uploaded under. `""` is the implicit version of
-/// unversioned (pre-v3 wire) uploads. Consecutive deltas tile the
-/// epoch's global offset space, whatever their versions — the version
-/// tag partitions the traces without perturbing accept order, which is
-/// what keeps unversioned queries byte-identical to a version-blind
-/// daemon.
+/// One resident run: the partial of consecutive accepted traces that
+/// were all uploaded under one app release. `""` is the implicit
+/// version of unversioned (pre-v3 wire) uploads. Consecutive runs tile
+/// the epoch's global offset space, whatever their versions — the
+/// version tag partitions the traces without perturbing accept order,
+/// which is what keeps unversioned queries byte-identical to a
+/// version-blind daemon.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct Delta {
+pub(crate) struct ResidentRun {
     pub(crate) version: String,
     pub(crate) partial: ShardPartial,
 }
 
-/// One epoch of one app: the accepted traces as mergeable deltas plus
+/// One epoch of one app: the accepted traces as mergeable runs plus
 /// the bookkeeping that makes re-submission and audit possible.
 #[derive(Debug, Clone, Default)]
 pub struct EpochState {
-    /// Un-merged version-tagged partials, in accept order. Compaction
-    /// collapses maximal same-version runs; by associativity the
-    /// version-blind fold value never changes, and each version's own
-    /// fold stays a concatenation of whole deltas.
-    pub(crate) deltas: Vec<Delta>,
+    /// The resident traces as *maximal* same-release runs, in accept
+    /// order: an upload under the last run's release extends that run
+    /// in place, any other release starts a new one. This is the
+    /// epoch's release column, run-length encoded — a release's fold
+    /// is a concatenation of whole runs, and the version-blind fold
+    /// is all of them.
+    pub(crate) runs: Vec<ResidentRun>,
     /// Traces accepted so far == the next trace's global offset.
     pub(crate) trace_count: usize,
     /// `(user, session)` keys already accepted, for retry dedup.
@@ -107,12 +107,12 @@ pub struct EpochState {
     /// Quarantined uploads, in arrival order.
     pub(crate) quarantine: Vec<QuarantineEntry>,
     /// Runs spilled to disk, oldest first. Their traces *precede* the
-    /// resident deltas' in global offset order, so a query folds
-    /// spilled runs first, then the deltas.
+    /// resident runs' in global offset order, so a query folds
+    /// spilled runs first, then the resident ones.
     pub(crate) spilled: Vec<SpilledRun>,
     /// Monotone mutation stamp, bumped (from the state's shared
-    /// generation clock) on every accepted upload, compaction,
-    /// rollover, and spill. Within one state incarnation a given
+    /// generation clock) on every accepted upload, rollover, and
+    /// spill. Within one state incarnation a given
     /// `(app, epoch, generation)` triple names exactly one content —
     /// the key the query caches and the cluster delta protocol hang
     /// off. Scheduling state, like `touch`: never checkpointed, never
@@ -126,7 +126,7 @@ pub struct EpochState {
 /// equal whatever their mutation histories were.
 impl PartialEq for EpochState {
     fn eq(&self, other: &Self) -> bool {
-        self.deltas == other.deltas
+        self.runs == other.runs
             && self.trace_count == other.trace_count
             && self.seen == other.seen
             && self.clean == other.clean
@@ -142,9 +142,10 @@ impl EpochState {
         self.trace_count
     }
 
-    /// Deltas currently held (1 after compaction, more between).
+    /// Resident runs currently held: one per release switch since
+    /// the epoch's last spill.
     pub fn delta_count(&self) -> usize {
-        self.deltas.len()
+        self.runs.len()
     }
 
     /// Uploads stored verbatim.
@@ -186,72 +187,52 @@ impl EpochState {
         self.generation
     }
 
-    /// Approximate bytes the resident deltas cost
-    /// ([`ShardPartial::approx_bytes`] summed over the delta list).
+    /// Approximate bytes the resident runs cost
+    /// ([`ShardPartial::approx_bytes`] summed over the run list).
     pub fn resident_bytes(&self) -> usize {
-        self.deltas.iter().map(|d| d.partial.approx_bytes()).sum()
+        self.runs.iter().map(|r| r.partial.approx_bytes()).sum()
     }
 
-    /// The canonical partial of the epoch's *resident* deltas, folded
-    /// in accept order. When runs have been spilled this covers only
-    /// the suffix that stayed in memory; a query's fold prepends the
+    /// The canonical partial of the epoch's *resident* runs, folded in
+    /// accept order. When runs have been spilled this covers only the
+    /// suffix that stayed in memory; a query's fold prepends the
     /// spilled runs.
     pub fn folded(&self) -> ShardPartial {
-        self.deltas
+        self.runs
             .iter()
-            .map(|d| d.partial.clone())
+            .map(|r| r.partial.clone())
             .fold(ShardPartial::empty(), ShardPartial::merge)
     }
 
-    /// Per-release trace counts across spilled runs and resident
-    /// deltas. The `""` key counts unversioned uploads (and anything
-    /// restored from a pre-version checkpoint).
+    /// Per-release trace counts across spilled and resident runs. The
+    /// `""` key counts unversioned uploads (and anything restored from
+    /// a pre-version checkpoint).
     pub fn versions(&self) -> BTreeMap<String, usize> {
         let mut counts = BTreeMap::new();
         for run in &self.spilled {
             *counts.entry(run.version.clone()).or_insert(0) += run.traces;
         }
-        for d in &self.deltas {
-            *counts.entry(d.version.clone()).or_insert(0) +=
-                d.partial.trace_count();
+        for r in &self.runs {
+            *counts.entry(r.version.clone()).or_insert(0) +=
+                r.partial.trace_count();
         }
         counts
     }
 
-    /// The resident deltas coalesced into maximal same-version runs,
-    /// in accept order. Adjacent same-version deltas are
-    /// offset-contiguous by construction, so each merged run is itself
-    /// a contiguous partial.
-    pub(crate) fn version_runs(&self) -> Vec<(String, ShardPartial)> {
-        let mut runs: Vec<(String, ShardPartial)> = Vec::new();
-        for d in &self.deltas {
-            match runs.last_mut() {
-                Some((version, partial)) if *version == d.version => {
-                    let merged =
-                        std::mem::replace(partial, ShardPartial::empty())
-                            .merge(d.partial.clone());
-                    *partial = merged;
-                }
-                _ => runs.push((d.version.clone(), d.partial.clone())),
+    /// Appends `partial`, which must start where the epoch's resident
+    /// traces end, under `version`: merged into the last run when the
+    /// release matches, else as a new run — so the runs stay maximal.
+    /// When the partial's names are all in the run's vocabulary (the
+    /// steady state) the merge only remaps the newcomer, so the cost
+    /// is O(partial), not O(run).
+    pub(crate) fn append(&mut self, version: String, partial: ShardPartial) {
+        match self.runs.last_mut() {
+            Some(last) if last.version == version => {
+                let run = std::mem::take(&mut last.partial);
+                last.partial = run.merge(partial);
             }
+            _ => self.runs.push(ResidentRun { version, partial }),
         }
-        runs
-    }
-
-    fn compact(&mut self) -> bool {
-        if self.deltas.len() <= 1 {
-            return false;
-        }
-        let before = self.deltas.len();
-        let runs = self.version_runs();
-        if runs.len() == before {
-            return false;
-        }
-        self.deltas = runs
-            .into_iter()
-            .map(|(version, partial)| Delta { version, partial })
-            .collect();
-        true
     }
 }
 
@@ -372,34 +353,9 @@ pub enum PartialSinceOutcome {
     },
 }
 
-/// Cache layers the daemon instruments separately.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CacheLayer {
-    /// Fold + analyzed-fleet memoization keyed by generation.
-    State,
-    /// Per-spilled-segment folded partials keyed by sequence number.
-    Segment,
-}
-
-impl CacheLayer {
-    fn label(self) -> &'static str {
-        match self {
-            CacheLayer::State => "state",
-            CacheLayer::Segment => "segment",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            CacheLayer::State => 0,
-            CacheLayer::Segment => 1,
-        }
-    }
-}
-
 /// A cached [`StreamingFold`] prefix for one query key: any query
-/// whose selection still starts with the same accepted traces can
-/// clone it and absorb only the suffix.
+/// whose selection still starts with the same accepted traces resumes
+/// from it and absorbs only the suffix.
 #[derive(Debug)]
 struct FoldEntry {
     fold: StreamingFold,
@@ -420,21 +376,8 @@ struct AnalyzedEntry {
     last_used: u64,
 }
 
-/// A cached folded partial of one spilled segment file, so a spilled
-/// epoch pays disk + decode once, not per query. Keyed by sequence
-/// number; the recorded file size must still match the [`SpilledRun`]
-/// (segment files are immutable once written and sequence numbers are
-/// never reused while referenced).
-#[derive(Debug)]
-struct SegmentEntry {
-    file_bytes: u64,
-    partial: ShardPartial,
-    bytes: usize,
-    last_used: u64,
-}
-
-/// Hit/miss/eviction counters for one cache layer — kept inside the
-/// cache (not only in the metrics registry) so `query --stats` can
+/// Hit/miss/eviction counters of the state query cache — kept inside
+/// the cache (not only in the metrics registry) so `query --stats` can
 /// render them deterministically.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheLayerStats {
@@ -464,12 +407,10 @@ struct QueryCache {
     /// generation, so any mutation of the epoch invalidates every
     /// release's entry (coarser than strictly necessary, never stale).
     analyzed: BTreeMap<QueryKey, AnalyzedEntry>,
-    /// Per spill sequence number: the segment's folded partial.
-    segments: BTreeMap<u64, SegmentEntry>,
     /// LRU clock feeding `last_used`.
     clock: u64,
-    /// Counters indexed by [`CacheLayer::index`].
-    stats: [CacheLayerStats; 2],
+    /// Hit/miss/eviction counters.
+    stats: CacheLayerStats,
 }
 
 impl QueryCache {
@@ -478,21 +419,13 @@ impl QueryCache {
         self.clock
     }
 
-    fn state_bytes(&self) -> usize {
+    fn total_bytes(&self) -> usize {
         let folds: usize = self.folds.values().map(|e| e.bytes).sum();
         let analyzed: usize = self.analyzed.values().map(|e| e.bytes).sum();
         folds + analyzed
     }
 
-    fn segment_bytes(&self) -> usize {
-        self.segments.values().map(|e| e.bytes).sum()
-    }
-
-    fn total_bytes(&self) -> usize {
-        self.state_bytes() + self.segment_bytes()
-    }
-
-    /// The least-recently-used entry across all three maps, as a
+    /// The least-recently-used entry across both maps, as a
     /// deterministic victim descriptor.
     fn coldest(&self) -> Option<CacheVictim> {
         let folds = self
@@ -503,13 +436,8 @@ impl QueryCache {
             .analyzed
             .iter()
             .map(|(key, e)| (e.last_used, CacheVictim::Analyzed(key.clone())));
-        let segments = self
-            .segments
-            .iter()
-            .map(|(&seq, e)| (e.last_used, CacheVictim::Segment(seq)));
         folds
             .chain(analyzed)
-            .chain(segments)
             .min_by(|a, b| a.cmp(b))
             .map(|(_, victim)| victim)
     }
@@ -522,7 +450,6 @@ impl QueryCache {
 enum CacheVictim {
     Fold(QueryKey),
     Analyzed(QueryKey),
-    Segment(u64),
 }
 
 /// The daemon's resident state: per-app epoch state plus the shared
@@ -633,22 +560,20 @@ impl FleetState {
         self.cache().total_bytes()
     }
 
-    /// Per-layer cache counters: `[state, segment]`.
-    pub fn query_cache_stats(&self) -> [CacheLayerStats; 2] {
+    /// The query cache's counters.
+    pub fn query_cache_stats(&self) -> CacheLayerStats {
         let mut cache = self.cache();
-        cache.stats[CacheLayer::State.index()].bytes = cache.state_bytes();
-        cache.stats[CacheLayer::Segment.index()].bytes = cache.segment_bytes();
+        cache.stats.bytes = cache.total_bytes();
         cache.stats
     }
 
-    fn count_cache(&self, layer: CacheLayer, hit: bool) {
+    fn count_cache(&self, hit: bool) {
         {
             let mut cache = self.cache();
-            let stats = &mut cache.stats[layer.index()];
             if hit {
-                stats.hits += 1;
+                cache.stats.hits += 1;
             } else {
-                stats.misses += 1;
+                cache.stats.misses += 1;
             }
         }
         let family = if hit {
@@ -656,15 +581,15 @@ impl FleetState {
         } else {
             "fleetd_query_cache_misses_total"
         };
-        self.metrics.inc(family, &[("layer", layer.label())]);
+        self.metrics.inc(family, &[("layer", "state")]);
     }
 
     /// Evicts least-recently-used cache entries until the cache fits
-    /// `limit` bytes. Derived data only — eviction is free, which is
-    /// why the cache always shrinks before any epoch pays disk I/O.
+    /// `limit` bytes. Derived data only — eviction costs nothing but
+    /// the next query's time.
     fn trim_cache(&self, limit: usize) {
         loop {
-            let evicted_layer = {
+            {
                 let mut cache = self.cache();
                 if cache.total_bytes() <= limit {
                     return;
@@ -672,26 +597,19 @@ impl FleetState {
                 let Some(victim) = cache.coldest() else {
                     return;
                 };
-                let layer = match &victim {
+                match victim {
                     CacheVictim::Fold(key) => {
-                        cache.folds.remove(key);
-                        CacheLayer::State
+                        cache.folds.remove(&key);
                     }
                     CacheVictim::Analyzed(key) => {
-                        cache.analyzed.remove(key);
-                        CacheLayer::State
+                        cache.analyzed.remove(&key);
                     }
-                    CacheVictim::Segment(seq) => {
-                        cache.segments.remove(seq);
-                        CacheLayer::Segment
-                    }
-                };
-                cache.stats[layer.index()].evictions += 1;
-                layer
-            };
+                }
+                cache.stats.evictions += 1;
+            }
             self.metrics.inc(
                 "fleetd_query_cache_evictions_total",
-                &[("layer", evicted_layer.label())],
+                &[("layer", "state")],
             );
         }
     }
@@ -709,21 +627,13 @@ impl FleetState {
         self.update_cache_gauges();
     }
 
-    /// Refreshes the per-layer `fleetd_query_cache_bytes` gauges.
+    /// Refreshes the `fleetd_query_cache_bytes` gauge.
     pub(crate) fn update_cache_gauges(&self) {
-        let (state, segment) = {
-            let cache = self.cache();
-            (cache.state_bytes(), cache.segment_bytes())
-        };
+        let bytes = self.cache().total_bytes();
         self.metrics.set_gauge(
             "fleetd_query_cache_bytes",
             &[("layer", "state")],
-            state as f64,
-        );
-        self.metrics.set_gauge(
-            "fleetd_query_cache_bytes",
-            &[("layer", "segment")],
-            segment as f64,
+            bytes as f64,
         );
     }
 
@@ -801,7 +711,6 @@ impl FleetState {
         let _span = self.metrics.span("ingest");
         self.clock += 1;
         self.touch.insert(app.to_string(), self.clock);
-        let compact_every = self.config.compact_every;
         let epoch = self.apps.entry(app.to_string()).or_default().current_mut();
         match prepared {
             PreparedUpload::Rejected(entry) => {
@@ -854,22 +763,21 @@ impl FleetState {
                 }
                 // Commit point. Everything that can panic on a hostile
                 // upload (decode, convert, map) has already run; the
-                // mutations below are plain collection updates, so a
-                // panic above leaves the epoch exactly as if this
-                // upload never arrived — the atomicity the server's
-                // ingest catch_unwind relies on to keep a surviving
-                // daemon byte-identical to the batch reference. The
+                // mutations below are plain collection updates plus an
+                // append whose offsets are contiguous by construction
+                // (the delta was mapped at `trace_count`), so a panic
+                // above leaves the epoch exactly as if this upload
+                // never arrived — the atomicity the server's ingest
+                // catch_unwind relies on to keep a surviving daemon
+                // byte-identical to the batch reference. The
                 // generation bump sits with the commit, so a panicking
                 // upload never invalidates (or aliases) a cache key.
                 epoch.seen.insert(key);
                 epoch.trace_count += 1;
-                epoch.deltas.push(Delta {
-                    version: bundle.app_version.clone(),
-                    partial: delta,
-                });
+                epoch.append(bundle.app_version.clone(), delta);
                 self.generation_clock += 1;
                 epoch.generation = self.generation_clock;
-                let outcome = if repairs.is_empty() && salvage.is_none() {
+                if repairs.is_empty() && salvage.is_none() {
                     epoch.clean += 1;
                     self.metrics
                         .inc("fleetd_uploads_total", &[("outcome", "clean")]);
@@ -881,68 +789,12 @@ impl FleetState {
                         &[("outcome", "recovered")],
                     );
                     IngestOutcome::Recovered { repairs, salvage }
-                };
-                if compact_every > 0 && epoch.deltas.len() >= compact_every {
-                    // Auto-compaction is a pure optimization (by merge
-                    // associativity, skipping it never changes an
-                    // answer), and it runs after the commit point —
-                    // isolate it so a merge bug cannot turn an already
-                    // accepted upload into a panic that the server
-                    // would misreport as rejected.
-                    let compacted = std::panic::catch_unwind(
-                        std::panic::AssertUnwindSafe(|| epoch.compact()),
-                    );
-                    match compacted {
-                        Ok(true) => {
-                            self.generation_clock += 1;
-                            epoch.generation = self.generation_clock;
-                            self.metrics.inc("fleetd_compactions_total", &[]);
-                            self.metrics.event(
-                                EventKind::Compaction,
-                                format!("app={app} trigger=auto"),
-                            );
-                        }
-                        Ok(false) => {}
-                        Err(_) => {
-                            self.metrics
-                                .inc("fleetd_compaction_panics_total", &[]);
-                        }
-                    }
                 }
-                outcome
             }
         }
     }
 
-    /// Collapses every epoch's delta list into one canonical partial.
-    /// Returns how many epochs actually shrank. Merge associativity
-    /// guarantees queries before and after compaction are
-    /// byte-identical.
-    pub fn compact(&mut self) -> usize {
-        let mut compacted = 0;
-        let mut clock = self.generation_clock;
-        for a in self.apps.values_mut() {
-            for e in a.epochs.values_mut() {
-                if e.compact() {
-                    compacted += 1;
-                    clock += 1;
-                    e.generation = clock;
-                }
-            }
-        }
-        self.generation_clock = clock;
-        if compacted > 0 {
-            self.metrics
-                .add("fleetd_compactions_total", &[], compacted as u64);
-            self.metrics.event(
-                EventKind::Compaction,
-                format!("epochs={compacted} trigger=explicit"),
-            );
-        }
-        compacted
-    }
-
-    /// Approximate bytes of resident (un-spilled) delta state across
+    /// Approximate bytes of resident (un-spilled) run state across
     /// the whole fleet — the quantity [`FleetState::maybe_spill`]
     /// holds under the configured budget.
     pub fn resident_bytes(&self) -> usize {
@@ -972,7 +824,7 @@ impl FleetState {
             .sum()
     }
 
-    /// Spills coldest epochs until resident delta state fits the
+    /// Spills coldest epochs until resident run state fits the
     /// configured budget. A no-op without a spill config; with budget
     /// `0` every epoch spills as soon as it holds data. Returns how
     /// many epochs were spilled. A spill that fails (full disk,
@@ -987,7 +839,7 @@ impl FleetState {
         self.spill_until(&cfg, budget)
     }
 
-    /// Spills every epoch with resident deltas regardless of budget —
+    /// Spills every epoch with resident runs regardless of budget —
     /// the explicit eviction the harness and an operator's pre-restart
     /// drain use.
     pub fn spill_all(&mut self) -> usize {
@@ -998,10 +850,6 @@ impl FleetState {
     }
 
     fn spill_until(&mut self, cfg: &SpillConfig, budget: usize) -> usize {
-        // Cached query results count against the same budget, and they
-        // are the cheapest thing to shed: purely derived, so they are
-        // evicted (coldest first) before any epoch pays disk I/O.
-        self.trim_cache(budget.saturating_sub(self.resident_bytes()));
         let mut spilled = 0;
         while self.resident_bytes() > budget {
             let Some((app, id)) = self.spill_victim() else {
@@ -1012,12 +860,18 @@ impl FleetState {
             }
             spilled += 1;
         }
+        // Cached query results count against the same budget. They
+        // never cause a spill (only resident runs do): being purely
+        // derived, they shrink, coldest first, to the room the
+        // resident runs leave. A fold prefix that survives a spill
+        // resumes from the spilled run's tail.
+        self.trim_cache(budget.saturating_sub(self.resident_bytes()));
         self.update_spill_gauges();
         self.update_cache_gauges();
         spilled
     }
 
-    /// Coldest epoch holding resident deltas: frozen epochs before
+    /// Coldest epoch holding resident runs: frozen epochs before
     /// current ones, then least-recently-ingested app, then name and
     /// epoch id for a total (deterministic) order.
     fn spill_victim(&self) -> Option<(String, u64)> {
@@ -1026,7 +880,7 @@ impl FleetState {
             .flat_map(|(app, a)| {
                 a.epochs
                     .iter()
-                    .filter(|(_, e)| !e.deltas.is_empty())
+                    .filter(|(_, e)| !e.runs.is_empty())
                     .map(move |(&id, _)| (app, id == a.current_epoch, id))
             })
             .min_by(|x, y| {
@@ -1040,24 +894,20 @@ impl FleetState {
             .map(|(app, _, id)| (app.clone(), id))
     }
 
-    /// Folds one epoch's resident deltas into maximal same-version
-    /// runs and writes each run as its own segment file (so a spilled
-    /// segment never mixes releases and a versioned query can read
-    /// only its release's runs); only after *every* write succeeds
-    /// (tmp + fsync + rename inside [`energydx_segment::save_to`]) is
-    /// the resident state dropped, so a failed spill never loses an
-    /// accepted trace. A single-version epoch still spills exactly one
-    /// file per pass, as before.
+    /// Writes each of one epoch's resident runs as its own segment
+    /// file, as it is (runs are maximal same-release runs, so a
+    /// spilled segment never mixes releases and a versioned query can
+    /// read only its release's runs); only after *every* write
+    /// succeeds (tmp + fsync + rename inside
+    /// [`energydx_segment::save_to`]) is the resident state dropped,
+    /// so a failed spill never loses an accepted trace. A
+    /// single-version epoch spills exactly one file per pass.
     fn spill_epoch(
         &mut self,
         app: &str,
         id: u64,
         cfg: &SpillConfig,
     ) -> Result<(), energydx_segment::SegmentError> {
-        let runs = {
-            let _span = self.metrics.span("merge");
-            self.apps[app].epochs[&id].version_runs()
-        };
         let first_seq = self.next_spill_seq;
         let mut written: Vec<u64> = Vec::new();
         let write = std::fs::create_dir_all(&cfg.dir)
@@ -1066,19 +916,21 @@ impl FleetState {
                 detail: e.to_string(),
             })
             .and_then(|()| {
-                for (i, (_, partial)) in runs.iter().enumerate() {
+                for (i, run) in
+                    self.apps[app].epochs[&id].runs.iter().enumerate()
+                {
                     let seq = first_seq + i as u64;
                     let path = spill::segment_path(&cfg.dir, seq);
                     written.push(energydx_segment::save_to(
                         &path,
-                        &partial.to_parts(),
+                        &run.partial.to_parts(),
                     )?);
                 }
                 Ok(())
             });
         match write {
             Ok(()) => {
-                self.next_spill_seq += runs.len() as u64;
+                self.next_spill_seq += written.len() as u64;
                 let epoch = self
                     .apps
                     .get_mut(app)
@@ -1088,20 +940,20 @@ impl FleetState {
                     .expect("victim epoch exists");
                 let mut traces = 0;
                 let mut bytes = 0;
-                for (i, ((version, partial), file_bytes)) in
+                let runs = std::mem::take(&mut epoch.runs);
+                for (i, (run, file_bytes)) in
                     runs.into_iter().zip(written).enumerate()
                 {
-                    traces += partial.trace_count();
+                    traces += run.partial.trace_count();
                     bytes += file_bytes;
                     epoch.spilled.push(SpilledRun {
                         seq: first_seq + i as u64,
-                        traces: partial.trace_count(),
+                        traces: run.partial.trace_count(),
                         bytes: file_bytes,
-                        version,
-                        start: partial.start_offset(),
+                        version: run.version,
+                        start: run.partial.start_offset(),
                     });
                 }
-                epoch.deltas.clear();
                 self.generation_clock += 1;
                 epoch.generation = self.generation_clock;
                 self.metrics.inc("fleetd_spills_total", &[]);
@@ -1170,16 +1022,16 @@ impl FleetState {
     }
 
     /// Folds the selected traces of one epoch in accept order: spilled
-    /// runs first (their traces precede every resident delta), then
-    /// the resident deltas, each absorbed at
-    /// [`ShardPartial::rebase_to`] the fold's current end. For a
-    /// whole-epoch key the pieces already tile the epoch, so every
-    /// rebase is a no-op and the fold finishes byte-identically to a
-    /// never-spilled epoch; for one release it re-anchors that
-    /// release's traces to a dense local offset space, which is pure
-    /// offset arithmetic (`map_shard(ts, g).rebase_to(l) ==
-    /// map_shard(ts, l)`), so the result is byte-identical to a daemon
-    /// that only ever accepted that release's uploads, in order.
+    /// runs first (their traces precede every resident run), then the
+    /// resident runs, each absorbed at [`ShardPartial::rebase_to`] the
+    /// fold's current end. For a whole-epoch key the pieces already
+    /// tile the epoch, so every rebase is a no-op and the fold
+    /// finishes byte-identically to a never-spilled epoch; for one
+    /// release it re-anchors that release's traces to a dense local
+    /// offset space, which is pure offset arithmetic
+    /// (`map_shard(ts, g).rebase_to(l) == map_shard(ts, l)`), so the
+    /// result is byte-identical to a daemon that only ever accepted
+    /// that release's uploads, in order.
     ///
     /// With the query cache on, the fold resumes from the cached
     /// prefix for the same key: a selection only ever grows at its
@@ -1195,7 +1047,7 @@ impl FleetState {
             // Taken, not cloned: the fold below extends the prefix and
             // goes back in under the same key, so it is never held twice.
             let entry = self.cache().folds.remove(key).map(|e| e.fold);
-            self.count_cache(CacheLayer::State, entry.is_some());
+            self.count_cache(entry.is_some());
             entry
         } else {
             None
@@ -1204,12 +1056,12 @@ impl FleetState {
         let fold =
             match self.fold_onto(e, version, cached.unwrap_or_default())? {
                 Some(fold) => fold,
-                // The cached prefix no longer ends on a run/delta boundary
-                // (a spill or compaction merged across it): refold from
-                // scratch. An empty seed always aligns.
+                // The cached prefix is longer than the selection, which
+                // a selection that only grows never produces: refold
+                // from scratch rather than trust it.
                 None => self
                     .fold_onto(e, version, StreamingFold::new())?
-                    .expect("an empty fold prefix always aligns"),
+                    .expect("an empty fold prefix always fits"),
             };
         if self.config.query_cache {
             let bytes = fold.approx_bytes();
@@ -1230,14 +1082,15 @@ impl FleetState {
     }
 
     /// Extends `fold`, a possibly-empty prefix of the traces `version`
-    /// selects (`None` = all of them), with every selected spilled run
-    /// and resident delta beyond it. Returns `Ok(None)` when the prefix
-    /// does not end on a run/delta boundary and the caller must refold
-    /// from scratch. Segment loads go through the per-segment partial
-    /// cache; uncached files are read in parallel (`par_map`, honoring
-    /// `ENERGYDX_JOBS`), then validated and absorbed sequentially, in
-    /// accept order, so damage surfaces as [`QueryError::Storage`]
-    /// rather than a panic or a wrong answer.
+    /// selects (`None` = all of them), with every selected trace beyond
+    /// it. A prefix may end inside a spilled or resident run (the last
+    /// run grows in place, and a spill writes runs whole): that run
+    /// joins from its [`ShardPartial::tail`]. Returns `Ok(None)` when
+    /// the prefix covers more than the selection. Spilled runs are
+    /// read in parallel (`par_map`, honoring `ENERGYDX_JOBS`), then
+    /// validated and absorbed sequentially, in accept order, so damage
+    /// surfaces as [`QueryError::Storage`] rather than a panic or a
+    /// wrong answer.
     fn fold_onto(
         &self,
         e: &EpochState,
@@ -1246,12 +1099,14 @@ impl FleetState {
     ) -> Result<Option<StreamingFold>, QueryError> {
         let selected = |v: &str| version.is_none_or(|want| want == v);
         let covered = fold.partial().end_offset();
-        // Plan: every selected piece past the prefix. `local` counts
-        // the selected traces so far; each run also keeps its place in
-        // the epoch's whole spilled prefix, which its record must match.
+        // Plan: every selected run that reaches past the prefix, with
+        // how many of its leading traces the prefix already holds.
+        // `local` counts the selected traces so far; each spilled run
+        // also keeps its place in the epoch's whole spilled prefix,
+        // which its record must match.
         let mut local = 0;
         let mut start = 0;
-        let mut runs: Vec<(&SpilledRun, usize)> = Vec::new();
+        let mut runs: Vec<(&SpilledRun, usize, usize)> = Vec::new();
         for run in &e.spilled {
             start += run.traces;
             if !selected(&run.version) {
@@ -1259,20 +1114,17 @@ impl FleetState {
             }
             local += run.traces;
             if local > covered {
-                if local - run.traces < covered {
-                    return Ok(None);
-                }
-                runs.push((run, start - run.traces));
+                let held = covered.saturating_sub(local - run.traces);
+                runs.push((run, start - run.traces, held));
             }
         }
-        let mut deltas: Vec<&ShardPartial> = Vec::new();
-        for d in e.deltas.iter().filter(|d| selected(&d.version)) {
-            local += d.partial.trace_count();
+        let mut resident: Vec<(&ShardPartial, usize)> = Vec::new();
+        for r in e.runs.iter().filter(|r| selected(&r.version)) {
+            local += r.partial.trace_count();
             if local > covered {
-                if local - d.partial.trace_count() < covered {
-                    return Ok(None);
-                }
-                deltas.push(&d.partial);
+                let held =
+                    covered.saturating_sub(local - r.partial.trace_count());
+                resident.push((&r.partial, held));
             }
         }
         if covered > local {
@@ -1286,84 +1138,38 @@ impl FleetState {
                         .to_string(),
                 )
             })?;
-            let cached: Vec<Option<ShardPartial>> = runs
+            // Segment files are independent until the absorb: read and
+            // decode them in parallel.
+            let paths: Vec<std::path::PathBuf> = runs
                 .iter()
-                .map(|(run, _)| self.cached_segment(run))
-                .collect();
-            // Uncached segments are independent until the absorb:
-            // read and decode them in parallel.
-            let to_load: Vec<std::path::PathBuf> = runs
-                .iter()
-                .zip(&cached)
-                .filter(|(_, hit)| hit.is_none())
-                .map(|((run, _), _)| spill::segment_path(&cfg.dir, run.seq))
+                .map(|(run, ..)| spill::segment_path(&cfg.dir, run.seq))
                 .collect();
             let jobs = energydx::par::resolve_jobs(self.config.jobs);
-            let mut loaded =
-                energydx::par::par_map(&to_load, jobs, |_, path| {
-                    energydx_segment::load_from(path).map_err(|err| {
-                        QueryError::Storage(format!(
-                            "{}: {err}",
-                            path.display()
-                        ))
-                    })
+            let loaded = energydx::par::par_map(&paths, jobs, |_, path| {
+                energydx_segment::load_from(path).map_err(|err| {
+                    QueryError::Storage(format!("{}: {err}", path.display()))
                 })
-                .into_iter();
-            for ((run, start), hit) in runs.into_iter().zip(cached) {
-                let from_disk = hit.is_none();
-                let partial = match hit {
-                    Some(partial) => partial,
-                    None => loaded.next().expect("every uncached run loads")?,
-                };
-                self.count_cache(CacheLayer::Segment, !from_disk);
+            });
+            for ((run, start, held), partial) in runs.into_iter().zip(loaded) {
+                let partial = partial?;
                 check_run(&cfg.dir, run, start, &partial)?;
-                if from_disk {
-                    self.metrics.inc("fleetd_foldbacks_total", &[]);
-                    if self.config.query_cache {
-                        let bytes = partial.approx_bytes();
-                        let mut cache = self.cache();
-                        let stamp = cache.tick();
-                        cache.segments.insert(
-                            run.seq,
-                            SegmentEntry {
-                                file_bytes: run.bytes,
-                                partial: partial.clone(),
-                                bytes,
-                                last_used: stamp,
-                            },
-                        );
-                    }
-                }
+                self.metrics.inc("fleetd_foldbacks_total", &[]);
+                let unread = if held == 0 {
+                    partial
+                } else {
+                    partial.tail(start + held)
+                };
                 let end = fold.partial().end_offset();
-                fold.absorb(partial.rebase_to(end));
-            }
-            if self.config.query_cache {
-                self.trim_cache_to_budget();
+                fold.absorb(unread.rebase_to(end));
             }
         }
-        for partial in deltas {
+        for (partial, held) in resident {
             let end = fold.partial().end_offset();
-            fold.absorb(partial.clone().rebase_to(end));
+            fold.absorb(
+                partial.tail(partial.start_offset() + held).rebase_to(end),
+            );
         }
         Ok(Some(fold))
-    }
-
-    /// A validated cache lookup for one spilled run: the entry must
-    /// still describe the same file (size recorded at spill time).
-    fn cached_segment(&self, run: &SpilledRun) -> Option<ShardPartial> {
-        if !self.config.query_cache {
-            return None;
-        }
-        let mut cache = self.cache();
-        let stamp = cache.tick();
-        let entry = cache.segments.get_mut(&run.seq)?;
-        if entry.file_bytes != run.bytes
-            || entry.partial.trace_count() != run.traces
-        {
-            return None;
-        }
-        entry.last_used = stamp;
-        Some(entry.partial.clone())
     }
 
     /// Freezes `app`'s current epoch and opens the next one; returns
@@ -1407,7 +1213,7 @@ impl FleetState {
         if self.config.query_cache
             && known == Some((epoch, self.incarnation, e.generation))
         {
-            self.count_cache(CacheLayer::State, true);
+            self.count_cache(true);
             return Ok(PartialSinceOutcome::Unchanged { epoch });
         }
         let partial = {
@@ -1476,7 +1282,7 @@ impl FleetState {
                         entry.fleet.clone()
                     })
             };
-            self.count_cache(CacheLayer::State, hit.is_some());
+            self.count_cache(hit.is_some());
             if let Some(fleet) = hit {
                 let _span = self.metrics.span("finish");
                 return Ok(self.dx.render(fleet));
@@ -1542,7 +1348,7 @@ impl FleetState {
                 })
         };
         if let Some(json) = cached_json {
-            self.count_cache(CacheLayer::State, true);
+            self.count_cache(true);
             return Ok(json);
         }
         let json = self.diagnosis(sel)?.to_canonical_json();
@@ -1686,7 +1492,7 @@ impl FleetState {
                                 w.key("clean");
                                 w.usize(e.clean);
                                 w.key("deltas");
-                                w.usize(e.deltas.len());
+                                w.usize(e.runs.len());
                                 w.key("quarantined");
                                 w.obj(|w| {
                                     for (reason, n) in e.quarantine_counters() {
@@ -1787,7 +1593,7 @@ fn check_run(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::fixture::{bundle, payload, payload_versioned};
     use std::path::{Path, PathBuf};
@@ -1844,35 +1650,85 @@ mod tests {
         assert_eq!(state.diagnose_json("app", None).unwrap(), reference);
     }
 
-    #[test]
-    fn compaction_does_not_change_the_report() {
-        let mut state = FleetState::new(FleetConfig {
-            compact_every: 0,
-            ..FleetConfig::default()
-        });
-        for s in 0..5 {
-            state.submit("app", &payload("u", s));
+    /// Asserts that every epoch's resident runs are maximal
+    /// same-release runs that tile the traces after its spilled prefix.
+    pub(crate) fn assert_runs_maximal(state: &FleetState) {
+        for (app, a) in state.apps() {
+            for (id, e) in a.epochs() {
+                let mut next = e.spilled_traces();
+                for (i, run) in e.runs.iter().enumerate() {
+                    let p = &run.partial;
+                    assert!(p.trace_count() > 0, "{app}/{id}: empty run {i}");
+                    assert_eq!(p.start_offset(), next, "{app}/{id}: run {i}");
+                    assert_eq!(p.end_offset() - next, p.trace_count());
+                    next = p.end_offset();
+                    if i > 0 {
+                        assert_ne!(
+                            e.runs[i - 1].version,
+                            run.version,
+                            "{app}/{id}: runs {} and {i} share a release",
+                            i - 1
+                        );
+                    }
+                }
+                assert_eq!(next, e.trace_count(), "{app}/{id}");
+            }
         }
-        let before = state.diagnose_json("app", None).unwrap();
-        assert_eq!(state.apps()["app"].epochs()[&0].delta_count(), 5);
-        assert_eq!(state.compact(), 1);
-        assert_eq!(state.apps()["app"].epochs()[&0].delta_count(), 1);
-        assert_eq!(state.diagnose_json("app", None).unwrap(), before);
-        // Idempotent: nothing left to shrink.
-        assert_eq!(state.compact(), 0);
     }
 
     #[test]
-    fn auto_compaction_bounds_the_delta_list() {
-        let mut state = FleetState::new(FleetConfig {
-            compact_every: 4,
-            ..FleetConfig::default()
-        });
-        for s in 0..20 {
-            state.submit("app", &payload("u", s));
+    fn uploads_under_one_release_extend_one_run() {
+        let mut state = FleetState::new(FleetConfig::default());
+        let mut bundles = Vec::new();
+        for s in 0..5 {
+            assert!(state.submit("app", &payload("u", s)).accepted());
+            assert_eq!(state.apps()["app"].epochs()[&0].delta_count(), 1);
+            let mut b = bundle("u", s);
+            b.anonymize();
+            bundles.push(b);
         }
-        assert!(state.apps()["app"].epochs()[&0].delta_count() <= 4);
-        assert_eq!(state.apps()["app"].epochs()[&0].trace_count(), 20);
+        let reference = EnergyDx::default()
+            .diagnose_reference(&crate::convert::bundles_to_input(&bundles))
+            .to_canonical_json();
+        assert_eq!(state.diagnose_json("app", None).unwrap(), reference);
+    }
+
+    #[test]
+    fn resident_runs_stay_maximal_after_every_upload() {
+        let tmp = TempDir::new("state-maximal-runs");
+        let mut state =
+            FleetState::new(spilling_config(tmp.path(), usize::MAX));
+        // Runs of one to three uploads per release, a duplicate and a
+        // quarantined upload inside a run, a spill, and a rollover.
+        let script = [
+            "1.9.0", "1.9.0", "2.0.0", "1.9.0", "2.0.0", "2.0.0", "2.0.0", "",
+            "1.9.0", "1.9.0", "2.0.0",
+        ];
+        for (s, version) in script.iter().enumerate() {
+            let s = s as u64;
+            assert!(state
+                .submit("app", &payload_versioned("u", s, version))
+                .accepted());
+            assert_runs_maximal(&state);
+            if s == 5 {
+                state.submit("app", &payload_versioned("u", 0, "2.0.0"));
+                state.submit("app", &[0xAB; 16]);
+                assert_runs_maximal(&state);
+            }
+            if s == 7 {
+                assert!(state.spill_all() > 0);
+                assert_runs_maximal(&state);
+            }
+        }
+        let runs: Vec<&str> = state.apps()["app"].epochs()[&0]
+            .runs
+            .iter()
+            .map(|r| r.version.as_str())
+            .collect();
+        assert_eq!(runs, ["1.9.0", "2.0.0"]);
+        state.rollover("app");
+        state.submit("app", &payload_versioned("u", 0, "2.0.0"));
+        assert_runs_maximal(&state);
     }
 
     #[test]
@@ -2164,18 +2020,38 @@ mod tests {
             let whole = Selector::new("app", None, None);
             assert_eq!(folded, selected(&self.alone, &whole).to_parts());
         }
+
+        /// The next fold resumes from the cached prefix — one state
+        /// hit, no miss — and still equals both references.
+        fn check_resumes(&self, sel: &Selector) {
+            let before = self.state.query_cache_stats();
+            self.check(sel);
+            let after = self.state.query_cache_stats();
+            assert_eq!(after.hits, before.hits + 1);
+            assert_eq!(after.misses, before.misses);
+        }
+
+        /// Spilled runs read back from disk so far.
+        fn foldbacks(&self) -> u64 {
+            let registry = self.state.metrics().registry();
+            registry
+                .and_then(|r| r.counter_value("fleetd_foldbacks_total", &[]))
+                .unwrap_or(0)
+        }
+
+        /// Traces in the epoch's last resident run.
+        fn last_run(&self) -> usize {
+            let e = &self.state.apps["app"].epochs[&0];
+            e.runs.last().map_or(0, |r| r.partial.trace_count())
+        }
     }
 
     #[test]
     fn a_release_fold_resumes_from_its_cached_prefix() {
         let tmp = TempDir::new("state-release-prefix");
         let mut rig = ReleaseRig {
-            state: FleetState::new(FleetConfig {
-                compact_every: 0,
-                ..spilling_config(tmp.path(), usize::MAX)
-            }),
+            state: FleetState::new(spilling_config(tmp.path(), usize::MAX)),
             scratch: FleetState::new(FleetConfig {
-                compact_every: 0,
                 query_cache: false,
                 ..FleetConfig::default()
             }),
@@ -2187,30 +2063,37 @@ mod tests {
             rig.upload(version);
         }
         rig.check(&sel);
-        // K new uploads: the next fold resumes from the cached prefix,
-        // one state-layer hit and no miss.
+        // K new uploads, each run new: the prefix ends on a run edge.
         for version in ["2.0.0", "1.9.0", "2.0.0"] {
             rig.upload(version);
         }
-        let before = rig.state.query_cache_stats()[0];
-        let resumed = selected(&rig.state, &sel);
-        let after = rig.state.query_cache_stats()[0];
-        assert_eq!(after.hits, before.hits + 1);
-        assert_eq!(after.misses, before.misses);
-        assert_eq!(resumed.to_parts(), selected(&rig.scratch, &sel).to_parts());
-        // A compaction merges the release's last two deltas across the
-        // cached prefix's end; the fold refolds and still agrees.
+        rig.check_resumes(&sel);
+        // The last run grows in place past the cached prefix's end, so
+        // the prefix now ends inside a resident run.
         rig.upload("2.0.0");
-        let _ = selected(&rig.state, &sel);
+        assert_eq!(rig.last_run(), 2);
+        rig.check_resumes(&sel);
+        // A spill writes that run whole, and the cached prefix fits the
+        // room the spill leaves, so it survives: the prefix now ends
+        // inside a spilled run, which joins from its tail. (The other
+        // release's uploads grow the epoch, not the prefix.)
         rig.upload("2.0.0");
-        assert!(rig.state.compact() > 0);
-        rig.check(&sel);
-        // So does a spill that turns the deltas into segment runs.
-        rig.upload("2.0.0");
-        let _ = selected(&rig.state, &sel);
-        rig.upload("2.0.0");
-        assert!(rig.state.spill_all() > 0);
-        rig.check(&sel);
+        assert_eq!(rig.last_run(), 3);
+        for _ in 0..4 {
+            rig.upload("1.9.0");
+        }
+        let budget = rig.state.cache_bytes();
+        assert!(rig.state.resident_bytes() > budget);
+        rig.state.config.spill.as_mut().unwrap().mem_budget = budget;
+        assert!(rig.state.maybe_spill() > 0);
+        assert_eq!(rig.state.cache_bytes(), budget);
+        let spilled = &rig.state.apps["app"].epochs[&0].spilled;
+        assert_eq!(spilled[spilled.len() - 2].traces, 3);
+        // Only the run holding the prefix's end is read back; a refold
+        // would read all three of the release's spilled runs.
+        let read = rig.foldbacks();
+        rig.check_resumes(&sel);
+        assert_eq!(rig.foldbacks(), read + 1);
         assert_eq!(
             rig.state.diagnose_version("app", None, "2.0.0").unwrap(),
             rig.scratch.diagnose_version("app", None, "2.0.0").unwrap()

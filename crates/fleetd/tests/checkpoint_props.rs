@@ -1,7 +1,7 @@
 //! Checkpoint format coverage: round-trip fidelity plus
 //! fault-tolerance. A checkpoint restored from disk must be
-//! *structurally identical* to the compacted in-memory state (same
-//! apps, epochs, dedup sets, quarantine, partials), and every damaged
+//! *structurally identical* to the live in-memory state (same apps,
+//! epochs, dedup sets, quarantine, partials), and every damaged
 //! file — truncated at any byte, any single bit flipped, trailing
 //! garbage — must surface as a typed [`CheckpointError`], never a
 //! panic and never a silently-wrong fleet.
@@ -44,8 +44,9 @@ fn submissions() -> impl Strategy<Value = Vec<Submission>> {
 
 /// Builds a state by pushing every scripted submission through the
 /// real ingest path (damage modes: 0-1 clean, 2 truncated, 3
-/// bit-flipped), then compacts so the in-memory partials are in the
-/// same canonical one-per-epoch shape a restore produces.
+/// bit-flipped). Ingestion already keeps each epoch as the maximal
+/// same-release runs a restore produces, so no reshaping is needed
+/// before comparing the two structurally.
 fn state_of(script: &[Submission]) -> FleetState {
     let mut state = FleetState::new(FleetConfig::default());
     for s in script {
@@ -60,7 +61,6 @@ fn state_of(script: &[Submission]) -> FleetState {
         }
         state.submit(APPS[s.app], &payload);
     }
-    state.compact();
     state
 }
 

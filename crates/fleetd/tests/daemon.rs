@@ -287,10 +287,6 @@ fn tcp_round_trip_matches_the_batch_reference() {
         other => panic!("expected metrics, got {other:?}"),
     }
     assert_eq!(
-        client.request(&Request::Compact).expect("compact"),
-        Response::Done
-    );
-    assert_eq!(
         client
             .request(&Request::Rollover { app: "mail".into() })
             .expect("rollover"),

@@ -25,7 +25,7 @@ fn golden_path() -> PathBuf {
 }
 
 /// The fixed scenario: clean uploads for two apps, one duplicate, one
-/// undecodable payload, a rollover, a compaction, a diagnosis, two
+/// undecodable payload, a rollover, a diagnosis, two
 /// version-stamped uploads with a differential query, a checkpoint,
 /// and one shed on a depth-1 queue sharing the registry.
 fn scripted_exposition() -> String {
@@ -49,7 +49,6 @@ fn scripted_exposition() -> String {
     assert!(!state.submit("mail", &corrupt).accepted());
     state.rollover("mail");
     assert!(state.submit("mail", &fixture::payload("u1", 9)).accepted());
-    state.compact();
     state.diagnose_json("mail", Some(0)).expect("report");
     // Version-stamped uploads and one differential query: the regress
     // counter, its per-verdict counter, and the regress stage of the

@@ -13,9 +13,9 @@
 //!    per-version diagnosis, not just the version-blind one.
 //!
 //! Each law is quantified over arbitrary interleavings of apps,
-//! users, sessions, releases, damage, and mid-script compaction, so
-//! the version split cannot quietly depend on upload order or on the
-//! partials being in any particular resident shape.
+//! users, sessions, releases, damage, and a mid-script checkpoint
+//! restore, so the version split cannot quietly depend on upload order
+//! or on whether the resident runs were rebuilt from a checkpoint.
 
 use energydx_fleetd::checkpoint::{checkpoint_bytes, restore_bytes};
 use energydx_fleetd::fixture;
@@ -83,10 +83,16 @@ fn damaged(mut payload: Vec<u8>, damage: u8) -> Vec<u8> {
     payload
 }
 
-/// Ingests the script's version-stamped payloads, compacting midway
-/// when asked so laws hold over canonical and raw partial shapes
-/// alike.
-fn versioned_state(script: &[Submission], compact: bool) -> FleetState {
+/// Restores `state` from its own checkpoint, as a restart would.
+fn restarted(state: &FleetState) -> FleetState {
+    restore_bytes(&checkpoint_bytes(state), FleetConfig::default())
+        .expect("a daemon checkpoint restores")
+}
+
+/// Ingests the script's version-stamped payloads, restarting from a
+/// checkpoint midway when asked so laws hold over live and restored
+/// runs alike.
+fn versioned_state(script: &[Submission], restart: bool) -> FleetState {
     let mut state = FleetState::new(FleetConfig::default());
     for (i, s) in script.iter().enumerate() {
         let payload = damaged(
@@ -98,8 +104,8 @@ fn versioned_state(script: &[Submission], compact: bool) -> FleetState {
             s.damage,
         );
         state.submit(APPS[s.app], &payload);
-        if compact && i == script.len() / 2 {
-            state.compact();
+        if restart && i == script.len() / 2 {
+            state = restarted(&state);
         }
     }
     state
@@ -114,9 +120,9 @@ proptest! {
     #[test]
     fn per_version_diagnosis_is_a_projection(
         script in submissions(3),
-        compact in any::<bool>(),
+        restart in any::<bool>(),
     ) {
-        let mixed = versioned_state(&script, compact);
+        let mixed = versioned_state(&script, restart);
         for (v, version) in VERSIONS.iter().enumerate() {
             let mut only = FleetState::new(FleetConfig::default());
             for s in script.iter().filter(|s| s.version == v) {
@@ -164,9 +170,9 @@ proptest! {
     #[test]
     fn unversioned_queries_fold_across_versions(
         script in submissions(2),
-        compact in any::<bool>(),
+        restart in any::<bool>(),
     ) {
-        let versioned = versioned_state(&script, compact);
+        let versioned = versioned_state(&script, restart);
         let mut blind = FleetState::new(FleetConfig::default());
         for (i, s) in script.iter().enumerate() {
             let payload = damaged(
@@ -174,8 +180,8 @@ proptest! {
                 s.damage,
             );
             blind.submit(APPS[s.app], &payload);
-            if compact && i == script.len() / 2 {
-                blind.compact();
+            if restart && i == script.len() / 2 {
+                blind = restarted(&blind);
             }
         }
         prop_assert_eq!(
@@ -196,9 +202,9 @@ proptest! {
     #[test]
     fn checkpoints_preserve_per_version_diagnoses(
         script in submissions(3),
-        compact in any::<bool>(),
+        restart in any::<bool>(),
     ) {
-        let state = versioned_state(&script, compact);
+        let state = versioned_state(&script, restart);
         let restored =
             restore_bytes(&checkpoint_bytes(&state), FleetConfig::default())
                 .expect("round trip must restore");

@@ -16,7 +16,7 @@
 //!   [`MetricsRegistry::deterministic`]) durations record as zero, so
 //!   expositions are byte-stable and golden-testable.
 //! - [`EventRing`] — a bounded ring of recent notable events
-//!   (quarantine, shed, RetryAfter, checkpoint save/load, compaction,
+//!   (quarantine, shed, RetryAfter, checkpoint save/load, spill,
 //!   epoch rollover) with a monotone sequence number, mirrored into
 //!   an `energydx_events_total{kind=...}` counter family.
 //!

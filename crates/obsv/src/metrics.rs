@@ -652,11 +652,11 @@ mod tests {
         let reg = MetricsRegistry::deterministic();
         reg.event(EventKind::Shed, "app=mail");
         reg.event(EventKind::Shed, "app=gps");
-        reg.event(EventKind::Compaction, "folded=3");
+        reg.event(EventKind::Spill, "traces=3");
         let events = reg.recent_events();
         assert_eq!(events.len(), 3);
         assert_eq!(events[0].seq, 0);
-        assert_eq!(events[2].kind, EventKind::Compaction);
+        assert_eq!(events[2].kind, EventKind::Spill);
         assert_eq!(
             reg.counter_value("energydx_events_total", &[("kind", "shed")]),
             Some(2)

@@ -16,8 +16,6 @@ pub enum EventKind {
     CheckpointSave,
     /// A checkpoint was restored into a fresh state.
     CheckpointLoad,
-    /// An epoch's deltas were folded down.
-    Compaction,
     /// An app's epoch counter advanced.
     Rollover,
     /// A coordinator replicated one worker's checkpoint.
@@ -27,7 +25,7 @@ pub enum EventKind {
     Handoff,
     /// A cluster query was answered without every shard.
     DegradedQuery,
-    /// An epoch's resident deltas were folded into an on-disk segment.
+    /// An epoch's resident runs were written to on-disk segments.
     Spill,
 }
 
@@ -40,7 +38,6 @@ impl EventKind {
             EventKind::RetryAfter => "retry_after",
             EventKind::CheckpointSave => "checkpoint_save",
             EventKind::CheckpointLoad => "checkpoint_load",
-            EventKind::Compaction => "compaction",
             EventKind::Rollover => "rollover",
             EventKind::Replication => "replication",
             EventKind::Handoff => "handoff",

@@ -365,8 +365,8 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// The incremental daemon: any interleaving of {upload, compact,
-// checkpoint, restart, query} over `fleetd`'s state must serve reports
+// The incremental daemon: any interleaving of {upload, checkpoint,
+// restart, query} over `fleetd`'s state must serve reports
 // byte-identical to `diagnose_reference` over the same accepted
 // traces. The model below replays each payload through the *same*
 // shared prepare pipeline the daemon uses plus the same dedup rule, so
@@ -379,8 +379,6 @@ proptest! {
 enum FleetOp {
     /// Submit payload `i` from the pool (repeats exercise dedup).
     Upload(usize),
-    /// Collapse every epoch's deltas into one canonical partial.
-    Compact,
     /// Snapshot the state to checkpoint bytes.
     Checkpoint,
     /// Crash: discard the live state, restore the last checkpoint
@@ -475,9 +473,6 @@ fn run_fleet_schedule(ops: &[FleetOp], pool: &[Vec<u8>]) {
                     "daemon and model disagree on payload {i}"
                 );
             }
-            FleetOp::Compact => {
-                state.compact();
-            }
             FleetOp::Checkpoint => {
                 snapshot = Some((checkpoint_bytes(&state), model.clone()));
             }
@@ -504,8 +499,7 @@ fn fleet_ops() -> impl Strategy<Value = Vec<FleetOp>> {
     // Uploads are weighted heaviest so schedules actually grow state
     // between the structural ops.
     let op = (0u8..16, 0usize..12).prop_map(|(kind, i)| match kind {
-        0..=7 => FleetOp::Upload(i),
-        8 | 9 => FleetOp::Compact,
+        0..=9 => FleetOp::Upload(i),
         10 | 11 => FleetOp::Checkpoint,
         12 | 13 => FleetOp::Restart,
         _ => FleetOp::Query,
@@ -517,8 +511,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The daemon headline property: **any** interleaving of uploads
-    /// (clean, damaged, duplicated), compactions, checkpoints, crash
-    /// restarts, and queries serves byte-identical reports to the
+    /// (clean, damaged, duplicated), checkpoints, crash restarts, and
+    /// queries serves byte-identical reports to the
     /// batch reference over the same accepted traces.
     #[test]
     fn any_daemon_schedule_serves_the_batch_reference(
@@ -538,7 +532,6 @@ fn quarantined_uploads_never_change_the_report() {
     // Re-upload everything: accepted ones dedup, damaged ones
     // quarantine again.
     ops.extend((0..pool.len()).map(FleetOp::Upload));
-    ops.push(FleetOp::Compact);
     ops.push(FleetOp::Query);
     run_fleet_schedule(&ops, &pool);
 
@@ -577,8 +570,8 @@ fn crash_and_restore_converges_to_the_full_reference() {
 }
 
 // ---------------------------------------------------------------------
-// The sharded cluster: any interleaving of {upload, compact,
-// replicate, worker-crash, worker-replace, query} over a K-worker
+// The sharded cluster: any interleaving of {upload, replicate,
+// worker-crash, worker-replace, query} over a K-worker
 // coordinator must serve reports byte-identical to the batch
 // reference over the traces the cluster actually holds — including
 // kill -9 + replicated-checkpoint resume, where a replaced worker
@@ -605,8 +598,6 @@ use std::sync::{Arc, Mutex};
 enum ClusterOp {
     /// Submit payload `i` from the pool through the coordinator.
     Upload(usize),
-    /// Broadcast a compaction (no observable effect on reports).
-    Compact,
     /// Replicate every live worker's checkpoint to the coordinator.
     Replicate,
     /// kill -9 worker `w`: its slot empties mid-conversation.
@@ -793,15 +784,6 @@ fn run_cluster_schedule(workers: usize, ops: &[ClusterOp], pool: &[Vec<u8>]) {
                     );
                 }
             }
-            ClusterOp::Compact => {
-                let response =
-                    cluster.coordinator.handle_request(Request::Compact);
-                if model.missing().is_empty() {
-                    assert!(matches!(response, Response::Done));
-                } else {
-                    assert!(matches!(response, Response::Error { .. }));
-                }
-            }
             ClusterOp::Replicate => {
                 let response =
                     cluster.coordinator.handle_request(Request::Checkpoint);
@@ -847,8 +829,7 @@ fn run_cluster_schedule(workers: usize, ops: &[ClusterOp], pool: &[Vec<u8>]) {
 fn cluster_ops() -> impl Strategy<Value = Vec<ClusterOp>> {
     let op =
         (0u8..16, 0usize..12, 0usize..3).prop_map(|(kind, i, w)| match kind {
-            0..=7 => ClusterOp::Upload(i),
-            8 => ClusterOp::Compact,
+            0..=8 => ClusterOp::Upload(i),
             9 | 10 => ClusterOp::Replicate,
             11 | 12 => ClusterOp::Crash(w),
             13 => ClusterOp::Restart(w),
@@ -861,11 +842,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The cluster headline property: over K ∈ {1, 2, 3} workers,
-    /// **any** interleaving of uploads, compactions, replications,
-    /// kill -9 crashes, blank-replacement handoffs, and queries
-    /// serves byte-identical reports to the batch reference over the
-    /// traces the cluster holds — and degraded answers name exactly
-    /// the dead shards while matching the reference over the rest.
+    /// **any** interleaving of uploads, replications, kill -9 crashes,
+    /// blank-replacement handoffs, and queries serves byte-identical
+    /// reports to the batch reference over the traces the cluster
+    /// holds — and degraded answers name exactly the dead shards while
+    /// matching the reference over the rest.
     #[test]
     fn any_cluster_schedule_serves_the_batch_reference(
         ops in cluster_ops(),
@@ -901,8 +882,7 @@ fn kill_dash_nine_with_replica_resume_stays_byte_identical() {
 // ---------------------------------------------------------------------
 // The spilling daemon: a fleet under a memory budget spills cold
 // epochs to columnar segments and folds them back on query. Any
-// interleaving of {upload, spill, compact, checkpoint, restart,
-// query} under **any** budget — including zero, where nothing stays
+// interleaving of {upload, spill, checkpoint, restart, query} under **any** budget — including zero, where nothing stays
 // resident — must serve reports byte-identical to the batch reference
 // over the same accepted traces, including kill -9 + restart with the
 // segment files on disk.
@@ -946,10 +926,8 @@ impl Drop for TempDir {
 enum SpillOp {
     /// Submit payload `i`; the budget may spill as a side effect.
     Upload(usize),
-    /// Evict everything: fold every epoch's resident deltas to disk.
+    /// Evict everything: write every epoch's resident runs to disk.
     Spill,
-    /// Collapse resident deltas into one canonical partial.
-    Compact,
     /// Durable snapshot referencing the spilled segments.
     Checkpoint,
     /// kill -9: discard the live state, reload from disk — the
@@ -989,9 +967,6 @@ fn run_spill_schedule(ops: &[SpillOp], pool: &[Vec<u8>], mem_budget: usize) {
             SpillOp::Spill => {
                 state.spill_all();
             }
-            SpillOp::Compact => {
-                state.compact();
-            }
             SpillOp::Checkpoint => {
                 save_to(&state, &state_dir).expect("checkpoint writes");
                 checkpointed = Some(model.clone());
@@ -1023,9 +998,8 @@ fn run_spill_schedule(ops: &[SpillOp], pool: &[Vec<u8>], mem_budget: usize) {
 
 fn spill_ops() -> impl Strategy<Value = Vec<SpillOp>> {
     let op = (0u8..16, 0usize..12).prop_map(|(kind, i)| match kind {
-        0..=6 => SpillOp::Upload(i),
-        7 | 8 => SpillOp::Spill,
-        9 => SpillOp::Compact,
+        0..=7 => SpillOp::Upload(i),
+        8 | 9 => SpillOp::Spill,
         10 | 11 => SpillOp::Checkpoint,
         12 | 13 => SpillOp::Restart,
         _ => SpillOp::Query,
@@ -1037,7 +1011,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The bounded-memory headline property: **any** schedule of
-    /// uploads, spills, compactions, checkpoints, kill -9 restarts,
+    /// uploads, spills, checkpoints, kill -9 restarts,
     /// and queries under **any** budget — zero (fully spilled), small
     /// (mixed resident/spilled), or unbounded (explicit spills only)
     /// — serves byte-identical reports to the batch reference.
@@ -1115,7 +1089,7 @@ fn a_fully_spilled_daemon_equals_a_resident_one() {
 // The query cache: a caching daemon and a cache-disabled daemon driven
 // in lockstep must serve byte-identical reports to each other and to
 // the batch reference at every query, under any interleaving of
-// {upload, query, compact, spill, checkpoint, kill -9 restart, query}
+// {upload, query, spill, checkpoint, kill -9 restart, query}
 // and any budget. A restart may empty the cache; it must never change
 // a query byte. The cluster variant proves the same for the delta
 // protocol: a coordinator riding `NotModified` replies answers
@@ -1130,8 +1104,6 @@ enum CacheOp {
     Upload(usize),
     /// Evict everything on both daemons.
     Spill,
-    /// Collapse resident deltas on both daemons.
-    Compact,
     /// Durable snapshot of both daemons (each to its own directory).
     Checkpoint,
     /// kill -9 both daemons: reload from disk; the caches start empty.
@@ -1200,10 +1172,6 @@ fn run_cache_schedule(ops: &[CacheOp], pool: &[Vec<u8>], mem_budget: usize) {
                 cached.spill_all();
                 plain.spill_all();
             }
-            CacheOp::Compact => {
-                cached.compact();
-                plain.compact();
-            }
             CacheOp::Checkpoint => {
                 save_to(&cached, &state_dir_for(true)).expect("checkpoint");
                 save_to(&plain, &state_dir_for(false)).expect("checkpoint");
@@ -1234,9 +1202,8 @@ fn cache_ops() -> impl Strategy<Value = Vec<CacheOp>> {
     // property under test is the warm path, so back-to-back queries
     // (pure cache hits) must be common.
     let op = (0u8..16, 0usize..12).prop_map(|(kind, i)| match kind {
-        0..=5 => CacheOp::Upload(i),
-        6 | 7 => CacheOp::Spill,
-        8 => CacheOp::Compact,
+        0..=6 => CacheOp::Upload(i),
+        7 | 8 => CacheOp::Spill,
         9 | 10 => CacheOp::Checkpoint,
         11 => CacheOp::Restart,
         _ => CacheOp::Query,
@@ -1372,7 +1339,7 @@ fn coordinator_not_modified_replies_serve_identical_bytes() {
 
 // ---------------------------------------------------------------------
 // The version dimension: any interleaving of version-stamped uploads
-// with {spill, compact, checkpoint, kill -9 restart} under any budget
+// with {spill, checkpoint, kill -9 restart} under any budget
 // must leave each release's diagnosis byte-identical to the batch
 // reference over that release's accepted traces, the unversioned
 // query byte-identical to the reference over *all* accepted traces in
@@ -1522,10 +1489,8 @@ fn assert_versioned_matches_reference(
 enum VersionOp {
     /// Submit versioned payload `i`; the budget may spill it.
     Upload(usize),
-    /// Evict everything: fold every release's resident deltas to disk.
+    /// Evict everything: write every release's resident runs to disk.
     Spill,
-    /// Collapse resident deltas into canonical per-release partials.
-    Compact,
     /// Durable snapshot carrying the version split.
     Checkpoint,
     /// kill -9: discard the live state, reload from disk.
@@ -1570,9 +1535,6 @@ fn run_version_schedule(
             }
             VersionOp::Spill => {
                 state.spill_all();
-            }
-            VersionOp::Compact => {
-                state.compact();
             }
             VersionOp::Checkpoint => {
                 save_to(&state, &state_dir).expect("checkpoint writes");
@@ -1630,9 +1592,8 @@ fn run_version_schedule(
 
 fn version_ops() -> impl Strategy<Value = Vec<VersionOp>> {
     let op = (0u8..16, 0usize..12).prop_map(|(kind, i)| match kind {
-        0..=6 => VersionOp::Upload(i),
-        7 => VersionOp::Spill,
-        8 => VersionOp::Compact,
+        0..=7 => VersionOp::Upload(i),
+        8 => VersionOp::Spill,
         9 | 10 => VersionOp::Checkpoint,
         11 | 12 => VersionOp::Restart,
         13 | 14 => VersionOp::Regressions,
@@ -1645,7 +1606,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The version-dimension headline property: **any** schedule of
-    /// version-stamped uploads, spills, compactions, checkpoints,
+    /// version-stamped uploads, spills, checkpoints,
     /// kill -9 restarts, differential queries, and per-release /
     /// unversioned queries under **any** budget — zero, small, or
     /// unbounded — serves byte-identical answers to the references
@@ -1667,9 +1628,9 @@ proptest! {
 /// duress: a zero-budget daemon spills every versioned upload; the
 /// differential answer holds cold, folded back from disk, across a
 /// checkpoint + kill -9 that loses the tail, and after the tail is
-/// re-driven (dedup absorbing the resends) and compacted.
+/// re-driven (dedup absorbing the resends) into the restored runs.
 #[test]
-fn a_release_gate_survives_spill_compact_and_kill_dash_nine() {
+fn a_release_gate_survives_spill_and_kill_dash_nine() {
     let pool = versioned_pool();
     let mut ops: Vec<VersionOp> = Vec::new();
     ops.extend((0..8).map(VersionOp::Upload));
@@ -1682,7 +1643,6 @@ fn a_release_gate_survives_spill_compact_and_kill_dash_nine() {
     ops.push(VersionOp::Query); // == references as of the checkpoint
     ops.push(VersionOp::Regressions);
     ops.extend((6..12).map(VersionOp::Upload)); // re-drive incl. resends
-    ops.push(VersionOp::Compact);
     ops.push(VersionOp::Regressions); // == full-fleet differential
     ops.push(VersionOp::Query);
     run_version_schedule(&ops, &pool, 0);
@@ -1690,7 +1650,7 @@ fn a_release_gate_survives_spill_compact_and_kill_dash_nine() {
 
 // ---------------------------------------------------------------------
 // The operator report: any interleaving of version-stamped uploads
-// with {spill, compact, checkpoint, kill -9 restart, report} under any
+// with {spill, checkpoint, kill -9 restart, report} under any
 // budget must render both artifacts — the static HTML page and
 // report.json — byte-identical to the batch surface
 // (`energydx report --bundles`) rebuilt from scratch over the same
@@ -1798,10 +1758,8 @@ fn assert_report_matches_batch(state: &FleetState, model: &ReportModel) {
 enum ReportOp {
     /// Submit versioned payload `i`; the budget may spill it.
     Upload(usize),
-    /// Evict everything: fold every release's resident deltas to disk.
+    /// Evict everything: write every release's resident runs to disk.
     Spill,
-    /// Collapse resident deltas into canonical per-release partials.
-    Compact,
     /// Durable snapshot carrying the version split and accounting.
     Checkpoint,
     /// kill -9: discard the live state, reload from disk.
@@ -1847,9 +1805,6 @@ fn run_report_schedule(
             ReportOp::Spill => {
                 state.spill_all();
             }
-            ReportOp::Compact => {
-                state.compact();
-            }
             ReportOp::Checkpoint => {
                 save_to(&state, &state_dir).expect("checkpoint writes");
                 checkpointed = Some(model.clone());
@@ -1888,9 +1843,8 @@ fn run_report_schedule(
 
 fn report_ops() -> impl Strategy<Value = Vec<ReportOp>> {
     let op = (0u8..16, 0usize..12).prop_map(|(kind, i)| match kind {
-        0..=6 => ReportOp::Upload(i),
-        7 | 8 => ReportOp::Spill,
-        9 => ReportOp::Compact,
+        0..=7 => ReportOp::Upload(i),
+        8 | 9 => ReportOp::Spill,
         10 | 11 => ReportOp::Checkpoint,
         12 | 13 => ReportOp::Restart,
         _ => ReportOp::Report,
@@ -1903,7 +1857,7 @@ proptest! {
 
     /// The operator-report headline property: **any** schedule of
     /// version-stamped uploads (clean, damaged, duplicated), spills,
-    /// compactions, checkpoints, and kill -9 restarts under **any**
+    /// checkpoints, and kill -9 restarts under **any**
     /// budget renders both artifacts byte-identical to the batch
     /// surface rebuilt from scratch over the same accepted uploads.
     #[test]
@@ -1923,9 +1877,9 @@ proptest! {
 /// zero-budget daemon spills every versioned upload; the rendered
 /// artifacts hold cold, folded back from disk, across a checkpoint +
 /// kill -9 that loses the tail, and after the tail is re-driven
-/// (dedup absorbing the resends) and compacted.
+/// (dedup absorbing the resends) into the restored runs.
 #[test]
-fn a_report_survives_spill_compact_and_kill_dash_nine() {
+fn a_report_survives_spill_and_kill_dash_nine() {
     let pool = versioned_pool();
     let mut ops: Vec<ReportOp> = Vec::new();
     ops.extend((0..8).map(ReportOp::Upload));
@@ -1937,7 +1891,6 @@ fn a_report_survives_spill_compact_and_kill_dash_nine() {
     ops.push(ReportOp::Restart); // kill -9, restore from disk
     ops.push(ReportOp::Report); // == batch as of the checkpoint
     ops.extend((6..12).map(ReportOp::Upload)); // re-drive incl. resends
-    ops.push(ReportOp::Compact);
     ops.push(ReportOp::Report); // == full-fleet batch surface
     run_report_schedule(&ops, &pool, 0);
 }
