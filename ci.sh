@@ -27,9 +27,11 @@ echo "== benchmark budget gates (smoke) =="
 # regen_results.sh regenerates from the same list, so a budget and
 # its gate can never drift apart. Per bin:
 #   hotpath — per-instance allocation bytes of the interned Steps 2-5
-#             path (e.g. a return to per-instance string cloning), and
+#             path (e.g. a return to per-instance string cloning),
 #             bytes allocated per body byte to encode and to read +
-#             decode a 2 MiB Report frame (a return to joined copies).
+#             decode a 2 MiB Report frame (a return to joined copies),
+#             and trace, instance, vocabulary and frame-body counts
+#             exactly as stored.
 #   ingest  — batch identity of the resident daemon, accepted /
 #             quarantined counts and checkpoint bytes exactly as
 #             stored, the checkpoint bytes-per-trace budget, and
@@ -42,20 +44,26 @@ echo "== benchmark budget gates (smoke) =="
 #             under resident.
 #   query   — generation-keyed query cache: warm repeats >= the
 #             speedup budget, spilled warm queries keep up with
-#             resident ones, coordinator NotModified replies stay
-#             smaller on the wire than the full partial.
+#             resident ones, a fresh query on a 400-upload state
+#             diagnosed after every upload costs <= 1.3x one on a
+#             state diagnosed once (no fold state may grow with query
+#             history), coordinator NotModified replies stay smaller
+#             on the wire than the full partial, and upload, accepted,
+#             spilled-segment and wire-byte counts exactly as stored.
 #   cluster — the merged 3-worker answer equals one daemon fed the
 #             same payloads in shard order; accepted / quarantined
 #             counts and replica bytes exactly as stored; replicated
 #             checkpoints stay under the bytes-per-trace budget.
 #   regress — the release gate: every injected v2 bug (loop,
 #             no-sleep, configuration) is flagged regressed, zero
-#             bug-free controls are, and a warm differential query
-#             beats cold by the stored speedup budget.
+#             bug-free controls are, case, upload and accepted counts
+#             match the stored ones exactly, and a warm differential
+#             query beats cold by the stored speedup budget.
 #   report  — the operator report: daemon and batch surfaces render
 #             identical artifacts, warm renders beat cold by the
-#             stored speedup budget, and both artifacts stay under
-#             their KiB weight caps.
+#             stored speedup budget, both artifacts stay under their
+#             KiB weight caps, and upload, accepted and artifact byte
+#             counts match the stored ones exactly.
 for b in hotpath ingest spill query cluster regress report; do
   echo "-- $b (BENCH_$b.json)"
   cargo run -q --release -p energydx-bench --bin "$b" -- \

@@ -31,8 +31,10 @@
 //! the measurement and fails (exit 1) if bytes allocated per instance
 //! on the hot path exceed the `budget_bytes_per_instance` recorded in
 //! the given JSON file, or either frame region exceeds its
-//! `budget_frame_*_bytes_per_body_byte` — the CI regression gate.
-//! Allocator counts repeat exactly, so the gate does not flake.
+//! `budget_frame_*_bytes_per_body_byte`, or if a corpus-determined
+//! field (traces, instances, vocab, frame body bytes) differs from the
+//! stored one — the CI regression gate. Allocator counts repeat
+//! exactly, so the gate does not flake.
 //! `--obsv` attaches a live metrics registry to the pipeline, so the
 //! measured regions include the per-stage span instrumentation;
 //! `--obsv --check` against the stored budget is the metrics-overhead
@@ -42,6 +44,7 @@ use energydx::pipeline::{
     step2_rank, step3_normalize, step4_detect, step5_report, EventGroups,
 };
 use energydx::{AnalysisConfig, DiagnosisInput, EnergyDx};
+use energydx_bench::harness::{exact_fields_match, stored_f64};
 use energydx_fleetd::protocol::{read_frame, Response};
 use energydx_trace::event::{Direction, EventRecord, EventTrace};
 use energydx_trace::join_power;
@@ -401,19 +404,6 @@ fn run(smoke: bool, obsv: bool) -> Report {
     out
 }
 
-/// Pulls the number stored under `"<key>":` out of a stored report
-/// without a JSON dependency.
-fn parse_budget(json: &str, key: &str) -> Option<f64> {
-    let key = format!("\"{key}\":");
-    let at = json.find(&key)? + key.len();
-    let rest = json[at..].trim_start();
-    let number: String = rest
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.')
-        .collect();
-    number.parse().ok()
-}
-
 fn main() {
     let mut smoke = false;
     let mut obsv = false;
@@ -463,7 +453,7 @@ fn main() {
         let stored = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("reading {path}: {e}"));
         let budget = |key: &str| {
-            parse_budget(&stored, key)
+            stored_f64(&stored, &[key])
                 .unwrap_or_else(|| panic!("no {key} in {path}"))
         };
         let gates = [
@@ -486,7 +476,15 @@ fn main() {
                 "bytes allocated per body byte",
             ),
         ];
-        let mut failed = false;
+        let mut failed = !exact_fields_match(
+            &stored,
+            &[
+                (&["traces"], report.traces as u64),
+                (&["instances"], report.instances as u64),
+                (&["vocab"], VOCAB.len() as u64),
+                (&["frame_body_bytes"], report.frame_body_bytes as u64),
+            ],
+        );
         for (what, measured, budget, unit) in gates {
             if measured > budget {
                 eprintln!(

@@ -3,12 +3,16 @@
 //! Ingests a deterministic corpus once and measures what a dashboard
 //! actually pays: the **cold** query (full fold + analysis), the
 //! **warm** repeat (an analyzed-cache hit — clone + render only), and
-//! the **1-delta** query (one new upload folded onto the cached
-//! prefix). The same three measurements run against a fully spilled
-//! daemon, whose warm queries must not pay the disk again. The wire
-//! half of the story is measured byte-exactly: a coordinator's
-//! `PartialNotModified` reply versus the full `PartialState` it
-//! replaces.
+//! the **1-delta** query (a fresh fold + analysis after one new
+//! upload). The cold and warm measurements also run against a fully
+//! spilled daemon, whose warm queries must not pay the disk again. The
+//! **history ratio** checks that a fresh query's cost does not depend
+//! on how often the state was queried before: the minimum over
+//! `HISTORY_SAMPLES` fresh Diagnoses (one more upload each) on a state
+//! diagnosed after every upload, over the same figure for a state
+//! diagnosed once. The wire half of the story is measured
+//! byte-exactly: a coordinator's `PartialNotModified` reply versus the
+//! full `PartialState` it replaces.
 //!
 //! ```text
 //! query [--smoke] [--write <path>] [--check <path>]
@@ -19,13 +23,19 @@
 //! (exit 1) when the warm repeat is less than the stored
 //! `budget_min_warm_speedup` times faster than cold, when the spilled
 //! warm query is slower than the resident one beyond the stored
-//! noise ratio, or when `NotModified` stops being measurably smaller
-//! on the wire than a full partial. Every timing gate compares a
+//! noise ratio, when the history ratio exceeds the stored
+//! `budget_history_ratio`, when `NotModified` stops being measurably
+//! smaller on the wire than a full partial, or when a
+//! corpus-determined field (uploads, accepted, spilled segments, both
+//! wire sizes) differs from the stored one. The warm gates compare a
 //! minimum over many repeats of a microsecond-scale path against a
-//! millisecond-scale one, so the margins absorb scheduler noise, not
-//! regressions.
+//! millisecond-scale one, and the history gate compares two minima of
+//! the same millisecond-scale path, so the margins absorb scheduler
+//! noise, not regressions.
 
-use energydx_bench::harness::{corpus, timed};
+use energydx_bench::harness::{
+    corpus, exact_fields_match, stored_f64, stored_u64, timed,
+};
 use energydx_fleetd::fixture;
 use energydx_fleetd::protocol::{PartialStatus, Response};
 use energydx_fleetd::state::{
@@ -58,6 +68,45 @@ fn ingest(config: FleetConfig, payloads: &[Vec<u8>]) -> FleetState {
     state
 }
 
+/// Fresh Diagnoses per state in the history measurement.
+const HISTORY_SAMPLES: usize = 16;
+
+/// `(users, sessions)` of the history measurement's corpus, in both
+/// modes: 400 uploads, so 400 queries of history stand behind the
+/// queried state's fresh Diagnoses.
+const HISTORY_CORPUS: (usize, u64) = (200, 2);
+
+/// Seconds of a fresh Diagnose: one more upload (so the analyzed
+/// cache misses), then one timed query.
+fn fresh_secs(state: &mut FleetState, payload: &[u8]) -> f64 {
+    assert!(state.submit("bench", payload).accepted());
+    let (json, secs) = timed(|| state.diagnose_json("bench", None));
+    black_box(json.expect("bench app serves"));
+    secs
+}
+
+/// The history ratio: the minimum fresh-query cost on a state
+/// diagnosed after every upload, over that on one diagnosed once. The
+/// two states take their samples in turn, so a drift in machine speed
+/// lands on both.
+fn history_ratio(config: &FleetConfig) -> f64 {
+    let payloads = &corpus(HISTORY_CORPUS.0, HISTORY_CORPUS.1);
+    let mut queried = FleetState::new(config.clone());
+    for payload in payloads {
+        black_box(queried.submit("bench", payload));
+        black_box(queried.diagnose_json("bench", None).ok());
+    }
+    let mut once = ingest(config.clone(), payloads);
+    black_box(once.diagnose_json("bench", None).ok());
+    let (mut queried_secs, mut once_secs) = (f64::INFINITY, f64::INFINITY);
+    for n in 0..HISTORY_SAMPLES {
+        let payload = fixture::payload(&format!("h{n:04}"), 0);
+        queried_secs = queried_secs.min(fresh_secs(&mut queried, &payload));
+        once_secs = once_secs.min(fresh_secs(&mut once, &payload));
+    }
+    queried_secs / once_secs
+}
+
 struct Report {
     mode: &'static str,
     uploads: usize,
@@ -68,10 +117,12 @@ struct Report {
     spilled_cold_secs: f64,
     spilled_warm_secs: f64,
     spilled_segments: usize,
+    history_ratio: f64,
     notmod_wire_bytes: usize,
     full_partial_wire_bytes: usize,
     budget_min_warm_speedup: u64,
     budget_spilled_warm_ratio: u64,
+    budget_history_ratio: f64,
     budget_min_wire_shrink: u64,
 }
 
@@ -84,10 +135,12 @@ impl Report {
              \"resident_delta_secs\": {:.6},\n  \
              \"spilled_cold_secs\": {:.6},\n  \
              \"spilled_warm_secs\": {:.6},\n  \"spilled_segments\": {},\n  \
+             \"history_ratio\": {:.3},\n  \
              \"notmod_wire_bytes\": {},\n  \
              \"full_partial_wire_bytes\": {},\n  \
              \"budget_min_warm_speedup\": {},\n  \
              \"budget_spilled_warm_ratio\": {},\n  \
+             \"budget_history_ratio\": {},\n  \
              \"budget_min_wire_shrink\": {}\n}}\n",
             self.mode,
             self.uploads,
@@ -98,10 +151,12 @@ impl Report {
             self.spilled_cold_secs,
             self.spilled_warm_secs,
             self.spilled_segments,
+            self.history_ratio,
             self.notmod_wire_bytes,
             self.full_partial_wire_bytes,
             self.budget_min_warm_speedup,
             self.budget_spilled_warm_ratio,
+            self.budget_history_ratio,
             self.budget_min_wire_shrink,
         )
     }
@@ -119,7 +174,7 @@ fn run(smoke: bool) -> Report {
         jobs: 1,
         ..FleetConfig::default()
     };
-    let mut resident = ingest(resident_config, &payloads);
+    let mut resident = ingest(resident_config.clone(), &payloads);
     let (cold_json, resident_cold_secs) =
         timed(|| resident.diagnose_json("bench", None));
     let cold_json = cold_json.expect("bench app has accepted traces");
@@ -145,7 +200,7 @@ fn run(smoke: bool) -> Report {
         cold_json,
         "the query cache changed the served bytes"
     );
-    // 1-delta: one fresh upload folds onto the cached prefix.
+    // 1-delta: one fresh upload, then a fresh fold + analysis.
     let extra = fixture::payload("u9999", 0);
     assert!(resident.submit("bench", &extra).accepted());
     let (delta_json, resident_delta_secs) =
@@ -182,6 +237,9 @@ fn run(smoke: bool) -> Report {
         wire_sizes(&spilling).expect("bench app answers a partial query");
     let _ = std::fs::remove_dir_all(&spool);
 
+    // --- Query history must not change a fresh query's cost. ---------
+    let history_ratio = history_ratio(&resident_config);
+
     Report {
         mode: if smoke { "smoke" } else { "full" },
         uploads: payloads.len(),
@@ -192,6 +250,7 @@ fn run(smoke: bool) -> Report {
         spilled_cold_secs,
         spilled_warm_secs,
         spilled_segments,
+        history_ratio,
         notmod_wire_bytes,
         full_partial_wire_bytes,
         // A warm repeat is a clone + render against a cold full
@@ -200,6 +259,10 @@ fn run(smoke: bool) -> Report {
         // Warm queries are analyzed-cache hits on both daemons, so
         // the ratio budget is pure scheduler-noise allowance.
         budget_spilled_warm_ratio: 2,
+        // Both sides run the same fold + analysis over the same
+        // traces; anything a query leaves behind that a later fresh
+        // query must pay for shows as a ratio above 1.
+        budget_history_ratio: 1.3,
         budget_min_wire_shrink: 4,
     }
 }
@@ -232,17 +295,6 @@ fn wire_sizes(state: &FleetState) -> Result<(usize, usize), QueryError> {
             unreachable!("a token-free query always returns the partial")
         }
     }
-}
-
-/// Pulls `"<key>": <n>` out of a stored report without a JSON
-/// dependency.
-fn parse_num(json: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let digits: String =
-        rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
 }
 
 fn main() {
@@ -282,15 +334,32 @@ fn main() {
     if let Some(path) = check {
         let stored = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+        let exact = exact_fields_match(
+            &stored,
+            &[
+                (&["uploads"], report.uploads as u64),
+                (&["accepted"], report.accepted as u64),
+                (&["spilled_segments"], report.spilled_segments as u64),
+                (&["notmod_wire_bytes"], report.notmod_wire_bytes as u64),
+                (
+                    &["full_partial_wire_bytes"],
+                    report.full_partial_wire_bytes as u64,
+                ),
+            ],
+        );
         let budget = |key: &str| {
-            parse_num(&stored, key)
+            stored_u64(&stored, &[key])
                 .unwrap_or_else(|| panic!("no {key} in {}", path.display()))
         };
         let min_speedup = budget("budget_min_warm_speedup") as f64;
         let warm_ratio = budget("budget_spilled_warm_ratio") as f64;
         let wire_shrink = budget("budget_min_wire_shrink") as usize;
+        let max_history = stored_f64(&stored, &["budget_history_ratio"])
+            .unwrap_or_else(|| {
+                panic!("no budget_history_ratio in {}", path.display())
+            });
         let speedup = report.resident_cold_secs / report.resident_warm_secs;
-        let mut failed = false;
+        let mut failed = !exact;
         if speedup < min_speedup {
             eprintln!(
                 "warm-query regression: a repeat query is only {speedup:.1}x \
@@ -304,6 +373,15 @@ fn main() {
                  spilled query is paying the disk again (noise budget: \
                  {warm_ratio}x)",
                 report.spilled_warm_secs, report.resident_warm_secs
+            );
+            failed = true;
+        }
+        if report.history_ratio > max_history {
+            eprintln!(
+                "query-history regression: a fresh query on a state queried \
+                 after every upload costs {:.2}x one on a state queried once \
+                 (budget: <= {max_history}x)",
+                report.history_ratio
             );
             failed = true;
         }
@@ -322,9 +400,11 @@ fn main() {
         }
         eprintln!(
             "warm {speedup:.0}x faster than cold; spilled warm {:.6}s vs \
-             resident warm {:.6}s; NotModified {}B vs full partial {}B",
+             resident warm {:.6}s; history ratio {:.2}; NotModified {}B vs \
+             full partial {}B",
             report.spilled_warm_secs,
             report.resident_warm_secs,
+            report.history_ratio,
             report.notmod_wire_bytes,
             report.full_partial_wire_bytes,
         );

@@ -27,14 +27,17 @@
 //! `--write` stores the report as JSON (see `BENCH_regress.json` at
 //! the repo root); `--check` re-runs the smoke measurement and fails
 //! (exit 1) when any treatment escapes undetected, any control is
-//! flagged, or the warm differential query is less than the stored
-//! `budget_min_warm_speedup` times faster than cold. The detector
-//! gates are exact counts over a deterministic fleet; only the
-//! speedup gate involves timing, and it compares a microsecond-scale
-//! cache hit against a millisecond-scale double fold.
+//! flagged, a corpus-determined count (cases, treatments, controls
+//! and their flagged counts, uploads, accepted) differs from the
+//! stored one, or the warm differential query is less than the
+//! stored `budget_min_warm_speedup` times faster than cold. The
+//! detector gates are exact counts over a deterministic fleet; only
+//! the speedup gate involves timing, and it compares a
+//! microsecond-scale cache hit against a millisecond-scale double
+//! fold.
 
 use energydx::{AnalysisConfig, EnergyDx};
-use energydx_bench::harness::timed;
+use energydx_bench::harness::{exact_fields_match, stored_u64, timed};
 use energydx_fleetd::fixture;
 use energydx_fleetd::state::{FleetConfig, FleetState};
 use energydx_regress::{compare, RegressConfig, Verdict};
@@ -234,17 +237,6 @@ fn run(smoke: bool) -> Report {
     }
 }
 
-/// Pulls `"<key>": <n>` out of a stored report without a JSON
-/// dependency.
-fn parse_num(json: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let digits: String =
-        rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
 fn main() {
     let mut smoke = false;
     let mut write: Option<String> = None;
@@ -283,11 +275,23 @@ fn main() {
     if let Some(path) = check {
         let stored = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
-        let min_speedup = parse_num(&stored, "budget_min_warm_speedup")
+        let exact = exact_fields_match(
+            &stored,
+            &[
+                (&["cases"], report.cases as u64),
+                (&["treatments"], report.treatments as u64),
+                (&["treatments_flagged"], report.treatments_flagged as u64),
+                (&["controls"], report.controls as u64),
+                (&["controls_flagged"], report.controls_flagged as u64),
+                (&["uploads"], report.uploads as u64),
+                (&["accepted"], report.accepted as u64),
+            ],
+        );
+        let min_speedup = stored_u64(&stored, &["budget_min_warm_speedup"])
             .unwrap_or_else(|| {
                 panic!("no budget_min_warm_speedup in {}", path.display())
             }) as f64;
-        let mut failed = false;
+        let mut failed = !exact;
         if report.treatments_flagged < report.treatments {
             eprintln!(
                 "recall regression: only {}/{} injected release bugs \

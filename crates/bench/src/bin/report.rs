@@ -19,13 +19,15 @@
 //! `--write` stores the report as JSON (see `BENCH_report.json` at the
 //! repo root); `--check` re-runs the smoke measurement and fails
 //! (exit 1) when the warm render is less than the stored
-//! `budget_min_warm_speedup` times faster than cold, or when either
-//! artifact outgrows its stored KiB budget. The timing gate compares
-//! a render-only path against full refolds of the whole fleet, so the
+//! `budget_min_warm_speedup` times faster than cold, when either
+//! artifact outgrows its stored KiB budget, or when a
+//! corpus-determined field (uploads, accepted, html and json bytes)
+//! differs from the stored one. The timing gate compares a
+//! render-only path against full refolds of the whole fleet, so the
 //! margin absorbs scheduler noise, not regressions; the size gates
 //! are exact byte counts.
 
-use energydx_bench::harness::timed;
+use energydx_bench::harness::{exact_fields_match, stored_u64, timed};
 use energydx_fleetd::convert::bundle_to_trace;
 use energydx_fleetd::fixture;
 use energydx_fleetd::report::{fleet_report, RenderedReport};
@@ -215,17 +217,6 @@ fn run(smoke: bool) -> Report {
     }
 }
 
-/// Pulls `"<key>": <n>` out of a stored report without a JSON
-/// dependency.
-fn parse_num(json: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let digits: String =
-        rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
-}
-
 fn main() {
     let mut smoke = false;
     let mut write: Option<String> = None;
@@ -263,15 +254,24 @@ fn main() {
     if let Some(path) = check {
         let stored = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+        let exact = exact_fields_match(
+            &stored,
+            &[
+                (&["uploads"], report.uploads as u64),
+                (&["accepted"], report.accepted as u64),
+                (&["html_bytes"], report.html_bytes as u64),
+                (&["json_bytes"], report.json_bytes as u64),
+            ],
+        );
         let budget = |key: &str| {
-            parse_num(&stored, key)
+            stored_u64(&stored, &[key])
                 .unwrap_or_else(|| panic!("no {key} in {}", path.display()))
         };
         let min_speedup = budget("budget_min_warm_speedup") as f64;
         let max_html = budget("budget_max_html_kib") as usize * 1024;
         let max_json = budget("budget_max_json_kib") as usize * 1024;
         let speedup = report.cold_render_secs / report.warm_render_secs;
-        let mut failed = false;
+        let mut failed = !exact;
         if speedup < min_speedup {
             eprintln!(
                 "warm-render regression: a repeat render is only \

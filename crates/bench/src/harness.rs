@@ -1,7 +1,8 @@
 //! Scaffolding shared by the gated benchmark bins (`cluster`,
-//! `ingest`, `query`, `spill`, `regress`, `report`): the seeded
-//! damaged upload corpus, a one-shot wall-clock timer, and the exact
-//! comparison of a report's deterministic fields with the stored one.
+//! `hotpath`, `ingest`, `query`, `spill`, `regress`, `report`): the
+//! seeded damaged upload corpus, a one-shot wall-clock timer, reads of
+//! a stored report's numbers, and the exact comparison of a report's
+//! deterministic fields with the stored one.
 
 use energydx_fleetd::fixture;
 use energydx_trace::fault::{FaultInjector, FaultKind};
@@ -52,17 +53,36 @@ pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
 /// read without a JSON dependency: each key is found after the one
 /// before it.
 pub fn stored_u64(json: &str, path: &[&str]) -> Option<u64> {
+    stored_number(json, path, |c| c.is_ascii_digit())?
+        .parse()
+        .ok()
+}
+
+/// The decimal number stored under a key path, as [`stored_u64`].
+pub fn stored_f64(json: &str, path: &[&str]) -> Option<f64> {
+    stored_number(json, path, |c| c.is_ascii_digit() || c == '.')?
+        .parse()
+        .ok()
+}
+
+/// The leading run of `number` characters after a key path.
+fn stored_number(
+    json: &str,
+    path: &[&str],
+    number: impl Fn(char) -> bool,
+) -> Option<String> {
     let mut at = 0;
     for key in path {
         let quoted = format!("\"{key}\":");
         at += json[at..].find(&quoted)? + quoted.len();
     }
-    let digits: String = json[at..]
-        .trim_start()
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
+    Some(
+        json[at..]
+            .trim_start()
+            .chars()
+            .take_while(|&c| number(c))
+            .collect(),
+    )
 }
 
 /// Compares measured fields that are pure functions of the corpus

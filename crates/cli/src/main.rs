@@ -38,7 +38,7 @@
 //! on query, byte-identical throughout.
 
 use energydx::par::try_resolve_jobs;
-use energydx::shard::StreamingFold;
+use energydx::shard::ShardPartial;
 use energydx::{AnalysisConfig, DiagnosisInput, DiagnosisReport, EnergyDx};
 use energydx_dexir::instrument::{EventPool, Instrumenter};
 use energydx_dexir::text::{assemble_module, parse_module};
@@ -877,13 +877,9 @@ fn assemble_app_input(
     let dx = EnergyDx::new(config.clone()).with_jobs(jobs);
     let segments = seg_files(dir)?;
     if !segments.is_empty() {
-        let mut fold = StreamingFold::new();
-        for path in &segments {
-            let partial = energydx_segment::load_from(path)
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-            fold.absorb(partial);
-        }
-        let report = dx.finish_streamed(fold).map_err(|e| e.to_string())?;
+        let report = dx
+            .finish(fold_segments(&segments)?)
+            .map_err(|e| e.to_string())?;
         let clean = report.stats.total_traces as u64;
         return Ok(AppInput {
             app: app.to_string(),
@@ -975,15 +971,11 @@ fn stream_bundle_dir(
     dx: &EnergyDx,
     dir: &Path,
 ) -> Result<DiagnosisReport, String> {
-    let mut fold = StreamingFold::new();
     let segments = seg_files(dir)?;
     if !segments.is_empty() {
-        for path in &segments {
-            let partial = energydx_segment::load_from(path)
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-            fold.absorb(partial);
-        }
-        return dx.finish_streamed(fold).map_err(|e| e.to_string());
+        return dx
+            .finish(fold_segments(&segments)?)
+            .map_err(|e| e.to_string());
     }
     let files = edxt_files(dir)?;
     if files.is_empty() {
@@ -999,7 +991,7 @@ fn stream_bundle_dir(
     // (name the files to match the submit schedule).
     let mut seen: std::collections::BTreeSet<(String, u64)> =
         std::collections::BTreeSet::new();
-    let mut accepted = 0usize;
+    let mut fold = ShardPartial::empty();
     for path in &files {
         let payload = std::fs::read(path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -1017,15 +1009,27 @@ fn stream_bundle_dir(
                     continue;
                 }
                 let trace = energydx_fleetd::convert::bundle_to_trace(&bundle);
-                fold.absorb(dx.map_shard(&[trace], accepted));
-                accepted += 1;
+                let end = fold.end_offset();
+                fold = fold.merge(dx.map_shard(&[trace], end));
             }
             PreparedUpload::Rejected(entry) => {
                 eprintln!("warning: {name} quarantined: {}", entry.reason);
             }
         }
     }
-    dx.finish_streamed(fold).map_err(|e| e.to_string())
+    dx.finish(fold).map_err(|e| e.to_string())
+}
+
+/// Loads `*.seg` files (validated against their CRCs) and merges them
+/// in the given order, which for a spill spool is sequence order.
+fn fold_segments(paths: &[PathBuf]) -> Result<ShardPartial, String> {
+    let mut fold = ShardPartial::empty();
+    for path in paths {
+        let partial = energydx_segment::load_from(path)
+            .map_err(|e| format!("{}: {e}", path.display()))?;
+        fold = fold.merge(partial);
+    }
+    Ok(fold)
 }
 
 /// All `*.seg` files in `dir`, sorted by file name (sequence order

@@ -170,6 +170,10 @@ impl ShardPartial {
     /// per-name container overheads — so two identical partials always
     /// account identically, on any platform. It intentionally ignores
     /// allocator slack; budget margins live with the caller.
+    ///
+    /// Instances are counted from the group tables, which hold one
+    /// entry per instance of the segment's traces, so the cost is
+    /// O(segments × vocabulary), not O(traces).
     pub fn approx_bytes(&self) -> usize {
         let names: usize = self
             .interner
@@ -181,8 +185,7 @@ impl ShardPartial {
             .segments
             .values()
             .map(|s| {
-                let instances: usize =
-                    s.traces.iter().map(|t| t.ids().len()).sum();
+                let instances: usize = s.groups.iter().map(Vec::len).sum();
                 SEGMENT_OVERHEAD
                     + s.traces.len() * TRACE_OVERHEAD
                     + instances * INSTANCE_BYTES
@@ -262,46 +265,6 @@ impl ShardPartial {
             .iter()
             .map(|name| self.interner.get(name).map(|id| id.index() as u32))
             .collect()
-    }
-
-    /// The traces at global offsets `from..`, over this partial's
-    /// whole vocabulary — the unread end of a run whose head a fold
-    /// already holds. Keeping the vocabulary (rather than narrowing it
-    /// to the names the tail uses) is what makes `head ⊕ tail` equal
-    /// the whole run: the head's fold plus the tail's names is the
-    /// run's vocabulary again. Group tables are rebuilt from the
-    /// copied traces, so the cost is O(tail + vocabulary).
-    pub fn tail(&self, from: usize) -> ShardPartial {
-        let segments = self
-            .segments
-            .iter()
-            .filter(|(_, s)| s.end() > from)
-            .map(|(&offset, s)| {
-                if offset >= from {
-                    return (offset, s.clone());
-                }
-                let traces = s.traces[from - offset..].to_vec();
-                let mut groups = vec![Vec::new(); s.groups.len()];
-                for trace in &traces {
-                    for (&id, &mw) in trace.ids().iter().zip(trace.powers()) {
-                        groups[id.index()].push(mw);
-                    }
-                }
-                let skipped =
-                    s.skipped.iter().filter(|e| e.0 >= from).copied().collect();
-                let segment = Segment {
-                    offset: from,
-                    traces,
-                    skipped,
-                    groups,
-                };
-                (from, segment)
-            })
-            .collect();
-        ShardPartial {
-            interner: self.interner.clone(),
-            segments,
-        }
     }
 
     fn insert(&mut self, segment: Segment) {
@@ -637,151 +600,6 @@ impl ShardPartial {
     }
 }
 
-/// An incrementally folded fleet: the merged [`ShardPartial`] plus
-/// per-event **sorted runs** maintained alongside it, so the analysis
-/// phase can k-way merge each group's runs
-/// ([`SortedGroup::merge_runs`]) instead of re-argsorting the world
-/// after the fold.
-///
-/// Deltas must arrive in trace order, each extending the fold
-/// contiguously — exactly how the daemon folds spilled segments (seq
-/// order) followed by resident runs (accept order), and how the
-/// streaming CLI folds one bundle file at a time. Under that
-/// discipline every group's population is the concatenation of its
-/// runs in absorb order, so the merged [`SortedGroup`] — and therefore
-/// every statistic [`EnergyDx::analyze_streamed`] serves — is
-/// bit-identical to the one-shot argsort the resident path computes.
-#[derive(Debug, Clone, Default)]
-pub struct StreamingFold {
-    partial: ShardPartial,
-    /// Sorted runs per vocabulary id of `partial`, in trace order.
-    slots: Vec<SlotRuns>,
-}
-
-/// One event group's accumulated sorted runs.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub(crate) struct SlotRuns {
-    /// The group's population, one sorted run per absorbed segment
-    /// that touched it, in absorb (= trace) order.
-    runs: Vec<SortedGroup>,
-    /// A run failed to sort (NaN smuggled into a population): the
-    /// whole group is degenerate, matching what the one-shot argsort
-    /// of the concatenation would conclude.
-    poisoned: bool,
-}
-
-impl StreamingFold {
-    /// The empty fold.
-    pub fn new() -> Self {
-        StreamingFold::default()
-    }
-
-    /// Traces folded so far.
-    pub fn trace_count(&self) -> usize {
-        self.partial.trace_count()
-    }
-
-    /// The merged partial folded so far.
-    pub fn partial(&self) -> &ShardPartial {
-        &self.partial
-    }
-
-    /// Consumes the fold, keeping only the merged partial.
-    pub fn into_partial(self) -> ShardPartial {
-        self.partial
-    }
-
-    /// Deterministic estimate of the fold's resident size in bytes:
-    /// the merged partial plus every retained sorted run. Like
-    /// [`ShardPartial::approx_bytes`], a fixed function of shape, for
-    /// cache budget accounting.
-    pub fn approx_bytes(&self) -> usize {
-        const SLOT_OVERHEAD: usize = 32;
-        let runs: usize = self
-            .slots
-            .iter()
-            .map(|s| {
-                SLOT_OVERHEAD
-                    + s.runs
-                        .iter()
-                        .map(SortedGroup::approx_bytes)
-                        .sum::<usize>()
-            })
-            .sum();
-        self.partial.approx_bytes() + runs
-    }
-
-    /// Folds the next delta in. The delta's group populations are
-    /// sorted now, as runs; the final merge is deferred to
-    /// [`EnergyDx::analyze_streamed`], which k-way merges each group's
-    /// accumulated runs once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the delta does not extend the fold contiguously (its
-    /// first trace must be the fold's current end) — out-of-order
-    /// absorption would silently scramble the run concatenation order,
-    /// so it is a caller error, exactly like overlapping merges.
-    pub fn absorb(&mut self, delta: ShardPartial) {
-        // No traces, nothing to fold — also for a partial that kept a
-        // vocabulary, like the tail of a run past its end.
-        if delta.segments.is_empty() {
-            return;
-        }
-        let start = delta
-            .segments
-            .keys()
-            .next()
-            .copied()
-            .expect("non-empty partial has a segment");
-        assert_eq!(
-            start,
-            self.partial.end_offset(),
-            "streaming fold requires contiguous deltas in trace order"
-        );
-        // Sort the delta's populations while they are still per-run:
-        // one sorted run per (segment, group) in offset order.
-        let delta_names = delta.vocabulary().to_vec();
-        let mut delta_slots: Vec<SlotRuns> =
-            vec![SlotRuns::default(); delta_names.len()];
-        for segment in delta.segments.values() {
-            for (id, powers) in segment.groups.iter().enumerate() {
-                if powers.is_empty() {
-                    continue;
-                }
-                match SortedGroup::new(powers) {
-                    Ok(run) => delta_slots[id].runs.push(run),
-                    Err(_) => delta_slots[id].poisoned = true,
-                }
-            }
-        }
-        let old_names = self.partial.vocabulary().to_vec();
-        self.partial = std::mem::take(&mut self.partial).merge(delta);
-        // The merged vocabulary is the canonical union: re-scatter the
-        // accumulated slots, then append the delta's runs — existing
-        // runs cover earlier traces, so they stay first.
-        let new_names = self.partial.vocabulary();
-        let mut slots: Vec<SlotRuns> =
-            vec![SlotRuns::default(); new_names.len()];
-        for (old_id, slot) in
-            std::mem::take(&mut self.slots).into_iter().enumerate()
-        {
-            let new_id = new_names
-                .binary_search(&old_names[old_id])
-                .expect("union vocabulary keeps every name");
-            slots[new_id] = slot;
-        }
-        for (old_id, slot) in delta_slots.into_iter().enumerate() {
-            let new_id = new_names
-                .binary_search(&delta_names[old_id])
-                .expect("union vocabulary keeps every name");
-            slots[new_id].poisoned |= slot.poisoned;
-            slots[new_id].runs.extend(slot.runs);
-        }
-        self.slots = slots;
-    }
-}
-
 /// The memoized per-event-group statistics cache shared by Steps 2–3,
 /// indexed densely by [`EventId`].
 ///
@@ -817,38 +635,6 @@ impl GroupStatCache {
         GroupStatCache {
             stats: crate::par::par_map(groups, jobs, |_, powers| {
                 GroupStat::compute(powers, config)
-            }),
-        }
-    }
-
-    /// Builds the cache from pre-sorted runs accumulated by a
-    /// [`StreamingFold`]: each group's runs are k-way merged once
-    /// ([`SortedGroup::merge_runs`]) instead of the population being
-    /// re-argsorted, and the merged view serves the same bits as
-    /// [`GroupStatCache::build`] over the concatenated populations.
-    fn build_from_runs(
-        slots: &[SlotRuns],
-        config: &AnalysisConfig,
-        jobs: usize,
-    ) -> Self {
-        GroupStatCache {
-            stats: crate::par::par_map(slots, jobs, |_, slot| {
-                if slot.poisoned {
-                    return GroupStat {
-                        ranks: None,
-                        base: None,
-                    };
-                }
-                match SortedGroup::merge_runs(&slot.runs) {
-                    Ok(group) => GroupStat::of_group(&group, config),
-                    // No runs: the group is empty, hence degenerate —
-                    // the same verdict `SortedGroup::new(&[])` returns
-                    // on the resident path.
-                    Err(_) => GroupStat {
-                        ranks: None,
-                        base: None,
-                    },
-                }
             }),
         }
     }
@@ -895,14 +681,6 @@ impl GroupStat {
                 base: None,
             };
         };
-        GroupStat::of_group(&group, config)
-    }
-
-    /// The shared statistics body, given the sorted view — whether it
-    /// came from a fresh argsort ([`GroupStat::compute`]) or a k-way
-    /// run merge ([`GroupStatCache::build_from_runs`]), the same
-    /// expressions run on the same bits.
-    fn of_group(group: &SortedGroup, config: &AnalysisConfig) -> GroupStat {
         let ranks = Some(group.average_ranks());
         let base =
             group.percentile(config.base_percentile).ok().and_then(|p| {
@@ -1198,51 +976,11 @@ impl EnergyDx {
                 }
                 None => (Vec::new(), Vec::new(), Vec::new()),
             };
-        let cache = GroupStatCache::build(&groups, self.config(), self.jobs());
-        Ok(self.analyze_with_cache(interner, traces, skipped, cache))
-    }
-
-    /// Steps 2–5 over a [`StreamingFold`] — the same analysis as
-    /// [`EnergyDx::analyze`] but with the group statistics served from
-    /// the fold's accumulated sorted runs (one k-way merge per group,
-    /// never a re-argsort). Byte-identical to analyzing the fold's
-    /// merged partial on the resident path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardError::IncompleteFleet`] if the fold's partial
-    /// does not form one contiguous run starting at trace 0.
-    pub fn analyze_streamed(
-        &self,
-        fold: StreamingFold,
-    ) -> Result<AnalyzedFleet, ShardError> {
-        let _span = self.metrics.span("analyze");
-        let StreamingFold { partial, slots } = fold;
-        if !partial.is_complete() {
-            return Err(ShardError::IncompleteFleet {
-                covered: partial.segments.keys().copied().collect(),
-            });
-        }
-        let cache =
-            GroupStatCache::build_from_runs(&slots, self.config(), self.jobs());
-        let interner = partial.interner;
-        let (traces, skipped) = match partial.segments.into_values().next() {
-            Some(segment) => (segment.traces, segment.skipped),
-            None => (Vec::new(), Vec::new()),
-        };
-        Ok(self.analyze_with_cache(interner, traces, skipped, cache))
-    }
-
-    /// The shared per-trace half of Steps 2–5, once the group
-    /// statistics cache exists.
-    fn analyze_with_cache(
-        &self,
-        interner: EventInterner,
-        traces: Vec<InternedTrace>,
-        skipped: Vec<(usize, usize)>,
-        cache: GroupStatCache,
-    ) -> AnalyzedFleet {
         let config = self.config();
+        let cache = GroupStatCache::build(&groups, config, self.jobs());
+        // The cache's sorted views hold all Steps 2–5 still need of the
+        // populations: free them before the per-trace pass.
+        drop(groups);
         let bases = cache.bases();
 
         let per_trace =
@@ -1267,7 +1005,7 @@ impl EnergyDx {
             outcomes.push(outcome);
         }
 
-        AnalyzedFleet {
+        Ok(AnalyzedFleet {
             degenerate_groups: cache.degenerate_count(),
             rankings: cache.into_rankings(),
             interner,
@@ -1275,7 +1013,7 @@ impl EnergyDx {
             skipped,
             outcomes,
             step5,
-        }
+        })
     }
 
     /// The reduce phase, rendering half: resolves interned ids back to
@@ -1370,20 +1108,6 @@ impl EnergyDx {
     ) -> Result<DiagnosisReport, ShardError> {
         let _span = self.metrics.span("finish");
         Ok(self.render(self.analyze(partial)?))
-    }
-
-    /// [`EnergyDx::analyze_streamed`] then [`EnergyDx::render`] — the
-    /// streaming counterpart of [`EnergyDx::finish`].
-    ///
-    /// # Errors
-    ///
-    /// As [`EnergyDx::analyze_streamed`].
-    pub fn finish_streamed(
-        &self,
-        fold: StreamingFold,
-    ) -> Result<DiagnosisReport, ShardError> {
-        let _span = self.metrics.span("finish");
-        Ok(self.render(self.analyze_streamed(fold)?))
     }
 
     /// Diagnoses the fleet in `shards` independent shards whose
@@ -1606,58 +1330,6 @@ mod tests {
         assert!(analyzed.detection_count() >= 1);
         let report = dx.render(analyzed);
         assert_eq!(report, dx.diagnose_reference(&input));
-    }
-
-    #[test]
-    fn streaming_fold_equals_the_resident_path_byte_for_byte() {
-        let input = fleet();
-        let dx = EnergyDx::default();
-        let traces = input.traces();
-        let reference = dx.diagnose_reference(&input).to_canonical_json();
-        // Fold one trace at a time, two at a time, and in a 3/4 split:
-        // every schedule must serve the reference bytes.
-        for chunk in [1, 2, 3] {
-            let mut fold = StreamingFold::new();
-            let mut offset = 0;
-            for slice in traces.chunks(chunk) {
-                fold.absorb(dx.map_shard(slice, offset));
-                offset += slice.len();
-            }
-            assert_eq!(fold.trace_count(), traces.len());
-            let report = dx.finish_streamed(fold).unwrap();
-            assert_eq!(
-                report.to_canonical_json(),
-                reference,
-                "chunk = {chunk}"
-            );
-        }
-    }
-
-    #[test]
-    fn streaming_fold_of_nothing_is_the_empty_report() {
-        let dx = EnergyDx::default();
-        let report = dx.finish_streamed(StreamingFold::new()).unwrap();
-        assert_eq!(report, dx.diagnose_reference(&DiagnosisInput::default()));
-    }
-
-    #[test]
-    fn streaming_fold_keeps_the_partial_reachable() {
-        let input = fleet();
-        let dx = EnergyDx::default();
-        let mut fold = StreamingFold::new();
-        fold.absorb(dx.map_shard(input.traces(), 0));
-        let resident = dx.map_shard(input.traces(), 0);
-        assert_eq!(fold.partial(), &resident);
-        assert_eq!(fold.into_partial(), resident);
-    }
-
-    #[test]
-    #[should_panic(expected = "contiguous")]
-    fn streaming_fold_rejects_out_of_order_deltas() {
-        let input = fleet();
-        let dx = EnergyDx::default();
-        let mut fold = StreamingFold::new();
-        fold.absorb(dx.map_shard(&input.traces()[2..4], 2));
     }
 
     #[test]

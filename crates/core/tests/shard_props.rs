@@ -7,14 +7,13 @@
 //! ([`ShardPartial::empty`] merges as an identity from either side),
 //! **one-trace merges** (every commit extends a run by one trace; the
 //! subset-vocabulary fast path must build what the general path
-//! builds), **run tails** (a fold that holds a run's head resumes from
-//! [`ShardPartial::tail`]) and the **parts round trip** (`to_parts` →
-//! `from_parts` rebuilds a structurally equal partial, so a
-//! checkpointed epoch analyzes to the same bytes after a restore).
+//! builds), the **parts round trip** (`to_parts` → `from_parts`
+//! rebuilds a structurally equal partial, so a checkpointed epoch
+//! analyzes to the same bytes after a restore) and the **size
+//! estimate** (counted from the group tables, it must equal the
+//! per-trace count the spill budget was defined by).
 
-use energydx::shard::{
-    PartsError, ShardPartial, ShardPartialParts, StreamingFold,
-};
+use energydx::shard::{PartsError, ShardPartial, ShardPartialParts};
 use energydx::{DiagnosisInput, EnergyDx};
 use energydx_trace::event::EventInstance;
 use energydx_trace::intern::{EventId, InternedTrace};
@@ -166,29 +165,46 @@ proptest! {
         prop_assert_eq!(one.merge(many), batch);
     }
 
-    /// A run's head, folded, plus the run's tail from the head's end
-    /// is the whole run again — as a merge and as a streaming fold —
-    /// wherever the cut falls, including both ends.
+    /// `approx_bytes` counts instances from the group tables; on
+    /// every partial the algebra builds — mapped (NaN traces emptied),
+    /// merged across a gap with differing vocabularies, rebased, and
+    /// rebuilt from parts — that equals the per-trace count.
     #[test]
-    fn a_head_plus_its_tail_is_the_whole_run(
+    fn approx_bytes_equals_the_per_trace_count(
         input in random_fleet(),
         offset in 0usize..16,
         cut in 0usize..9,
+        gap in 0usize..3,
     ) {
         let dx = EnergyDx::default();
         let traces = input.traces();
         let cut = cut.min(traces.len());
-        let run = dx.map_shard(traces, offset);
         let head = dx.map_shard(&traces[..cut], offset);
-        let tail = run.tail(offset + cut);
-        prop_assert_eq!(tail.trace_count(), traces.len() - cut);
-        prop_assert_eq!(head.clone().merge(tail.clone()), run.clone());
-        prop_assert_eq!(&run.tail(0), &run);
-        let mut fold = StreamingFold::new();
-        fold.absorb(head.rebase_to(0));
-        fold.absorb(tail.rebase_to(cut));
-        prop_assert_eq!(fold.into_partial(), run.rebase_to(0));
+        let tail = dx.map_shard(&traces[cut..], offset + cut + gap);
+        let merged = tail.clone().merge(head.clone());
+        let rebased = merged.clone().rebase_to(0);
+        let restored = ShardPartial::from_parts(merged.to_parts()).unwrap();
+        for partial in [head, tail, merged, rebased, restored] {
+            prop_assert_eq!(partial.approx_bytes(), per_trace_bytes(&partial));
+        }
     }
+}
+
+/// The spill budget's size estimate by its per-trace definition: per
+/// name its length plus 64; per segment 64, plus 48 per trace, 20 per
+/// instance (id, power, group entry) and 16 per skip entry.
+fn per_trace_bytes(partial: &ShardPartial) -> usize {
+    let parts = partial.to_parts();
+    let names: usize = parts.names.iter().map(|n| n.len() + 64).sum();
+    let segments: usize = parts
+        .segments
+        .iter()
+        .map(|s| {
+            let instances: usize = s.traces.iter().map(|t| t.ids().len()).sum();
+            64 + s.traces.len() * 48 + instances * 20 + s.skipped.len() * 16
+        })
+        .sum();
+    names + segments
 }
 
 #[test]

@@ -790,12 +790,17 @@ mod tests {
         let mut split = state.apps["app"].epochs[&0].clone();
         let last = split.runs.pop().expect("a resident run");
         assert_eq!(last.partial.trace_count(), 2);
-        let mut parts = last.partial.to_parts();
-        parts.segments[0].traces.truncate(1);
-        parts.segments[0].skipped.clear();
-        let head = ShardPartial::from_parts(parts).unwrap();
-        let cut = head.end_offset();
-        for partial in [head, last.partial.tail(cut)] {
+        let whole = last.partial.to_parts();
+        let mut head = whole.clone();
+        head.segments[0].traces.truncate(1);
+        let cut = whole.segments[0].offset + 1;
+        head.segments[0].skipped.retain(|&(i, _)| i < cut);
+        let mut tail = whole;
+        tail.segments[0].traces.remove(0);
+        tail.segments[0].offset = cut;
+        tail.segments[0].skipped.retain(|&(i, _)| i >= cut);
+        for parts in [head, tail] {
+            let partial = ShardPartial::from_parts(parts).unwrap();
             split.runs.push(crate::state::ResidentRun {
                 version: last.version.clone(),
                 partial,

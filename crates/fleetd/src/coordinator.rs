@@ -33,17 +33,18 @@ use crate::cluster::{
     shard_for_payload, CircuitBreaker, DegradePolicy, RetryBudget,
     WorkerTransport,
 };
-use crate::protocol::{DeploymentCounters, PartialStatus, Request, Response};
+use crate::protocol::{
+    AppCatalog, DeploymentCounters, PartialStatus, Request, Response,
+};
 use crate::replicate::ReplicaStore;
 use crate::server::Dispatch;
 use crate::state::{FleetConfig, QueryError, Selector};
 use energydx::{EnergyDx, JsonWriter, ShardPartial};
 use energydx_obsv::{EventKind, Metrics, MetricsRegistry};
 use energydx_report::{
-    build_model, render_html, render_json, AppInput, EpochInput, VersionInput,
-    DEFAULT_TOP_APPS,
+    build_model, render_html, render_json, DEFAULT_TOP_APPS,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -778,18 +779,8 @@ impl Coordinator {
     }
 
     fn try_report(&self, top: Option<u32>) -> Result<Response, Response> {
-        struct EpochAgg {
-            clean: u64,
-            recovered: u64,
-            quarantine: BTreeMap<String, u64>,
-            versions: BTreeSet<String>,
-        }
-        struct AppAgg {
-            current_epoch: u64,
-            epochs: BTreeMap<u64, EpochAgg>,
-        }
         let mut missing: Vec<u32> = Vec::new();
-        let mut apps: BTreeMap<String, AppAgg> = BTreeMap::new();
+        let mut catalogs: Vec<AppCatalog> = Vec::new();
         let mut deployment = DeploymentCounters::default();
         for k in 0..self.workers.len() {
             match self.call_worker(k, &Request::Catalog) {
@@ -797,36 +788,7 @@ impl Coordinator {
                     apps: worker_apps,
                     deployment: counters,
                 }) => {
-                    for cat in worker_apps {
-                        let agg =
-                            apps.entry(cat.app).or_insert_with(|| AppAgg {
-                                current_epoch: cat.current_epoch,
-                                epochs: BTreeMap::new(),
-                            });
-                        // A rollover that reached only some workers
-                        // leaves epochs skewed; the report details the
-                        // newest epoch any worker has opened.
-                        agg.current_epoch =
-                            agg.current_epoch.max(cat.current_epoch);
-                        for epoch in cat.epochs {
-                            let slot = agg
-                                .epochs
-                                .entry(epoch.epoch)
-                                .or_insert_with(|| EpochAgg {
-                                    clean: 0,
-                                    recovered: 0,
-                                    quarantine: BTreeMap::new(),
-                                    versions: BTreeSet::new(),
-                                });
-                            slot.clean += epoch.clean;
-                            slot.recovered += epoch.recovered;
-                            for (reason, n) in epoch.quarantine {
-                                *slot.quarantine.entry(reason).or_insert(0) +=
-                                    n;
-                            }
-                            slot.versions.extend(epoch.versions);
-                        }
-                    }
+                    catalogs.extend(worker_apps);
                     deployment.shed += counters.shed;
                     deployment.spilled_runs += counters.spilled_runs;
                     deployment.spilled_traces += counters.spilled_traces;
@@ -861,43 +823,12 @@ impl Coordinator {
                 Err(_) => missing.push(k as u32),
             }
         }
-        let mut inputs: Vec<AppInput> = Vec::new();
-        for (app, agg) in &apps {
-            let mut epochs = Vec::new();
-            for (&id, eagg) in &agg.epochs {
-                let fan = self.fan(&Selector::new(app, Some(id), None))?;
+        let inputs =
+            crate::report::report_inputs(&merge_catalogs(catalogs), |sel| {
+                let fan = self.fan(sel)?;
                 missing.extend(&fan.missing);
-                epochs.push(EpochInput {
-                    epoch: id,
-                    report: self.finish(fan)?,
-                    clean: eagg.clean,
-                    recovered: eagg.recovered,
-                    quarantine: eagg
-                        .quarantine
-                        .iter()
-                        .map(|(reason, n)| (reason.clone(), *n))
-                        .collect(),
-                });
-            }
-            let mut versions = Vec::new();
-            let current = agg.epochs.get(&agg.current_epoch);
-            for version in current.into_iter().flat_map(|e| &e.versions) {
-                let sel =
-                    Selector::new(app, Some(agg.current_epoch), Some(version));
-                let fan = self.fan(&sel)?;
-                missing.extend(&fan.missing);
-                versions.push(VersionInput {
-                    version: version.clone(),
-                    report: self.finish(fan)?,
-                });
-            }
-            inputs.push(AppInput {
-                app: app.clone(),
-                detail_epoch: agg.current_epoch,
-                epochs,
-                versions,
-            });
-        }
+                self.finish(fan)
+            })?;
         let missing = self.hold(missing)?;
         let panel = crate::report::deployment_panel(
             &deployment,
@@ -1298,6 +1229,46 @@ impl Dispatch for Coordinator {
             },
         }
     }
+}
+
+/// Unions worker report catalogs into one, sorted by app and epoch:
+/// per epoch, counts add, quarantine reasons sum (sorted by label)
+/// and release labels union. A rollover that reached only some
+/// workers leaves epochs skewed; an app's current epoch is the newest
+/// any worker has opened.
+fn merge_catalogs(catalogs: Vec<AppCatalog>) -> Vec<AppCatalog> {
+    let mut apps: BTreeMap<String, AppCatalog> = BTreeMap::new();
+    for cat in catalogs {
+        let app = apps.entry(cat.app.clone()).or_insert_with(|| AppCatalog {
+            app: cat.app,
+            current_epoch: cat.current_epoch,
+            epochs: Vec::new(),
+        });
+        app.current_epoch = app.current_epoch.max(cat.current_epoch);
+        for epoch in cat.epochs {
+            match app.epochs.binary_search_by_key(&epoch.epoch, |e| e.epoch) {
+                Ok(i) => {
+                    let slot = &mut app.epochs[i];
+                    slot.clean += epoch.clean;
+                    slot.recovered += epoch.recovered;
+                    slot.quarantine.extend(epoch.quarantine);
+                    slot.versions.extend(epoch.versions);
+                }
+                Err(i) => app.epochs.insert(i, epoch),
+            }
+        }
+    }
+    let mut merged: Vec<AppCatalog> = apps.into_values().collect();
+    for epoch in merged.iter_mut().flat_map(|app| &mut app.epochs) {
+        let mut reasons: BTreeMap<String, u64> = BTreeMap::new();
+        for (reason, n) in epoch.quarantine.drain(..) {
+            *reasons.entry(reason).or_insert(0) += n;
+        }
+        epoch.quarantine = reasons.into_iter().collect();
+        epoch.versions.sort();
+        epoch.versions.dedup();
+    }
+    merged
 }
 
 #[cfg(test)]

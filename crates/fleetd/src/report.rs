@@ -7,16 +7,19 @@
 //! artifacts through the shared renderer.
 //!
 //! Byte identity: every diagnosis here goes through the same memoized
-//! [`FleetState::diagnose`] / [`FleetState::diagnose_version`] paths
-//! the query protocol uses, which are proven batch-identical by the
-//! diff harness — so the report inherits the repo's cross-surface
-//! byte-identity story for free. The only surface-dependent values,
-//! the deployment counters, follow the pinning rule documented in
-//! `energydx-report`: they render as live numbers only when the
-//! state's registry runs on the wall clock; under
-//! `ENERGYDX_DETERMINISTIC_TIME` (or a deterministic test registry)
-//! they pin to zero so batch, daemon, and cluster artifacts match.
+//! [`FleetState::diagnosis`] path the query protocol uses, which is
+//! proven batch-identical by the diff harness, and the coordinator
+//! assembles its inputs with the same [`report_inputs`] over its
+//! workers' merged catalogs — so the report inherits the repo's
+//! cross-surface byte-identity story for free. The only
+//! surface-dependent values, the deployment counters, follow the
+//! pinning rule documented in `energydx-report`: they render as live
+//! numbers only when the state's registry runs on the wall clock;
+//! under `ENERGYDX_DETERMINISTIC_TIME` (or a deterministic test
+//! registry) they pin to zero so batch, daemon, and cluster artifacts
+//! match.
 
+use energydx::DiagnosisReport;
 use energydx_obsv::Metrics;
 use energydx_report::{
     build_model, render_html, render_json, AppInput, CacheLine,
@@ -24,7 +27,7 @@ use energydx_report::{
 };
 
 use crate::protocol::{AppCatalog, DeploymentCounters, EpochCatalog};
-use crate::state::{FleetState, QueryError};
+use crate::state::{FleetState, QueryError, Selector};
 
 /// Both rendered artifacts for one fleet snapshot.
 #[derive(Debug, Clone)]
@@ -36,51 +39,58 @@ pub struct RenderedReport {
 }
 
 /// Assembles one [`AppInput`] per app from resident state, in app
-/// order. Every epoch is diagnosed (trend history); versions of the
-/// current epoch are diagnosed separately for regression verdicts.
+/// order: [`report_inputs`] over the state's own catalog, each
+/// selection answered by the memoized [`FleetState::diagnosis`].
 ///
 /// # Errors
 ///
 /// Propagates the first [`QueryError`] from a diagnosis.
 pub fn state_inputs(state: &FleetState) -> Result<Vec<AppInput>, QueryError> {
-    let mut inputs = Vec::new();
-    for (app, astate) in state.apps() {
-        let detail_epoch = astate.current_epoch();
-        let mut epochs = Vec::new();
-        for (&id, epoch) in astate.epochs() {
-            let report = state.diagnose(app, Some(id))?;
-            let quarantine = epoch
-                .quarantine_counters()
-                .into_iter()
-                .map(|(reason, n)| (reason.to_string(), n as u64))
-                .collect();
+    report_inputs(&state_catalog(state), |sel| state.diagnosis(sel))
+}
+
+/// Assembles one [`AppInput`] per catalog entry, in catalog order —
+/// the one input builder of the daemon's and the coordinator's
+/// reports. Every epoch is diagnosed (trend history); each release of
+/// the current epoch is diagnosed on its own for regression verdicts.
+/// `diagnose` answers one [`Selector`].
+///
+/// # Errors
+///
+/// Propagates the first error from `diagnose`.
+pub fn report_inputs<E>(
+    catalog: &[AppCatalog],
+    mut diagnose: impl FnMut(&Selector) -> Result<DiagnosisReport, E>,
+) -> Result<Vec<AppInput>, E> {
+    let mut inputs = Vec::with_capacity(catalog.len());
+    for cat in catalog {
+        let mut epochs = Vec::with_capacity(cat.epochs.len());
+        for e in &cat.epochs {
             epochs.push(EpochInput {
-                epoch: id,
-                report,
-                clean: epoch.clean() as u64,
-                recovered: epoch.recovered() as u64,
-                quarantine,
+                epoch: e.epoch,
+                report: diagnose(&Selector::new(
+                    &cat.app,
+                    Some(e.epoch),
+                    None,
+                ))?,
+                clean: e.clean,
+                recovered: e.recovered,
+                quarantine: e.quarantine.clone(),
             });
         }
         let mut versions = Vec::new();
-        if let Some(epoch) = astate.epochs().get(&detail_epoch) {
-            for version in epoch.versions().keys() {
-                if version.is_empty() {
-                    continue;
-                }
-                versions.push(VersionInput {
-                    version: version.clone(),
-                    report: state.diagnose_version(
-                        app,
-                        Some(detail_epoch),
-                        version,
-                    )?,
-                });
-            }
+        let current = cat.epochs.iter().find(|e| e.epoch == cat.current_epoch);
+        for version in current.into_iter().flat_map(|e| &e.versions) {
+            let sel =
+                Selector::new(&cat.app, Some(cat.current_epoch), Some(version));
+            versions.push(VersionInput {
+                version: version.clone(),
+                report: diagnose(&sel)?,
+            });
         }
         inputs.push(AppInput {
-            app: app.clone(),
-            detail_epoch,
+            app: cat.app.clone(),
+            detail_epoch: cat.current_epoch,
             epochs,
             versions,
         });

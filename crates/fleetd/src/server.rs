@@ -429,7 +429,7 @@ impl FleetdHandle {
         state.next_spill_seq =
             state.next_spill_seq.max(restored.next_spill_seq);
         // The installed data is new content under old epoch ids:
-        // cached folds and any token a coordinator still holds must
+        // cached analyses and any token a coordinator still holds must
         // stop validating, so drop the cache and adopt a fresh
         // incarnation.
         state.invalidate_query_cache();

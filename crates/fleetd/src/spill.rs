@@ -1,13 +1,14 @@
 //! Cold-epoch spilling: bounded resident memory via on-disk segments.
 //!
 //! Under a configured [`SpillConfig`] the daemon keeps only the
-//! hottest epochs' deltas resident; the rest are folded and written as
-//! [`energydx_segment`] files under the spill directory. Queries fold
-//! spilled runs back through an
-//! [`energydx::shard::StreamingFold`] in accept order, so a spilling
-//! daemon answers **byte-identically** to a fully-resident one — the
-//! workspace diff harness proves it over random
-//! upload/spill/query/restart schedules, budget 0 included.
+//! hottest epochs' runs resident; the rest are written, one file per
+//! run, as [`energydx_segment`] files under the spill directory.
+//! Queries read spilled runs back and merge them
+//! ([`energydx::shard::ShardPartial::merge`]) in accept order, ahead
+//! of the resident runs, so a spilling daemon answers
+//! **byte-identically** to a fully-resident one — the workspace diff
+//! harness proves it over random upload/spill/query/restart
+//! schedules, budget 0 included.
 //!
 //! The state side (victim selection, fold-back, accounting) lives in
 //! [`crate::state`]; this module owns the naming scheme and the

@@ -25,7 +25,7 @@
 use crate::convert;
 use crate::spill::{self, SpillConfig, SpilledRun};
 use energydx::report::DiagnosisReport;
-use energydx::shard::{AnalyzedFleet, ShardPartial, StreamingFold};
+use energydx::shard::{AnalyzedFleet, ShardPartial};
 use energydx::{AnalysisConfig, EnergyDx, JsonWriter};
 use energydx_obsv::{EventKind, Metrics, MetricsRegistry};
 use energydx_regress::{RegressConfig, RegressionReport};
@@ -51,10 +51,12 @@ pub struct FleetConfig {
     /// resident run state exceeds the budget. `None` keeps
     /// everything resident (and the state free of I/O).
     pub spill: Option<SpillConfig>,
-    /// Generation-keyed memoization of query results (fold prefixes and
-    /// analyzed fleets). Purely an optimization: every
-    /// cached answer is byte-identical to the re-computed one, which
-    /// the diff harness proves against `query_cache: false` states.
+    /// Generation-exact memoization of analyzed fleets (and their
+    /// rendered JSON), plus `NotModified` answers to a coordinator
+    /// whose token still names an epoch's content. Purely an
+    /// optimization: every cached answer is byte-identical to the
+    /// re-computed one, which the diff harness proves against
+    /// `query_cache: false` states.
     pub query_cache: bool,
 }
 
@@ -114,7 +116,7 @@ pub struct EpochState {
     /// generation clock) on every accepted upload, rollover, and
     /// spill. Within one state incarnation a given
     /// `(app, epoch, generation)` triple names exactly one content —
-    /// the key the query caches and the cluster delta protocol hang
+    /// the key the query cache and the cluster delta protocol hang
     /// off. Scheduling state, like `touch`: never checkpointed, never
     /// part of an answer.
     pub(crate) generation: u64,
@@ -304,7 +306,7 @@ impl std::error::Error for QueryError {}
 /// each half of a regression comparison, a report's trend and
 /// per-release sections, a coordinator's partial fetch — is this one
 /// shape, so all of them share one resolve → fold → analyze path and
-/// the same caches.
+/// the same cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Selector {
     /// The app queried.
@@ -353,16 +355,6 @@ pub enum PartialSinceOutcome {
     },
 }
 
-/// A cached [`StreamingFold`] prefix for one query key: any query
-/// whose selection still starts with the same accepted traces resumes
-/// from it and absorbs only the suffix.
-#[derive(Debug)]
-struct FoldEntry {
-    fold: StreamingFold,
-    bytes: usize,
-    last_used: u64,
-}
-
 /// A cached [`AnalyzedFleet`], valid only at the exact generation it
 /// was computed at (analysis is a function of the *whole* selection).
 /// The rendered canonical JSON rides along once a `diagnose_json`
@@ -391,18 +383,16 @@ pub struct CacheLayerStats {
     pub bytes: usize,
 }
 
-/// What the state-layer caches are keyed by: a [`Selector`] with its
+/// What the state-layer cache is keyed by: a [`Selector`] with its
 /// epoch resolved, `(app, epoch id, version)`.
 type QueryKey = (String, u64, Option<String>);
 
-/// All query caches, behind one mutex so `&self` queries can memoize.
+/// The query cache, behind one mutex so `&self` queries can memoize.
 /// Purely derived data: dropping any entry (or the whole cache) never
 /// changes an answer, only its cost — which is why it is not
 /// checkpointed and a restart simply starts cold.
 #[derive(Debug, Default)]
 struct QueryCache {
-    /// Per query key: the fold prefix.
-    folds: BTreeMap<QueryKey, FoldEntry>,
     /// Per query key: the analyzed fleet. Validated against the epoch
     /// generation, so any mutation of the epoch invalidates every
     /// release's entry (coarser than strictly necessary, never stale).
@@ -420,36 +410,17 @@ impl QueryCache {
     }
 
     fn total_bytes(&self) -> usize {
-        let folds: usize = self.folds.values().map(|e| e.bytes).sum();
-        let analyzed: usize = self.analyzed.values().map(|e| e.bytes).sum();
-        folds + analyzed
+        self.analyzed.values().map(|e| e.bytes).sum()
     }
 
-    /// The least-recently-used entry across both maps, as a
-    /// deterministic victim descriptor.
-    fn coldest(&self) -> Option<CacheVictim> {
-        let folds = self
-            .folds
+    /// The least-recently-used entry's key. Stamps are unique (one
+    /// tick per use), so eviction order is deterministic.
+    fn coldest(&self) -> Option<QueryKey> {
+        self.analyzed
             .iter()
-            .map(|(key, e)| (e.last_used, CacheVictim::Fold(key.clone())));
-        let analyzed = self
-            .analyzed
-            .iter()
-            .map(|(key, e)| (e.last_used, CacheVictim::Analyzed(key.clone())));
-        folds
-            .chain(analyzed)
-            .min_by(|a, b| a.cmp(b))
-            .map(|(_, victim)| victim)
+            .min_by_key(|(_, e)| e.last_used)
+            .map(|(key, _)| key.clone())
     }
-}
-
-/// Addresses one evictable cache entry. The enum order is the
-/// tie-break on equal `last_used` stamps, making eviction a total
-/// (deterministic) order.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-enum CacheVictim {
-    Fold(QueryKey),
-    Analyzed(QueryKey),
 }
 
 /// The daemon's resident state: per-app epoch state plus the shared
@@ -480,7 +451,7 @@ pub struct FleetState {
     /// fresh one, so a peer holding `(incarnation, generation)` tokens
     /// can never mistake replaced state for unchanged state.
     pub(crate) incarnation: u64,
-    /// Memoized query results (see [`QueryCache`]). Interior
+    /// Memoized analyses (see [`QueryCache`]). Interior
     /// mutability: queries take `&self` and stay pure — the cache
     /// changes their cost, never their bytes.
     cache: Mutex<QueryCache>,
@@ -553,13 +524,6 @@ impl FleetState {
         self.incarnation = next_incarnation();
     }
 
-    /// Bytes currently held by the query caches, by `approx_bytes`
-    /// accounting — counted against the spill budget alongside
-    /// [`FleetState::resident_bytes`].
-    pub fn cache_bytes(&self) -> usize {
-        self.cache().total_bytes()
-    }
-
     /// The query cache's counters.
     pub fn query_cache_stats(&self) -> CacheLayerStats {
         let mut cache = self.cache();
@@ -594,17 +558,10 @@ impl FleetState {
                 if cache.total_bytes() <= limit {
                     return;
                 }
-                let Some(victim) = cache.coldest() else {
+                let Some(key) = cache.coldest() else {
                     return;
                 };
-                match victim {
-                    CacheVictim::Fold(key) => {
-                        cache.folds.remove(&key);
-                    }
-                    CacheVictim::Analyzed(key) => {
-                        cache.analyzed.remove(&key);
-                    }
-                }
+                cache.analyzed.remove(&key);
                 cache.stats.evictions += 1;
             }
             self.metrics.inc(
@@ -860,11 +817,10 @@ impl FleetState {
             }
             spilled += 1;
         }
-        // Cached query results count against the same budget. They
-        // never cause a spill (only resident runs do): being purely
-        // derived, they shrink, coldest first, to the room the
-        // resident runs leave. A fold prefix that survives a spill
-        // resumes from the spilled run's tail.
+        // Cached analyses count against the same budget. They never
+        // cause a spill (only resident runs do): being purely derived,
+        // they shrink, coldest first, to the room the resident runs
+        // leave.
         self.trim_cache(budget.saturating_sub(self.resident_bytes()));
         self.update_spill_gauges();
         self.update_cache_gauges();
@@ -1023,9 +979,9 @@ impl FleetState {
 
     /// Folds the selected traces of one epoch in accept order: spilled
     /// runs first (their traces precede every resident run), then the
-    /// resident runs, each absorbed at [`ShardPartial::rebase_to`] the
-    /// fold's current end. For a whole-epoch key the pieces already
-    /// tile the epoch, so every rebase is a no-op and the fold
+    /// resident runs, each merged at [`ShardPartial::rebase_to`] the
+    /// fold's current end. For a whole-epoch selection the pieces
+    /// already tile the epoch, so every rebase is a no-op and the fold
     /// finishes byte-identically to a never-spilled epoch; for one
     /// release it re-anchors that release's traces to a dense local
     /// offset space, which is pure offset arithmetic
@@ -1033,104 +989,29 @@ impl FleetState {
     /// result is byte-identical to a daemon that only ever accepted
     /// that release's uploads, in order.
     ///
-    /// With the query cache on, the fold resumes from the cached
-    /// prefix for the same key: a selection only ever grows at its
-    /// end, so a fold over its first `k` traces stays a valid prefix
-    /// of every later fold, and by PR 7's run-merge law absorbing the
-    /// suffix is bit-identical to folding from scratch.
+    /// Spilled runs are read in parallel (`par_map`, honoring
+    /// `ENERGYDX_JOBS`), then validated and merged sequentially, so
+    /// damage surfaces as [`QueryError::Storage`] rather than a panic
+    /// or a wrong answer.
     fn fold(
-        &self,
-        key: &QueryKey,
-        e: &EpochState,
-    ) -> Result<StreamingFold, QueryError> {
-        let cached = if self.config.query_cache {
-            // Taken, not cloned: the fold below extends the prefix and
-            // goes back in under the same key, so it is never held twice.
-            let entry = self.cache().folds.remove(key).map(|e| e.fold);
-            self.count_cache(entry.is_some());
-            entry
-        } else {
-            None
-        };
-        let version = key.2.as_deref();
-        let fold =
-            match self.fold_onto(e, version, cached.unwrap_or_default())? {
-                Some(fold) => fold,
-                // The cached prefix is longer than the selection, which
-                // a selection that only grows never produces: refold
-                // from scratch rather than trust it.
-                None => self
-                    .fold_onto(e, version, StreamingFold::new())?
-                    .expect("an empty fold prefix always fits"),
-            };
-        if self.config.query_cache {
-            let bytes = fold.approx_bytes();
-            let mut cache = self.cache();
-            let stamp = cache.tick();
-            cache.folds.insert(
-                key.clone(),
-                FoldEntry {
-                    fold: fold.clone(),
-                    bytes,
-                    last_used: stamp,
-                },
-            );
-            drop(cache);
-            self.trim_cache_to_budget();
-        }
-        Ok(fold)
-    }
-
-    /// Extends `fold`, a possibly-empty prefix of the traces `version`
-    /// selects (`None` = all of them), with every selected trace beyond
-    /// it. A prefix may end inside a spilled or resident run (the last
-    /// run grows in place, and a spill writes runs whole): that run
-    /// joins from its [`ShardPartial::tail`]. Returns `Ok(None)` when
-    /// the prefix covers more than the selection. Spilled runs are
-    /// read in parallel (`par_map`, honoring `ENERGYDX_JOBS`), then
-    /// validated and absorbed sequentially, in accept order, so damage
-    /// surfaces as [`QueryError::Storage`] rather than a panic or a
-    /// wrong answer.
-    fn fold_onto(
         &self,
         e: &EpochState,
         version: Option<&str>,
-        mut fold: StreamingFold,
-    ) -> Result<Option<StreamingFold>, QueryError> {
+    ) -> Result<ShardPartial, QueryError> {
+        let _span = self.metrics.span("merge");
         let selected = |v: &str| version.is_none_or(|want| want == v);
-        let covered = fold.partial().end_offset();
-        // Plan: every selected run that reaches past the prefix, with
-        // how many of its leading traces the prefix already holds.
-        // `local` counts the selected traces so far; each spilled run
-        // also keeps its place in the epoch's whole spilled prefix,
-        // which its record must match.
-        let mut local = 0;
+        // Each selected spilled run with its place in the epoch's
+        // whole spilled prefix, which its record must match.
         let mut start = 0;
-        let mut runs: Vec<(&SpilledRun, usize, usize)> = Vec::new();
+        let mut spilled: Vec<(&SpilledRun, usize)> = Vec::new();
         for run in &e.spilled {
+            if selected(&run.version) {
+                spilled.push((run, start));
+            }
             start += run.traces;
-            if !selected(&run.version) {
-                continue;
-            }
-            local += run.traces;
-            if local > covered {
-                let held = covered.saturating_sub(local - run.traces);
-                runs.push((run, start - run.traces, held));
-            }
         }
-        let mut resident: Vec<(&ShardPartial, usize)> = Vec::new();
-        for r in e.runs.iter().filter(|r| selected(&r.version)) {
-            local += r.partial.trace_count();
-            if local > covered {
-                let held =
-                    covered.saturating_sub(local - r.partial.trace_count());
-                resident.push((&r.partial, held));
-            }
-        }
-        if covered > local {
-            return Ok(None);
-        }
-        if !runs.is_empty() {
+        let mut fold = ShardPartial::empty();
+        if !spilled.is_empty() {
             let cfg = self.config.spill.as_ref().ok_or_else(|| {
                 QueryError::Storage(
                     "epoch holds spilled run(s) but no spill directory is \
@@ -1138,11 +1019,9 @@ impl FleetState {
                         .to_string(),
                 )
             })?;
-            // Segment files are independent until the absorb: read and
-            // decode them in parallel.
-            let paths: Vec<std::path::PathBuf> = runs
+            let paths: Vec<std::path::PathBuf> = spilled
                 .iter()
-                .map(|(run, ..)| spill::segment_path(&cfg.dir, run.seq))
+                .map(|(run, _)| spill::segment_path(&cfg.dir, run.seq))
                 .collect();
             let jobs = energydx::par::resolve_jobs(self.config.jobs);
             let loaded = energydx::par::par_map(&paths, jobs, |_, path| {
@@ -1150,26 +1029,19 @@ impl FleetState {
                     QueryError::Storage(format!("{}: {err}", path.display()))
                 })
             });
-            for ((run, start, held), partial) in runs.into_iter().zip(loaded) {
+            for ((run, start), partial) in spilled.into_iter().zip(loaded) {
                 let partial = partial?;
                 check_run(&cfg.dir, run, start, &partial)?;
                 self.metrics.inc("fleetd_foldbacks_total", &[]);
-                let unread = if held == 0 {
-                    partial
-                } else {
-                    partial.tail(start + held)
-                };
-                let end = fold.partial().end_offset();
-                fold.absorb(unread.rebase_to(end));
+                let end = fold.end_offset();
+                fold = fold.merge(partial.rebase_to(end));
             }
         }
-        for (partial, held) in resident {
-            let end = fold.partial().end_offset();
-            fold.absorb(
-                partial.tail(partial.start_offset() + held).rebase_to(end),
-            );
+        for r in e.runs.iter().filter(|r| selected(&r.version)) {
+            let end = fold.end_offset();
+            fold = fold.merge(r.partial.clone().rebase_to(end));
         }
-        Ok(Some(fold))
+        Ok(fold)
     }
 
     /// Freezes `app`'s current epoch and opens the next one; returns
@@ -1216,10 +1088,7 @@ impl FleetState {
             self.count_cache(true);
             return Ok(PartialSinceOutcome::Unchanged { epoch });
         }
-        let partial = {
-            let _span = self.metrics.span("merge");
-            self.fold(&key, e)?.into_partial()
-        };
+        let partial = self.fold(e, sel.version.as_deref())?;
         Ok(PartialSinceOutcome::Changed {
             epoch,
             incarnation: self.incarnation,
@@ -1288,14 +1157,11 @@ impl FleetState {
                 return Ok(self.dx.render(fleet));
             }
         }
-        let fold = {
-            let _span = self.metrics.span("merge");
-            self.fold(&key, e)?
-        };
+        let fold = self.fold(e, sel.version.as_deref())?;
         let _span = self.metrics.span("finish");
         let fleet = self
             .dx
-            .analyze_streamed(fold)
+            .analyze(fold)
             .map_err(|err| QueryError::Analysis(err.to_string()))?;
         if self.config.query_cache {
             let bytes = fleet.approx_bytes();
@@ -1555,8 +1421,8 @@ impl FleetState {
     }
 }
 
-/// Checks a segment read back from disk (or the segment cache)
-/// against the run it was spilled as: the run's recorded start must be
+/// Checks a segment read back from disk against the run it was
+/// spilled as: the run's recorded start must be
 /// its place in the epoch's spilled prefix, and the segment must cover
 /// exactly the run's traces from there.
 fn check_run(
@@ -2021,24 +1887,6 @@ pub(crate) mod tests {
             assert_eq!(folded, selected(&self.alone, &whole).to_parts());
         }
 
-        /// The next fold resumes from the cached prefix — one state
-        /// hit, no miss — and still equals both references.
-        fn check_resumes(&self, sel: &Selector) {
-            let before = self.state.query_cache_stats();
-            self.check(sel);
-            let after = self.state.query_cache_stats();
-            assert_eq!(after.hits, before.hits + 1);
-            assert_eq!(after.misses, before.misses);
-        }
-
-        /// Spilled runs read back from disk so far.
-        fn foldbacks(&self) -> u64 {
-            let registry = self.state.metrics().registry();
-            registry
-                .and_then(|r| r.counter_value("fleetd_foldbacks_total", &[]))
-                .unwrap_or(0)
-        }
-
         /// Traces in the epoch's last resident run.
         fn last_run(&self) -> usize {
             let e = &self.state.apps["app"].epochs[&0];
@@ -2047,8 +1895,8 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_release_fold_resumes_from_its_cached_prefix() {
-        let tmp = TempDir::new("state-release-prefix");
+    fn a_release_fold_equals_its_references_through_growth_and_spill() {
+        let tmp = TempDir::new("state-release-fold");
         let mut rig = ReleaseRig {
             state: FleetState::new(spilling_config(tmp.path(), usize::MAX)),
             scratch: FleetState::new(FleetConfig {
@@ -2063,37 +1911,29 @@ pub(crate) mod tests {
             rig.upload(version);
         }
         rig.check(&sel);
-        // K new uploads, each run new: the prefix ends on a run edge.
+        // K new uploads, each run new.
         for version in ["2.0.0", "1.9.0", "2.0.0"] {
             rig.upload(version);
         }
-        rig.check_resumes(&sel);
-        // The last run grows in place past the cached prefix's end, so
-        // the prefix now ends inside a resident run.
+        rig.check(&sel);
+        // The last run grows in place.
         rig.upload("2.0.0");
         assert_eq!(rig.last_run(), 2);
-        rig.check_resumes(&sel);
-        // A spill writes that run whole, and the cached prefix fits the
-        // room the spill leaves, so it survives: the prefix now ends
-        // inside a spilled run, which joins from its tail. (The other
-        // release's uploads grow the epoch, not the prefix.)
+        rig.check(&sel);
+        // A spill writes every run whole, the grown one included, and
+        // the release's fold reads its spilled runs back.
         rig.upload("2.0.0");
         assert_eq!(rig.last_run(), 3);
         for _ in 0..4 {
             rig.upload("1.9.0");
         }
-        let budget = rig.state.cache_bytes();
-        assert!(rig.state.resident_bytes() > budget);
-        rig.state.config.spill.as_mut().unwrap().mem_budget = budget;
-        assert!(rig.state.maybe_spill() > 0);
-        assert_eq!(rig.state.cache_bytes(), budget);
+        assert!(rig.state.spill_all() > 0);
         let spilled = &rig.state.apps["app"].epochs[&0].spilled;
         assert_eq!(spilled[spilled.len() - 2].traces, 3);
-        // Only the run holding the prefix's end is read back; a refold
-        // would read all three of the release's spilled runs.
-        let read = rig.foldbacks();
-        rig.check_resumes(&sel);
-        assert_eq!(rig.foldbacks(), read + 1);
+        rig.check(&sel);
+        // Growth after the spill lands in a fresh resident run.
+        rig.upload("2.0.0");
+        rig.check(&sel);
         assert_eq!(
             rig.state.diagnose_version("app", None, "2.0.0").unwrap(),
             rig.scratch.diagnose_version("app", None, "2.0.0").unwrap()

@@ -32,7 +32,7 @@
 
 use std::collections::BTreeMap;
 
-use energydx::shard::StreamingFold;
+use energydx::shard::ShardPartial;
 use energydx::{DiagnosisReport, EnergyDx, ShardError};
 use energydx_regress::{compare, RegressConfig};
 use energydx_stats::sketch::QuantileSketch;
@@ -444,16 +444,15 @@ pub fn build_model(
 /// folds a daemon keeps, so `energydx report --bundles` renders the
 /// exact bytes a daemon would for the same accepted uploads.
 ///
-/// Traces are folded at dense local offsets in acceptance order; each
+/// Traces are merged at dense local offsets in acceptance order; each
 /// named version additionally gets its own fold at dense
 /// version-local offsets, mirroring the daemon's per-release fold,
 /// which rebases each of the release's runs onto the fold's end.
 #[derive(Debug)]
 pub struct BatchAssembler {
     dx: EnergyDx,
-    fold: StreamingFold,
-    accepted: usize,
-    versions: BTreeMap<String, (StreamingFold, usize)>,
+    fold: ShardPartial,
+    versions: BTreeMap<String, ShardPartial>,
     clean: u64,
     recovered: u64,
     quarantine: BTreeMap<String, u64>,
@@ -464,8 +463,7 @@ impl BatchAssembler {
     pub fn new(dx: EnergyDx) -> Self {
         BatchAssembler {
             dx,
-            fold: StreamingFold::new(),
-            accepted: 0,
+            fold: ShardPartial::empty(),
             versions: BTreeMap::new(),
             clean: 0,
             recovered: 0,
@@ -475,7 +473,7 @@ impl BatchAssembler {
 
     /// Traces accepted so far.
     pub fn accepted(&self) -> usize {
-        self.accepted
+        self.fold.trace_count()
     }
 
     /// Folds one accepted trace. `recovered` marks uploads that needed
@@ -487,23 +485,18 @@ impl BatchAssembler {
         trace: Vec<PoweredInstance>,
         recovered: bool,
     ) {
-        let traces = [trace];
-        let delta = self.dx.map_shard(&traces, self.accepted);
-        self.accepted += 1;
+        let delta = self.dx.map_shard(&[trace], self.fold.end_offset());
         if recovered {
             self.recovered += 1;
         } else {
             self.clean += 1;
         }
         if !version.is_empty() {
-            let (fold, next) = self
-                .versions
-                .entry(version.to_string())
-                .or_insert_with(|| (StreamingFold::new(), 0));
-            fold.absorb(delta.clone().rebase_to(*next));
-            *next += 1;
+            let fold = self.versions.entry(version.to_string()).or_default();
+            let end = fold.end_offset();
+            *fold = std::mem::take(fold).merge(delta.clone().rebase_to(end));
         }
-        self.fold.absorb(delta);
+        self.fold = std::mem::take(&mut self.fold).merge(delta);
     }
 
     /// Counts one quarantined upload under `reason`.
@@ -523,12 +516,12 @@ impl BatchAssembler {
             quarantine,
             ..
         } = self;
-        let report = dx.finish_streamed(fold)?;
+        let report = dx.finish(fold)?;
         let mut version_inputs = Vec::new();
-        for (version, (fold, _)) in versions {
+        for (version, fold) in versions {
             version_inputs.push(VersionInput {
                 version,
-                report: dx.finish_streamed(fold)?,
+                report: dx.finish(fold)?,
             });
         }
         Ok(AppInput {

@@ -88,16 +88,6 @@ impl SortedGroup {
         false
     }
 
-    /// Deterministic estimate of the group's resident size in bytes,
-    /// for cache budget accounting: one `f64` plus one `u32` per
-    /// element, plus flat struct overhead. A fixed function of the
-    /// population size, so identical groups always account
-    /// identically.
-    pub fn approx_bytes(&self) -> usize {
-        const GROUP_OVERHEAD: usize = 48;
-        GROUP_OVERHEAD + self.sorted.len() * (8 + 4)
-    }
-
     /// The population in ascending order.
     pub fn sorted(&self) -> &[f64] {
         &self.sorted
@@ -132,79 +122,6 @@ impl SortedGroup {
             q2: percentile_of_sorted(&self.sorted, 50.0),
             q3: percentile_of_sorted(&self.sorted, 75.0),
         }
-    }
-
-    /// Merges already-sorted runs into the [`SortedGroup`] of their
-    /// concatenation, without re-sorting.
-    ///
-    /// `runs[i]` must be the sorted view of the `i`-th slice of the
-    /// concatenated population, in concatenation order. The result is
-    /// **bit-identical** to `SortedGroup::new(&concat)`: a k-way merge
-    /// that, on equal-comparing values (including -0.0 vs 0.0), always
-    /// drains the earlier run first reproduces the stable argsort of
-    /// the concatenation, because every element of run `i` has a
-    /// smaller original index than every element of run `j > i` and
-    /// each run's own permutation is already stable. Cost is
-    /// O(n · k) comparisons instead of the O(n log n) re-argsort.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StatsError::EmptyInput`] if `runs` is empty (each run
-    /// is non-empty by construction).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the merged population exceeds `u32::MAX` elements.
-    pub fn merge_runs(runs: &[SortedGroup]) -> Result<Self, StatsError> {
-        if runs.is_empty() {
-            return Err(StatsError::EmptyInput);
-        }
-        if runs.len() == 1 {
-            return Ok(runs[0].clone());
-        }
-        let total: usize = runs.iter().map(SortedGroup::len).sum();
-        assert!(
-            total <= u32::MAX as usize,
-            "merged group population exceeds u32 index space"
-        );
-        // Offset of each run inside the concatenated population: run
-        // permutation entries are local, the merged one is global.
-        let mut offsets = Vec::with_capacity(runs.len());
-        let mut base = 0u32;
-        for run in runs {
-            offsets.push(base);
-            base += run.len() as u32;
-        }
-        let mut sorted = Vec::with_capacity(total);
-        let mut order = Vec::with_capacity(total);
-        let mut heads = vec![0usize; runs.len()];
-        for _ in 0..total {
-            let mut best = usize::MAX;
-            for (k, run) in runs.iter().enumerate() {
-                if heads[k] >= run.len() {
-                    continue;
-                }
-                if best == usize::MAX {
-                    best = k;
-                    continue;
-                }
-                let current = runs[best].sorted[heads[best]];
-                let candidate = run.sorted[heads[k]];
-                // Strictly-less only: ties stay with the earlier run,
-                // which is exactly the stable-argsort arrangement.
-                if candidate
-                    .partial_cmp(&current)
-                    .expect("constructed groups contain no NaN")
-                    == core::cmp::Ordering::Less
-                {
-                    best = k;
-                }
-            }
-            sorted.push(runs[best].sorted[heads[best]]);
-            order.push(offsets[best] + runs[best].order[heads[best]]);
-            heads[best] += 1;
-        }
-        Ok(SortedGroup { sorted, order })
     }
 
     /// 1-based fractional ranks in original data order, bit-identical
@@ -301,70 +218,6 @@ mod tests {
         assert_eq!(g.percentile(0.0).unwrap(), 7.5);
         assert_eq!(g.percentile(100.0).unwrap(), 7.5);
         assert_eq!(g.average_ranks(), vec![1.0]);
-    }
-
-    #[test]
-    fn merging_runs_matches_the_one_shot_argsort_bitwise() {
-        let data = population();
-        for split in [1, 3, 5, 6, 11] {
-            let (a, b) = data.split_at(split);
-            let merged = SortedGroup::merge_runs(&[
-                SortedGroup::new(a).unwrap(),
-                SortedGroup::new(b).unwrap(),
-            ])
-            .unwrap();
-            assert_eq!(merged, SortedGroup::new(&data).unwrap(), "{split}");
-        }
-    }
-
-    #[test]
-    fn merging_signed_zero_runs_keeps_the_stable_arrangement() {
-        // 0.0 and -0.0 compare equal but differ bitwise: the merge must
-        // drain the earlier run first so the concatenation order wins.
-        let a = [0.0, -0.0];
-        let b = [-0.0, 0.0];
-        let concat = [0.0, -0.0, -0.0, 0.0];
-        let merged = SortedGroup::merge_runs(&[
-            SortedGroup::new(&a).unwrap(),
-            SortedGroup::new(&b).unwrap(),
-        ])
-        .unwrap();
-        let reference = SortedGroup::new(&concat).unwrap();
-        let bits = |g: &SortedGroup| -> Vec<u64> {
-            g.sorted().iter().map(|v| v.to_bits()).collect()
-        };
-        assert_eq!(bits(&merged), bits(&reference));
-        assert_eq!(merged, reference);
-    }
-
-    #[test]
-    fn merging_a_single_run_is_the_identity() {
-        let g = SortedGroup::new(&population()).unwrap();
-        assert_eq!(
-            SortedGroup::merge_runs(std::slice::from_ref(&g)).unwrap(),
-            g
-        );
-    }
-
-    #[test]
-    fn merging_no_runs_is_rejected() {
-        assert_eq!(SortedGroup::merge_runs(&[]), Err(StatsError::EmptyInput));
-    }
-
-    #[test]
-    fn incremental_merging_is_associative_with_the_one_shot() {
-        // Fold runs in one at a time, the way the streaming path does.
-        let data = population();
-        let chunks: Vec<&[f64]> = data.chunks(3).collect();
-        let mut acc = SortedGroup::new(chunks[0]).unwrap();
-        for chunk in &chunks[1..] {
-            acc = SortedGroup::merge_runs(&[
-                acc,
-                SortedGroup::new(chunk).unwrap(),
-            ])
-            .unwrap();
-        }
-        assert_eq!(acc, SortedGroup::new(&data).unwrap());
     }
 
     #[test]

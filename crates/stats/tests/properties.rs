@@ -2,8 +2,8 @@
 
 use energydx_stats::{
     average_ranks, dense_ranks, ordinal_ranks, outlier::upper_outlier_indices,
-    percentile, percentile_many, quartiles, sorted::SortedGroup, Ecdf,
-    QuantileSketch, Summary, TukeyFences,
+    percentile, percentile_many, quartiles, Ecdf, QuantileSketch, Summary,
+    TukeyFences,
 };
 use proptest::prelude::*;
 
@@ -244,37 +244,5 @@ proptest! {
                 "q={}", q
             );
         }
-    }
-
-    #[test]
-    fn run_merge_matches_the_one_shot_argsort_bitwise(
-        runs in prop::collection::vec(finite_vec(1), 1..6),
-        p in 0.0f64..=100.0,
-    ) {
-        // Sorting each run independently and k-way merging the runs
-        // must reproduce the one-shot argsort of the concatenation —
-        // every served statistic bit-identical, which is what lets
-        // the spill path maintain SortedGroups incrementally across
-        // on-disk segments without ever re-sorting the world.
-        let concat: Vec<f64> = runs.iter().flatten().copied().collect();
-        let reference = SortedGroup::new(&concat).unwrap();
-        let sorted_runs: Vec<SortedGroup> = runs
-            .iter()
-            .map(|r| SortedGroup::new(r).unwrap())
-            .collect();
-        let merged = SortedGroup::merge_runs(&sorted_runs).unwrap();
-        prop_assert_eq!(&merged, &reference);
-        prop_assert_eq!(
-            merged.percentile(p).unwrap().to_bits(),
-            reference.percentile(p).unwrap().to_bits()
-        );
-        let got: Vec<u64> =
-            merged.average_ranks().iter().map(|v| v.to_bits()).collect();
-        let want: Vec<u64> = reference
-            .average_ranks()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        prop_assert_eq!(got, want);
     }
 }

@@ -1244,10 +1244,10 @@ fn a_restart_may_empty_the_cache_but_never_changes_query_bytes() {
     ops.push(CacheOp::Query); // cold: populates the cache
     ops.push(CacheOp::Query); // warm: pure hit
     ops.extend((8..10).map(CacheOp::Upload));
-    ops.push(CacheOp::Query); // delta fold onto the cached prefix
+    ops.push(CacheOp::Query); // new content: a fresh fold and analysis
     ops.push(CacheOp::Spill);
-    ops.push(CacheOp::Query); // spilled segments, segment cache cold
-    ops.push(CacheOp::Query); // segment cache warm
+    ops.push(CacheOp::Query); // spilled: the fold reads the segments
+    ops.push(CacheOp::Query); // warm again: pure hit
     ops.push(CacheOp::Checkpoint);
     ops.extend((10..12).map(CacheOp::Upload)); // lost at the crash
     ops.push(CacheOp::Restart); // kill -9: cache gone, segments on disk

@@ -10,7 +10,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test golden
 //! ```
 
-use energydx_suite::energydx::shard::StreamingFold;
+use energydx_suite::energydx::shard::ShardPartial;
 use energydx_suite::energydx::{AnalysisConfig, DiagnosisInput, EnergyDx};
 use energydx_suite::energydx_fleetd::cluster::{
     InProcessTransport, WorkerSlot, WorkerTransport,
@@ -93,9 +93,9 @@ fn chaos_report_matches_golden() {
     check_golden("chaos", &chaos_fleet());
 }
 
-/// The streaming path — fleets written to on-disk columnar segments,
-/// folded back run by run, finished from the accumulated sorted runs
-/// — must reproduce the **same pinned bytes** as the resident path.
+/// The spilled path — fleets written to on-disk columnar segments,
+/// read back run by run and merged in sequence order — must reproduce
+/// the **same pinned bytes** as the resident path.
 /// This is the `analyze --bundles <segment dir>` dataflow without the
 /// process boundary.
 #[test]
@@ -129,16 +129,15 @@ fn streamed_segments_reproduce_the_goldens_byte_for_byte() {
             )
             .unwrap();
         }
-        let mut fold = StreamingFold::new();
         let mut runs: Vec<PathBuf> = std::fs::read_dir(&spool)
             .unwrap()
             .map(|e| e.unwrap().path())
             .collect();
         runs.sort();
-        for run in &runs {
-            fold.absorb(energydx_segment::load_from(run).unwrap());
-        }
-        let streamed = dx.finish_streamed(fold).unwrap().to_canonical_json();
+        let fold = runs.iter().fold(ShardPartial::empty(), |fold, run| {
+            fold.merge(energydx_segment::load_from(run).unwrap())
+        });
+        let streamed = dx.finish(fold).unwrap().to_canonical_json();
         let expected = std::fs::read_to_string(golden_path(name)).unwrap();
         assert!(
             streamed == expected,
