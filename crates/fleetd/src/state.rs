@@ -1069,6 +1069,8 @@ impl FleetState {
     /// [`PartialSinceOutcome::Unchanged`] without folding anything;
     /// otherwise returns the selection's locally-offset fold, starting
     /// at 0, for a coordinator to rebase and merge with its peers'.
+    /// With the query cache on, each call counts one state-layer
+    /// lookup: a hit when it answers `Unchanged`, a miss when it folds.
     ///
     /// # Errors
     ///
@@ -1082,11 +1084,13 @@ impl FleetState {
     ) -> Result<PartialSinceOutcome, QueryError> {
         let (key, e) = self.resolve(sel)?;
         let epoch = key.1;
-        if self.config.query_cache
-            && known == Some((epoch, self.incarnation, e.generation))
-        {
-            self.count_cache(true);
-            return Ok(PartialSinceOutcome::Unchanged { epoch });
+        if self.config.query_cache {
+            // A stale or absent token is a miss: the answer must fold.
+            let hit = known == Some((epoch, self.incarnation, e.generation));
+            self.count_cache(hit);
+            if hit {
+                return Ok(PartialSinceOutcome::Unchanged { epoch });
+            }
         }
         let partial = self.fold(e, sel.version.as_deref())?;
         Ok(PartialSinceOutcome::Changed {
@@ -1920,14 +1924,22 @@ pub(crate) mod tests {
         rig.upload("2.0.0");
         assert_eq!(rig.last_run(), 2);
         rig.check(&sel);
-        // A spill writes every run whole, the grown one included, and
-        // the release's fold reads its spilled runs back.
+        // A spill writes every run whole, the grown one included. The
+        // release's cached analysis fits the room the spill leaves, so
+        // it survives (the cache is trimmed, not emptied), and the
+        // release's next fold reads its spilled runs back.
         rig.upload("2.0.0");
         assert_eq!(rig.last_run(), 3);
         for _ in 0..4 {
             rig.upload("1.9.0");
         }
-        assert!(rig.state.spill_all() > 0);
+        rig.state.diagnose_version("app", None, "2.0.0").unwrap();
+        let budget = rig.state.query_cache_stats().bytes;
+        assert!(budget > 0);
+        assert!(rig.state.resident_bytes() > budget);
+        rig.state.config.spill.as_mut().unwrap().mem_budget = budget;
+        assert!(rig.state.maybe_spill() > 0);
+        assert_eq!(rig.state.query_cache_stats().bytes, budget);
         let spilled = &rig.state.apps["app"].epochs[&0].spilled;
         assert_eq!(spilled[spilled.len() - 2].traces, 3);
         rig.check(&sel);
@@ -1938,6 +1950,61 @@ pub(crate) mod tests {
             rig.state.diagnose_version("app", None, "2.0.0").unwrap(),
             rig.scratch.diagnose_version("app", None, "2.0.0").unwrap()
         );
+    }
+
+    #[test]
+    fn a_partial_query_counts_a_state_hit_only_when_its_token_holds() {
+        let reg = Arc::new(MetricsRegistry::deterministic());
+        let mut state =
+            FleetState::with_registry(FleetConfig::default(), Arc::clone(&reg));
+        let sel = Selector::new("app", None, None);
+        state.submit("app", &payload("u", 0));
+        let counts = |state: &FleetState| {
+            let stats = state.query_cache_stats();
+            let layer = [("layer", "state")];
+            let counter = |family| reg.counter_value(family, &layer);
+            assert_eq!(
+                counter("fleetd_query_cache_hits_total").unwrap_or(0),
+                stats.hits
+            );
+            assert_eq!(
+                counter("fleetd_query_cache_misses_total").unwrap_or(0),
+                stats.misses
+            );
+            (stats.hits, stats.misses)
+        };
+        let token = |outcome| match outcome {
+            PartialSinceOutcome::Changed {
+                epoch,
+                incarnation,
+                generation,
+                ..
+            } => (epoch, incarnation, generation),
+            other => panic!("expected a fold, got {other:?}"),
+        };
+        // No token: a miss, and the answer folds.
+        let held = token(state.partial_since(&sel, None).unwrap());
+        assert_eq!(counts(&state), (0, 1));
+        // The token still names the content: a hit, nothing folded.
+        assert!(matches!(
+            state.partial_since(&sel, Some(held)).unwrap(),
+            PartialSinceOutcome::Unchanged { .. }
+        ));
+        assert_eq!(counts(&state), (1, 1));
+        // One more upload makes the token stale: a miss again.
+        state.submit("app", &payload("u", 1));
+        token(state.partial_since(&sel, Some(held)).unwrap());
+        assert_eq!(counts(&state), (1, 2));
+        // A cache-free state folds every time and counts nothing.
+        let mut plain = FleetState::new(FleetConfig {
+            query_cache: false,
+            ..FleetConfig::default()
+        });
+        plain.submit("app", &payload("u", 0));
+        let held = token(plain.partial_since(&sel, None).unwrap());
+        token(plain.partial_since(&sel, Some(held)).unwrap());
+        let stats = plain.query_cache_stats();
+        assert_eq!((stats.hits, stats.misses), (0, 0));
     }
 
     #[test]
