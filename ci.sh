@@ -61,9 +61,12 @@ echo "== benchmark budget gates (smoke) =="
 #             query beats cold by the stored speedup budget.
 #   report  — the operator report: daemon and batch surfaces render
 #             identical artifacts, warm renders beat cold by the
-#             stored speedup budget, both artifacts stay under their
-#             KiB weight caps, and upload, accepted and artifact byte
-#             counts match the stored ones exactly.
+#             stored speedup budget, the cold render's peak live-heap
+#             growth on one thread stays under its stored byte budget
+#             (a return to rendering full per-selection reports),
+#             both artifacts stay under their KiB weight caps, and
+#             upload, accepted and artifact byte counts match the
+#             stored ones exactly.
 for b in hotpath ingest spill query cluster regress report; do
   echo "-- $b (BENCH_$b.json)"
   cargo run -q --release -p energydx-bench --bin "$b" -- \

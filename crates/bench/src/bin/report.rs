@@ -1,16 +1,20 @@
-//! Operator-report benchmark: render latency and artifact weight.
+//! Operator-report benchmark: render latency, peak heap and artifact
+//! weight.
 //!
 //! Ingests a deterministic versioned corpus once and measures what an
 //! operator's crontab actually pays: the **cold** render (every
-//! epoch's and every release's diagnosis folds fresh, then both
-//! artifacts render) and the **warm** repeat (all diagnoses are cache
-//! hits — the figure is the renderer itself). Both artifacts' byte
-//! sizes are recorded and budgeted, so an accidentally-bloated page
-//! (a quadratic sparkline, an unescaped blob dumped twice) fails CI
-//! even on a fast machine. The byte-identity story is asserted, not
-//! timed: the render is repeated (identical bytes) and replayed
-//! through the batch surface's [`BatchAssembler`] (identical bytes
-//! again).
+//! epoch's and every release's analysis folds fresh and is
+//! summarized, then both artifacts render) and the **warm** repeat
+//! (all analyses are cache hits — the figure is summarizing and
+//! rendering). A counting allocator records the cold render's peak
+//! live-heap growth on one thread, so a report path that starts
+//! materializing per-instance data again fails CI whatever the
+//! machine's speed. Both artifacts' byte sizes are recorded and
+//! budgeted, so an accidentally-bloated page (a quadratic sparkline,
+//! an unescaped blob dumped twice) fails CI even on a fast machine.
+//! The byte-identity story is asserted, not timed: the render is
+//! repeated (identical bytes) and replayed through the batch
+//! surface's [`BatchAssembler`] (identical bytes again).
 //!
 //! ```text
 //! report [--smoke] [--write <path>] [--check <path>]
@@ -19,13 +23,14 @@
 //! `--write` stores the report as JSON (see `BENCH_report.json` at the
 //! repo root); `--check` re-runs the smoke measurement and fails
 //! (exit 1) when the warm render is less than the stored
-//! `budget_min_warm_speedup` times faster than cold, when either
-//! artifact outgrows its stored KiB budget, or when a
-//! corpus-determined field (uploads, accepted, html and json bytes)
-//! differs from the stored one. The timing gate compares a
-//! render-only path against full refolds of the whole fleet, so the
-//! margin absorbs scheduler noise, not regressions; the size gates
-//! are exact byte counts.
+//! `budget_min_warm_speedup` times faster than cold, when the cold
+//! render's peak heap growth exceeds the stored
+//! `budget_cold_peak_bytes`, when either artifact outgrows its stored
+//! KiB budget, or when a corpus-determined field (uploads, accepted,
+//! html and json bytes) differs from the stored one. The timing gate
+//! compares summarizing cached analyses and rendering against full
+//! refolds of the whole fleet, so the margin absorbs scheduler noise,
+//! not regressions; the peak and size gates are byte counts.
 
 use energydx_bench::harness::{exact_fields_match, stored_u64, timed};
 use energydx_fleetd::convert::bundle_to_trace;
@@ -43,6 +48,13 @@ use std::collections::BTreeSet;
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::Arc;
+
+#[path = "../peak_alloc.rs"]
+mod peak_alloc;
+use peak_alloc::{peak_region, PeakAlloc};
+
+#[global_allocator]
+static GLOBAL: PeakAlloc = PeakAlloc;
 
 /// The two releases the corpus alternates, so the rendered page
 /// carries regression verdicts like a real release week would.
@@ -82,9 +94,11 @@ struct Report {
     accepted: usize,
     cold_render_secs: f64,
     warm_render_secs: f64,
+    cold_peak_bytes: u64,
     html_bytes: usize,
     json_bytes: usize,
     budget_min_warm_speedup: u64,
+    budget_cold_peak_bytes: u64,
     budget_max_html_kib: u64,
     budget_max_json_kib: u64,
 }
@@ -94,8 +108,10 @@ impl Report {
         format!(
             "{{\n  \"mode\": \"{}\",\n  \"uploads\": {},\n  \
              \"accepted\": {},\n  \"cold_render_secs\": {:.6},\n  \
-             \"warm_render_secs\": {:.6},\n  \"html_bytes\": {},\n  \
-             \"json_bytes\": {},\n  \"budget_min_warm_speedup\": {},\n  \
+             \"warm_render_secs\": {:.6},\n  \"cold_peak_bytes\": {},\n  \
+             \"html_bytes\": {},\n  \"json_bytes\": {},\n  \
+             \"budget_min_warm_speedup\": {},\n  \
+             \"budget_cold_peak_bytes\": {},\n  \
              \"budget_max_html_kib\": {},\n  \
              \"budget_max_json_kib\": {}\n}}\n",
             self.mode,
@@ -103,9 +119,11 @@ impl Report {
             self.accepted,
             self.cold_render_secs,
             self.warm_render_secs,
+            self.cold_peak_bytes,
             self.html_bytes,
             self.json_bytes,
             self.budget_min_warm_speedup,
+            self.budget_cold_peak_bytes,
             self.budget_max_html_kib,
             self.budget_max_json_kib,
         )
@@ -171,12 +189,15 @@ fn run(smoke: bool) -> Report {
     }
     let accepted = state.accepted_total();
 
-    // Cold: every diagnosis folds fresh, then both artifacts render.
-    let (cold, cold_render_secs) = timed(|| fleet_report(&state, 0, None));
+    // Cold: every selection folds and is analyzed fresh, then both
+    // artifacts render. One thread, so the peak is a pure function of
+    // the corpus and the code.
+    let (cold, cold_peak_bytes, cold_render_secs) =
+        peak_region(|| fleet_report(&state, 0, None));
     let cold = cold.expect("the bench fleet renders");
 
-    // Warm: diagnoses are cache hits; the minimum isolates the
-    // renderer. Every repeat must serve the cold bytes exactly.
+    // Warm: analyses are cache hits; the minimum isolates summarizing
+    // and rendering. Every repeat must serve the cold bytes exactly.
     let warm_render_secs = (0..WARM_REPEATS)
         .map(|_| {
             let (warm, secs) = timed(|| fleet_report(&state, 0, None));
@@ -204,12 +225,17 @@ fn run(smoke: bool) -> Report {
         accepted,
         cold_render_secs,
         warm_render_secs,
+        cold_peak_bytes,
         html_bytes: cold.html.len(),
         json_bytes: cold.json.len(),
         // Cold refolds the whole fleet per release and per epoch; warm
-        // is string assembly over cached reports. The real gap is far
-        // wider than 2x.
+        // summarizes cached analyses. The real gap is far wider than
+        // 2x.
         budget_min_warm_speedup: 2,
+        // 1.5x this run's peak: room for allocator-visible drift in
+        // code the report does not own, not for a return to rendering
+        // every selection's per-instance report.
+        budget_cold_peak_bytes: cold_peak_bytes * 3 / 2,
         // The smoke corpus renders a few KiB per artifact; these caps
         // catch a page that starts embedding per-trace data.
         budget_max_html_kib: 64,
@@ -268,6 +294,7 @@ fn main() {
                 .unwrap_or_else(|| panic!("no {key} in {}", path.display()))
         };
         let min_speedup = budget("budget_min_warm_speedup") as f64;
+        let max_cold_peak = budget("budget_cold_peak_bytes");
         let max_html = budget("budget_max_html_kib") as usize * 1024;
         let max_json = budget("budget_max_json_kib") as usize * 1024;
         let speedup = report.cold_render_secs / report.warm_render_secs;
@@ -277,6 +304,14 @@ fn main() {
                 "warm-render regression: a repeat render is only \
                  {speedup:.1}x faster than cold (budget: >= {min_speedup}x) \
                  — the renderer is refolding the fleet"
+            );
+            failed = true;
+        }
+        if report.cold_peak_bytes > max_cold_peak {
+            eprintln!(
+                "memory regression: the cold render's peak heap grew by {} \
+                 bytes (budget: <= {max_cold_peak})",
+                report.cold_peak_bytes
             );
             failed = true;
         }
@@ -300,9 +335,9 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!(
-            "warm render {speedup:.0}x faster than cold; report.html {}B, \
-             report.json {}B",
-            report.html_bytes, report.json_bytes,
+            "warm render {speedup:.0}x faster than cold; cold peak heap {}B; \
+             report.html {}B, report.json {}B",
+            report.cold_peak_bytes, report.html_bytes, report.json_bytes,
         );
     }
 }

@@ -877,16 +877,17 @@ fn assemble_app_input(
     let dx = EnergyDx::new(config.clone()).with_jobs(jobs);
     let segments = seg_files(dir)?;
     if !segments.is_empty() {
-        let report = dx
-            .finish(fold_segments(&segments)?)
+        let fleet = dx
+            .analyze(fold_segments(&segments)?)
             .map_err(|e| e.to_string())?;
-        let clean = report.stats.total_traces as u64;
+        let summary = dx.summarize(&fleet);
+        let clean = summary.total_traces as u64;
         return Ok(AppInput {
             app: app.to_string(),
             detail_epoch: 0,
             epochs: vec![EpochInput {
                 epoch: 0,
-                report,
+                summary,
                 clean,
                 recovered: 0,
                 quarantine: Vec::new(),

@@ -71,6 +71,7 @@ pub mod par;
 pub mod pipeline;
 pub mod report;
 pub mod shard;
+pub mod summary;
 
 pub use config::AnalysisConfig;
 pub use input::DiagnosisInput;
@@ -81,3 +82,4 @@ pub use report::{
     TraceAnalysis,
 };
 pub use shard::{AnalyzedFleet, ShardError, ShardPartial};
+pub use summary::{EventSummary, FleetSummary};

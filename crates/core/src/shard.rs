@@ -754,8 +754,8 @@ impl Step5Partial {
     /// fraction — the final, inherently global piece of Step 5. Names
     /// are resolved here, at the boundary; the ordering is the shared
     /// total chain of [`crate::pipeline::step5_report`].
-    pub fn into_ranked(
-        self,
+    pub fn ranked(
+        &self,
         interner: &EventInterner,
         config: &AnalysisConfig,
     ) -> Vec<RankedEvent> {
@@ -765,7 +765,8 @@ impl Step5Partial {
         let total = self.total;
         let mut ranked: Vec<RankedEvent> = self
             .by_event
-            .into_iter()
+            .iter()
+            .copied()
             .enumerate()
             .filter(|&(_, (count, _))| count > 0)
             .map(|(id, (count, proximity))| RankedEvent {
@@ -810,27 +811,29 @@ pub fn shard_bounds(len: usize, shards: usize) -> Vec<(usize, usize)> {
 
 /// A fully analyzed fleet: everything Steps 2–5 produce, still in
 /// interned (id-only) form. [`EnergyDx::render`] turns it into a
-/// [`DiagnosisReport`] by resolving names at the boundary; keeping the
-/// two apart lets callers (the hot-path benchmark in particular)
-/// measure analysis without report materialization.
+/// [`DiagnosisReport`] by resolving names at the boundary, and
+/// [`EnergyDx::summarize`] into the per-event
+/// [`FleetSummary`](crate::FleetSummary) by reference; keeping
+/// analysis apart from both lets callers (the hot-path benchmark in
+/// particular) measure it without report materialization.
 #[derive(Debug, Clone)]
 pub struct AnalyzedFleet {
-    interner: EventInterner,
-    traces: Vec<InternedTrace>,
-    skipped: Vec<(usize, usize)>,
-    outcomes: Vec<TraceOutcome>,
+    pub(crate) interner: EventInterner,
+    pub(crate) traces: Vec<InternedTrace>,
+    pub(crate) skipped: Vec<(usize, usize)>,
+    pub(crate) outcomes: Vec<TraceOutcome>,
     rankings: Vec<Option<Vec<f64>>>,
-    step5: Step5Partial,
+    pub(crate) step5: Step5Partial,
     degenerate_groups: usize,
 }
 
 /// Per-trace analysis products, id-only.
 #[derive(Debug, Clone)]
-struct TraceOutcome {
-    normalized: Vec<f64>,
-    amplitudes: Vec<f64>,
+pub(crate) struct TraceOutcome {
+    pub(crate) normalized: Vec<f64>,
+    pub(crate) amplitudes: Vec<f64>,
     upper_fence: Option<f64>,
-    outliers: Vec<usize>,
+    pub(crate) outliers: Vec<usize>,
 }
 
 impl AnalyzedFleet {
@@ -1032,7 +1035,7 @@ impl EnergyDx {
         } = fleet;
         let config = self.config();
 
-        let ranked_events = step5.into_ranked(&interner, config);
+        let ranked_events = step5.ranked(&interner, config);
 
         // The interner is canonical (name-sorted), so id order *is*
         // BTreeMap key order; the map is built without re-sorting.

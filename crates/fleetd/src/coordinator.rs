@@ -1,8 +1,9 @@
 //! The cluster coordinator: hash-partitions uploads across N worker
 //! fleetds, fans queries out, rebases and merges the per-worker
-//! [`ShardPartial`]s, and renders through the same `AnalyzedFleet`
-//! boundary as a single daemon — so a K-node cluster must answer
-//! byte-identically to one batch run over the same accepted traces.
+//! [`ShardPartial`]s, and renders (or, for regressions and the
+//! report, summarizes) through the same `AnalyzedFleet` boundary as a
+//! single daemon — so a K-node cluster must answer byte-identically to
+//! one batch run over the same accepted traces.
 //!
 //! Determinism argument: each worker keeps ordinary *local* offsets
 //! (its n-th accepted trace of an epoch sits at offset n), and the
@@ -39,7 +40,7 @@ use crate::protocol::{
 use crate::replicate::ReplicaStore;
 use crate::server::Dispatch;
 use crate::state::{FleetConfig, QueryError, Selector};
-use energydx::{EnergyDx, JsonWriter, ShardPartial};
+use energydx::{EnergyDx, FleetSummary, JsonWriter, ShardError, ShardPartial};
 use energydx_obsv::{EventKind, Metrics, MetricsRegistry};
 use energydx_report::{
     build_model, render_html, render_json, DEFAULT_TOP_APPS,
@@ -116,6 +117,13 @@ struct CoordCacheEntry {
 /// refetches and replaces the entry. The cache is thereby bounded by
 /// apps × releases per worker, and a rollover strands nothing.
 type CoordCache = BTreeMap<(String, Option<String>), CoordCacheEntry>;
+
+/// A merged fan that cannot be analyzed, as the daemon words it.
+fn analysis_error(e: ShardError) -> Response {
+    Response::Error {
+        message: QueryError::Analysis(e.to_string()).to_string(),
+    }
+}
 
 /// What one fan-out gathered: the surviving shards' partials (in
 /// worker order), the unreachable shard ids, and whether any worker
@@ -603,8 +611,8 @@ impl Coordinator {
 
     /// Concatenates a fan's surviving shards in worker order — each
     /// worker's locally-0-based partial rebased to sit after the traces
-    /// of the workers before it — and finishes the merged fleet.
-    fn finish(&self, fan: Fan) -> Result<energydx::DiagnosisReport, Response> {
+    /// of the workers before it.
+    fn merged(fan: Fan) -> ShardPartial {
         let mut merged = ShardPartial::empty();
         let mut base = 0usize;
         for (_, _, partial) in fan.found {
@@ -612,9 +620,20 @@ impl Coordinator {
             merged = merged.merge(partial.rebase(base));
             base += n;
         }
-        self.dx.finish(merged).map_err(|e| Response::Error {
-            message: QueryError::Analysis(e.to_string()).to_string(),
-        })
+        merged
+    }
+
+    /// Finishes a fan's merged fleet into the full report.
+    fn finish(&self, fan: Fan) -> Result<energydx::DiagnosisReport, Response> {
+        self.dx.finish(Self::merged(fan)).map_err(analysis_error)
+    }
+
+    /// Analyzes a fan's merged fleet and summarizes it, rendering
+    /// nothing: what regressions and the report read.
+    fn summarize(&self, fan: Fan) -> Result<FleetSummary, Response> {
+        let fleet =
+            self.dx.analyze(Self::merged(fan)).map_err(analysis_error)?;
+        Ok(self.dx.summarize(&fleet))
     }
 
     /// The unreachable shards an answer must name, sorted and each
@@ -736,6 +755,10 @@ impl Coordinator {
         to: &str,
         threshold: Option<f64>,
     ) -> Response {
+        let config = match crate::server::regress_config(threshold) {
+            Ok(config) => config,
+            Err(error) => return error,
+        };
         let _span = self.metrics.span("regress");
         self.metrics.inc("fleetd_regress_queries_total", &[]);
         let from_sel = Selector::new(app, epoch, Some(from));
@@ -745,12 +768,12 @@ impl Coordinator {
             // Both fans hit the same workers, so `vet` refuses to
             // compare releases across epochs as well as within one.
             let missing = self.vet(&from_sel, &[&from_fan, &to_fan])?;
-            let report = energydx_regress::compare(
+            let report = energydx_regress::compare_summaries(
                 from,
-                &self.finish(from_fan)?,
+                &self.summarize(from_fan)?,
                 to,
-                &self.finish(to_fan)?,
-                &crate::server::regress_config(threshold),
+                &self.summarize(to_fan)?,
+                &config,
             );
             self.metrics.inc(
                 "fleetd_regress_verdicts_total",
@@ -827,7 +850,7 @@ impl Coordinator {
             crate::report::report_inputs(&merge_catalogs(catalogs), |sel| {
                 let fan = self.fan(sel)?;
                 missing.extend(&fan.missing);
-                self.finish(fan)
+                self.summarize(fan)
             })?;
         let missing = self.hold(missing)?;
         let panel = crate::report::deployment_panel(
@@ -1387,7 +1410,7 @@ mod tests {
                 None,
                 "1.9.0",
                 "2.0.0",
-                &crate::server::regress_config(None),
+                &energydx_regress::RegressConfig::default(),
             )
             .unwrap()
     }
@@ -1850,7 +1873,7 @@ mod tests {
                         None,
                         "1.9.0",
                         "2.0.0",
-                        &crate::server::regress_config(None),
+                        &energydx_regress::RegressConfig::default(),
                     )
                     .unwrap();
                 assert_eq!(json, reference);
@@ -1874,6 +1897,32 @@ mod tests {
             }
             other => panic!("unexpected response {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_nan_or_negative_wire_threshold_is_refused_by_value() {
+        let cluster = cluster(2);
+        drive(&cluster, &versioned_uploads(12));
+        let request = |threshold| Request::Regressions {
+            app: "mail".to_string(),
+            epoch: None,
+            from: "1.9.0".to_string(),
+            to: "2.0.0".to_string(),
+            threshold: Some(threshold),
+        };
+        for (threshold, shown) in [(f64::NAN, "NaN"), (-0.5, "-0.5")] {
+            match cluster.coordinator.handle_request(request(threshold)) {
+                Response::Error { message } => assert!(
+                    message.contains(&format!("threshold {shown}:")),
+                    "{message}"
+                ),
+                other => panic!("unexpected response {other:?}"),
+            }
+        }
+        assert!(matches!(
+            cluster.coordinator.handle_request(request(0.5)),
+            Response::Report { .. }
+        ));
     }
 
     #[test]

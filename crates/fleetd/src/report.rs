@@ -1,17 +1,18 @@
 //! [`FleetState`] → deterministic operator report.
 //!
 //! Assembles `energydx-report` inputs from resident daemon state: one
-//! [`AppInput`] per app (every epoch's diagnosis for the trend, every
-//! current-epoch version's diagnosis for regression verdicts, the
-//! quarantine taxonomy from epoch accounting), and renders both
-//! artifacts through the shared renderer.
+//! [`AppInput`] per app (every epoch's diagnosis summary for the
+//! trend, every current-epoch version's summary for regression
+//! verdicts, the quarantine taxonomy from epoch accounting), and
+//! renders both artifacts through the shared renderer.
 //!
-//! Byte identity: every diagnosis here goes through the same memoized
-//! [`FleetState::diagnosis`] path the query protocol uses, which is
-//! proven batch-identical by the diff harness, and the coordinator
-//! assembles its inputs with the same [`report_inputs`] over its
-//! workers' merged catalogs — so the report inherits the repo's
-//! cross-surface byte-identity story for free. The only
+//! Byte identity: every summary here goes through the memoized
+//! [`FleetState::summary`], which reads the same analysis the query
+//! protocol's [`FleetState::diagnosis`] renders (proven batch-identical
+//! by the diff harness), and the coordinator assembles its inputs with
+//! the same [`report_inputs`] over its workers' merged catalogs — so
+//! the report inherits the repo's cross-surface byte-identity story
+//! for free. The only
 //! surface-dependent values, the deployment counters, follow the
 //! pinning rule documented in `energydx-report`: they render as live
 //! numbers only when the state's registry runs on the wall clock;
@@ -19,7 +20,7 @@
 //! registry) they pin to zero so batch, daemon, and cluster artifacts
 //! match.
 
-use energydx::DiagnosisReport;
+use energydx::FleetSummary;
 use energydx_obsv::Metrics;
 use energydx_report::{
     build_model, render_html, render_json, AppInput, CacheLine,
@@ -40,27 +41,27 @@ pub struct RenderedReport {
 
 /// Assembles one [`AppInput`] per app from resident state, in app
 /// order: [`report_inputs`] over the state's own catalog, each
-/// selection answered by the memoized [`FleetState::diagnosis`].
+/// selection answered by the memoized [`FleetState::summary`].
 ///
 /// # Errors
 ///
-/// Propagates the first [`QueryError`] from a diagnosis.
+/// Propagates the first [`QueryError`] from a summary.
 pub fn state_inputs(state: &FleetState) -> Result<Vec<AppInput>, QueryError> {
-    report_inputs(&state_catalog(state), |sel| state.diagnosis(sel))
+    report_inputs(&state_catalog(state), |sel| state.summary(sel))
 }
 
 /// Assembles one [`AppInput`] per catalog entry, in catalog order —
 /// the one input builder of the daemon's and the coordinator's
-/// reports. Every epoch is diagnosed (trend history); each release of
-/// the current epoch is diagnosed on its own for regression verdicts.
-/// `diagnose` answers one [`Selector`].
+/// reports. Every epoch is summarized (trend history); each release
+/// of the current epoch is summarized on its own for regression
+/// verdicts. `summarize` answers one [`Selector`].
 ///
 /// # Errors
 ///
-/// Propagates the first error from `diagnose`.
+/// Propagates the first error from `summarize`.
 pub fn report_inputs<E>(
     catalog: &[AppCatalog],
-    mut diagnose: impl FnMut(&Selector) -> Result<DiagnosisReport, E>,
+    mut summarize: impl FnMut(&Selector) -> Result<FleetSummary, E>,
 ) -> Result<Vec<AppInput>, E> {
     let mut inputs = Vec::with_capacity(catalog.len());
     for cat in catalog {
@@ -68,7 +69,7 @@ pub fn report_inputs<E>(
         for e in &cat.epochs {
             epochs.push(EpochInput {
                 epoch: e.epoch,
-                report: diagnose(&Selector::new(
+                summary: summarize(&Selector::new(
                     &cat.app,
                     Some(e.epoch),
                     None,
@@ -85,7 +86,7 @@ pub fn report_inputs<E>(
                 Selector::new(&cat.app, Some(cat.current_epoch), Some(version));
             versions.push(VersionInput {
                 version: version.clone(),
-                report: diagnose(&sel)?,
+                summary: summarize(&sel)?,
             });
         }
         inputs.push(AppInput {
@@ -197,7 +198,7 @@ pub fn deployment_panel(
 ///
 /// # Errors
 ///
-/// Propagates the first [`QueryError`] from a diagnosis.
+/// Propagates the first [`QueryError`] from a summary.
 pub fn fleet_report(
     state: &FleetState,
     shed: u64,

@@ -560,15 +560,31 @@ fn request_kind(req: &Request) -> &'static str {
 
 /// The server-side [`RegressConfig`] for a wire request: defaults,
 /// with the client's quantile-shift threshold override applied when
-/// present.
+/// present. The override must be finite and non-negative, as the
+/// CLI's `--threshold` must: under NaN no event would ever be flagged
+/// on the quantile shift, and under a negative one every event would.
+///
+/// # Errors
+///
+/// A [`Response::Error`] naming a rejected threshold.
+///
+/// [`RegressConfig`]: energydx_regress::RegressConfig
 pub(crate) fn regress_config(
     threshold: Option<f64>,
-) -> energydx_regress::RegressConfig {
+) -> Result<energydx_regress::RegressConfig, Response> {
     let mut config = energydx_regress::RegressConfig::default();
     if let Some(t) = threshold {
+        if !(t.is_finite() && t >= 0.0) {
+            return Err(Response::Error {
+                message: format!(
+                    "invalid regression threshold {t}: must be a finite, \
+                     non-negative fraction"
+                ),
+            });
+        }
         config.shift_threshold = t;
     }
-    config
+    Ok(config)
 }
 
 fn dispatch(handle: &FleetdHandle, req: Request) -> Response {
@@ -686,12 +702,16 @@ fn dispatch(handle: &FleetdHandle, req: Request) -> Response {
             to,
             threshold,
         } => {
-            let config = regress_config(threshold);
-            match handle.regressions_json(&app, epoch, &from, &to, &config) {
+            let answer = regress_config(threshold).and_then(|config| {
+                handle
+                    .regressions_json(&app, epoch, &from, &to, &config)
+                    .map_err(|e| Response::Error {
+                        message: e.to_string(),
+                    })
+            });
+            match answer {
                 Ok(json) => Response::Report { json },
-                Err(e) => Response::Error {
-                    message: e.to_string(),
-                },
+                Err(error) => error,
             }
         }
         Request::Report { top } => match handle.report(top) {

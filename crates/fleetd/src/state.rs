@@ -26,7 +26,7 @@ use crate::convert;
 use crate::spill::{self, SpillConfig, SpilledRun};
 use energydx::report::DiagnosisReport;
 use energydx::shard::{AnalyzedFleet, ShardPartial};
-use energydx::{AnalysisConfig, EnergyDx, JsonWriter};
+use energydx::{AnalysisConfig, EnergyDx, FleetSummary, JsonWriter};
 use energydx_obsv::{EventKind, Metrics, MetricsRegistry};
 use energydx_regress::{RegressConfig, RegressionReport};
 use energydx_trace::repair::RepairPolicy;
@@ -357,12 +357,13 @@ pub enum PartialSinceOutcome {
 
 /// A cached [`AnalyzedFleet`], valid only at the exact generation it
 /// was computed at (analysis is a function of the *whole* selection).
-/// The rendered canonical JSON rides along once a `diagnose_json`
-/// has paid for it, so a dashboard's repeat poll is a string clone.
+/// Shared, so a summary reads it outside the cache lock. The rendered
+/// canonical JSON rides along once a `diagnose_json` has paid for it,
+/// so a dashboard's repeat poll is a string clone.
 #[derive(Debug)]
 struct AnalyzedEntry {
     generation: u64,
-    fleet: AnalyzedFleet,
+    fleet: Arc<AnalyzedFleet>,
     json: Option<String>,
     bytes: usize,
     last_used: u64,
@@ -1122,25 +1123,19 @@ impl FleetState {
         }
     }
 
-    /// Finishes a selection into a full diagnosis report — the
-    /// incremental result that must equal the batch run over the same
-    /// traces. A release nothing was uploaded under yields an empty
-    /// report, not an error, so a differential query against a
-    /// misspelled or not-yet-shipped version answers "insufficient
-    /// data" honestly.
-    ///
-    /// Generation-exact memoization of the analysis: a repeat query
-    /// over unchanged content renders a clone of the cached
-    /// [`AnalyzedFleet`] — same input to `render`, same bytes out —
-    /// and skips the fold and Steps 2–5 entirely.
+    /// The analyzed fleet of a selection. Generation-exact
+    /// memoization: a repeat over unchanged content is the cached
+    /// [`AnalyzedFleet`], shared, skipping the fold and Steps 2–5
+    /// entirely; otherwise the selection is folded and analyzed, and
+    /// cached when the query cache is on.
     ///
     /// # Errors
     ///
-    /// As [`FleetState::partial_since`].
-    pub fn diagnosis(
+    /// As [`FleetState::partial_since`], plus [`QueryError::Analysis`].
+    fn analyzed(
         &self,
         sel: &Selector,
-    ) -> Result<DiagnosisReport, QueryError> {
+    ) -> Result<Arc<AnalyzedFleet>, QueryError> {
         let (key, e) = self.resolve(sel)?;
         if self.config.query_cache {
             let hit = {
@@ -1152,21 +1147,20 @@ impl FleetState {
                     .filter(|entry| entry.generation == e.generation)
                     .map(|entry| {
                         entry.last_used = stamp;
-                        entry.fleet.clone()
+                        Arc::clone(&entry.fleet)
                     })
             };
             self.count_cache(hit.is_some());
             if let Some(fleet) = hit {
-                let _span = self.metrics.span("finish");
-                return Ok(self.dx.render(fleet));
+                return Ok(fleet);
             }
         }
         let fold = self.fold(e, sel.version.as_deref())?;
-        let _span = self.metrics.span("finish");
-        let fleet = self
-            .dx
-            .analyze(fold)
-            .map_err(|err| QueryError::Analysis(err.to_string()))?;
+        let fleet = Arc::new(
+            self.dx
+                .analyze(fold)
+                .map_err(|err| QueryError::Analysis(err.to_string()))?,
+        );
         if self.config.query_cache {
             let bytes = fleet.approx_bytes();
             {
@@ -1176,7 +1170,7 @@ impl FleetState {
                     key,
                     AnalyzedEntry {
                         generation: e.generation,
-                        fleet: fleet.clone(),
+                        fleet: Arc::clone(&fleet),
                         json: None,
                         bytes,
                         last_used: stamp,
@@ -1185,7 +1179,41 @@ impl FleetState {
             }
             self.trim_cache_to_budget();
         }
-        Ok(self.dx.render(fleet))
+        Ok(fleet)
+    }
+
+    /// Finishes a selection into a full diagnosis report — the
+    /// incremental result that must equal the batch run over the same
+    /// traces. A release nothing was uploaded under yields an empty
+    /// report, not an error, so a differential query against a
+    /// misspelled or not-yet-shipped version answers "insufficient
+    /// data" honestly. A repeat over unchanged content renders a clone
+    /// of the cached analysis — same input to `render`, same bytes out.
+    ///
+    /// # Errors
+    ///
+    /// As [`FleetState::partial_since`].
+    pub fn diagnosis(
+        &self,
+        sel: &Selector,
+    ) -> Result<DiagnosisReport, QueryError> {
+        let _span = self.metrics.span("finish");
+        let fleet = self.analyzed(sel)?;
+        Ok(self.dx.render(Arc::unwrap_or_clone(fleet)))
+    }
+
+    /// The [`FleetSummary`] of a selection: what the release gate and
+    /// the operator report read. Summarizes the same memoized analysis
+    /// [`FleetState::diagnosis`] renders, by reference, and renders
+    /// nothing; an unknown release is the empty summary, as it is the
+    /// empty report there.
+    ///
+    /// # Errors
+    ///
+    /// As [`FleetState::diagnosis`].
+    pub fn summary(&self, sel: &Selector) -> Result<FleetSummary, QueryError> {
+        let fleet = self.analyzed(sel)?;
+        Ok(self.dx.summarize(&fleet))
     }
 
     /// [`FleetState::diagnosis`] rendered as canonical JSON — the byte
@@ -1285,10 +1313,10 @@ impl FleetState {
     }
 
     /// Differential diagnosis between two releases of `app` within one
-    /// epoch: analyzes each version's traces alone, aligns their event
-    /// populations, and reports per-event normalized-power
-    /// quantile shifts and impacted-user-fraction deltas under
-    /// `config`'s thresholds.
+    /// epoch: summarizes each version's traces alone
+    /// ([`FleetState::summary`]), aligns their event populations, and
+    /// reports per-event normalized-power quantile shifts and
+    /// impacted-user-fraction deltas under `config`'s thresholds.
     ///
     /// # Errors
     ///
@@ -1303,13 +1331,14 @@ impl FleetState {
     ) -> Result<RegressionReport, QueryError> {
         let _span = self.metrics.span("regress");
         self.metrics.inc("fleetd_regress_queries_total", &[]);
-        let from_report = self.diagnose_version(app, epoch, from)?;
-        let to_report = self.diagnose_version(app, epoch, to)?;
-        let report = energydx_regress::compare(
+        let from_summary =
+            self.summary(&Selector::new(app, epoch, Some(from)))?;
+        let to_summary = self.summary(&Selector::new(app, epoch, Some(to)))?;
+        let report = energydx_regress::compare_summaries(
             from,
-            &from_report,
+            &from_summary,
             to,
-            &to_report,
+            &to_summary,
             config,
         );
         self.metrics.inc(

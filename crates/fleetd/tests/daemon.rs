@@ -310,6 +310,58 @@ fn tcp_round_trip_matches_the_batch_reference() {
     server.join().unwrap().expect("serve exits cleanly");
 }
 
+/// A wire `Regressions` threshold the CLI would refuse is refused by
+/// the daemon too, with an error naming the value: under NaN no event
+/// is ever flagged on its quantile shift, under a negative one every
+/// event is. A valid override still answers.
+#[test]
+fn a_nan_or_negative_wire_threshold_is_refused_by_value() {
+    let handle =
+        Arc::new(FleetdHandle::start(ServerConfig::default()).expect("start"));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let server = {
+        let handle = Arc::clone(&handle);
+        std::thread::spawn(move || serve_result(listener, handle))
+    };
+    let mut client = Client::connect(&addr).expect("connect");
+    for (i, version) in ["1.9.0", "2.0.0"].iter().cycle().take(8).enumerate() {
+        let payload = fixture::payload_versioned("u1", i as u64, version);
+        let reply = client
+            .request(&Request::Submit {
+                app: "mail".into(),
+                payload,
+            })
+            .expect("submit");
+        assert!(matches!(reply, Response::Outcome { .. }), "{reply:?}");
+    }
+    let request = |threshold| Request::Regressions {
+        app: "mail".into(),
+        epoch: None,
+        from: "1.9.0".into(),
+        to: "2.0.0".into(),
+        threshold: Some(threshold),
+    };
+    for (threshold, shown) in [(f64::NAN, "NaN"), (-0.5, "-0.5")] {
+        match client.request(&request(threshold)).expect("regressions") {
+            Response::Error { message } => assert!(
+                message.contains(&format!("threshold {shown}:")),
+                "{message}"
+            ),
+            other => panic!("expected an error, got {other:?}"),
+        }
+    }
+    assert!(matches!(
+        client.request(&request(0.5)).expect("regressions"),
+        Response::Report { .. }
+    ));
+    assert_eq!(
+        client.request(&Request::Shutdown).expect("shutdown"),
+        Response::Done
+    );
+    server.join().unwrap().expect("serve exits cleanly");
+}
+
 fn serve_result(
     listener: TcpListener,
     handle: Arc<FleetdHandle>,

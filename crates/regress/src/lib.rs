@@ -3,16 +3,16 @@
 //! EnergyDx diagnoses an anomaly *within* one fleet snapshot; this
 //! crate answers the differential question a release gate asks: "did
 //! v2 make the app burn more power than v1, and which event manifests
-//! it?" It compares two [`DiagnosisReport`]s — one per release —
-//! event by event:
+//! it?" It compares two [`FleetSummary`]s — one per release — event
+//! by event ([`compare_summaries`]; [`compare`] takes two rendered
+//! [`DiagnosisReport`]s and summarizes each first):
 //!
-//! 1. **Align** the event vocabularies. Both reports carry each
-//!    instance's event name, so the union of names (a `BTreeSet`, for
+//! 1. **Align** the event vocabularies. Both summaries key their
+//!    events by name, so the union of names (a `BTreeSet`, for
 //!    deterministic order) is the comparison axis; no interner has to
 //!    be shared between the releases.
-//! 2. **Summarize** each event's normalized-power population on each
-//!    side with a mergeable, *exact* [`QuantileSketch`] and read one
-//!    configurable quantile off it.
+//! 2. **Read** one configurable quantile off each event's exact
+//!    normalized-power [`QuantileSketch`] on each side.
 //! 3. **Classify** each event by two signals: the quantile shift
 //!    (relative to the v1 level, floored at 1 mW so near-zero
 //!    baselines don't explode the ratio) and the delta in the
@@ -26,7 +26,7 @@
 //! artifact in the repo.
 
 use energydx::report::DiagnosisReport;
-use energydx::JsonWriter;
+use energydx::{FleetSummary, JsonWriter};
 use energydx_stats::QuantileSketch;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -155,36 +155,18 @@ impl RegressionReport {
     }
 }
 
-/// Per-event normalized-power populations of one report, summarized
-/// as exact quantile sketches.
-fn event_populations(
-    report: &DiagnosisReport,
-) -> BTreeMap<&str, QuantileSketch> {
-    let mut pops: BTreeMap<&str, QuantileSketch> = BTreeMap::new();
-    for trace in &report.traces {
-        for (event, &power) in trace.events.iter().zip(&trace.normalized_power)
-        {
-            pops.entry(event).or_default().push(power);
-        }
-    }
-    pops
-}
-
-/// Per-event impacted fractions of one report (events outside the
+/// Per-event impacted fractions of one summary (events outside the
 /// ranked list were never implicated: fraction 0).
-fn impacted_fractions(report: &DiagnosisReport) -> BTreeMap<&str, f64> {
-    report
+fn impacted_fractions(summary: &FleetSummary) -> BTreeMap<&str, f64> {
+    summary
         .events
         .iter()
         .map(|e| (e.event.as_str(), e.impacted_fraction))
         .collect()
 }
 
-/// Compares two per-release diagnosis reports.
-///
-/// Pure: the result is a function of the two reports and the config
-/// alone, so daemon, coordinator, and batch CLI produce identical
-/// bytes for identical inputs.
+/// Compares two per-release diagnosis reports: [`compare_summaries`]
+/// over [`FleetSummary::of_report`] of each.
 pub fn compare(
     from_version: &str,
     from: &DiagnosisReport,
@@ -192,19 +174,41 @@ pub fn compare(
     to: &DiagnosisReport,
     config: &RegressConfig,
 ) -> RegressionReport {
-    let from_pops = event_populations(from);
-    let to_pops = event_populations(to);
+    compare_summaries(
+        from_version,
+        &FleetSummary::of_report(from),
+        to_version,
+        &FleetSummary::of_report(to),
+        config,
+    )
+}
+
+/// Compares two per-release fleet summaries.
+///
+/// Pure: the result is a function of the two summaries and the config
+/// alone, so daemon, coordinator, and batch CLI produce identical
+/// bytes for identical inputs.
+pub fn compare_summaries(
+    from_version: &str,
+    from: &FleetSummary,
+    to_version: &str,
+    to: &FleetSummary,
+    config: &RegressConfig,
+) -> RegressionReport {
     let from_impact = impacted_fractions(from);
     let to_impact = impacted_fractions(to);
 
-    let names: BTreeSet<&str> =
-        from_pops.keys().chain(to_pops.keys()).copied().collect();
+    let names: BTreeSet<&str> = from
+        .by_event
+        .keys()
+        .chain(to.by_event.keys())
+        .map(String::as_str)
+        .collect();
 
     let mut events = Vec::with_capacity(names.len());
     for name in names {
-        let side = |pops: &BTreeMap<&str, QuantileSketch>,
-                    impact: &BTreeMap<&str, f64>| {
-            let sketch = pops.get(name);
+        let side = |summary: &FleetSummary, impact: &BTreeMap<&str, f64>| {
+            let sketch = summary.by_event.get(name).map(|e| &e.power);
             EventSide {
                 samples: sketch.map_or(0, QuantileSketch::count),
                 quantile_mw: sketch
@@ -212,8 +216,8 @@ pub fn compare(
                 impacted_fraction: impact.get(name).copied().unwrap_or(0.0),
             }
         };
-        let from_side = side(&from_pops, &from_impact);
-        let to_side = side(&to_pops, &to_impact);
+        let from_side = side(from, &from_impact);
+        let to_side = side(to, &to_impact);
         let quantile_shift = match (from_side.quantile_mw, to_side.quantile_mw)
         {
             (Some(f), Some(t)) => Some((t - f) / f.abs().max(1.0)),
@@ -273,8 +277,8 @@ pub fn compare(
     RegressionReport {
         from_version: from_version.to_string(),
         to_version: to_version.to_string(),
-        from_traces: from.stats.analyzed_traces,
-        to_traces: to.stats.analyzed_traces,
+        from_traces: from.analyzed_traces,
+        to_traces: to.analyzed_traces,
         verdict,
         events,
         config: config.clone(),
@@ -445,16 +449,12 @@ mod tests {
 
     #[test]
     fn event_absent_on_one_side_has_null_shift() {
-        let v1 = report(1.0);
-        let mut v2 = report(1.0);
-        for t in &mut v2.traces {
-            for e in &mut t.events {
-                if e == "hot" {
-                    *e = "hot2".to_string();
-                }
-            }
-        }
-        let cmp = compare("v1", &v1, "v2", &v2, &RegressConfig::default());
+        let v1 = FleetSummary::of_report(&report(1.0));
+        let mut v2 = v1.clone();
+        let hot = v2.by_event.remove("hot").unwrap();
+        v2.by_event.insert("hot2".to_string(), hot);
+        let cmp =
+            compare_summaries("v1", &v1, "v2", &v2, &RegressConfig::default());
         let hot = cmp.events.iter().find(|e| e.event == "hot").unwrap();
         assert_eq!(hot.to.samples, 0);
         assert_eq!(hot.quantile_shift, None);

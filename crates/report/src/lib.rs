@@ -1,7 +1,7 @@
 //! Deterministic operator report: one fleet, two byte-stable artifacts.
 //!
 //! This crate turns analyzed fleet state — per-epoch
-//! [`DiagnosisReport`]s, per-version reports for regression verdicts,
+//! [`FleetSummary`]s, per-version summaries for regression verdicts,
 //! and ingest/ops accounting — into a [`ReportModel`], then renders
 //! that model two ways:
 //!
@@ -33,8 +33,8 @@
 use std::collections::BTreeMap;
 
 use energydx::shard::ShardPartial;
-use energydx::{DiagnosisReport, EnergyDx, ShardError};
-use energydx_regress::{compare, RegressConfig};
+use energydx::{EnergyDx, EventSummary, FleetSummary, ShardError};
+use energydx_regress::{compare_summaries, RegressConfig};
 use energydx_stats::sketch::QuantileSketch;
 use energydx_trace::join::PoweredInstance;
 
@@ -50,15 +50,15 @@ pub const DEFAULT_TOP_APPS: usize = 16;
 /// Schema tag stamped into `report.json`.
 pub const REPORT_SCHEMA: &str = "energydx-report-v1";
 
-/// One epoch's worth of input for an app: the epoch's diagnosis plus
-/// its ingest accounting (clean/recovered acceptance counts and the
-/// quarantine reason taxonomy).
+/// One epoch's worth of input for an app: the epoch's diagnosis
+/// summary plus its ingest accounting (clean/recovered acceptance
+/// counts and the quarantine reason taxonomy).
 #[derive(Debug, Clone)]
 pub struct EpochInput {
     /// Epoch id.
     pub epoch: u64,
-    /// The epoch's full diagnosis.
-    pub report: DiagnosisReport,
+    /// The epoch's diagnosis, summarized.
+    pub summary: FleetSummary,
     /// Uploads accepted without repair.
     pub clean: u64,
     /// Uploads accepted after salvage/repair.
@@ -73,8 +73,8 @@ pub struct EpochInput {
 pub struct VersionInput {
     /// Version label as reported by uploads.
     pub version: String,
-    /// Diagnosis restricted to this version's traces.
-    pub report: DiagnosisReport,
+    /// Diagnosis restricted to this version's traces, summarized.
+    pub summary: FleetSummary,
 }
 
 /// Everything the builder needs about one app.
@@ -267,6 +267,15 @@ fn percentile_or_zero(sketch: &QuantileSketch, p: f64) -> f64 {
     sketch.percentile(p).unwrap_or(0.0)
 }
 
+/// `impacted / analyzed` traces, 0 when nothing was analyzed.
+fn impacted_fraction(summary: &FleetSummary) -> f64 {
+    if summary.analyzed_traces == 0 {
+        0.0
+    } else {
+        summary.impacted_traces as f64 / summary.analyzed_traces as f64
+    }
+}
+
 /// Builds an [`AppSection`] from one app's inputs, or `None` when the
 /// app carries no epochs at all.
 fn build_app(input: &AppInput) -> Option<AppSection> {
@@ -276,71 +285,35 @@ fn build_app(input: &AppInput) -> Option<AppSection> {
         .iter()
         .find(|e| e.epoch == input.detail_epoch)
         .or_else(|| epochs.last())?;
-    let report = &detail.report;
+    let summary = &detail.summary;
 
-    let analyzed = report.stats.analyzed_traces;
-    let impacted = report.impacted_traces().len();
-    let impacted_fraction = if analyzed == 0 {
-        0.0
-    } else {
-        impacted as f64 / analyzed as f64
-    };
-
-    let mut events = Vec::new();
-    for ranked in report.reported_events() {
-        let mut power = QuantileSketch::new();
-        let mut detections = 0usize;
-        let mut peak_amplitude = 0.0f64;
-        for trace in &report.traces {
-            for (name, &mw) in
-                trace.events.iter().zip(trace.normalized_power.iter())
-            {
-                if name == &ranked.event {
-                    power.push(mw);
-                }
+    // A ranked event always has instances; the default only guards a
+    // hand-built summary.
+    let absent = EventSummary::default();
+    let events = summary
+        .reported_events()
+        .iter()
+        .map(|ranked| {
+            let e = summary.by_event.get(&ranked.event).unwrap_or(&absent);
+            EventRow {
+                event: ranked.event.clone(),
+                impacted_fraction: ranked.impacted_fraction,
+                proximity: ranked.proximity,
+                detections: e.detections,
+                peak_amplitude: e.peak_amplitude,
+                p50_mw: percentile_or_zero(&e.power, 50.0),
+                p90_mw: percentile_or_zero(&e.power, 90.0),
             }
-            for point in &trace.manifestation_points {
-                if point.event == ranked.event {
-                    detections += 1;
-                    if point.amplitude > peak_amplitude {
-                        peak_amplitude = point.amplitude;
-                    }
-                }
-            }
-        }
-        events.push(EventRow {
-            event: ranked.event.clone(),
-            impacted_fraction: ranked.impacted_fraction,
-            proximity: ranked.proximity,
-            detections,
-            peak_amplitude,
-            p50_mw: percentile_or_zero(&power, 50.0),
-            p90_mw: percentile_or_zero(&power, 90.0),
-        });
-    }
+        })
+        .collect();
 
     let trend = epochs
         .iter()
-        .map(|e| {
-            let r = &e.report;
-            let analyzed = r.stats.analyzed_traces;
-            let impacted = r.impacted_traces().len();
-            let mut power = QuantileSketch::new();
-            for trace in &r.traces {
-                for &mw in &trace.normalized_power {
-                    power.push(mw);
-                }
-            }
-            EpochPoint {
-                epoch: e.epoch,
-                traces: analyzed,
-                impacted_fraction: if analyzed == 0 {
-                    0.0
-                } else {
-                    impacted as f64 / analyzed as f64
-                },
-                p90_mw: percentile_or_zero(&power, 90.0),
-            }
+        .map(|e| EpochPoint {
+            epoch: e.epoch,
+            traces: e.summary.analyzed_traces,
+            impacted_fraction: impacted_fraction(&e.summary),
+            p90_mw: percentile_or_zero(&e.summary.power, 90.0),
         })
         .collect();
 
@@ -350,11 +323,11 @@ fn build_app(input: &AppInput) -> Option<AppSection> {
         .windows(2)
         .map(|pair| {
             let (from, to) = (pair[0], pair[1]);
-            let report = compare(
+            let report = compare_summaries(
                 &from.version,
-                &from.report,
+                &from.summary,
                 &to.version,
-                &to.report,
+                &to.summary,
                 &RegressConfig::default(),
             );
             let top_event =
@@ -372,11 +345,11 @@ fn build_app(input: &AppInput) -> Option<AppSection> {
     Some(AppSection {
         app: input.app.clone(),
         epoch: detail.epoch,
-        total_traces: report.stats.total_traces,
-        analyzed_traces: analyzed,
-        impacted_traces: impacted,
-        impacted_fraction,
-        manifestation_points: report.manifestation_point_count(),
+        total_traces: summary.total_traces,
+        analyzed_traces: summary.analyzed_traces,
+        impacted_traces: summary.impacted_traces,
+        impacted_fraction: impacted_fraction(summary),
+        manifestation_points: summary.manifestation_points,
         events,
         trend,
         regressions,
@@ -504,8 +477,8 @@ impl BatchAssembler {
         *self.quarantine.entry(reason.to_string()).or_insert(0) += 1;
     }
 
-    /// Finishes every fold into an [`AppInput`] for `app` (single
-    /// epoch 0, like a daemon that never rolled over).
+    /// Analyzes and summarizes every fold into an [`AppInput`] for
+    /// `app` (single epoch 0, like a daemon that never rolled over).
     pub fn finish(self, app: &str) -> Result<AppInput, ShardError> {
         let BatchAssembler {
             dx,
@@ -516,12 +489,14 @@ impl BatchAssembler {
             quarantine,
             ..
         } = self;
-        let report = dx.finish(fold)?;
+        let summarize =
+            |fold| dx.analyze(fold).map(|fleet| dx.summarize(&fleet));
+        let summary = summarize(fold)?;
         let mut version_inputs = Vec::new();
         for (version, fold) in versions {
             version_inputs.push(VersionInput {
                 version,
-                report: dx.finish(fold)?,
+                summary: summarize(fold)?,
             });
         }
         Ok(AppInput {
@@ -529,7 +504,7 @@ impl BatchAssembler {
             detail_epoch: 0,
             epochs: vec![EpochInput {
                 epoch: 0,
-                report,
+                summary,
                 clean,
                 recovered,
                 quarantine: quarantine.into_iter().collect(),
@@ -545,6 +520,7 @@ mod tests {
     use energydx::report::{
         AnalysisStats, ManifestationPoint, RankedEvent, TraceAnalysis,
     };
+    use energydx::DiagnosisReport;
 
     /// A minimal hand-built diagnosis with one impacted trace.
     pub(crate) fn tiny_report(event: &str) -> DiagnosisReport {
@@ -582,12 +558,13 @@ mod tests {
     }
 
     pub(crate) fn tiny_input(app: &str, event: &str) -> AppInput {
+        let summary = || FleetSummary::of_report(&tiny_report(event));
         AppInput {
             app: app.to_string(),
             detail_epoch: 0,
             epochs: vec![EpochInput {
                 epoch: 0,
-                report: tiny_report(event),
+                summary: summary(),
                 clean: 1,
                 recovered: 0,
                 quarantine: vec![("duplicate".to_string(), 2)],
@@ -595,11 +572,11 @@ mod tests {
             versions: vec![
                 VersionInput {
                     version: "1.0.0".to_string(),
-                    report: tiny_report(event),
+                    summary: summary(),
                 },
                 VersionInput {
                     version: "1.1.0".to_string(),
-                    report: tiny_report(event),
+                    summary: summary(),
                 },
             ],
         }
@@ -608,9 +585,7 @@ mod tests {
     #[test]
     fn builder_ranks_by_impacted_fraction_then_name() {
         let mut quiet = tiny_input("zzz", "Wifi");
-        quiet.epochs[0].report.traces[0]
-            .manifestation_points
-            .clear();
+        quiet.epochs[0].summary.impacted_traces = 0;
         let inputs = vec![
             tiny_input("beta", "Gps"),
             quiet.clone(),
@@ -700,18 +675,18 @@ mod tests {
             })
             .collect();
         let dx = EnergyDx::default();
-        let whole = dx
-            .diagnose(&DiagnosisInput::new(traces.clone()))
-            .to_canonical_json();
+        let whole = FleetSummary::of_report(
+            &dx.diagnose(&DiagnosisInput::new(traces.clone())),
+        );
         let mut asm = BatchAssembler::new(EnergyDx::default());
         for trace in traces {
             asm.accept("1.0.0", trace, false);
         }
         let input = asm.finish("app").unwrap();
-        assert_eq!(input.epochs[0].report.to_canonical_json(), whole);
+        assert_eq!(input.epochs[0].summary, whole);
         // Every trace carried version 1.0.0, so the version fold must
         // reproduce the same analysis too.
         assert_eq!(input.versions.len(), 1);
-        assert_eq!(input.versions[0].report.to_canonical_json(), whole);
+        assert_eq!(input.versions[0].summary, whole);
     }
 }

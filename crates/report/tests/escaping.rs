@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 use energydx::report::{
     AnalysisStats, ManifestationPoint, RankedEvent, TraceAnalysis,
 };
-use energydx::DiagnosisReport;
+use energydx::{DiagnosisReport, FleetSummary};
 use energydx_report::{
     build_model, check_well_formed, render_html, render_json, AppInput,
     DeploymentPanel, EpochInput, VersionInput,
@@ -90,7 +90,7 @@ proptest! {
             detail_epoch: 0,
             epochs: vec![EpochInput {
                 epoch: 0,
-                report: report_for(&event),
+                summary: FleetSummary::of_report(&report_for(&event)),
                 clean: 3,
                 recovered: 1,
                 quarantine: vec![(reason, 2)],
@@ -98,11 +98,11 @@ proptest! {
             versions: vec![
                 VersionInput {
                     version: from_version,
-                    report: report_for(&event),
+                    summary: FleetSummary::of_report(&report_for(&event)),
                 },
                 VersionInput {
                     version: to_version,
-                    report: report_for(&event),
+                    summary: FleetSummary::of_report(&report_for(&event)),
                 },
             ],
         };

@@ -11,6 +11,19 @@ fn finite_vec(min_len: usize) -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6f64..1e6, min_len..80)
 }
 
+/// Observations from a small pool, so ties are common, with NaN and
+/// both zeros mixed in.
+fn tied_values() -> impl Strategy<Value = Vec<f64>> {
+    let value = prop_oneof![
+        Just(f64::NAN),
+        Just(0.0),
+        Just(-0.0),
+        (-4i32..8).prop_map(|k| f64::from(k) * 0.5),
+        -1e6f64..1e6,
+    ];
+    prop::collection::vec(value, 0..80)
+}
+
 proptest! {
     #[test]
     fn percentile_is_bounded_by_extrema(data in finite_vec(1), p in 0.0f64..=100.0) {
@@ -228,6 +241,53 @@ proptest! {
                 percentile(&all, q).unwrap().to_bits(),
                 "q={}", q
             );
+        }
+    }
+
+    #[test]
+    fn bulk_build_equals_push_by_push(
+        data in tied_values(), cuts in (0usize..80, 0usize..80), p in 0.0f64..=100.0
+    ) {
+        let bulk = QuantileSketch::from_values(data.clone());
+        let pushed = data
+            .iter()
+            .fold(QuantileSketch::new(), |mut s, &v| { s.push(v); s });
+        prop_assert_eq!(&bulk, &pushed);
+        // `==` on the entries cannot tell the zeros apart; the extrema's
+        // bits can.
+        prop_assert_eq!(bulk.min().map(f64::to_bits), pushed.min().map(f64::to_bits));
+        prop_assert_eq!(bulk.max().map(f64::to_bits), pushed.max().map(f64::to_bits));
+        // Any split, bulk-built part by part and merged, is the same
+        // sketch again.
+        let (a, b) = (cuts.0.min(data.len()), cuts.1.min(data.len()));
+        let (lo, hi) = (a.min(b), a.max(b));
+        let merged = [&data[..lo], &data[lo..hi], &data[hi..]]
+            .iter()
+            .fold(QuantileSketch::new(), |mut s, part| {
+                s.merge(&QuantileSketch::from_values(part.to_vec()));
+                s
+            });
+        prop_assert_eq!(&merged, &bulk);
+        // Percentiles are bit-equal to the exact estimator over the
+        // observations as the sketch stores them: NaN dropped, -0.0 as
+        // +0.0.
+        let stored: Vec<f64> = data
+            .iter()
+            .filter(|v| !v.is_nan())
+            .map(|&v| if v == 0.0 { 0.0 } else { v })
+            .collect();
+        prop_assert_eq!(bulk.count(), stored.len() as u64);
+        if stored.is_empty() {
+            prop_assert!(bulk.percentile(50.0).is_err());
+        }
+        for q in [p, 0.0, 10.0, 50.0, 90.0, 100.0] {
+            if let Ok(exact) = percentile(&stored, q) {
+                prop_assert_eq!(
+                    bulk.percentile(q).unwrap().to_bits(),
+                    exact.to_bits(),
+                    "q={}", q
+                );
+            }
         }
     }
 
