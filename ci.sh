@@ -28,10 +28,14 @@ echo "== benchmark budget gates (smoke) =="
 # its gate can never drift apart. Per bin:
 #   hotpath — per-instance allocation bytes of the interned Steps 2-5
 #             path (e.g. a return to per-instance string cloning),
-#             bytes allocated per body byte to encode and to read +
-#             decode a 2 MiB Report frame (a return to joined copies),
-#             and trace, instance, vocabulary and frame-body counts
-#             exactly as stored.
+#             allocations per instance of the serving render
+#             (`render_json`; a return to building the report costs
+#             ~1 per instance) with its bytes checked equal to the
+#             rendered report's, bytes allocated per body byte to
+#             encode and to read + decode a 2 MiB Report frame (a
+#             return to joined copies), and trace, instance,
+#             vocabulary, JSON and frame-body byte counts exactly as
+#             stored.
 #   ingest  — batch identity of the resident daemon, accepted /
 #             quarantined counts and checkpoint bytes exactly as
 #             stored, the checkpoint bytes-per-trace budget, and
@@ -115,6 +119,15 @@ for w in rollout-dashboard spill-cluster; do
     exit 1
   fi
 done
+
+echo "== float text (release, 10^6 cases per class) =="
+# Every report float's text is computed by JsonWriter::float's own
+# integer kernel and must equal Display's. The edge classes (exact
+# ties, the halved gap below a power of two, window edges) are sparse
+# in a random draw, so the property runs again at a million cases per
+# class.
+PROPTEST_CASES=1000000 cargo test -q --release -p energydx \
+  --test float_text >/dev/null
 
 echo "== differential harness (release, optimized float paths) =="
 # The seq==parallel==sharded byte-identity must also hold under

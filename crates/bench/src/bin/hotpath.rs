@@ -20,6 +20,12 @@
 //! hotpath [--smoke] [--obsv] [--write <path>] [--check <path>]
 //! ```
 //!
+//! A `json` region measures the serving render: `render_json` writing
+//! the canonical report straight from the analyzed fleet, with its
+//! allocations per instance (gated by `budget_json_allocs_per_instance`)
+//! and the JSON length (compared exactly), and the bytes checked equal
+//! to `render(..).to_canonical_json()`.
+//!
 //! A second pair of regions measures the daemon's wire framing: one
 //! 2 MiB `Response::Report` through `Response::encode`, then through
 //! `read_frame` + `Response::decode`, each reported as bytes allocated
@@ -30,11 +36,12 @@
 //! JSON (see `BENCH_hotpath.json` at the repo root); `--check` re-runs
 //! the measurement and fails (exit 1) if bytes allocated per instance
 //! on the hot path exceed the `budget_bytes_per_instance` recorded in
-//! the given JSON file, or either frame region exceeds its
-//! `budget_frame_*_bytes_per_body_byte`, or if a corpus-determined
-//! field (traces, instances, vocab, frame body bytes) differs from the
-//! stored one — the CI regression gate. Allocator counts repeat
-//! exactly, so the gate does not flake.
+//! the given JSON file, the serving render's allocations per instance
+//! exceed `budget_json_allocs_per_instance`, or either frame region
+//! exceeds its `budget_frame_*_bytes_per_body_byte`, or if a
+//! corpus-determined field (traces, instances, vocab, JSON bytes,
+//! frame body bytes) differs from the stored one — the CI regression
+//! gate. Allocator counts repeat exactly, so the gate does not flake.
 //! `--obsv` attaches a live metrics registry to the pipeline, so the
 //! measured regions include the per-stage span instrumentation;
 //! `--obsv --check` against the stored budget is the metrics-overhead
@@ -170,6 +177,12 @@ fn user_trace(
     (events, power)
 }
 
+/// Allocation budget of the serving render, per instance: the output
+/// buffer and one escaped name per vocabulary id make it a small
+/// constant per fleet, where building a report costs about one per
+/// instance.
+const BUDGET_JSON_ALLOCS: f64 = 0.05;
+
 /// JSON bytes of the framed `Report` the frame regions move.
 const FRAME_JSON_BYTES: usize = 2 << 20;
 /// Allocation budgets of the frame regions, in bytes per body byte:
@@ -205,6 +218,8 @@ struct Report {
     reference: Region,
     hotpath: Region,
     render: Region,
+    json: Region,
+    json_bytes: usize,
     diagnose_secs: f64,
     budget_bytes_per_instance: u64,
     frame_body_bytes: usize,
@@ -225,6 +240,10 @@ impl Report {
 
     fn hotpath_bytes_per_instance(&self) -> f64 {
         self.hotpath.bytes as f64 / self.instances as f64
+    }
+
+    fn json_allocs_per_instance(&self) -> f64 {
+        self.json.allocs as f64 / self.instances as f64
     }
 
     fn per_body_byte(&self, r: &Region) -> f64 {
@@ -259,10 +278,12 @@ impl Report {
              \"instances\": {},\n  \"vocab\": {},\n  \
              \"joins_per_sec\": {:.0},\n  \"step1_join\": {},\n  \
              \"reference_steps2_5\": {},\n  \"hotpath_steps2_5\": {},\n  \
-             \"render\": {},\n  \"diagnose_secs\": {:.6},\n  \
+             \"render\": {},\n  \"json\": {},\n  \
+             \"json_bytes\": {},\n  \"diagnose_secs\": {:.6},\n  \
              \"reduction_allocs_per_instance\": {:.2},\n  \
              \"reduction_bytes_per_instance\": {:.2},\n  \
              \"budget_bytes_per_instance\": {},\n  \
+             \"budget_json_allocs_per_instance\": {},\n  \
              \"frame_body_bytes\": {},\n  \"frame_encode\": {},\n  \
              \"frame_read_decode\": {},\n  \
              \"budget_frame_encode_bytes_per_body_byte\": {},\n  \
@@ -276,10 +297,13 @@ impl Report {
             per(&self.reference),
             per(&self.hotpath),
             per(&self.render),
+            per(&self.json),
+            self.json_bytes,
             self.diagnose_secs,
             self.reduction_allocs(),
             self.reduction_bytes(),
             self.budget_bytes_per_instance,
+            BUDGET_JSON_ALLOCS,
             self.frame_body_bytes,
             frame(&self.frame_encode),
             frame(&self.frame_decode),
@@ -349,7 +373,13 @@ fn run(smoke: bool, obsv: bool) -> Report {
     assert!(analyzed.trace_count() == users);
     black_box(analyzed.detection_count());
 
+    let (json, json_region) = measured(|| dx.render_json(&analyzed));
     let (report, render) = measured(|| dx.render(analyzed));
+    assert_eq!(
+        json,
+        report.to_canonical_json(),
+        "render_json diverged from the rendered report"
+    );
 
     // End-to-end wall time (join excluded), and the differential check
     // that the measured paths agree byte for byte.
@@ -390,6 +420,8 @@ fn run(smoke: bool, obsv: bool) -> Report {
         reference,
         hotpath,
         render,
+        json: json_region,
+        json_bytes: json.len(),
         diagnose_secs,
         budget_bytes_per_instance: 0,
         frame_body_bytes,
@@ -464,6 +496,12 @@ fn main() {
                 "bytes/instance",
             ),
             (
+                "serving render",
+                report.json_allocs_per_instance(),
+                budget("budget_json_allocs_per_instance"),
+                "allocations/instance",
+            ),
+            (
                 "frame encode",
                 report.per_body_byte(&report.frame_encode),
                 budget("budget_frame_encode_bytes_per_body_byte"),
@@ -482,6 +520,7 @@ fn main() {
                 (&["traces"], report.traces as u64),
                 (&["instances"], report.instances as u64),
                 (&["vocab"], VOCAB.len() as u64),
+                (&["json_bytes"], report.json_bytes as u64),
                 (&["frame_body_bytes"], report.frame_body_bytes as u64),
             ],
         );

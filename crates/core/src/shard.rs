@@ -30,7 +30,9 @@
 //!   and the Step-5 window scan — entirely on interned ids.
 //! - **Render** ([`EnergyDx::render`]): the only step that touches
 //!   strings again — event names are resolved at the report boundary.
-//!   [`EnergyDx::finish`] is analyze-then-render.
+//!   [`EnergyDx::finish`] is analyze-then-render. A served answer skips
+//!   the report: [`EnergyDx::render_json`] writes its canonical JSON
+//!   straight from the analysis, by reference.
 //!
 //! The headline guarantee, enforced by `tests/diff_harness.rs` and the
 //! golden reports under `tests/golden/`, is that sequential, parallel,
@@ -41,6 +43,7 @@
 //! reassembled in input order.
 
 use crate::config::AnalysisConfig;
+use crate::json::{self, Escaped, JsonWriter};
 use crate::pipeline::{
     detect_series, normalize_interned, sort_ranked_events,
     trace_impact_interned, EnergyDx,
@@ -885,6 +888,23 @@ impl AnalyzedFleet {
             + self.skipped.len() * SKIP_BYTES
             + self.step5.by_event.len() * 16
     }
+
+    /// What the analysis skipped or isolated, as the report states it.
+    fn stats(&self) -> AnalysisStats {
+        AnalysisStats {
+            total_traces: self.traces.len(),
+            analyzed_traces: self.traces.len() - self.skipped.len(),
+            skipped: self
+                .skipped
+                .iter()
+                .map(|&(index, count)| SkippedTrace {
+                    index,
+                    reason: format!("{count} non-finite power value(s)"),
+                })
+                .collect(),
+            degenerate_groups: self.degenerate_groups,
+        }
+    }
 }
 
 impl EnergyDx {
@@ -1024,14 +1044,14 @@ impl EnergyDx {
     /// only place the hot path allocates strings again.
     pub fn render(&self, fleet: AnalyzedFleet) -> DiagnosisReport {
         let _span = self.metrics.span("render");
+        let stats = fleet.stats();
         let AnalyzedFleet {
             interner,
             traces,
-            skipped,
             outcomes,
             rankings,
             step5,
-            degenerate_groups,
+            ..
         } = fleet;
         let config = self.config();
 
@@ -1075,19 +1095,6 @@ impl EnergyDx {
             })
             .collect();
 
-        let stats = AnalysisStats {
-            total_traces: traces.len(),
-            analyzed_traces: traces.len() - skipped.len(),
-            skipped: skipped
-                .into_iter()
-                .map(|(index, count)| SkippedTrace {
-                    index,
-                    reason: format!("{count} non-finite power value(s)"),
-                })
-                .collect(),
-            degenerate_groups,
-        };
-
         DiagnosisReport {
             traces: trace_analyses,
             events: ranked_events,
@@ -1095,6 +1102,47 @@ impl EnergyDx {
             top_k: config.top_k,
             stats,
         }
+    }
+
+    /// The canonical JSON of the report [`EnergyDx::render`] would
+    /// build — `self.render(fleet).to_canonical_json()`, byte for byte
+    /// — written straight from the analyzed fleet, by reference: each
+    /// event name is escaped once per id, and no report or
+    /// per-instance string is built. The serving path of a `Diagnose`.
+    pub fn render_json(&self, fleet: &AnalyzedFleet) -> String {
+        let _span = self.metrics.span("render");
+        let names: Vec<String> = fleet
+            .interner
+            .names()
+            .iter()
+            .map(|n| json::escaped(n))
+            .collect();
+        let name = |id: EventId| Escaped(&names[id.index()]);
+        let mut w = JsonWriter::new();
+        json::write_report(
+            &mut w,
+            fleet.traces.iter().zip(&fleet.outcomes),
+            |w, (trace, outcome)| {
+                json::trace_json(
+                    w,
+                    trace.powers(),
+                    trace.ids().iter().map(|&id| name(id)),
+                    &outcome.normalized,
+                    &outcome.amplitudes,
+                    outcome.upper_fence,
+                    outcome.outliers.iter().map(|&idx| {
+                        (idx, name(trace.ids()[idx]), outcome.amplitudes[idx])
+                    }),
+                );
+            },
+            &fleet.step5.ranked(&fleet.interner, self.config()),
+            fleet.rankings.iter().enumerate().filter_map(|(id, ranks)| {
+                Some((Escaped(&names[id]), ranks.as_deref()?))
+            }),
+            self.config().top_k,
+            &fleet.stats(),
+        );
+        w.into_line()
     }
 
     /// The full reduce phase: [`EnergyDx::analyze`] then

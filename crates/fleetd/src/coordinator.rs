@@ -623,11 +623,6 @@ impl Coordinator {
         merged
     }
 
-    /// Finishes a fan's merged fleet into the full report.
-    fn finish(&self, fan: Fan) -> Result<energydx::DiagnosisReport, Response> {
-        self.dx.finish(Self::merged(fan)).map_err(analysis_error)
-    }
-
     /// Analyzes a fan's merged fleet and summarizes it, rendering
     /// nothing: what regressions and the report read.
     fn summarize(&self, fan: Fan) -> Result<FleetSummary, Response> {
@@ -726,15 +721,23 @@ impl Coordinator {
     }
 
     /// Fans a diagnosis out to every worker, rebases the surviving
-    /// partials into one contiguous fleet, and finishes it. All
-    /// workers reachable → `Report`; some unreachable → `Degraded`
-    /// (or a typed error under [`DegradePolicy::Hold`]).
+    /// partials into one contiguous fleet, analyzes it and renders its
+    /// canonical JSON from the analysis. All workers reachable →
+    /// `Report`; some unreachable → `Degraded` (or a typed error under
+    /// [`DegradePolicy::Hold`]).
     pub fn diagnose(&self, app: &str, epoch: Option<u64>) -> Response {
         let sel = Selector::new(app, epoch, None);
         self.fan(&sel)
             .and_then(|fan| {
                 let missing = self.vet(&sel, &[&fan])?;
-                let json = self.finish(fan)?.to_canonical_json();
+                let json = {
+                    let _span = self.metrics.span("finish");
+                    let fleet = self
+                        .dx
+                        .analyze(Self::merged(fan))
+                        .map_err(analysis_error)?;
+                    self.dx.render_json(&fleet)
+                };
                 Ok(self.answer(json, missing, &format!("app={app}")))
             })
             .unwrap_or_else(|error| error)

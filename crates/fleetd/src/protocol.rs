@@ -694,12 +694,28 @@ impl Response {
     /// its size and the cap instead, so the peer always receives a
     /// frame it can read.
     pub fn encode(&self) -> Vec<u8> {
-        self.try_encode().unwrap_or_else(|e| {
-            Response::Error {
-                message: e.to_string(),
-            }
-            .encode()
-        })
+        self.try_encode().unwrap_or_else(Self::error_frame)
+    }
+
+    /// `Response::Report { json }.encode()`, byte for byte, from
+    /// borrowed JSON: a caller that holds the report shared encodes it
+    /// without first copying it into a `Response`.
+    pub(crate) fn encode_report(json: &str) -> Vec<u8> {
+        open_frame(Some(4 + json.len()))
+            .and_then(|mut w| {
+                w.str(json);
+                seal(w, 3)
+            })
+            .unwrap_or_else(Self::error_frame)
+    }
+
+    /// The frame [`Response::encode`] sends in place of a response it
+    /// cannot encode.
+    fn error_frame(e: ProtocolError) -> Vec<u8> {
+        Response::Error {
+            message: e.to_string(),
+        }
+        .encode()
     }
 
     /// Encodes the response as one framed message, built in a single
@@ -1349,6 +1365,38 @@ mod tests {
         for (len, bytes) in sized {
             if let Some(len) = len {
                 assert_eq!(len, bytes.len() - HEAD - 4, "{}", hex(&bytes));
+            }
+        }
+    }
+
+    #[test]
+    fn report_frames_from_borrowed_json_equal_the_encoded_response() {
+        // Zeroed buffers near the cap keep their pages untouched until
+        // an encoder copies them: a body of exactly the cap encodes,
+        // one byte more is the same error frame from both encoders.
+        let bodies = [
+            String::new(),
+            "{\n  \"traces\": []\n}\n".to_string(),
+            "{\"event\": \"ünïcödé → 電池 🔋\"}".to_string(),
+            String::from_utf8(vec![0; MAX_BODY - 4]).unwrap(),
+            String::from_utf8(vec![0; MAX_BODY - 3]).unwrap(),
+        ];
+        for json in bodies {
+            let len = json.len();
+            let resp = Response::Report { json };
+            let Response::Report { json } = &resp else {
+                unreachable!("built as a Report above")
+            };
+            let borrowed = Response::encode_report(json);
+            assert!(borrowed == resp.encode(), "{len}-byte report differs");
+            let frame = read_frame(&mut io::Cursor::new(&borrowed))
+                .unwrap()
+                .unwrap();
+            let decoded = Response::decode(&frame).unwrap();
+            if len + 4 <= MAX_BODY {
+                assert!(decoded == resp, "{len}-byte report round trip");
+            } else {
+                assert!(matches!(decoded, Response::Error { .. }));
             }
         }
     }

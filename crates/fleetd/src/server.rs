@@ -231,7 +231,24 @@ impl FleetdHandle {
         app: &str,
         epoch: Option<u64>,
     ) -> Result<String, QueryError> {
-        relock(&self.state).diagnose_json(app, epoch)
+        self.diagnose_json_shared(app, epoch)
+            .map(Arc::unwrap_or_clone)
+    }
+
+    /// [`FleetdHandle::diagnose_json`] as the bytes the state's query
+    /// cache holds, shared rather than copied; the state is locked only
+    /// while they are found or rendered.
+    ///
+    /// # Errors
+    ///
+    /// As [`FleetState::diagnose_json`].
+    pub(crate) fn diagnose_json_shared(
+        &self,
+        app: &str,
+        epoch: Option<u64>,
+    ) -> Result<Arc<String>, QueryError> {
+        relock(&self.state)
+            .diagnosis_json_shared(&Selector::new(app, epoch, None))
     }
 
     /// Server-level stats: queue accounting and the recent structured
@@ -737,6 +754,15 @@ pub trait Dispatch: Send + Sync {
     /// Answers one decoded request.
     fn handle_request(&self, req: Request) -> Response;
 
+    /// Answers one decoded request as the encoded frame to send back:
+    /// by default [`Dispatch::handle_request`]'s response, encoded. An
+    /// implementation that holds an answer's bytes by reference
+    /// overrides it to encode them without copying them into a
+    /// [`Response`] first.
+    fn handle_frame(&self, req: Request) -> Vec<u8> {
+        self.handle_request(req).encode()
+    }
+
     /// Runs once after the accept loop stops (final flush, fan-out
     /// shutdown, …).
     ///
@@ -751,6 +777,28 @@ pub trait Dispatch: Send + Sync {
 impl Dispatch for FleetdHandle {
     fn handle_request(&self, req: Request) -> Response {
         dispatch(self, req)
+    }
+
+    /// A `Diagnose` answer is framed straight from the query cache's
+    /// shared bytes: one copy, into the frame.
+    fn handle_frame(&self, req: Request) -> Vec<u8> {
+        let Request::Diagnose { app, epoch } = req else {
+            return dispatch(self, req).encode();
+        };
+        let answer = {
+            let _span = self.metrics.timer(
+                "fleetd_request_duration_seconds",
+                &[("kind", "diagnose")],
+            );
+            self.diagnose_json_shared(&app, epoch)
+        };
+        match answer {
+            Ok(json) => Response::encode_report(&json),
+            Err(e) => Response::Error {
+                message: e.to_string(),
+            }
+            .encode(),
+        }
     }
 
     fn finish(&self) -> std::io::Result<()> {
@@ -854,16 +902,17 @@ fn handle_connection<D: Dispatch>(
         let (resp, is_shutdown) = match Request::decode(&frame) {
             Ok(req) => {
                 let is_shutdown = matches!(req, Request::Shutdown);
-                (dispatcher.handle_request(req), is_shutdown)
+                (dispatcher.handle_frame(req), is_shutdown)
             }
             Err(e) => (
                 Response::Error {
                     message: e.to_string(),
-                },
+                }
+                .encode(),
                 false,
             ),
         };
-        if stream.write_all(&resp.encode()).is_err() {
+        if stream.write_all(&resp).is_err() {
             break;
         }
         let _ = stream.flush();

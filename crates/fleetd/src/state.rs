@@ -358,13 +358,13 @@ pub enum PartialSinceOutcome {
 /// A cached [`AnalyzedFleet`], valid only at the exact generation it
 /// was computed at (analysis is a function of the *whole* selection).
 /// Shared, so a summary reads it outside the cache lock. The rendered
-/// canonical JSON rides along once a `diagnose_json` has paid for it,
-/// so a dashboard's repeat poll is a string clone.
+/// canonical JSON rides along, shared too, once a `diagnose_json` has
+/// paid for it, so a dashboard's repeat poll copies nothing here.
 #[derive(Debug)]
 struct AnalyzedEntry {
     generation: u64,
     fleet: Arc<AnalyzedFleet>,
-    json: Option<String>,
+    json: Option<Arc<String>>,
     bytes: usize,
     last_used: u64,
 }
@@ -1223,12 +1223,25 @@ impl FleetState {
     ///
     /// As [`FleetState::diagnosis`].
     pub fn diagnosis_json(&self, sel: &Selector) -> Result<String, QueryError> {
+        self.diagnosis_json_shared(sel).map(Arc::unwrap_or_clone)
+    }
+
+    /// [`FleetState::diagnosis_json`], shared with the query cache. The
+    /// bytes are written by [`EnergyDx::render_json`] from the memoized
+    /// analysis, by reference; rendering is a pure function of it, so
+    /// the bytes are generation-keyed too, and a repeat poll over
+    /// unchanged content is a reference count.
+    ///
+    /// # Errors
+    ///
+    /// As [`FleetState::diagnosis`].
+    pub(crate) fn diagnosis_json_shared(
+        &self,
+        sel: &Selector,
+    ) -> Result<Arc<String>, QueryError> {
         if !self.config.query_cache {
-            return Ok(self.diagnosis(sel)?.to_canonical_json());
+            return self.render_json(sel).map(Arc::new);
         }
-        // Rendering is a pure function of the analyzed fleet, so the
-        // canonical bytes are themselves generation-keyed: a repeat
-        // poll over unchanged content is one string clone.
         let (key, generation) = {
             let (key, e) = self.resolve(sel)?;
             (key, e.generation)
@@ -1249,9 +1262,9 @@ impl FleetState {
             self.count_cache(true);
             return Ok(json);
         }
-        let json = self.diagnosis(sel)?.to_canonical_json();
+        let json = Arc::new(self.render_json(sel)?);
         {
-            // `diagnosis` just (re)inserted the analyzed entry at this
+            // `render_json` just (re)inserted the analyzed entry at this
             // generation; attach the rendered bytes to it. A budget
             // trim may have evicted it again — then there is simply
             // nothing to attach to.
@@ -1261,11 +1274,19 @@ impl FleetState {
                 entry.generation == generation && entry.json.is_none()
             }) {
                 entry.bytes += json.len() + JSON_OVERHEAD;
-                entry.json = Some(json.clone());
+                entry.json = Some(Arc::clone(&json));
             }
         }
         self.trim_cache_to_budget();
         Ok(json)
+    }
+
+    /// The canonical JSON of a selection's diagnosis, written straight
+    /// from the memoized analysis.
+    fn render_json(&self, sel: &Selector) -> Result<String, QueryError> {
+        let _span = self.metrics.span("finish");
+        let fleet = self.analyzed(sel)?;
+        Ok(self.dx.render_json(&fleet))
     }
 
     /// [`FleetState::diagnosis`] of `app`'s whole epoch (current when
