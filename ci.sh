@@ -10,6 +10,11 @@ cargo fmt --all --check
 echo "== cargo clippy (workspace, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (workspace, warnings are errors) =="
+# Broken, ambiguous or private intra-doc links fail here, e.g. a
+# public item's doc that still links a method made private.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== tier-1: release build + tests =="
 cargo build --release
 cargo test -q

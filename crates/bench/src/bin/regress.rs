@@ -179,7 +179,7 @@ fn run(smoke: bool) -> Report {
         jobs: 1,
         ..FleetConfig::default()
     };
-    let state = ingest(config, &payloads);
+    let mut state = ingest(config, &payloads);
     let thresholds = RegressConfig::default();
     let (cold_json, cold_secs) =
         timed(|| state.regressions_json("bench", None, FROM, TO, &thresholds));
@@ -200,23 +200,22 @@ fn run(smoke: bool) -> Report {
          cache twice each, saw {} hits",
         stats.hits
     );
-    // The cache must not change a byte: a cache-disabled daemon over
-    // the same corpus serves the identical regression report.
-    let plain = ingest(
-        FleetConfig {
-            jobs: 1,
-            query_cache: false,
-            ..FleetConfig::default()
-        },
-        &payloads,
-    );
-    assert_eq!(
-        plain
-            .regressions_json("bench", None, FROM, TO, &thresholds)
-            .unwrap(),
-        cold_json,
-        "the query cache changed the served regression bytes"
-    );
+    // The cache must not change a byte: the warm answer equals the
+    // cold one, and the same state's answer recomputed with the cache
+    // dropped.
+    let warm_json = state
+        .regressions_json("bench", None, FROM, TO, &thresholds)
+        .unwrap();
+    state.invalidate_query_cache();
+    let recomputed = state
+        .regressions_json("bench", None, FROM, TO, &thresholds)
+        .unwrap();
+    for json in [cold_json, recomputed] {
+        assert_eq!(
+            json, warm_json,
+            "the query cache changed the served regression bytes"
+        );
+    }
 
     Report {
         mode: if smoke { "smoke" } else { "full" },

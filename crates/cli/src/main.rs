@@ -113,14 +113,14 @@ USAGE:
                  [--ingest-delay-ms <ms>]
                  [--fraction <0..1>] [--top <k>] [--jobs <n>]
                  [--spill-dir <dir> [--mem-budget <bytes>]]
-                 [--no-query-cache]
   energydx serve --coordinator --workers <addr,addr,...> [--listen <addr>]
                  [--state <dir>] [--degrade-policy degrade|hold]
                  [--max-attempts <n>] [--base-backoff-ms <ms>]
                  [--max-backoff-ms <ms>] [--breaker-threshold <n>]
                  [--probe-every <n>] [--connect-timeout-ms <ms>]
                  [--read-timeout-ms <ms>] [--write-timeout-ms <ms>]
-                 [--no-query-cache]
+                 [--retry-after-ms <ms>] [--fraction <0..1>] [--top <k>]
+                 [--jobs <n>]
   energydx submit --addr <host:port> --app <name> (<payload.edxt>... | --dir <dir>)
                   [--max-attempts <n>] [--app-version <release>]
   energydx query --addr <host:port> (--app <name> [--epoch <n>] | --stats
@@ -435,7 +435,43 @@ fn num_flag<T: std::str::FromStr>(
     }
 }
 
+/// Every flag `serve` reads, in either mode.
+const SERVE_FLAGS: &[&str] = &[
+    "--listen",
+    "--state",
+    "--fraction",
+    "--top",
+    "--jobs",
+    "--spill-dir",
+    "--mem-budget",
+    "--retry-after-ms",
+    "--queue-depth",
+    "--checkpoint-every",
+    "--ingest-delay-ms",
+    "--coordinator",
+    "--workers",
+    "--degrade-policy",
+    "--max-attempts",
+    "--base-backoff-ms",
+    "--max-backoff-ms",
+    "--breaker-threshold",
+    "--probe-every",
+    "--connect-timeout-ms",
+    "--read-timeout-ms",
+    "--write-timeout-ms",
+];
+
 fn cmd_serve(args: &[String]) -> Result<(), String> {
+    // A misspelled or retired flag would otherwise be ignored, and the
+    // server would run without what it asked for.
+    if let Some(flag) = args
+        .iter()
+        .find(|a| a.starts_with("--") && !SERVE_FLAGS.contains(&a.as_str()))
+    {
+        return Err(format!(
+            "unknown serve flag `{flag}` (try `energydx help`)"
+        ));
+    }
     let listen = flag_value(args, "--listen").unwrap_or("127.0.0.1:0");
     let fraction: f64 = num_flag(args, "--fraction", 0.15)?;
     let top_k: usize = num_flag(args, "--top", 6)?;
@@ -460,7 +496,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         analysis,
         jobs,
         spill,
-        query_cache: !args.iter().any(|a| a == "--no-query-cache"),
         ..FleetConfig::default()
     };
     if args.iter().any(|a| a == "--coordinator")

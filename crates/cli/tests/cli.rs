@@ -806,6 +806,33 @@ fn assert_no_artifacts(out_dir: &std::path::Path) {
     }
 }
 
+/// Both serve modes refuse a flag neither reads — a retired one or a
+/// typo — naming it. The listen address cannot bind, so a binary that
+/// let the flag through fails on that instead of serving forever.
+#[test]
+fn serve_refuses_flags_it_does_not_read() {
+    let daemon = ["serve", "--listen", "127.0.0.1:99999"];
+    let coordinator = [
+        "serve",
+        "--coordinator",
+        "--workers",
+        "127.0.0.1:9",
+        "--listen",
+        "127.0.0.1:99999",
+    ];
+    for mode in [&daemon[..], &coordinator[..]] {
+        for flag in [&["--no-query-cache"][..], &["--spill-dri", "spool"]] {
+            let out = energydx().args(mode).args(flag).output().unwrap();
+            assert!(!out.status.success(), "{mode:?} {flag:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("unknown serve flag `{}`", flag[0])),
+                "{mode:?} {flag:?}: {stderr}"
+            );
+        }
+    }
+}
+
 /// `--mem-budget` without `--spill-dir` is a configuration error, not
 /// a silently resident daemon.
 #[test]

@@ -15,7 +15,8 @@
 //!   branches, and resource acquire/release modeled as framework calls.
 //! - [`text`] — a smali-like textual assembly with a round-trippable
 //!   parser/assembler pair.
-//! - [`cfg`] — basic-block control-flow graphs over method bodies.
+//! - [`cfg`](mod@cfg) — basic-block control-flow graphs over method
+//!   bodies.
 //! - [`dataflow`] — a small forward-dataflow framework (used by the
 //!   No-sleep Detection baseline).
 //! - [`instrument`] — the event pool (Table I) and the instrumentation

@@ -518,13 +518,11 @@ impl Coordinator {
 
     /// Fans one selection out to every worker as a
     /// [`Request::PartialSince`] — the one fan behind diagnoses,
-    /// regressions and both report fans. With the query cache on, each
-    /// request carries the token cached for this worker under
-    /// `(app, release)`, and a `NotModified` reply stands in for the
-    /// cached partial.
+    /// regressions and both report fans. Each request carries the
+    /// token cached for this worker under `(app, release)`, and a
+    /// `NotModified` reply stands in for the cached partial.
     fn fan(&self, sel: &Selector) -> Result<Fan, Response> {
         let mut fan = Fan::default();
-        let use_cache = self.config.fleet.query_cache;
         let key = (sel.app.clone(), sel.version.clone());
         let mut updates: Vec<(usize, CoordCacheEntry)> = Vec::new();
         for k in 0..self.workers.len() {
@@ -533,11 +531,8 @@ impl Coordinator {
             // concurrent clear can't invalidate the local copy: the
             // worker validates the exact token we send, so a
             // `NotModified` reply always vouches for this snapshot.
-            let cached: Option<CoordCacheEntry> = if use_cache {
-                self.partial_cache.lock().unwrap()[k].get(&key).cloned()
-            } else {
-                None
-            };
+            let cached: Option<CoordCacheEntry> =
+                self.partial_cache.lock().unwrap()[k].get(&key).cloned();
             let req = Request::PartialSince {
                 app: sel.app.clone(),
                 epoch: sel.epoch,
@@ -547,10 +542,10 @@ impl Coordinator {
                     .map(|c| (c.epoch, c.incarnation, c.generation)),
             };
             match self.call_worker(k, &req) {
-                Ok(Response::PartialNotModified { epoch }) => match &cached {
+                Ok(Response::PartialNotModified { epoch }) => match cached {
                     Some(entry) => {
                         self.count_cache(true);
-                        fan.found.push((k, epoch, entry.partial.clone()));
+                        fan.found.push((k, epoch, entry.partial));
                     }
                     None => {
                         return Err(Response::Error {
@@ -568,18 +563,16 @@ impl Coordinator {
                     partial,
                 }) => match status {
                     PartialStatus::Found => {
-                        if use_cache {
-                            self.count_cache(false);
-                            updates.push((
-                                k,
-                                CoordCacheEntry {
-                                    epoch,
-                                    incarnation,
-                                    generation,
-                                    partial: partial.clone(),
-                                },
-                            ));
-                        }
+                        self.count_cache(false);
+                        updates.push((
+                            k,
+                            CoordCacheEntry {
+                                epoch,
+                                incarnation,
+                                generation,
+                                partial: partial.clone(),
+                            },
+                        ));
                         fan.found.push((k, epoch, partial));
                     }
                     PartialStatus::UnknownApp => {}
@@ -1363,10 +1356,13 @@ mod tests {
             .collect()
     }
 
-    /// The batch reference for a cluster: the per-worker accepted
-    /// sequences concatenated in worker order.
-    fn reference_json(uploads: &[(String, Vec<u8>)], workers: usize) -> String {
-        let mut state = FleetState::new(FleetConfig::default());
+    /// Submits `uploads` to `state` in shard order: worker 0's accepted
+    /// sequence, then worker 1's, and so on.
+    fn feed(
+        state: &mut FleetState,
+        uploads: &[(String, Vec<u8>)],
+        workers: usize,
+    ) {
         for k in 0..workers {
             for (user, payload) in uploads {
                 if shard_for_user("mail", user, workers) == k {
@@ -1374,7 +1370,28 @@ mod tests {
                 }
             }
         }
-        state.diagnose_json("mail", None).unwrap()
+    }
+
+    /// The single-daemon reference for a cluster: one deterministic
+    /// daemon holding the per-worker accepted sequences concatenated in
+    /// worker order.
+    fn reference_state(
+        uploads: &[(String, Vec<u8>)],
+        workers: usize,
+    ) -> FleetState {
+        let mut state = FleetState::with_registry(
+            FleetConfig::default(),
+            Arc::new(MetricsRegistry::deterministic()),
+        );
+        feed(&mut state, uploads, workers);
+        state
+    }
+
+    /// The batch reference for a cluster's diagnosis.
+    fn reference_json(uploads: &[(String, Vec<u8>)], workers: usize) -> String {
+        reference_state(uploads, workers)
+            .diagnose_json("mail", None)
+            .unwrap()
     }
 
     /// A fleet whose uploads alternate between two app releases —
@@ -1393,21 +1410,12 @@ mod tests {
             .collect()
     }
 
-    /// The single-daemon regression reference over the per-worker
-    /// accepted sequences concatenated in worker order.
+    /// The single-daemon regression reference for a cluster.
     fn regress_reference_json(
         uploads: &[(String, Vec<u8>)],
         workers: usize,
     ) -> String {
-        let mut state = FleetState::new(FleetConfig::default());
-        for k in 0..workers {
-            for (user, payload) in uploads {
-                if shard_for_user("mail", user, workers) == k {
-                    assert!(state.submit("mail", payload).accepted());
-                }
-            }
-        }
-        state
+        reference_state(uploads, workers)
             .regressions_json(
                 "mail",
                 None,
@@ -1613,14 +1621,11 @@ mod tests {
     /// so the report's deployment panel pins (the byte-identity
     /// surface contract).
     fn deterministic_cluster(workers: usize) -> TestCluster {
-        deterministic_cluster_with(test_config(), workers)
-    }
-
-    fn deterministic_cluster_with(
-        config: CoordinatorConfig,
-        workers: usize,
-    ) -> TestCluster {
-        cluster_on(config, workers, Arc::new(MetricsRegistry::deterministic()))
+        cluster_on(
+            test_config(),
+            workers,
+            Arc::new(MetricsRegistry::deterministic()),
+        )
     }
 
     #[test]
@@ -1637,19 +1642,7 @@ mod tests {
             other => panic!("unexpected response {other:?}"),
         };
         assert!(missing.is_empty());
-        // Reference: one deterministic daemon holding the shards'
-        // accepted sequences concatenated in worker order.
-        let mut state = FleetState::with_registry(
-            FleetConfig::default(),
-            Arc::new(MetricsRegistry::deterministic()),
-        );
-        for k in 0..3 {
-            for (user, payload) in &ups {
-                if shard_for_user("mail", user, 3) == k {
-                    assert!(state.submit("mail", payload).accepted());
-                }
-            }
-        }
+        let state = reference_state(&ups, 3);
         let reference = crate::report::fleet_report(&state, 0, None).unwrap();
         assert_eq!(html, reference.html);
         assert_eq!(json, reference.json);
@@ -2027,38 +2020,28 @@ mod tests {
             .unwrap_or(0)
     }
 
-    /// A deterministic cluster and its `query_cache: false` twin, driven
-    /// with the same uploads: every answer of the first must equal the
-    /// second's, whatever the cache did.
-    fn twin_clusters(workers: usize) -> (TestCluster, TestCluster) {
-        let plain = CoordinatorConfig {
-            fleet: FleetConfig {
-                query_cache: false,
-                ..FleetConfig::default()
-            },
-            ..test_config()
-        };
-        (
-            deterministic_cluster(workers),
-            deterministic_cluster_with(plain, workers),
-        )
-    }
-
     #[test]
     fn a_report_rides_the_release_partials_a_regression_fetched() {
-        let (cached, plain) = twin_clusters(3);
+        let cluster = deterministic_cluster(3);
         let ups = versioned_uploads(28);
-        drive(&cached, &ups);
-        drive(&plain, &ups);
+        drive(&cluster, &ups);
+        let reference = reference_state(&ups, 3);
         let holders = (0..3)
             .filter(|&k| {
                 ups.iter().any(|(u, _)| shard_for_user("mail", u, 3) == k)
             })
             .count() as u64;
-        let both = |req: Request| {
-            let answer = cached.coordinator.handle_request(req.clone());
-            assert_eq!(answer, plain.coordinator.handle_request(req));
-            answer
+        let counts = || {
+            (
+                coordinator_cache_counter(
+                    &cluster,
+                    "fleetd_query_cache_hits_total",
+                ),
+                coordinator_cache_counter(
+                    &cluster,
+                    "fleetd_query_cache_misses_total",
+                ),
+            )
         };
         let regressions = Request::Regressions {
             app: "mail".to_string(),
@@ -2067,63 +2050,69 @@ mod tests {
             to: "2.0.0".to_string(),
             threshold: None,
         };
-        assert!(matches!(both(regressions), Response::Report { .. }));
-        let hits =
-            coordinator_cache_counter(&cached, "fleetd_query_cache_hits_total");
-        let misses = coordinator_cache_counter(
-            &cached,
-            "fleetd_query_cache_misses_total",
+        assert_eq!(
+            cluster.coordinator.handle_request(regressions),
+            Response::Report {
+                json: regress_reference_json(&ups, 3)
+            }
         );
-        assert_eq!((hits, misses), (0, 2 * holders));
+        assert_eq!(counts(), (0, 2 * holders));
         // The report's per-release fans of the current epoch present
         // the tokens the regression stored under `(app, release)`:
         // every unchanged holder answers NotModified. Only its
         // whole-epoch fan is cold.
-        let report = both(Request::Report { top: None });
-        assert!(matches!(report, Response::ReportArtifacts { .. }));
-        let hits =
-            coordinator_cache_counter(&cached, "fleetd_query_cache_hits_total");
-        let misses = coordinator_cache_counter(
-            &cached,
-            "fleetd_query_cache_misses_total",
+        let expected = crate::report::fleet_report(&reference, 0, None)
+            .expect("the reference renders");
+        assert_eq!(
+            cluster
+                .coordinator
+                .handle_request(Request::Report { top: None }),
+            Response::ReportArtifacts {
+                missing: Vec::new(),
+                html: expected.html,
+                json: expected.json,
+            }
         );
-        assert_eq!((hits, misses), (2 * holders, 3 * holders));
+        assert_eq!(counts(), (2 * holders, 3 * holders));
         // One entry per release plus the whole-epoch one, per holder —
         // not one per (requested epoch, release) pair.
-        let cache = cached.coordinator.partial_cache.lock().unwrap();
+        let cache = cluster.coordinator.partial_cache.lock().unwrap();
         let entries: Vec<usize> = cache.iter().map(BTreeMap::len).collect();
         assert!(entries.iter().all(|&n| n == 0 || n == 3), "{entries:?}");
     }
 
     #[test]
     fn a_frozen_epoch_diagnose_replaces_the_whole_epoch_entry() {
-        let (cached, plain) = twin_clusters(3);
+        let cluster = deterministic_cluster(3);
         let ups = uploads(21);
-        drive(&cached, &ups);
-        drive(&plain, &ups);
+        drive(&cluster, &ups);
         let rollover = Request::Rollover {
             app: "mail".to_string(),
         };
-        for cluster in [&cached, &plain] {
-            let answer = cluster.coordinator.handle_request(rollover.clone());
-            assert!(matches!(answer, Response::Epoch { epoch: 1 }));
-            drive(cluster, &ups[..7]);
-        }
+        let answer = cluster.coordinator.handle_request(rollover);
+        assert!(matches!(answer, Response::Epoch { epoch: 1 }));
+        drive(&cluster, &ups[..7]);
+        let mut reference = reference_state(&ups, 3);
+        reference.rollover("mail");
+        feed(&mut reference, &ups[..7], 3);
         let diagnose = |epoch: Option<u64>| {
             let req = Request::Diagnose {
                 app: "mail".to_string(),
                 epoch,
             };
-            let answer = cached.coordinator.handle_request(req.clone());
-            assert_eq!(answer, plain.coordinator.handle_request(req));
-            assert!(matches!(answer, Response::Report { .. }));
+            assert_eq!(
+                cluster.coordinator.handle_request(req),
+                Response::Report {
+                    json: reference.diagnose_json("mail", epoch).unwrap()
+                }
+            );
             (
                 coordinator_cache_counter(
-                    &cached,
+                    &cluster,
                     "fleetd_query_cache_hits_total",
                 ),
                 coordinator_cache_counter(
-                    &cached,
+                    &cluster,
                     "fleetd_query_cache_misses_total",
                 ),
             )
@@ -2137,47 +2126,7 @@ mod tests {
         // which the entry serves repeats.
         assert_eq!(diagnose(None), (0, 9));
         assert_eq!(diagnose(None), (3, 9));
-        let cache = cached.coordinator.partial_cache.lock().unwrap();
+        let cache = cluster.coordinator.partial_cache.lock().unwrap();
         assert!(cache.iter().all(|m| m.len() == 1));
-    }
-
-    #[test]
-    fn a_cache_disabled_coordinator_answers_identically() {
-        let cached = cluster(3);
-        let plain = cluster_with(
-            CoordinatorConfig {
-                fleet: FleetConfig {
-                    query_cache: false,
-                    ..FleetConfig::default()
-                },
-                ..test_config()
-            },
-            3,
-        );
-        let ups = uploads(21);
-        drive(&cached, &ups);
-        drive(&plain, &ups);
-        let answer =
-            |c: &TestCluster| match c.coordinator.diagnose("mail", None) {
-                Response::Report { json } => json,
-                other => panic!("unexpected response {other:?}"),
-            };
-        // Two rounds: the cached cluster's second answer rides
-        // NotModified; the plain cluster never sends a token.
-        for _ in 0..2 {
-            assert_eq!(answer(&cached), answer(&plain));
-        }
-        let plain_counters = plain
-            .coordinator
-            .metrics()
-            .registry()
-            .and_then(|r| {
-                r.counter_value(
-                    "fleetd_query_cache_misses_total",
-                    &[("layer", "coordinator")],
-                )
-            })
-            .unwrap_or(0);
-        assert_eq!(plain_counters, 0, "disabled cache must not count");
     }
 }

@@ -8,17 +8,16 @@
 //!
 //! Byte identity: every summary here goes through the memoized
 //! [`FleetState::summary`], which reads the same analysis the query
-//! protocol's [`FleetState::diagnosis`] renders (proven batch-identical
-//! by the diff harness), and the coordinator assembles its inputs with
-//! the same [`report_inputs`] over its workers' merged catalogs — so
-//! the report inherits the repo's cross-surface byte-identity story
-//! for free. The only
-//! surface-dependent values, the deployment counters, follow the
-//! pinning rule documented in `energydx-report`: they render as live
-//! numbers only when the state's registry runs on the wall clock;
-//! under `ENERGYDX_DETERMINISTIC_TIME` (or a deterministic test
-//! registry) they pin to zero so batch, daemon, and cluster artifacts
-//! match.
+//! protocol's [`FleetState::diagnose_json`] renders (proven
+//! batch-identical by the diff harness), and the coordinator assembles
+//! its inputs with the same [`report_inputs`] over its workers' merged
+//! catalogs — so the report inherits the repo's cross-surface
+//! byte-identity story for free. The only surface-dependent values,
+//! the deployment counters, follow the pinning rule documented in
+//! `energydx-report`: they render as live numbers only when the
+//! state's registry runs on the wall clock; under
+//! `ENERGYDX_DETERMINISTIC_TIME` (or a deterministic test registry)
+//! they pin to zero so batch, daemon, and cluster artifacts match.
 
 use energydx::FleetSummary;
 use energydx_obsv::Metrics;

@@ -275,9 +275,9 @@ impl FleetdHandle {
                 });
             });
             // Rendered here (not in `FleetState::write_stats`) so the
-            // state's own stats document stays cache-agnostic: the
-            // diff harness compares it across cached and cache-
-            // disabled runs byte for byte.
+            // state's own stats document stays a function of the
+            // fleet's content: two states holding the same traces
+            // render the same bytes, whatever queries each served.
             let cache = state.query_cache_stats();
             w.key("query_cache");
             w.obj(|w| {

@@ -36,7 +36,7 @@ use energydx_trace::store::{
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Everything that parameterizes the analysis a daemon serves.
 #[derive(Debug, Clone)]
@@ -51,13 +51,6 @@ pub struct FleetConfig {
     /// resident run state exceeds the budget. `None` keeps
     /// everything resident (and the state free of I/O).
     pub spill: Option<SpillConfig>,
-    /// Generation-exact memoization of analyzed fleets (and their
-    /// rendered JSON), plus `NotModified` answers to a coordinator
-    /// whose token still names an epoch's content. Purely an
-    /// optimization: every cached answer is byte-identical to the
-    /// re-computed one, which the diff harness proves against
-    /// `query_cache: false` states.
-    pub query_cache: bool,
 }
 
 impl Default for FleetConfig {
@@ -69,7 +62,6 @@ impl Default for FleetConfig {
             jobs: 1,
             repair: RepairPolicy::default(),
             spill: None,
-            query_cache: true,
         }
     }
 }
@@ -355,18 +347,35 @@ pub enum PartialSinceOutcome {
     },
 }
 
-/// A cached [`AnalyzedFleet`], valid only at the exact generation it
-/// was computed at (analysis is a function of the *whole* selection).
-/// Shared, so a summary reads it outside the cache lock. The rendered
-/// canonical JSON rides along, shared too, once a `diagnose_json` has
-/// paid for it, so a dashboard's repeat poll copies nothing here.
+/// One selection's analysis: the [`AnalyzedFleet`] and its canonical
+/// JSON, rendered by the first `Diagnose` that needs it and never
+/// again, so a dashboard's repeat poll copies nothing.
+#[derive(Debug)]
+struct Analysis {
+    fleet: AnalyzedFleet,
+    /// `fleet.approx_bytes()`, taken once.
+    fleet_bytes: usize,
+    json: OnceLock<Arc<String>>,
+}
+
+impl Analysis {
+    /// What the analysis costs the cache budget: the fleet, plus the
+    /// rendered JSON once there is one.
+    fn bytes(&self) -> usize {
+        const JSON_OVERHEAD: usize = 48;
+        self.fleet_bytes
+            + self.json.get().map_or(0, |json| json.len() + JSON_OVERHEAD)
+    }
+}
+
+/// A cached [`Analysis`], valid only at the exact generation it was
+/// computed at (analysis is a function of the *whole* selection).
+/// Shared, so a summary or a render reads it outside the cache lock.
 #[derive(Debug)]
 struct AnalyzedEntry {
     generation: u64,
-    fleet: Arc<AnalyzedFleet>,
-    json: Option<Arc<String>>,
-    bytes: usize,
     last_used: u64,
+    analysis: Arc<Analysis>,
 }
 
 /// Hit/miss/eviction counters of the state query cache — kept inside
@@ -411,7 +420,7 @@ impl QueryCache {
     }
 
     fn total_bytes(&self) -> usize {
-        self.analyzed.values().map(|e| e.bytes).sum()
+        self.analyzed.values().map(|e| e.analysis.bytes()).sum()
     }
 
     /// The least-recently-used entry's key. Stamps are unique (one
@@ -1070,8 +1079,8 @@ impl FleetState {
     /// [`PartialSinceOutcome::Unchanged`] without folding anything;
     /// otherwise returns the selection's locally-offset fold, starting
     /// at 0, for a coordinator to rebase and merge with its peers'.
-    /// With the query cache on, each call counts one state-layer
-    /// lookup: a hit when it answers `Unchanged`, a miss when it folds.
+    /// Each call counts one state-layer lookup: a hit when it answers
+    /// `Unchanged`, a miss when it folds.
     ///
     /// # Errors
     ///
@@ -1085,13 +1094,11 @@ impl FleetState {
     ) -> Result<PartialSinceOutcome, QueryError> {
         let (key, e) = self.resolve(sel)?;
         let epoch = key.1;
-        if self.config.query_cache {
-            // A stale or absent token is a miss: the answer must fold.
-            let hit = known == Some((epoch, self.incarnation, e.generation));
-            self.count_cache(hit);
-            if hit {
-                return Ok(PartialSinceOutcome::Unchanged { epoch });
-            }
+        // A stale or absent token is a miss: the answer must fold.
+        let hit = known == Some((epoch, self.incarnation, e.generation));
+        self.count_cache(hit);
+        if hit {
+            return Ok(PartialSinceOutcome::Unchanged { epoch });
         }
         let partial = self.fold(e, sel.version.as_deref())?;
         Ok(PartialSinceOutcome::Changed {
@@ -1123,63 +1130,57 @@ impl FleetState {
         }
     }
 
-    /// The analyzed fleet of a selection. Generation-exact
-    /// memoization: a repeat over unchanged content is the cached
-    /// [`AnalyzedFleet`], shared, skipping the fold and Steps 2–5
-    /// entirely; otherwise the selection is folded and analyzed, and
-    /// cached when the query cache is on.
+    /// The analysis of a selection, generation-exact memoized: a
+    /// repeat over unchanged content is the cached [`Analysis`],
+    /// shared, skipping the fold and Steps 2–5 entirely; otherwise the
+    /// selection is folded, analyzed and cached. Counts one
+    /// state-layer lookup either way.
     ///
     /// # Errors
     ///
     /// As [`FleetState::partial_since`], plus [`QueryError::Analysis`].
-    fn analyzed(
-        &self,
-        sel: &Selector,
-    ) -> Result<Arc<AnalyzedFleet>, QueryError> {
+    fn analyzed(&self, sel: &Selector) -> Result<Arc<Analysis>, QueryError> {
         let (key, e) = self.resolve(sel)?;
-        if self.config.query_cache {
-            let hit = {
-                let mut cache = self.cache();
-                let stamp = cache.tick();
-                cache
-                    .analyzed
-                    .get_mut(&key)
-                    .filter(|entry| entry.generation == e.generation)
-                    .map(|entry| {
-                        entry.last_used = stamp;
-                        Arc::clone(&entry.fleet)
-                    })
-            };
-            self.count_cache(hit.is_some());
-            if let Some(fleet) = hit {
-                return Ok(fleet);
-            }
+        let hit = {
+            let mut cache = self.cache();
+            let stamp = cache.tick();
+            cache
+                .analyzed
+                .get_mut(&key)
+                .filter(|entry| entry.generation == e.generation)
+                .map(|entry| {
+                    entry.last_used = stamp;
+                    Arc::clone(&entry.analysis)
+                })
+        };
+        self.count_cache(hit.is_some());
+        if let Some(analysis) = hit {
+            return Ok(analysis);
         }
         let fold = self.fold(e, sel.version.as_deref())?;
-        let fleet = Arc::new(
-            self.dx
-                .analyze(fold)
-                .map_err(|err| QueryError::Analysis(err.to_string()))?,
-        );
-        if self.config.query_cache {
-            let bytes = fleet.approx_bytes();
-            {
-                let mut cache = self.cache();
-                let stamp = cache.tick();
-                cache.analyzed.insert(
-                    key,
-                    AnalyzedEntry {
-                        generation: e.generation,
-                        fleet: Arc::clone(&fleet),
-                        json: None,
-                        bytes,
-                        last_used: stamp,
-                    },
-                );
-            }
-            self.trim_cache_to_budget();
+        let fleet = self
+            .dx
+            .analyze(fold)
+            .map_err(|err| QueryError::Analysis(err.to_string()))?;
+        let analysis = Arc::new(Analysis {
+            fleet_bytes: fleet.approx_bytes(),
+            fleet,
+            json: OnceLock::new(),
+        });
+        {
+            let mut cache = self.cache();
+            let stamp = cache.tick();
+            cache.analyzed.insert(
+                key,
+                AnalyzedEntry {
+                    generation: e.generation,
+                    last_used: stamp,
+                    analysis: Arc::clone(&analysis),
+                },
+            );
         }
-        Ok(fleet)
+        self.trim_cache_to_budget();
+        Ok(analysis)
     }
 
     /// Finishes a selection into a full diagnosis report — the
@@ -1187,143 +1188,79 @@ impl FleetState {
     /// traces. A release nothing was uploaded under yields an empty
     /// report, not an error, so a differential query against a
     /// misspelled or not-yet-shipped version answers "insufficient
-    /// data" honestly. A repeat over unchanged content renders a clone
-    /// of the cached analysis — same input to `render`, same bytes out.
-    ///
-    /// # Errors
-    ///
-    /// As [`FleetState::partial_since`].
-    pub fn diagnosis(
-        &self,
-        sel: &Selector,
-    ) -> Result<DiagnosisReport, QueryError> {
+    /// data" honestly. Renders a clone of the memoized analysis — same
+    /// input to `render`, same bytes out.
+    fn diagnosis(&self, sel: &Selector) -> Result<DiagnosisReport, QueryError> {
         let _span = self.metrics.span("finish");
-        let fleet = self.analyzed(sel)?;
-        Ok(self.dx.render(Arc::unwrap_or_clone(fleet)))
+        let analysis = self.analyzed(sel)?;
+        Ok(self.dx.render(analysis.fleet.clone()))
     }
 
     /// The [`FleetSummary`] of a selection: what the release gate and
     /// the operator report read. Summarizes the same memoized analysis
-    /// [`FleetState::diagnosis`] renders, by reference, and renders
-    /// nothing; an unknown release is the empty summary, as it is the
-    /// empty report there.
+    /// a `Diagnose` renders, by reference, and renders nothing; an
+    /// unknown release is the empty summary, as it is the empty report
+    /// there.
     ///
     /// # Errors
     ///
-    /// As [`FleetState::diagnosis`].
+    /// As [`FleetState::partial_since`], plus [`QueryError::Analysis`].
     pub fn summary(&self, sel: &Selector) -> Result<FleetSummary, QueryError> {
-        let fleet = self.analyzed(sel)?;
-        Ok(self.dx.summarize(&fleet))
+        let analysis = self.analyzed(sel)?;
+        Ok(self.dx.summarize(&analysis.fleet))
     }
 
-    /// [`FleetState::diagnosis`] rendered as canonical JSON — the byte
-    /// string the differential harness compares.
+    /// A selection's diagnosis as canonical JSON, shared with the query
+    /// cache: one memoized-analysis lookup, then the bytes
+    /// [`EnergyDx::render_json`] writes from it, by reference. Rendering
+    /// is a pure function of the analysis, so the bytes are
+    /// generation-keyed too: they are rendered at most once per
+    /// generation, and a repeat poll over unchanged content is a
+    /// reference count.
     ///
     /// # Errors
     ///
-    /// As [`FleetState::diagnosis`].
-    pub fn diagnosis_json(&self, sel: &Selector) -> Result<String, QueryError> {
-        self.diagnosis_json_shared(sel).map(Arc::unwrap_or_clone)
-    }
-
-    /// [`FleetState::diagnosis_json`], shared with the query cache. The
-    /// bytes are written by [`EnergyDx::render_json`] from the memoized
-    /// analysis, by reference; rendering is a pure function of it, so
-    /// the bytes are generation-keyed too, and a repeat poll over
-    /// unchanged content is a reference count.
-    ///
-    /// # Errors
-    ///
-    /// As [`FleetState::diagnosis`].
+    /// As [`FleetState::summary`].
     pub(crate) fn diagnosis_json_shared(
         &self,
         sel: &Selector,
     ) -> Result<Arc<String>, QueryError> {
-        if !self.config.query_cache {
-            return self.render_json(sel).map(Arc::new);
+        let analysis = self.analyzed(sel)?;
+        if let Some(json) = analysis.json.get() {
+            return Ok(Arc::clone(json));
         }
-        let (key, generation) = {
-            let (key, e) = self.resolve(sel)?;
-            (key, e.generation)
-        };
-        let cached_json = {
-            let mut cache = self.cache();
-            let stamp = cache.tick();
-            cache
-                .analyzed
-                .get_mut(&key)
-                .filter(|entry| entry.generation == generation)
-                .and_then(|entry| {
-                    entry.last_used = stamp;
-                    entry.json.clone()
-                })
-        };
-        if let Some(json) = cached_json {
-            self.count_cache(true);
-            return Ok(json);
-        }
-        let json = Arc::new(self.render_json(sel)?);
-        {
-            // `render_json` just (re)inserted the analyzed entry at this
-            // generation; attach the rendered bytes to it. A budget
-            // trim may have evicted it again — then there is simply
-            // nothing to attach to.
-            const JSON_OVERHEAD: usize = 48;
-            let mut cache = self.cache();
-            if let Some(entry) = cache.analyzed.get_mut(&key).filter(|entry| {
-                entry.generation == generation && entry.json.is_none()
-            }) {
-                entry.bytes += json.len() + JSON_OVERHEAD;
-                entry.json = Some(Arc::clone(&json));
-            }
-        }
+        let json = Arc::clone(analysis.json.get_or_init(|| {
+            let _span = self.metrics.span("finish");
+            Arc::new(self.dx.render_json(&analysis.fleet))
+        }));
+        // The entry, unless the budget already evicted it, just grew
+        // by the rendered bytes.
         self.trim_cache_to_budget();
         Ok(json)
     }
 
-    /// The canonical JSON of a selection's diagnosis, written straight
-    /// from the memoized analysis.
-    fn render_json(&self, sel: &Selector) -> Result<String, QueryError> {
-        let _span = self.metrics.span("finish");
-        let fleet = self.analyzed(sel)?;
-        Ok(self.dx.render_json(&fleet))
-    }
-
-    /// [`FleetState::diagnosis`] of `app`'s whole epoch (current when
-    /// `None`).
+    /// The canonical JSON diagnosis of `app`'s whole epoch (current
+    /// when `None`) — the byte string the differential harness
+    /// compares with the batch reference.
     ///
     /// # Errors
     ///
-    /// As [`FleetState::diagnosis`].
-    pub fn diagnose(
-        &self,
-        app: &str,
-        epoch: Option<u64>,
-    ) -> Result<DiagnosisReport, QueryError> {
-        self.diagnosis(&Selector::new(app, epoch, None))
-    }
-
-    /// [`FleetState::diagnosis_json`] of `app`'s whole epoch (current
-    /// when `None`).
-    ///
-    /// # Errors
-    ///
-    /// As [`FleetState::diagnosis`].
+    /// As [`FleetState::summary`].
     pub fn diagnose_json(
         &self,
         app: &str,
         epoch: Option<u64>,
     ) -> Result<String, QueryError> {
-        self.diagnosis_json(&Selector::new(app, epoch, None))
+        self.diagnosis_json_shared(&Selector::new(app, epoch, None))
+            .map(Arc::unwrap_or_clone)
     }
 
-    /// [`FleetState::diagnosis`] of one release's traces of `app`'s
-    /// epoch (current when `None`) — one half of a regression
-    /// comparison.
+    /// The diagnosis report of one release's traces of `app`'s epoch
+    /// (current when `None`) — one half of a regression comparison.
     ///
     /// # Errors
     ///
-    /// As [`FleetState::diagnosis`].
+    /// As [`FleetState::summary`].
     pub fn diagnose_version(
         &self,
         app: &str,
@@ -1341,7 +1278,7 @@ impl FleetState {
     ///
     /// # Errors
     ///
-    /// As [`FleetState::diagnose`].
+    /// As [`FleetState::summary`].
     pub fn regressions(
         &self,
         app: &str,
@@ -1710,12 +1647,12 @@ pub(crate) mod tests {
     fn queries_for_unknown_names_are_typed_errors() {
         let mut state = FleetState::new(FleetConfig::default());
         assert_eq!(
-            state.diagnose("ghost", None).unwrap_err(),
+            state.diagnose_json("ghost", None).unwrap_err(),
             QueryError::UnknownApp("ghost".to_string())
         );
         state.submit("app", &payload("u", 0));
         assert_eq!(
-            state.diagnose("app", Some(7)).unwrap_err(),
+            state.diagnose_json("app", Some(7)).unwrap_err(),
             QueryError::UnknownEpoch {
                 app: "app".to_string(),
                 epoch: 7
@@ -1883,7 +1820,7 @@ pub(crate) mod tests {
         state.submit("app", &payload("u", 0));
         assert_eq!(state.spilled_segments(), 1);
         std::fs::remove_file(spill::segment_path(tmp.path(), 0)).unwrap();
-        match state.diagnose("app", None) {
+        match state.diagnose_json("app", None) {
             Err(QueryError::Storage(detail)) => {
                 assert!(detail.contains("run-000000000000.seg"), "{detail}");
             }
@@ -1897,7 +1834,7 @@ pub(crate) mod tests {
         bytes[mid] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            state.diagnose("app", None),
+            state.diagnose_json("app", None),
             Err(QueryError::Storage(_))
         ));
         // Accounting surfaces keep working while data is unreadable.
@@ -1913,9 +1850,9 @@ pub(crate) mod tests {
         }
     }
 
-    /// A caching (and spilling) state, a cache-free twin fed the same
-    /// uploads, and a state fed only release `2.0.0`'s uploads — what
-    /// that release's fold must equal once re-anchored to offset 0.
+    /// A spilling state, a resident twin fed the same uploads, and a
+    /// state fed only release `2.0.0`'s uploads — what that release's
+    /// fold must equal once re-anchored to offset 0.
     struct ReleaseRig {
         state: FleetState,
         scratch: FleetState,
@@ -1953,10 +1890,7 @@ pub(crate) mod tests {
         let tmp = TempDir::new("state-release-fold");
         let mut rig = ReleaseRig {
             state: FleetState::new(spilling_config(tmp.path(), usize::MAX)),
-            scratch: FleetState::new(FleetConfig {
-                query_cache: false,
-                ..FleetConfig::default()
-            }),
+            scratch: FleetState::new(FleetConfig::default()),
             alone: FleetState::new(FleetConfig::default()),
             sessions: 0,
         };
@@ -2045,16 +1979,59 @@ pub(crate) mod tests {
         state.submit("app", &payload("u", 1));
         token(state.partial_since(&sel, Some(held)).unwrap());
         assert_eq!(counts(&state), (1, 2));
-        // A cache-free state folds every time and counts nothing.
-        let mut plain = FleetState::new(FleetConfig {
-            query_cache: false,
-            ..FleetConfig::default()
-        });
-        plain.submit("app", &payload("u", 0));
-        let held = token(plain.partial_since(&sel, None).unwrap());
-        token(plain.partial_since(&sel, Some(held)).unwrap());
-        let stats = plain.query_cache_stats();
-        assert_eq!((stats.hits, stats.misses), (0, 0));
+    }
+
+    #[test]
+    fn a_diagnose_renders_once_per_generation_under_any_budget() {
+        let tmp = TempDir::new("state-one-entry");
+        let mut resident = FleetState::new(FleetConfig::default());
+        let mut bundles = Vec::new();
+        for s in 0..4 {
+            assert!(resident.submit("app", &payload("u", s)).accepted());
+            let mut b = bundle("u", s);
+            b.anonymize();
+            bundles.push(b);
+        }
+        let reference = EnergyDx::default()
+            .diagnose_reference(&crate::convert::bundles_to_input(&bundles))
+            .to_canonical_json();
+        let sel = Selector::new("app", None, None);
+        let counts = |state: &FleetState| {
+            let stats = state.query_cache_stats();
+            (stats.hits, stats.misses)
+        };
+        // A summary caches the analysis alone; the first Diagnose hits
+        // it and renders the JSON into the same entry.
+        resident.summary(&sel).unwrap();
+        let analysis_bytes = resident.query_cache_stats().bytes;
+        let first = resident.diagnosis_json_shared(&sel).unwrap();
+        assert_eq!(*first, reference);
+        assert_eq!(counts(&resident), (1, 1));
+        let entry_bytes = resident.query_cache_stats().bytes;
+        assert_eq!(entry_bytes, analysis_bytes + first.len() + 48);
+        // A repeat over unchanged content shares those bytes.
+        let repeat = resident.diagnosis_json_shared(&sel).unwrap();
+        assert!(Arc::ptr_eq(&first, &repeat));
+        assert_eq!(counts(&resident), (2, 1));
+        assert_eq!(resident.query_cache_stats().bytes, entry_bytes);
+        // Budgets smaller than one entry: one too small for the
+        // analysis, one that holds the analysis but not its JSON. A
+        // fresh Diagnose still serves the batch bytes.
+        for budget in [0, analysis_bytes] {
+            let dir = tmp.path().join(budget.to_string());
+            let mut spilling = FleetState::new(spilling_config(&dir, budget));
+            for s in 0..4 {
+                assert!(spilling.submit("app", &payload("u", s)).accepted());
+            }
+            spilling.spill_all();
+            assert_eq!(spilling.resident_bytes(), 0);
+            let json = spilling.diagnosis_json_shared(&sel).unwrap();
+            assert_eq!(*json, reference, "budget {budget}");
+            let stats = spilling.query_cache_stats();
+            assert_eq!((stats.hits, stats.misses), (0, 1), "budget {budget}");
+            assert!(stats.bytes <= budget, "budget {budget}: {stats:?}");
+            assert_eq!(stats.evictions, 1, "budget {budget}");
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   string (app names, event names, version labels, quarantine
 //!   reasons) HTML-escaped;
 //! - [`render_json`]: a machine-readable `report.json` written through
-//!   the canonical core [`JsonWriter`].
+//!   the canonical core [`JsonWriter`](energydx::JsonWriter).
 //!
 //! Both renderers are pure functions of the model: same model, same
 //! bytes, on every platform. The model builder is in turn a pure
@@ -95,7 +95,7 @@ pub struct AppInput {
 /// One query-cache layer's hit/miss counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheLine {
-    /// Layer label (`state`, `segment`).
+    /// Layer label (`state`).
     pub layer: String,
     /// Memoized answers served.
     pub hits: u64,
@@ -123,26 +123,20 @@ pub struct DeploymentPanel {
 }
 
 impl DeploymentPanel {
-    /// The pinned panel: all counters zero, both cache layers present
-    /// so the artifact's shape never depends on the serving surface.
+    /// The pinned panel: all counters zero, with the one cache layer a
+    /// live panel carries (`state`), so the artifact's shape never
+    /// depends on the serving surface.
     pub fn pinned() -> Self {
         DeploymentPanel {
             live: false,
             shed: 0,
             spilled_runs: 0,
             spilled_traces: 0,
-            cache: vec![
-                CacheLine {
-                    layer: "state".to_string(),
-                    hits: 0,
-                    misses: 0,
-                },
-                CacheLine {
-                    layer: "segment".to_string(),
-                    hits: 0,
-                    misses: 0,
-                },
-            ],
+            cache: vec![CacheLine {
+                layer: "state".to_string(),
+                hits: 0,
+                misses: 0,
+            }],
         }
     }
 }

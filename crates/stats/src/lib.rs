@@ -3,7 +3,7 @@
 //! The EnergyDx manifestation analysis (paper Section III) is built on a
 //! small number of statistical primitives:
 //!
-//! - **Percentiles** ([`percentile`]) with R-7 linear interpolation, used
+//! - **Percentiles** ([`percentile()`]) with R-7 linear interpolation, used
 //!   by Step 3 (normalize every event instance to the 10th percentile of
 //!   its event group) and Step 4 (quartiles of variation amplitudes).
 //! - **Ranking with tie averaging** ([`rank`]), used by Step 2 to rank

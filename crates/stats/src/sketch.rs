@@ -17,7 +17,7 @@
 //!   `(value, count)` runs and adds integer counts, so any merge tree
 //!   over any shard split yields the same sketch.
 //! - **Exact percentiles**: [`QuantileSketch::percentile`] returns the
-//!   same bits as [`crate::percentile`] on the concatenation of every
+//!   same bits as [`crate::percentile()`] on the concatenation of every
 //!   pushed value (negative zero is canonicalized to `+0.0` on entry so
 //!   the tie-collapsed representative is unique).
 
@@ -179,7 +179,7 @@ impl QuantileSketch {
 
     /// The `p`-th percentile (`0 <= p <= 100`) of the accumulated
     /// multiset, with the same R-7 semantics — and the same bits — as
-    /// [`crate::percentile`] over the expanded data.
+    /// [`crate::percentile()`] over the expanded data.
     ///
     /// # Errors
     ///

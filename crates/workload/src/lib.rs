@@ -25,7 +25,7 @@
 //!   `(EventTrace, PowerTrace)` pairs ready for
 //!   [`energydx::DiagnosisInput`]; includes the four case-study apps
 //!   (K-9 Mail, OpenGPS, Wallabag, Tinfoil).
-//! - [`fleet`] — the Table-III fleet: all 40 apps with downloads,
+//! - [`fleet`](mod@fleet) — the Table-III fleet: all 40 apps with downloads,
 //!   root cause, and per-app generation seeds.
 //! - [`release`] — v1 → v2 release pairs (treatments injecting each
 //!   ABD class, plus bug-free controls): the ground truth the

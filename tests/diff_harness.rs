@@ -615,10 +615,6 @@ struct ClusterUnderTest {
 }
 
 fn new_cluster(workers: usize) -> ClusterUnderTest {
-    new_cluster_with(workers, true)
-}
-
-fn new_cluster_with(workers: usize, query_cache: bool) -> ClusterUnderTest {
     let slots: Vec<WorkerSlot> = (0..workers)
         .map(|_| {
             let handle =
@@ -638,10 +634,6 @@ fn new_cluster_with(workers: usize, query_cache: bool) -> ClusterUnderTest {
             max_attempts: 2,
             base_backoff_ms: 0,
             max_backoff_ms: 0,
-        },
-        fleet: FleetConfig {
-            query_cache,
-            ..FleetConfig::default()
         },
         ..CoordinatorConfig::default()
     };
@@ -756,6 +748,19 @@ fn assert_cluster_matches_reference(
 fn run_cluster_schedule(workers: usize, ops: &[ClusterOp], pool: &[Vec<u8>]) {
     let cluster = new_cluster(workers);
     let mut model = ClusterModel::new(workers);
+    apply_cluster_ops(&cluster, &mut model, ops, pool);
+    assert_cluster_matches_reference(&cluster, &model);
+}
+
+/// Applies `ops` to the cluster and its model in lockstep, checking
+/// each upload's acceptance class and each `Query`'s answer.
+fn apply_cluster_ops(
+    cluster: &ClusterUnderTest,
+    model: &mut ClusterModel,
+    ops: &[ClusterOp],
+    pool: &[Vec<u8>],
+) {
+    let workers = cluster.slots.len();
     let repair = RepairPolicy::default();
     for op in ops {
         match *op {
@@ -819,11 +824,10 @@ fn run_cluster_schedule(workers: usize, ops: &[ClusterOp], pool: &[Vec<u8>]) {
                 model.dead[k] = false;
             }
             ClusterOp::Query => {
-                assert_cluster_matches_reference(&cluster, &model);
+                assert_cluster_matches_reference(cluster, model);
             }
         }
     }
-    assert_cluster_matches_reference(&cluster, &model);
 }
 
 fn cluster_ops() -> impl Strategy<Value = Vec<ClusterOp>> {
@@ -933,7 +937,8 @@ enum SpillOp {
     /// kill -9: discard the live state, reload from disk — the
     /// restored state must re-verify and re-use the segment files.
     Restart,
-    /// Fold back from disk and compare to the batch reference.
+    /// Fold back from disk and compare to the batch reference, then
+    /// serve the warm repeat from the query cache and compare again.
     Query,
 }
 
@@ -989,6 +994,7 @@ fn run_spill_schedule(ops: &[SpillOp], pool: &[Vec<u8>], mem_budget: usize) {
                 }
             }
             SpillOp::Query => {
+                assert_fleet_matches_reference(&state, &model);
                 assert_fleet_matches_reference(&state, &model);
             }
         }
@@ -1086,127 +1092,27 @@ fn a_fully_spilled_daemon_equals_a_resident_one() {
 }
 
 // ---------------------------------------------------------------------
-// The query cache: a caching daemon and a cache-disabled daemon driven
-// in lockstep must serve byte-identical reports to each other and to
-// the batch reference at every query, under any interleaving of
-// {upload, query, spill, checkpoint, kill -9 restart, query}
-// and any budget. A restart may empty the cache; it must never change
-// a query byte. The cluster variant proves the same for the delta
-// protocol: a coordinator riding `NotModified` replies answers
-// byte-identically to one that refetches every partial.
+// The query cache: a daemon must serve byte-identical reports to the
+// batch reference at every query — cold, and again as a warm repeat
+// served from the cache — under any interleaving of {upload, spill,
+// checkpoint, kill -9 restart, query} and any budget. These are spill
+// schedules (whose every `Query` serves twice) weighted towards
+// queries. A restart may empty the cache; it must never change a query
+// byte. The cluster variant proves the same for the delta protocol: a
+// coordinator riding `NotModified` replies answers byte-identically to
+// the reference.
 // ---------------------------------------------------------------------
 
-/// One step of a cache-differential schedule, applied to the caching
-/// and the cache-disabled daemon in lockstep.
-#[derive(Debug, Clone, Copy)]
-enum CacheOp {
-    /// Submit payload `i` to both daemons.
-    Upload(usize),
-    /// Evict everything on both daemons.
-    Spill,
-    /// Durable snapshot of both daemons (each to its own directory).
-    Checkpoint,
-    /// kill -9 both daemons: reload from disk; the caches start empty.
-    Restart,
-    /// Both daemons serve; bytes must match each other and the
-    /// reference.
-    Query,
-}
-
-/// Runs one schedule against a caching and a cache-disabled spilling
-/// daemon in lockstep, comparing the two served reports to each other
-/// and to the batch reference at every `Query` and at the end.
-fn run_cache_schedule(ops: &[CacheOp], pool: &[Vec<u8>], mem_budget: usize) {
-    let root = TempDir::new("cache");
-    let config_for = |cached: bool| {
-        let tag = if cached { "cached" } else { "plain" };
-        FleetConfig {
-            query_cache: cached,
-            spill: Some(SpillConfig {
-                dir: root.path().join(format!("spool-{tag}")),
-                mem_budget,
-            }),
-            ..FleetConfig::default()
-        }
-    };
-    let state_dir_for = |cached: bool| {
-        root.path().join(if cached {
-            "state-cached"
-        } else {
-            "state-plain"
-        })
-    };
-    let mut cached = FleetState::new(config_for(true));
-    let mut plain = FleetState::new(config_for(false));
-    let mut model = FleetModel::default();
-    let mut checkpointed: Option<FleetModel> = None;
-    let compare =
-        |cached: &FleetState, plain: &FleetState, model: &FleetModel| {
-            assert_fleet_matches_reference(cached, model);
-            assert_fleet_matches_reference(plain, model);
-            if cached.apps().contains_key("app") {
-                assert_eq!(
-                    cached.diagnose_json("app", None).unwrap(),
-                    plain.diagnose_json("app", None).unwrap(),
-                    "the cache changed the served bytes"
-                );
-            }
-        };
-    for op in ops {
-        match *op {
-            CacheOp::Upload(i) => {
-                let payload = &pool[i % pool.len()];
-                let accepted = cached.submit("app", payload).accepted();
-                assert_eq!(
-                    accepted,
-                    plain.submit("app", payload).accepted(),
-                    "the cache changed an acceptance class for payload {i}"
-                );
-                assert_eq!(
-                    accepted,
-                    model.apply(payload),
-                    "daemons and model disagree on payload {i}"
-                );
-            }
-            CacheOp::Spill => {
-                cached.spill_all();
-                plain.spill_all();
-            }
-            CacheOp::Checkpoint => {
-                save_to(&cached, &state_dir_for(true)).expect("checkpoint");
-                save_to(&plain, &state_dir_for(false)).expect("checkpoint");
-                checkpointed = Some(model.clone());
-            }
-            CacheOp::Restart => {
-                drop(cached);
-                drop(plain);
-                let reload = |is_cached: bool| {
-                    load_from(&state_dir_for(is_cached), config_for(is_cached))
-                        .expect("a checkpoint restores with its segments")
-                        .unwrap_or_else(|| {
-                            FleetState::new(config_for(is_cached))
-                        })
-                };
-                cached = reload(true);
-                plain = reload(false);
-                model = checkpointed.clone().unwrap_or_default();
-            }
-            CacheOp::Query => compare(&cached, &plain, &model),
-        }
-    }
-    compare(&cached, &plain, &model);
-}
-
-fn cache_ops() -> impl Strategy<Value = Vec<CacheOp>> {
+fn cache_ops() -> impl Strategy<Value = Vec<SpillOp>> {
     // Queries are weighted heavier than in the spill schedule: the
     // property under test is the warm path, so back-to-back queries
     // (pure cache hits) must be common.
     let op = (0u8..16, 0usize..12).prop_map(|(kind, i)| match kind {
-        0..=6 => CacheOp::Upload(i),
-        7 | 8 => CacheOp::Spill,
-        9 | 10 => CacheOp::Checkpoint,
-        11 => CacheOp::Restart,
-        _ => CacheOp::Query,
+        0..=6 => SpillOp::Upload(i),
+        7 | 8 => SpillOp::Spill,
+        9 | 10 => SpillOp::Checkpoint,
+        11 => SpillOp::Restart,
+        _ => SpillOp::Query,
     });
     prop::collection::vec(op, 0..28)
 }
@@ -1215,10 +1121,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The query-cache headline property: under **any** schedule and
-    /// **any** budget, the caching daemon and the cache-disabled
-    /// daemon serve byte-identical reports to each other and to the
-    /// batch reference — cold, warm, delta-folded, spilled, and
-    /// across kill -9 restarts.
+    /// **any** budget, the daemon serves byte-identical reports to the
+    /// batch reference — cold, warm, delta-folded, spilled, and across
+    /// kill -9 restarts.
     #[test]
     fn any_cache_schedule_serves_identical_bytes(
         ops in cache_ops(),
@@ -1228,79 +1133,56 @@ proptest! {
             Just(usize::MAX),
         ],
     ) {
-        run_cache_schedule(&ops, &payload_pool(), budget);
+        run_spill_schedule(&ops, &payload_pool(), budget);
     }
 }
 
 /// Fixed scenario, the acceptance bar for the cache: warm repeats,
 /// a delta fold after new uploads, and a kill -9 restart (which
-/// empties the cache) all serve the same bytes as the cache-disabled
-/// daemon and the batch reference.
+/// empties the cache) all serve the batch reference's bytes.
 #[test]
 fn a_restart_may_empty_the_cache_but_never_changes_query_bytes() {
     let pool = payload_pool();
-    let mut ops: Vec<CacheOp> = Vec::new();
-    ops.extend((0..8).map(CacheOp::Upload));
-    ops.push(CacheOp::Query); // cold: populates the cache
-    ops.push(CacheOp::Query); // warm: pure hit
-    ops.extend((8..10).map(CacheOp::Upload));
-    ops.push(CacheOp::Query); // new content: a fresh fold and analysis
-    ops.push(CacheOp::Spill);
-    ops.push(CacheOp::Query); // spilled: the fold reads the segments
-    ops.push(CacheOp::Query); // warm again: pure hit
-    ops.push(CacheOp::Checkpoint);
-    ops.extend((10..12).map(CacheOp::Upload)); // lost at the crash
-    ops.push(CacheOp::Restart); // kill -9: cache gone, segments on disk
-    ops.push(CacheOp::Query); // == reference as of the checkpoint
-    ops.extend((0..12).map(CacheOp::Upload)); // re-drive; dedup absorbs
-    ops.push(CacheOp::Query);
-    ops.push(CacheOp::Query);
-    run_cache_schedule(&ops, &pool, 0);
+    let mut ops: Vec<SpillOp> = Vec::new();
+    ops.extend((0..8).map(SpillOp::Upload));
+    ops.push(SpillOp::Query); // cold: populates the cache
+    ops.push(SpillOp::Query); // warm: pure hit
+    ops.extend((8..10).map(SpillOp::Upload));
+    ops.push(SpillOp::Query); // new content: a fresh fold and analysis
+    ops.push(SpillOp::Spill);
+    ops.push(SpillOp::Query); // spilled: the fold reads the segments
+    ops.push(SpillOp::Query); // warm again: pure hit
+    ops.push(SpillOp::Checkpoint);
+    ops.extend((10..12).map(SpillOp::Upload)); // lost at the crash
+    ops.push(SpillOp::Restart); // kill -9: cache gone, segments on disk
+    ops.push(SpillOp::Query); // == reference as of the checkpoint
+    ops.extend((0..12).map(SpillOp::Upload)); // re-drive; dedup absorbs
+    ops.push(SpillOp::Query);
+    ops.push(SpillOp::Query);
+    // Budget 0 keeps nothing cached; an unbounded one keeps it all.
+    for budget in [0, usize::MAX] {
+        run_spill_schedule(&ops, &pool, budget);
+    }
 }
 
-/// The delta-protocol acceptance bar: a cached coordinator (whose
-/// repeat queries ride `NotModified`) and a cache-disabled one (which
-/// refetches every partial) serve byte-identical answers over a
+/// The delta-protocol acceptance bar: a coordinator whose repeat
+/// queries ride `NotModified` serves the batch reference over a
 /// 3-worker cluster — through warm repeats, a single-shard delta, and
 /// a kill -9 crash + replica handoff.
 #[test]
 fn coordinator_not_modified_replies_serve_identical_bytes() {
+    use ClusterOp::*;
     let pool = payload_pool();
-    let with_cache = new_cluster_with(3, true);
-    let without = new_cluster_with(3, false);
-    let diagnose = |c: &ClusterUnderTest| {
-        c.coordinator.handle_request(Request::Diagnose {
-            app: "app".to_string(),
-            epoch: None,
-        })
-    };
-    let both = |req: Request| {
-        (
-            with_cache.coordinator.handle_request(req.clone()),
-            without.coordinator.handle_request(req),
-        )
-    };
-    let assert_same_report =
-        || match (diagnose(&with_cache), diagnose(&without)) {
-            (Response::Report { json: a }, Response::Report { json: b }) => {
-                assert_eq!(a, b, "NotModified reuse changed the served bytes");
-            }
-            (a, b) => panic!("expected two reports, got {a:?} / {b:?}"),
-        };
-    for payload in &pool {
-        let (a, b) = both(Request::Submit {
-            app: "app".to_string(),
-            payload: payload.clone(),
-        });
-        assert_eq!(
-            format!("{a:?}"),
-            format!("{b:?}"),
-            "submit outcomes diverged"
-        );
-    }
-    assert_same_report(); // cold: full partials both sides
-    assert_same_report(); // warm: cached side rides NotModified
-    let hits = with_cache
+    let cluster = new_cluster(3);
+    let mut model = ClusterModel::new(3);
+    // Payload 10 (clean, a session nothing else claims) is held back
+    // to dirty exactly one shard later.
+    let uploads: Vec<ClusterOp> =
+        (0..pool.len()).filter(|&i| i != 10).map(Upload).collect();
+    apply_cluster_ops(&cluster, &mut model, &uploads, &pool);
+    // Cold (full partials), then warm (every holder NotModified).
+    apply_cluster_ops(&cluster, &mut model, &[Query, Query], &pool);
+    let hits = cluster
         .coordinator
         .metrics()
         .registry()
@@ -1313,28 +1195,18 @@ fn coordinator_not_modified_replies_serve_identical_bytes() {
         .unwrap_or(0);
     assert!(hits > 0, "the warm repeat must ride NotModified");
     // A single new upload dirties one shard; the others stay cached.
-    let extra = fixture::payload("u99", 0);
-    let (a, b) = both(Request::Submit {
-        app: "app".to_string(),
-        payload: extra,
-    });
-    assert_eq!(format!("{a:?}"), format!("{b:?}"));
-    assert_same_report();
-    // Replicate, kill -9 a worker, hand a blank replacement its
-    // replica: the restarted worker's cache is empty and its
-    // incarnation is fresh, so stale tokens re-fetch — identically.
-    let (a, b) = both(Request::Checkpoint);
-    assert!(matches!(a, Response::Done), "{a:?}");
-    assert!(matches!(b, Response::Done), "{b:?}");
-    for cluster in [&with_cache, &without] {
-        cluster.slots[1].lock().unwrap().take();
-        let blank =
-            FleetdHandle::start(ServerConfig::default()).expect("replacement");
-        *cluster.slots[1].lock().unwrap() = Some(Arc::new(blank));
-        cluster.coordinator.recover_worker(1).expect("handoff");
-    }
-    assert_same_report();
-    assert_same_report();
+    // Then replicate, kill -9 a worker and hand a blank replacement
+    // its replica: its incarnation is fresh, so stale tokens re-fetch.
+    let rest = [
+        Upload(10),
+        Query,
+        Replicate,
+        Crash(1),
+        Restart(1),
+        Query,
+        Query,
+    ];
+    apply_cluster_ops(&cluster, &mut model, &rest, &pool);
 }
 
 // ---------------------------------------------------------------------
