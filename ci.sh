@@ -28,58 +28,18 @@ echo "== full workspace tests (default parallelism) =="
 cargo test -q --workspace
 
 echo "== benchmark budget gates (smoke) =="
-# Every BENCH_*.json at the repo root is a checked-in budget that
-# regen_results.sh regenerates from the same list, so a budget and
-# its gate can never drift apart. Per bin:
-#   hotpath — per-instance allocation bytes of the interned Steps 2-5
-#             path (e.g. a return to per-instance string cloning),
-#             allocations per instance of the serving render
-#             (`render_json`; a return to building the report costs
-#             ~1 per instance) with its bytes checked equal to the
-#             rendered report's, bytes allocated per body byte to
-#             encode and to read + decode a 2 MiB Report frame (a
-#             return to joined copies), and trace, instance,
-#             vocabulary, JSON and frame-body byte counts exactly as
-#             stored.
-#   ingest  — batch identity of the resident daemon, accepted /
-#             quarantined counts and checkpoint bytes exactly as
-#             stored, the checkpoint bytes-per-trace budget, and
-#             O(upload) commits: a submit into a 2,000-trace
-#             two-release epoch costs <= 2x one into a 200-trace epoch.
-#   spill   — resident and zero-budget spilling daemons serve
-#             byte-identical reports; accepted count and segment
-#             count and bytes exactly as stored; peak live-heap
-#             growth of the spilling daemon stays under budget and
-#             under resident.
-#   query   — generation-keyed query cache: warm repeats >= the
-#             speedup budget, spilled warm queries keep up with
-#             resident ones, a fresh query on a 400-upload state
-#             diagnosed after every upload costs <= 1.3x one on a
-#             state diagnosed once (no fold state may grow with query
-#             history), coordinator NotModified replies stay smaller
-#             on the wire than the full partial, and upload, accepted,
-#             spilled-segment and wire-byte counts exactly as stored.
-#   cluster — the merged 3-worker answer equals one daemon fed the
-#             same payloads in shard order; accepted / quarantined
-#             counts and replica bytes exactly as stored; replicated
-#             checkpoints stay under the bytes-per-trace budget.
-#   regress — the release gate: every injected v2 bug (loop,
-#             no-sleep, configuration) is flagged regressed, zero
-#             bug-free controls are, case, upload and accepted counts
-#             match the stored ones exactly, and a warm differential
-#             query beats cold by the stored speedup budget.
-#   report  — the operator report: daemon and batch surfaces render
-#             identical artifacts, warm renders beat cold by the
-#             stored speedup budget, the cold render's peak live-heap
-#             growth on one thread stays under its stored byte budget
-#             (a return to rendering full per-selection reports),
-#             both artifacts stay under their KiB weight caps, and
-#             upload, accepted and artifact byte counts match the
-#             stored ones exactly.
-for b in hotpath ingest spill query cluster regress report; do
-  echo "-- $b (BENCH_$b.json)"
+# Every BENCH_<bin>.json at the repo root is a checked-in report whose
+# bin re-measures it here under --check; regen_results.sh rewrites the
+# same files, so a stored file alone registers its bin with both, and a
+# budget and its gate can never drift apart. Each bin's `//!` header
+# says what it gates; the shared flags, exact fields and budgets are
+# described under "BENCH harness" in DESIGN.md.
+for f in BENCH_*.json; do
+  b=${f#BENCH_}
+  b=${b%.json}
+  echo "-- $b ($f)"
   cargo run -q --release -p energydx-bench --bin "$b" -- \
-    --check "BENCH_$b.json" >/dev/null
+    --check "$f" >/dev/null
 done
 
 echo "== metrics-overhead gate (instrumented hot path + ingest) =="

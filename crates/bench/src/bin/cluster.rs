@@ -14,21 +14,14 @@
 //! - `replica_bytes_per_trace` — total replicated checkpoint bytes
 //!   over accepted traces, the deterministic regression gate.
 //!
-//! ```text
-//! cluster [--smoke] [--write <path>] [--check <path>]
-//! ```
-//!
-//! `--write` stores the report as JSON (see `BENCH_cluster.json` at
-//! the repo root); `--check` re-runs the measurement (smoke corpus)
-//! and fails (exit 1) if the accepted and quarantined counts or the
-//! replicated bytes differ from the stored report at all (they are
-//! pure functions of the corpus), or if replicated checkpoints grow
-//! past the stored `budget_replica_bytes_per_trace` — a byte count,
-//! fully deterministic, so the gate cannot flake on machine speed. The
-//! merged answer is asserted byte-identical to the batch pipeline
-//! before any number is printed.
+//! Gates (`BENCH_cluster.json`): the accepted and quarantined counts
+//! and the replicated bytes exactly (pure functions of the corpus), and
+//! replicated checkpoints under `budget_replica_bytes_per_trace` — a
+//! byte count, fully deterministic, so the gate cannot flake on machine
+//! speed. The merged answer is asserted byte-identical to the batch
+//! pipeline before any number is printed.
 
-use energydx_bench::harness::{corpus, exact_fields_match, stored_u64};
+use energydx_bench::harness::{self, corpus, percentile, Report};
 use energydx_fleetd::cluster::shard_for_payload;
 use energydx_fleetd::coordinator::{Coordinator, CoordinatorConfig};
 use energydx_fleetd::protocol::{OutcomeCode, Request, Response};
@@ -43,55 +36,6 @@ use std::time::Instant;
 
 const WORKERS: usize = 3;
 const APP: &str = "bench";
-
-struct Report {
-    mode: &'static str,
-    workers: usize,
-    uploads: usize,
-    accepted: usize,
-    quarantined: usize,
-    uploads_per_sec: f64,
-    submit_p50_us: f64,
-    submit_p99_us: f64,
-    ingest_secs: f64,
-    query_secs: f64,
-    replicate_secs: f64,
-    replica_bytes: usize,
-    budget_replica_bytes_per_trace: u64,
-}
-
-impl Report {
-    fn replica_bytes_per_trace(&self) -> f64 {
-        self.replica_bytes as f64 / self.accepted.max(1) as f64
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"mode\": \"{}\",\n  \"workers\": {},\n  \
-             \"uploads\": {},\n  \"accepted\": {},\n  \
-             \"quarantined\": {},\n  \"uploads_per_sec\": {:.0},\n  \
-             \"submit_p50_us\": {:.1},\n  \"submit_p99_us\": {:.1},\n  \
-             \"ingest_secs\": {:.6},\n  \"query_secs\": {:.6},\n  \
-             \"replicate_secs\": {:.6},\n  \"replica\": \
-             {{\"bytes\": {}, \"bytes_per_trace\": {:.1}}},\n  \
-             \"budget_replica_bytes_per_trace\": {}\n}}\n",
-            self.mode,
-            self.workers,
-            self.uploads,
-            self.accepted,
-            self.quarantined,
-            self.uploads_per_sec,
-            self.submit_p50_us,
-            self.submit_p99_us,
-            self.ingest_secs,
-            self.query_secs,
-            self.replicate_secs,
-            self.replica_bytes,
-            self.replica_bytes_per_trace(),
-            self.budget_replica_bytes_per_trace,
-        )
-    }
-}
 
 fn run(smoke: bool) -> Report {
     let (users, sessions) = if smoke { (48, 2) } else { (400, 5) };
@@ -202,98 +146,42 @@ fn run(smoke: bool) -> Report {
         .sum();
 
     latencies_us.sort_by(f64::total_cmp);
-    let pct = |p: f64| {
-        let idx = ((latencies_us.len() as f64 * p) as usize)
-            .min(latencies_us.len() - 1);
-        latencies_us[idx]
-    };
-
-    let mut out = Report {
-        mode: if smoke { "smoke" } else { "full" },
-        workers: WORKERS,
-        uploads: payloads.len(),
-        accepted,
-        quarantined,
-        uploads_per_sec: payloads.len() as f64 / ingest_secs.max(1e-9),
-        submit_p50_us: pct(0.50),
-        submit_p99_us: pct(0.99),
-        ingest_secs,
-        query_secs,
-        replicate_secs,
-        replica_bytes,
-        budget_replica_bytes_per_trace: 0,
-    };
-    // A byte count over a fixed corpus — deterministic, so the margin
-    // only absorbs intentional checkpoint-format evolution.
-    out.budget_replica_bytes_per_trace =
-        (out.replica_bytes_per_trace() * 1.5).ceil() as u64;
-    out
+    let replica_per_trace = replica_bytes as f64 / accepted.max(1) as f64;
+    Report::default()
+        .field("workers", WORKERS)
+        .field("uploads", payloads.len())
+        .exact("accepted", accepted)
+        .exact("quarantined", quarantined)
+        .field(
+            "uploads_per_sec",
+            format!("{:.0}", payloads.len() as f64 / ingest_secs.max(1e-9)),
+        )
+        .field(
+            "submit_p50_us",
+            format!("{:.1}", percentile(&latencies_us, 0.50)),
+        )
+        .field(
+            "submit_p99_us",
+            format!("{:.1}", percentile(&latencies_us, 0.99)),
+        )
+        .field("ingest_secs", format!("{ingest_secs:.6}"))
+        .field("query_secs", format!("{query_secs:.6}"))
+        .field("replicate_secs", format!("{replicate_secs:.6}"))
+        .object(
+            "replica",
+            Report::default()
+                .exact("bytes", replica_bytes)
+                .field("bytes_per_trace", format!("{replica_per_trace:.1}")),
+        )
+        // A byte count over a fixed corpus — deterministic, so the
+        // margin only absorbs intentional checkpoint-format evolution.
+        .field(
+            "budget_replica_bytes_per_trace",
+            (replica_per_trace * 1.5).ceil() as u64,
+        )
+        .at_most("budget_replica_bytes_per_trace", replica_per_trace)
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut write: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--write" => write = args.next(),
-            "--check" => check = args.next(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: cluster [--smoke] [--write <path>] \
-                     [--check <path>]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    // The regression gate always runs the fast corpus: the budget is
-    // checked in from a smoke run and per-trace figures are
-    // size-stable.
-    if check.is_some() {
-        smoke = true;
-    }
-
-    let report = run(smoke);
-    print!("{}", report.to_json());
-
-    if let Some(path) = write {
-        std::fs::write(&path, report.to_json())
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        eprintln!("wrote {path}");
-    }
-
-    if let Some(path) = check {
-        let stored = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        let exact = exact_fields_match(
-            &stored,
-            &[
-                (&["accepted"], report.accepted as u64),
-                (&["quarantined"], report.quarantined as u64),
-                (&["replica", "bytes"], report.replica_bytes as u64),
-            ],
-        );
-        if !exact {
-            std::process::exit(1);
-        }
-        let budget = stored_u64(&stored, &["budget_replica_bytes_per_trace"])
-            .unwrap_or_else(|| {
-                panic!("no budget_replica_bytes_per_trace in {path}")
-            });
-        let measured = report.replica_bytes_per_trace();
-        if measured > budget as f64 {
-            eprintln!(
-                "replica regression: {measured:.1} bytes/trace exceeds \
-                 the checked-in budget of {budget}"
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "replicas within budget: {measured:.1} <= {budget} bytes/trace"
-        );
-    }
+    harness::main("cluster", false, |smoke, _| run(smoke));
 }

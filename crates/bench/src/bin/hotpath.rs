@@ -16,15 +16,10 @@
 //! `reduction_allocs_per_instance` — how many times fewer allocations
 //! the hot path makes through Steps 2–5 than the reference.
 //!
-//! ```text
-//! hotpath [--smoke] [--obsv] [--write <path>] [--check <path>]
-//! ```
-//!
 //! A `json` region measures the serving render: `render_json` writing
 //! the canonical report straight from the analyzed fleet, with its
-//! allocations per instance (gated by `budget_json_allocs_per_instance`)
-//! and the JSON length (compared exactly), and the bytes checked equal
-//! to `render(..).to_canonical_json()`.
+//! allocations per instance and the JSON length, and the bytes checked
+//! equal to `render(..).to_canonical_json()`.
 //!
 //! A second pair of regions measures the daemon's wire framing: one
 //! 2 MiB `Response::Report` through `Response::encode`, then through
@@ -32,93 +27,32 @@
 //! per body byte. A frame built in one buffer costs ~1 body copy to
 //! encode and ~2 to receive (the frame body, then the decoded string).
 //!
-//! `--smoke` shrinks the fleet for CI; `--write` stores the report as
-//! JSON (see `BENCH_hotpath.json` at the repo root); `--check` re-runs
-//! the measurement and fails (exit 1) if bytes allocated per instance
-//! on the hot path exceed the `budget_bytes_per_instance` recorded in
-//! the given JSON file, the serving render's allocations per instance
-//! exceed `budget_json_allocs_per_instance`, or either frame region
-//! exceeds its `budget_frame_*_bytes_per_body_byte`, or if a
-//! corpus-determined field (traces, instances, vocab, JSON bytes,
-//! frame body bytes) differs from the stored one — the CI regression
-//! gate. Allocator counts repeat exactly, so the gate does not flake.
-//! `--obsv` attaches a live metrics registry to the pipeline, so the
-//! measured regions include the per-stage span instrumentation;
-//! `--obsv --check` against the stored budget is the metrics-overhead
-//! gate.
+//! Gates (`BENCH_hotpath.json`): hot-path bytes per instance under
+//! `budget_bytes_per_instance`, the serving render's allocations per
+//! instance under `budget_json_allocs_per_instance`, each frame region
+//! under its `budget_frame_*_bytes_per_body_byte`, and the
+//! corpus-determined fields (traces, instances, vocab, JSON bytes,
+//! frame body bytes) exactly. Allocator counts repeat exactly, so the
+//! gate does not flake. `--obsv` attaches a live metrics registry to
+//! the pipeline, so the measured regions include the per-stage span
+//! instrumentation; `--obsv --check` is the metrics-overhead gate.
 
 use energydx::pipeline::{
     step2_rank, step3_normalize, step4_detect, step5_report, EventGroups,
 };
 use energydx::{AnalysisConfig, DiagnosisInput, EnergyDx};
-use energydx_bench::harness::{exact_fields_match, stored_f64};
+use energydx_bench::harness::{self, Report};
 use energydx_fleetd::protocol::{read_frame, Response};
 use energydx_trace::event::{Direction, EventRecord, EventTrace};
 use energydx_trace::join_power;
 use energydx_trace::power::{PowerSample, PowerTrace};
 use energydx_trace::util::Component;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// A pass-through allocator that counts calls and requested bytes.
-/// `Relaxed` is sufficient: the benchmark reads the counters only
-/// around single-threaded regions (`jobs = 1`).
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: defers every operation to `System` unchanged; the counter
-// updates have no effect on allocation behavior.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(
-        &self,
-        ptr: *mut u8,
-        layout: Layout,
-        new_size: usize,
-    ) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Allocator calls, bytes, and wall seconds of one closure run.
-#[derive(Debug, Clone, Copy)]
-struct Region {
-    allocs: u64,
-    bytes: u64,
-    secs: f64,
-}
-
-fn measured<R>(f: impl FnOnce() -> R) -> (R, Region) {
-    let a0 = ALLOCS.load(Ordering::Relaxed);
-    let b0 = BYTES.load(Ordering::Relaxed);
-    let t0 = Instant::now();
-    let result = f();
-    let secs = t0.elapsed().as_secs_f64();
-    let region = Region {
-        allocs: ALLOCS.load(Ordering::Relaxed) - a0,
-        bytes: BYTES.load(Ordering::Relaxed) - b0,
-        secs,
-    };
-    (result, region)
-}
+#[path = "../counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::{measured, Region};
 
 /// SplitMix64 — deterministic fleet synthesis, no RNG dependency.
 fn splitmix(state: &mut u64) -> u64 {
@@ -207,110 +141,6 @@ fn frame_regions() -> (usize, Region, Region) {
     });
     assert_eq!(decoded, resp, "frame round trip");
     (body, encode, decode)
-}
-
-struct Report {
-    mode: &'static str,
-    traces: usize,
-    instances: usize,
-    joins_per_sec: f64,
-    join: Region,
-    reference: Region,
-    hotpath: Region,
-    render: Region,
-    json: Region,
-    json_bytes: usize,
-    diagnose_secs: f64,
-    budget_bytes_per_instance: u64,
-    frame_body_bytes: usize,
-    frame_encode: Region,
-    frame_decode: Region,
-}
-
-impl Report {
-    fn reduction_allocs(&self) -> f64 {
-        let hot = (self.hotpath.allocs as f64).max(1.0);
-        self.reference.allocs as f64 / hot
-    }
-
-    fn reduction_bytes(&self) -> f64 {
-        let hot = (self.hotpath.bytes as f64).max(1.0);
-        self.reference.bytes as f64 / hot
-    }
-
-    fn hotpath_bytes_per_instance(&self) -> f64 {
-        self.hotpath.bytes as f64 / self.instances as f64
-    }
-
-    fn json_allocs_per_instance(&self) -> f64 {
-        self.json.allocs as f64 / self.instances as f64
-    }
-
-    fn per_body_byte(&self, r: &Region) -> f64 {
-        r.bytes as f64 / self.frame_body_bytes as f64
-    }
-
-    fn to_json(&self) -> String {
-        let per = |r: &Region| {
-            format!(
-                "{{\"secs\": {:.6}, \"allocs\": {}, \"bytes\": {}, \
-                 \"allocs_per_instance\": {:.3}, \
-                 \"bytes_per_instance\": {:.1}}}",
-                r.secs,
-                r.allocs,
-                r.bytes,
-                r.allocs as f64 / self.instances as f64,
-                r.bytes as f64 / self.instances as f64,
-            )
-        };
-        let frame = |r: &Region| {
-            format!(
-                "{{\"secs\": {:.6}, \"allocs\": {}, \"bytes\": {}, \
-                 \"bytes_per_body_byte\": {:.3}}}",
-                r.secs,
-                r.allocs,
-                r.bytes,
-                self.per_body_byte(r),
-            )
-        };
-        format!(
-            "{{\n  \"mode\": \"{}\",\n  \"traces\": {},\n  \
-             \"instances\": {},\n  \"vocab\": {},\n  \
-             \"joins_per_sec\": {:.0},\n  \"step1_join\": {},\n  \
-             \"reference_steps2_5\": {},\n  \"hotpath_steps2_5\": {},\n  \
-             \"render\": {},\n  \"json\": {},\n  \
-             \"json_bytes\": {},\n  \"diagnose_secs\": {:.6},\n  \
-             \"reduction_allocs_per_instance\": {:.2},\n  \
-             \"reduction_bytes_per_instance\": {:.2},\n  \
-             \"budget_bytes_per_instance\": {},\n  \
-             \"budget_json_allocs_per_instance\": {},\n  \
-             \"frame_body_bytes\": {},\n  \"frame_encode\": {},\n  \
-             \"frame_read_decode\": {},\n  \
-             \"budget_frame_encode_bytes_per_body_byte\": {},\n  \
-             \"budget_frame_decode_bytes_per_body_byte\": {}\n}}\n",
-            self.mode,
-            self.traces,
-            self.instances,
-            VOCAB.len(),
-            self.joins_per_sec,
-            per(&self.join),
-            per(&self.reference),
-            per(&self.hotpath),
-            per(&self.render),
-            per(&self.json),
-            self.json_bytes,
-            self.diagnose_secs,
-            self.reduction_allocs(),
-            self.reduction_bytes(),
-            self.budget_bytes_per_instance,
-            BUDGET_JSON_ALLOCS,
-            self.frame_body_bytes,
-            frame(&self.frame_encode),
-            frame(&self.frame_decode),
-            BUDGET_FRAME_ENCODE,
-            BUDGET_FRAME_DECODE,
-        )
-    }
 }
 
 fn run(smoke: bool, obsv: bool) -> Report {
@@ -411,134 +241,87 @@ fn run(smoke: bool, obsv: bool) -> Report {
 
     let (frame_body_bytes, frame_encode, frame_decode) = frame_regions();
 
-    let mut out = Report {
-        mode: if smoke { "smoke" } else { "full" },
-        traces: users,
-        instances,
-        joins_per_sec: instances as f64 / join.secs.max(1e-9),
-        join,
-        reference,
-        hotpath,
-        render,
-        json: json_region,
-        json_bytes: json.len(),
-        diagnose_secs,
-        budget_bytes_per_instance: 0,
-        frame_body_bytes,
-        frame_encode,
-        frame_decode,
+    let n = instances as f64;
+    let region = |r: &Region| {
+        Report::default()
+            .field("secs", format!("{:.6}", r.secs))
+            .field("allocs", r.allocs)
+            .field("bytes", r.bytes)
     };
-    // Regression budget: double the measured footprint, so the gate
-    // trips on an accidental return to per-instance cloning without
-    // flaking on allocator jitter.
-    out.budget_bytes_per_instance =
-        (out.hotpath_bytes_per_instance() * 2.0).ceil() as u64;
-    out
+    let per = |r: &Region| {
+        region(r)
+            .field("allocs_per_instance", format!("{:.3}", r.allocs as f64 / n))
+            .field("bytes_per_instance", format!("{:.1}", r.bytes as f64 / n))
+    };
+    let per_body_byte = |r: &Region| r.bytes as f64 / frame_body_bytes as f64;
+    let frame = |r: &Region| {
+        region(r)
+            .field("bytes_per_body_byte", format!("{:.3}", per_body_byte(r)))
+    };
+    let reduction =
+        |reference: u64, hot: u64| reference as f64 / (hot as f64).max(1.0);
+    let reduction_allocs = reduction(reference.allocs, hotpath.allocs);
+    if reduction_allocs < 5.0 {
+        eprintln!(
+            "warning: Steps 2-5 allocation reduction {reduction_allocs:.2}x \
+             is below the 5x target"
+        );
+    }
+    let hot_bytes_per_instance = hotpath.bytes as f64 / n;
+    Report::default()
+        .exact("traces", users)
+        .exact("instances", instances)
+        .exact("vocab", VOCAB.len())
+        .field("joins_per_sec", format!("{:.0}", n / join.secs.max(1e-9)))
+        .object("step1_join", per(&join))
+        .object("reference_steps2_5", per(&reference))
+        .object("hotpath_steps2_5", per(&hotpath))
+        .object("render", per(&render))
+        .object("json", per(&json_region))
+        .exact("json_bytes", json.len())
+        .field("diagnose_secs", format!("{diagnose_secs:.6}"))
+        .field(
+            "reduction_allocs_per_instance",
+            format!("{reduction_allocs:.2}"),
+        )
+        .field(
+            "reduction_bytes_per_instance",
+            format!("{:.2}", reduction(reference.bytes, hotpath.bytes)),
+        )
+        // Double the measured footprint, so the gate trips on an
+        // accidental return to per-instance cloning without flaking on
+        // allocator jitter.
+        .field(
+            "budget_bytes_per_instance",
+            (hot_bytes_per_instance * 2.0).ceil() as u64,
+        )
+        .at_most("budget_bytes_per_instance", hot_bytes_per_instance)
+        .field("budget_json_allocs_per_instance", BUDGET_JSON_ALLOCS)
+        .at_most(
+            "budget_json_allocs_per_instance",
+            json_region.allocs as f64 / n,
+        )
+        .exact("frame_body_bytes", frame_body_bytes)
+        .object("frame_encode", frame(&frame_encode))
+        .object("frame_read_decode", frame(&frame_decode))
+        .field(
+            "budget_frame_encode_bytes_per_body_byte",
+            BUDGET_FRAME_ENCODE,
+        )
+        .at_most(
+            "budget_frame_encode_bytes_per_body_byte",
+            per_body_byte(&frame_encode),
+        )
+        .field(
+            "budget_frame_decode_bytes_per_body_byte",
+            BUDGET_FRAME_DECODE,
+        )
+        .at_most(
+            "budget_frame_decode_bytes_per_body_byte",
+            per_body_byte(&frame_decode),
+        )
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut obsv = false;
-    let mut write: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--obsv" => obsv = true,
-            "--write" => write = args.next(),
-            "--check" => check = args.next(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: hotpath [--smoke] [--obsv] [--write <path>] \
-                     [--check <path>]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    // The regression gate always runs the fast fleet: the budget is
-    // checked in from a smoke run and per-instance figures are
-    // size-stable.
-    if check.is_some() {
-        smoke = true;
-    }
-
-    let report = run(smoke, obsv);
-    print!("{}", report.to_json());
-    if report.reduction_allocs() < 5.0 {
-        eprintln!(
-            "warning: Steps 2-5 allocation reduction {:.2}x is below \
-             the 5x target",
-            report.reduction_allocs()
-        );
-    }
-
-    if let Some(path) = write {
-        std::fs::write(&path, report.to_json())
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        eprintln!("wrote {path}");
-    }
-
-    if let Some(path) = check {
-        let stored = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        let budget = |key: &str| {
-            stored_f64(&stored, &[key])
-                .unwrap_or_else(|| panic!("no {key} in {path}"))
-        };
-        let gates = [
-            (
-                "hot path",
-                report.hotpath_bytes_per_instance(),
-                budget("budget_bytes_per_instance"),
-                "bytes/instance",
-            ),
-            (
-                "serving render",
-                report.json_allocs_per_instance(),
-                budget("budget_json_allocs_per_instance"),
-                "allocations/instance",
-            ),
-            (
-                "frame encode",
-                report.per_body_byte(&report.frame_encode),
-                budget("budget_frame_encode_bytes_per_body_byte"),
-                "bytes allocated per body byte",
-            ),
-            (
-                "frame read + decode",
-                report.per_body_byte(&report.frame_decode),
-                budget("budget_frame_decode_bytes_per_body_byte"),
-                "bytes allocated per body byte",
-            ),
-        ];
-        let mut failed = !exact_fields_match(
-            &stored,
-            &[
-                (&["traces"], report.traces as u64),
-                (&["instances"], report.instances as u64),
-                (&["vocab"], VOCAB.len() as u64),
-                (&["json_bytes"], report.json_bytes as u64),
-                (&["frame_body_bytes"], report.frame_body_bytes as u64),
-            ],
-        );
-        for (what, measured, budget, unit) in gates {
-            if measured > budget {
-                eprintln!(
-                    "{what} regression: {measured:.3} {unit} exceeds the \
-                     checked-in budget of {budget}"
-                );
-                failed = true;
-            } else {
-                eprintln!(
-                    "{what} within budget: {measured:.3} <= {budget} {unit}"
-                );
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-    }
+    harness::main("hotpath", true, run);
 }

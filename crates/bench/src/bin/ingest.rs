@@ -22,28 +22,20 @@
 //!   epoch's last same-release run in place, so its cost should not
 //!   grow with the epoch.
 //!
-//! ```text
-//! ingest [--smoke] [--obsv] [--write <path>] [--check <path>]
-//! ```
-//!
-//! `--smoke` shrinks the corpus for CI; `--write` stores the report as
-//! JSON (see `BENCH_ingest.json` at the repo root); `--check` re-runs
-//! the measurement and fails (exit 1) if the accepted and quarantined
-//! counts or the checkpoint size differ from the stored report at all
-//! (they are pure functions of the corpus), if the checkpoint grows
-//! past the stored `budget_checkpoint_bytes_per_trace`, or if the
-//! upload-growth ratio exceeds the stored `budget_upload_growth` — a
-//! ratio of two medians on one machine, so host speed cancels out and
-//! only cost that grows with the epoch trips it. `--obsv` additionally
-//! records every submit latency
-//! into a metrics histogram on the measured path, cross-checks the
-//! histogram against the exact sorted percentiles, and (with
-//! `--check`) fails if the histogram p50 blows far past the stored
-//! `submit_p50_us` — a wide-margin sanity gate on the instrumented
-//! path, not a tight timing assertion.
+//! Gates (`BENCH_ingest.json`): the accepted and quarantined counts
+//! and the checkpoint size exactly (pure functions of the corpus); the
+//! checkpoint under `budget_checkpoint_bytes_per_trace`; and the
+//! upload-growth ratio under `budget_upload_growth` — a ratio of two
+//! medians on one machine, so host speed cancels out and only cost
+//! that grows with the epoch trips it. `--obsv` also records every
+//! submit latency into a metrics histogram on the measured path,
+//! cross-checks the histogram against the exact sorted percentiles,
+//! and gates its p50 under 100x the stored `submit_p50_us` — a
+//! wide-margin sanity gate on the instrumented path, not a tight
+//! timing assertion.
 
 use energydx::EnergyDx;
-use energydx_bench::harness::{corpus, exact_fields_match, stored_u64};
+use energydx_bench::harness::{self, corpus, percentile, Report};
 use energydx_fleetd::checkpoint::{checkpoint_bytes, restore_bytes};
 use energydx_fleetd::convert::bundles_to_input;
 use energydx_fleetd::fixture::payload_versioned;
@@ -61,75 +53,6 @@ const GROWTH_EPOCHS: [usize; 2] = [200, 2_000];
 /// measures about 1; a commit that rewrites the epoch on every upload
 /// (the compaction it replaced) measured 6 to 13 here.
 const BUDGET_UPLOAD_GROWTH: f64 = 2.0;
-
-struct Report {
-    mode: &'static str,
-    uploads: usize,
-    accepted: usize,
-    quarantined: usize,
-    uploads_per_sec: f64,
-    submit_p50_us: f64,
-    submit_p99_us: f64,
-    ingest_secs: f64,
-    query_secs: f64,
-    checkpoint_bytes: usize,
-    checkpoint_encode_secs: f64,
-    checkpoint_decode_secs: f64,
-    budget_checkpoint_bytes_per_trace: u64,
-    /// Median submit µs into the [`GROWTH_EPOCHS`] epochs.
-    upload_growth_us: [f64; 2],
-    /// Histogram p50 of submit latency under `--obsv` (bucket upper
-    /// bound, µs); `None` without the flag. Kept out of the JSON so
-    /// the stored report format is flag-independent.
-    obsv_submit_p50_us: Option<f64>,
-}
-
-impl Report {
-    fn checkpoint_bytes_per_trace(&self) -> f64 {
-        self.checkpoint_bytes as f64 / self.accepted.max(1) as f64
-    }
-
-    fn upload_growth(&self) -> f64 {
-        self.upload_growth_us[1] / self.upload_growth_us[0].max(1e-9)
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"mode\": \"{}\",\n  \"uploads\": {},\n  \
-             \"accepted\": {},\n  \"quarantined\": {},\n  \
-             \"uploads_per_sec\": {:.0},\n  \
-             \"submit_p50_us\": {:.1},\n  \"submit_p99_us\": {:.1},\n  \
-             \"ingest_secs\": {:.6},\n  \"query_secs\": {:.6},\n  \
-             \"checkpoint\": \
-             {{\"bytes\": {}, \"bytes_per_trace\": {:.1}, \
-             \"encode_secs\": {:.6}, \"decode_secs\": {:.6}}},\n  \
-             \"upload_growth\": {{\"epoch_{}_us\": {:.1}, \
-             \"epoch_{}_us\": {:.1}, \"ratio\": {:.2}}},\n  \
-             \"budget_checkpoint_bytes_per_trace\": {},\n  \
-             \"budget_upload_growth\": {:.1}\n}}\n",
-            self.mode,
-            self.uploads,
-            self.accepted,
-            self.quarantined,
-            self.uploads_per_sec,
-            self.submit_p50_us,
-            self.submit_p99_us,
-            self.ingest_secs,
-            self.query_secs,
-            self.checkpoint_bytes,
-            self.checkpoint_bytes_per_trace(),
-            self.checkpoint_encode_secs,
-            self.checkpoint_decode_secs,
-            GROWTH_EPOCHS[0],
-            self.upload_growth_us[0],
-            GROWTH_EPOCHS[1],
-            self.upload_growth_us[1],
-            self.upload_growth(),
-            self.budget_checkpoint_bytes_per_trace,
-            BUDGET_UPLOAD_GROWTH,
-        )
-    }
-}
 
 fn run(smoke: bool, obsv: bool) -> Report {
     let (users, sessions) = if smoke { (48, 2) } else { (400, 5) };
@@ -227,11 +150,7 @@ fn run(smoke: bool, obsv: bool) -> Report {
     );
 
     latencies_us.sort_by(f64::total_cmp);
-    let pct = |p: f64| {
-        let idx = ((latencies_us.len() as f64 * p) as usize)
-            .min(latencies_us.len() - 1);
-        latencies_us[idx]
-    };
+    let p50_us = percentile(&latencies_us, 0.50);
 
     // The histogram must agree with the exact sorted latencies it
     // observed: same count, same total, and a p50 bucket bracketing
@@ -246,7 +165,7 @@ fn run(smoke: bool, obsv: bool) -> Report {
             snap.sum()
         );
         let bound = snap.quantile(0.5).expect("non-empty histogram");
-        let exact_p50 = pct(0.50) / 1e6;
+        let exact_p50 = p50_us / 1e6;
         assert!(
             exact_p50 <= bound * 2.0 && bound <= exact_p50 * 2.0,
             "histogram p50 bound {bound}s is more than one factor-2 \
@@ -255,29 +174,66 @@ fn run(smoke: bool, obsv: bool) -> Report {
         bound * 1e6
     });
 
-    let mut out = Report {
-        mode: if smoke { "smoke" } else { "full" },
-        uploads: payloads.len(),
-        accepted,
-        quarantined,
-        uploads_per_sec: payloads.len() as f64 / ingest_secs.max(1e-9),
-        submit_p50_us: pct(0.50),
-        submit_p99_us: pct(0.99),
-        ingest_secs,
-        query_secs,
-        checkpoint_bytes: encoded.len(),
-        checkpoint_encode_secs,
-        checkpoint_decode_secs,
-        budget_checkpoint_bytes_per_trace: 0,
-        upload_growth_us: GROWTH_EPOCHS.map(upload_median_us),
-        obsv_submit_p50_us,
-    };
-    // The gate metric is a byte count — deterministic for a fixed
-    // corpus — so a modest margin only absorbs intentional format
-    // evolution, not timing noise.
-    out.budget_checkpoint_bytes_per_trace =
-        (out.checkpoint_bytes_per_trace() * 1.5).ceil() as u64;
-    out
+    if let Some(p50) = obsv_submit_p50_us {
+        eprintln!("obsv: submit latency histogram p50 <= {p50:.1} us");
+    }
+
+    let per_trace = encoded.len() as f64 / accepted.max(1) as f64;
+    let growth_us = GROWTH_EPOCHS.map(upload_median_us);
+    let growth = growth_us[1] / growth_us[0].max(1e-9);
+    let report = Report::default()
+        .field("uploads", payloads.len())
+        .exact("accepted", accepted)
+        .exact("quarantined", quarantined)
+        .field(
+            "uploads_per_sec",
+            format!("{:.0}", payloads.len() as f64 / ingest_secs.max(1e-9)),
+        )
+        .field("submit_p50_us", format!("{p50_us:.1}"))
+        .field(
+            "submit_p99_us",
+            format!("{:.1}", percentile(&latencies_us, 0.99)),
+        )
+        .field("ingest_secs", format!("{ingest_secs:.6}"))
+        .field("query_secs", format!("{query_secs:.6}"))
+        .object(
+            "checkpoint",
+            Report::default()
+                .exact("bytes", encoded.len())
+                .field("bytes_per_trace", format!("{per_trace:.1}"))
+                .field("encode_secs", format!("{checkpoint_encode_secs:.6}"))
+                .field("decode_secs", format!("{checkpoint_decode_secs:.6}")),
+        )
+        .object(
+            "upload_growth",
+            Report::default()
+                .field(
+                    &format!("epoch_{}_us", GROWTH_EPOCHS[0]),
+                    format!("{:.1}", growth_us[0]),
+                )
+                .field(
+                    &format!("epoch_{}_us", GROWTH_EPOCHS[1]),
+                    format!("{:.1}", growth_us[1]),
+                )
+                .field("ratio", format!("{growth:.2}")),
+        )
+        // A byte count — deterministic for a fixed corpus — so a modest
+        // margin only absorbs intentional format evolution, not noise.
+        .field(
+            "budget_checkpoint_bytes_per_trace",
+            (per_trace * 1.5).ceil() as u64,
+        )
+        .at_most("budget_checkpoint_bytes_per_trace", per_trace)
+        .field("budget_upload_growth", format!("{BUDGET_UPLOAD_GROWTH:.1}"))
+        .at_most("budget_upload_growth", growth);
+    // Instrumented-path sanity gate: the histogram p50 may not blow two
+    // orders of magnitude past the stored p50. The 100x margin absorbs
+    // machine differences; it trips on structural regressions (an
+    // accidental sleep, quadratic work per submit), not on noise.
+    match obsv_submit_p50_us {
+        Some(p50) => report.at_most("submit_p50_us", p50 / 100.0),
+        None => report,
+    }
 }
 
 /// Release of the `i`-th upload of the growth epochs: a fixed
@@ -320,128 +276,6 @@ fn upload_median_us(held: usize) -> f64 {
     times_us[times_us.len() / 2]
 }
 
-/// Pulls a decimal like `"submit_p50_us": <x.y>` out of a stored
-/// report.
-fn parse_stored_f64(json: &str, key: &str) -> Option<f64> {
-    let key = format!("\"{key}\":");
-    let at = json.find(&key)? + key.len();
-    let rest = json[at..].trim_start();
-    let digits: String = rest
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.')
-        .collect();
-    digits.parse().ok()
-}
-
 fn main() {
-    let mut smoke = false;
-    let mut obsv = false;
-    let mut write: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--obsv" => obsv = true,
-            "--write" => write = args.next(),
-            "--check" => check = args.next(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: ingest [--smoke] [--obsv] [--write <path>] \
-                     [--check <path>]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    // The regression gate always runs the fast corpus: the budget is
-    // checked in from a smoke run and per-trace figures are
-    // size-stable.
-    if check.is_some() {
-        smoke = true;
-    }
-
-    let report = run(smoke, obsv);
-    print!("{}", report.to_json());
-    if let Some(p50) = report.obsv_submit_p50_us {
-        eprintln!("obsv: submit latency histogram p50 <= {p50:.1} us");
-    }
-
-    if let Some(path) = write {
-        std::fs::write(&path, report.to_json())
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        eprintln!("wrote {path}");
-    }
-
-    if let Some(path) = check {
-        let stored = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("reading {path}: {e}"));
-        let exact = exact_fields_match(
-            &stored,
-            &[
-                (&["accepted"], report.accepted as u64),
-                (&["quarantined"], report.quarantined as u64),
-                (&["checkpoint", "bytes"], report.checkpoint_bytes as u64),
-            ],
-        );
-        if !exact {
-            std::process::exit(1);
-        }
-        let budget =
-            stored_u64(&stored, &["budget_checkpoint_bytes_per_trace"])
-                .unwrap_or_else(|| {
-                    panic!("no budget_checkpoint_bytes_per_trace in {path}")
-                });
-        let measured = report.checkpoint_bytes_per_trace();
-        if measured > budget as f64 {
-            eprintln!(
-                "checkpoint regression: {measured:.1} bytes/trace \
-                 exceeds the checked-in budget of {budget}"
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "checkpoint within budget: {measured:.1} <= {budget} \
-             bytes/trace"
-        );
-        let growth_budget = parse_stored_f64(&stored, "budget_upload_growth")
-            .unwrap_or_else(|| panic!("no budget_upload_growth in {path}"));
-        let growth = report.upload_growth();
-        let [small, large] = report.upload_growth_us;
-        let [small_epoch, large_epoch] = GROWTH_EPOCHS;
-        if growth > growth_budget {
-            eprintln!(
-                "upload-growth regression: a submit into a {large_epoch}-trace \
-                 epoch takes {large:.1} us, {growth:.2}x the {small:.1} us \
-                 into a {small_epoch}-trace one (budget {growth_budget}x)"
-            );
-            std::process::exit(1);
-        }
-        eprintln!(
-            "upload growth within budget: {growth:.2}x <= {growth_budget}x \
-             ({small:.1} -> {large:.1} us)"
-        );
-        // Instrumented-path sanity gate: the histogram p50 may not
-        // blow two orders of magnitude past the stored p50. The 100x
-        // margin absorbs machine differences; it trips on structural
-        // regressions (an accidental sleep, quadratic work per
-        // submit), not on noise.
-        if let Some(measured_p50) = report.obsv_submit_p50_us {
-            let stored_p50 = parse_stored_f64(&stored, "submit_p50_us")
-                .unwrap_or_else(|| panic!("no submit_p50_us in {path}"));
-            if measured_p50 > stored_p50 * 100.0 {
-                eprintln!(
-                    "instrumented-submit regression: histogram p50 \
-                     {measured_p50:.1} us exceeds 100x the stored p50 \
-                     {stored_p50:.1} us"
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "instrumented submit within bounds: p50 {measured_p50:.1} \
-                 <= 100x {stored_p50:.1} us"
-            );
-        }
-    }
+    harness::main("ingest", true, run);
 }

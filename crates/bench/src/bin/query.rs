@@ -17,28 +17,19 @@
 //! byte-exactly: a coordinator's `PartialNotModified` reply versus the
 //! full `PartialState` it replaces.
 //!
-//! ```text
-//! query [--smoke] [--write <path>] [--check <path>]
-//! ```
-//!
-//! `--write` stores the report as JSON (see `BENCH_query.json` at the
-//! repo root); `--check` re-runs the smoke measurement and fails
-//! (exit 1) when the warm repeat is less than the stored
-//! `budget_min_warm_speedup` times faster than cold, when the spilled
-//! warm query is slower than the resident one beyond the stored
-//! noise ratio, when the history ratio exceeds the stored
-//! `budget_history_ratio`, when `NotModified` stops being measurably
-//! smaller on the wire than a full partial, or when a
-//! corpus-determined field (uploads, accepted, spilled segments, both
-//! wire sizes) differs from the stored one. The warm gates compare a
-//! minimum over many repeats of a microsecond-scale path against a
+//! Gates (`BENCH_query.json`): the warm repeat at least
+//! `budget_min_warm_speedup` times faster than cold; the spilled warm
+//! query within `budget_spilled_warm_ratio` of the resident one; the
+//! history ratio under `budget_history_ratio`; `NotModified` at least
+//! `budget_min_wire_shrink` times smaller on the wire than a full
+//! partial; and the corpus-determined fields (uploads, accepted,
+//! spilled segments, both wire sizes) exactly. The warm gates compare
+//! a minimum over many repeats of a microsecond-scale path against a
 //! millisecond-scale one, and the history gate compares two minima of
 //! the same millisecond-scale path, so the margins absorb scheduler
 //! noise, not regressions.
 
-use energydx_bench::harness::{
-    corpus, exact_fields_match, stored_f64, stored_u64, timed,
-};
+use energydx_bench::harness::{self, corpus, timed, Report};
 use energydx_fleetd::fixture;
 use energydx_fleetd::protocol::{PartialStatus, Response};
 use energydx_fleetd::state::{
@@ -46,7 +37,6 @@ use energydx_fleetd::state::{
 };
 use energydx_fleetd::SpillConfig;
 use std::hint::black_box;
-use std::path::PathBuf;
 
 /// Warm repeats per measurement: the minimum over this many runs is
 /// the figure, so one preempted run cannot inflate it.
@@ -128,61 +118,6 @@ fn history_ratio(config: &FleetConfig) -> f64 {
     queried_secs / once_secs
 }
 
-struct Report {
-    mode: &'static str,
-    uploads: usize,
-    accepted: usize,
-    resident_cold_secs: f64,
-    resident_warm_secs: f64,
-    resident_delta_secs: f64,
-    spilled_cold_secs: f64,
-    spilled_warm_secs: f64,
-    spilled_segments: usize,
-    history_ratio: f64,
-    notmod_wire_bytes: usize,
-    full_partial_wire_bytes: usize,
-    budget_min_warm_speedup: u64,
-    budget_spilled_warm_ratio: u64,
-    budget_history_ratio: f64,
-    budget_min_wire_shrink: u64,
-}
-
-impl Report {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"mode\": \"{}\",\n  \"uploads\": {},\n  \
-             \"accepted\": {},\n  \"resident_cold_secs\": {:.6},\n  \
-             \"resident_warm_secs\": {:.6},\n  \
-             \"resident_delta_secs\": {:.6},\n  \
-             \"spilled_cold_secs\": {:.6},\n  \
-             \"spilled_warm_secs\": {:.6},\n  \"spilled_segments\": {},\n  \
-             \"history_ratio\": {:.3},\n  \
-             \"notmod_wire_bytes\": {},\n  \
-             \"full_partial_wire_bytes\": {},\n  \
-             \"budget_min_warm_speedup\": {},\n  \
-             \"budget_spilled_warm_ratio\": {},\n  \
-             \"budget_history_ratio\": {},\n  \
-             \"budget_min_wire_shrink\": {}\n}}\n",
-            self.mode,
-            self.uploads,
-            self.accepted,
-            self.resident_cold_secs,
-            self.resident_warm_secs,
-            self.resident_delta_secs,
-            self.spilled_cold_secs,
-            self.spilled_warm_secs,
-            self.spilled_segments,
-            self.history_ratio,
-            self.notmod_wire_bytes,
-            self.full_partial_wire_bytes,
-            self.budget_min_warm_speedup,
-            self.budget_spilled_warm_ratio,
-            self.budget_history_ratio,
-            self.budget_min_wire_shrink,
-        )
-    }
-}
-
 fn run(smoke: bool) -> Report {
     let (users, sessions) = if smoke { (48, 2) } else { (400, 5) };
     let payloads = corpus(users, sessions);
@@ -249,32 +184,43 @@ fn run(smoke: bool) -> Report {
     // --- Query history must not change a fresh query's cost. ---------
     let history_ratio = history_ratio(&resident_config);
 
-    Report {
-        mode: if smoke { "smoke" } else { "full" },
-        uploads: payloads.len(),
-        accepted,
-        resident_cold_secs,
-        resident_warm_secs,
-        resident_delta_secs,
-        spilled_cold_secs,
-        spilled_warm_secs,
-        spilled_segments,
-        history_ratio,
-        notmod_wire_bytes,
-        full_partial_wire_bytes,
+    Report::default()
+        .exact("uploads", payloads.len())
+        .exact("accepted", accepted)
+        .field("resident_cold_secs", format!("{resident_cold_secs:.6}"))
+        .field("resident_warm_secs", format!("{resident_warm_secs:.6}"))
+        .field("resident_delta_secs", format!("{resident_delta_secs:.6}"))
+        .field("spilled_cold_secs", format!("{spilled_cold_secs:.6}"))
+        .field("spilled_warm_secs", format!("{spilled_warm_secs:.6}"))
+        .exact("spilled_segments", spilled_segments)
+        .field("history_ratio", format!("{history_ratio:.3}"))
+        .exact("notmod_wire_bytes", notmod_wire_bytes)
+        .exact("full_partial_wire_bytes", full_partial_wire_bytes)
         // A warm repeat copies the cached JSON; a cold query pays a
         // full fold, Steps 2-5 and the render. The real gap is far
         // wider than 10x.
-        budget_min_warm_speedup: 10,
+        .field("budget_min_warm_speedup", 10)
+        .at_least(
+            "budget_min_warm_speedup",
+            resident_cold_secs / resident_warm_secs,
+        )
         // Warm queries are analyzed-cache hits on both daemons, so
         // the ratio budget is pure scheduler-noise allowance.
-        budget_spilled_warm_ratio: 2,
+        .field("budget_spilled_warm_ratio", 2)
+        .at_most(
+            "budget_spilled_warm_ratio",
+            spilled_warm_secs / resident_warm_secs,
+        )
         // Both sides run the same fold + analysis over the same
         // traces; anything a query leaves behind that a later fresh
         // query must pay for shows as a ratio above 1.
-        budget_history_ratio: 1.3,
-        budget_min_wire_shrink: 4,
-    }
+        .field("budget_history_ratio", 1.3)
+        .at_most("budget_history_ratio", history_ratio)
+        .field("budget_min_wire_shrink", 4)
+        .at_least(
+            "budget_min_wire_shrink",
+            full_partial_wire_bytes as f64 / notmod_wire_bytes as f64,
+        )
 }
 
 /// Encoded frame sizes of a `PartialNotModified` reply and the full
@@ -308,115 +254,5 @@ fn wire_sizes(state: &FleetState) -> Result<(usize, usize), QueryError> {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut write: Option<String> = None;
-    let mut check: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--write" => write = args.next(),
-            "--check" => check = args.next().map(PathBuf::from),
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: query [--smoke] [--write <path>] [--check <path>]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    // The regression gate always runs the fast corpus: the budgets
-    // are checked in from a smoke run.
-    if check.is_some() {
-        smoke = true;
-    }
-
-    let report = run(smoke);
-    print!("{}", report.to_json());
-
-    if let Some(path) = write {
-        std::fs::write(&path, report.to_json())
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        eprintln!("wrote {path}");
-    }
-
-    if let Some(path) = check {
-        let stored = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
-        let exact = exact_fields_match(
-            &stored,
-            &[
-                (&["uploads"], report.uploads as u64),
-                (&["accepted"], report.accepted as u64),
-                (&["spilled_segments"], report.spilled_segments as u64),
-                (&["notmod_wire_bytes"], report.notmod_wire_bytes as u64),
-                (
-                    &["full_partial_wire_bytes"],
-                    report.full_partial_wire_bytes as u64,
-                ),
-            ],
-        );
-        let budget = |key: &str| {
-            stored_u64(&stored, &[key])
-                .unwrap_or_else(|| panic!("no {key} in {}", path.display()))
-        };
-        let min_speedup = budget("budget_min_warm_speedup") as f64;
-        let warm_ratio = budget("budget_spilled_warm_ratio") as f64;
-        let wire_shrink = budget("budget_min_wire_shrink") as usize;
-        let max_history = stored_f64(&stored, &["budget_history_ratio"])
-            .unwrap_or_else(|| {
-                panic!("no budget_history_ratio in {}", path.display())
-            });
-        let speedup = report.resident_cold_secs / report.resident_warm_secs;
-        let mut failed = !exact;
-        if speedup < min_speedup {
-            eprintln!(
-                "warm-query regression: a repeat query is only {speedup:.1}x \
-                 faster than cold (budget: >= {min_speedup}x)"
-            );
-            failed = true;
-        }
-        if report.spilled_warm_secs > report.resident_warm_secs * warm_ratio {
-            eprintln!(
-                "spilled-warm regression: {:.6}s vs resident {:.6}s — a warm \
-                 spilled query is paying the disk again (noise budget: \
-                 {warm_ratio}x)",
-                report.spilled_warm_secs, report.resident_warm_secs
-            );
-            failed = true;
-        }
-        if report.history_ratio > max_history {
-            eprintln!(
-                "query-history regression: a fresh query on a state queried \
-                 after every upload costs {:.2}x one on a state queried once \
-                 (budget: <= {max_history}x)",
-                report.history_ratio
-            );
-            failed = true;
-        }
-        if report.notmod_wire_bytes * wire_shrink
-            > report.full_partial_wire_bytes
-        {
-            eprintln!(
-                "delta-protocol regression: NotModified is {} wire bytes vs \
-                 {} for a full partial (budget: >= {wire_shrink}x smaller)",
-                report.notmod_wire_bytes, report.full_partial_wire_bytes
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!(
-            "warm {speedup:.0}x faster than cold; spilled warm {:.6}s vs \
-             resident warm {:.6}s; history ratio {:.2}; NotModified {}B vs \
-             full partial {}B",
-            report.spilled_warm_secs,
-            report.resident_warm_secs,
-            report.history_ratio,
-            report.notmod_wire_bytes,
-            report.full_partial_wire_bytes,
-        );
-    }
+    harness::main("query", false, |smoke, _| run(smoke));
 }

@@ -20,31 +20,23 @@
 //! **warm** repeat, which must be two analyzed-cache hits plus the
 //! cheap comparison.
 //!
-//! ```text
-//! regress [--smoke] [--write <path>] [--check <path>]
-//! ```
-//!
-//! `--write` stores the report as JSON (see `BENCH_regress.json` at
-//! the repo root); `--check` re-runs the smoke measurement and fails
-//! (exit 1) when any treatment escapes undetected, any control is
-//! flagged, a corpus-determined count (cases, treatments, controls
-//! and their flagged counts, uploads, accepted) differs from the
-//! stored one, or the warm differential query is less than the
-//! stored `budget_min_warm_speedup` times faster than cold. The
-//! detector gates are exact counts over a deterministic fleet; only
-//! the speedup gate involves timing, and it compares a
+//! Gates (`BENCH_regress.json`): every treatment flagged, no control
+//! flagged, the corpus-determined counts (cases, treatments, controls
+//! and their flagged counts, uploads, accepted) exactly, and the warm
+//! differential query at least `budget_min_warm_speedup` times faster
+//! than cold. The detector gates are exact counts over a deterministic
+//! fleet; only the speedup gate involves timing, and it compares a
 //! microsecond-scale cache hit against a millisecond-scale double
 //! fold.
 
 use energydx::{AnalysisConfig, EnergyDx};
-use energydx_bench::harness::{exact_fields_match, stored_u64, timed};
+use energydx_bench::harness::{self, timed, Report};
 use energydx_fleetd::fixture;
 use energydx_fleetd::state::{FleetConfig, FleetState};
 use energydx_regress::{compare, RegressConfig, Verdict};
 use energydx_trace::fault::{FaultInjector, FaultKind};
 use energydx_workload::release_fleet;
 use std::hint::black_box;
-use std::path::PathBuf;
 
 /// The two releases the latency corpus interleaves.
 const FROM: &str = "1.9.0";
@@ -96,45 +88,6 @@ fn ingest(config: FleetConfig, payloads: &[Vec<u8>]) -> FleetState {
         black_box(state.submit("bench", payload));
     }
     state
-}
-
-struct Report {
-    mode: &'static str,
-    cases: usize,
-    treatments: usize,
-    treatments_flagged: usize,
-    controls: usize,
-    controls_flagged: usize,
-    uploads: usize,
-    accepted: usize,
-    cold_secs: f64,
-    warm_secs: f64,
-    budget_min_warm_speedup: u64,
-}
-
-impl Report {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"mode\": \"{}\",\n  \"cases\": {},\n  \
-             \"treatments\": {},\n  \"treatments_flagged\": {},\n  \
-             \"controls\": {},\n  \
-             \"controls_flagged\": {},\n  \"uploads\": {},\n  \
-             \"accepted\": {},\n  \"cold_secs\": {:.6},\n  \
-             \"warm_secs\": {:.6},\n  \
-             \"budget_min_warm_speedup\": {}\n}}\n",
-            self.mode,
-            self.cases,
-            self.treatments,
-            self.treatments_flagged,
-            self.controls,
-            self.controls_flagged,
-            self.uploads,
-            self.accepted,
-            self.cold_secs,
-            self.warm_secs,
-            self.budget_min_warm_speedup,
-        )
-    }
 }
 
 /// Runs the ground-truth fleet through the detector and returns
@@ -217,115 +170,32 @@ fn run(smoke: bool) -> Report {
         );
     }
 
-    Report {
-        mode: if smoke { "smoke" } else { "full" },
-        cases: treatments + controls,
-        treatments,
-        treatments_flagged,
-        controls,
-        controls_flagged,
-        uploads: payloads.len(),
-        accepted: state.accepted_total(),
-        cold_secs,
-        warm_secs,
+    Report::default()
+        .exact("cases", treatments + controls)
+        .exact("treatments", treatments)
+        .exact("treatments_flagged", treatments_flagged)
+        .exact("controls", controls)
+        .exact("controls_flagged", controls_flagged)
+        .exact("uploads", payloads.len())
+        .exact("accepted", state.accepted_total())
+        .field("cold_secs", format!("{cold_secs:.6}"))
+        .field("warm_secs", format!("{warm_secs:.6}"))
         // A warm differential query is two analyzed-cache hits plus
         // the event alignment and rendering; cold is two full folds
         // and analyses — measured ~6x on the smoke corpus, gated at
         // 3x so the margin absorbs scheduler noise, not regressions.
-        budget_min_warm_speedup: 3,
-    }
+        .field("budget_min_warm_speedup", 3)
+        .at_least("budget_min_warm_speedup", cold_secs / warm_secs)
+        .holds(
+            format!("{treatments_flagged}/{treatments} release bugs flagged"),
+            treatments_flagged >= treatments,
+        )
+        .holds(
+            format!("{controls_flagged}/{controls} bug-free controls flagged"),
+            controls_flagged == 0,
+        )
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut write: Option<String> = None;
-    let mut check: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--write" => write = args.next(),
-            "--check" => check = args.next().map(PathBuf::from),
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: regress [--smoke] [--write <path>] \
-                     [--check <path>]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    // The regression gate always runs the fast corpus: the budgets
-    // are checked in from a smoke run.
-    if check.is_some() {
-        smoke = true;
-    }
-
-    let report = run(smoke);
-    print!("{}", report.to_json());
-
-    if let Some(path) = write {
-        std::fs::write(&path, report.to_json())
-            .unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        eprintln!("wrote {path}");
-    }
-
-    if let Some(path) = check {
-        let stored = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
-        let exact = exact_fields_match(
-            &stored,
-            &[
-                (&["cases"], report.cases as u64),
-                (&["treatments"], report.treatments as u64),
-                (&["treatments_flagged"], report.treatments_flagged as u64),
-                (&["controls"], report.controls as u64),
-                (&["controls_flagged"], report.controls_flagged as u64),
-                (&["uploads"], report.uploads as u64),
-                (&["accepted"], report.accepted as u64),
-            ],
-        );
-        let min_speedup = stored_u64(&stored, &["budget_min_warm_speedup"])
-            .unwrap_or_else(|| {
-                panic!("no budget_min_warm_speedup in {}", path.display())
-            }) as f64;
-        let mut failed = !exact;
-        if report.treatments_flagged < report.treatments {
-            eprintln!(
-                "recall regression: only {}/{} injected release bugs \
-                 flagged as regressed",
-                report.treatments_flagged, report.treatments
-            );
-            failed = true;
-        }
-        if report.controls_flagged > 0 {
-            eprintln!(
-                "precision regression: {}/{} bug-free control releases \
-                 flagged as regressed",
-                report.controls_flagged, report.controls
-            );
-            failed = true;
-        }
-        let speedup = report.cold_secs / report.warm_secs;
-        if speedup < min_speedup {
-            eprintln!(
-                "warm-differential regression: a repeat regression query \
-                 is only {speedup:.1}x faster than cold (budget: >= \
-                 {min_speedup}x)"
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!(
-            "release gate: {}/{} bugs flagged, {}/{} controls clean; \
-             warm differential {speedup:.0}x faster than cold",
-            report.treatments_flagged,
-            report.treatments,
-            report.controls - report.controls_flagged,
-            report.controls,
-        );
-    }
+    harness::main("regress", false, |smoke, _| run(smoke));
 }

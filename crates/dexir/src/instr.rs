@@ -178,17 +178,6 @@ impl ResourceKind {
             _ => None,
         }
     }
-
-    /// The Android framework class that owns this resource, used when
-    /// rendering acquire/release as framework invocations.
-    pub fn framework_class(&self) -> &'static str {
-        match self {
-            ResourceKind::WakeLock => "Landroid/os/PowerManager$WakeLock;",
-            ResourceKind::Gps => "Landroid/location/LocationManager;",
-            ResourceKind::WifiLock => "Landroid/net/wifi/WifiManager$WifiLock;",
-            ResourceKind::Sensor => "Landroid/hardware/SensorManager;",
-        }
-    }
 }
 
 impl fmt::Display for ResourceKind {

@@ -361,14 +361,6 @@ impl TraceStore {
         TraceStore::default()
     }
 
-    /// Creates an empty store with a custom repair policy.
-    pub fn with_policy(policy: RepairPolicy) -> Self {
-        TraceStore {
-            policy,
-            ..TraceStore::default()
-        }
-    }
-
     /// Ingests one bundle strictly: anonymizes, validates, dedups,
     /// stores. No repair is attempted — this is the legacy path for
     /// callers that want validation failures surfaced as errors.
@@ -548,63 +540,6 @@ impl TraceStore {
         let mut v = self.bundles.read().clone();
         v.sort_by(|a, b| (&a.user, a.session).cmp(&(&b.user, b.session)));
         v
-    }
-
-    /// Snapshot of all bundles in first-accept order — the order a
-    /// resident daemon folds uploads into its partial (a resend of an
-    /// already-stored `(user, session)` keeps the original position).
-    /// This is the batch side of a daemon/batch byte-diff: feeding
-    /// payloads to both in the same order must produce the same fleet.
-    pub fn snapshot_accept_order(&self) -> Vec<TraceBundle> {
-        self.bundles.read().clone()
-    }
-
-    /// Snapshot of all bundles split into at most `shards` balanced,
-    /// contiguous, **owned** shards in [`TraceStore::snapshot`] order.
-    /// Each shard can be shipped to an analysis worker independently;
-    /// concatenating the shards reproduces the snapshot exactly, so a
-    /// shard-mapped analysis sees the same fleet in the same order as a
-    /// sequential one.
-    pub fn snapshot_shards(&self, shards: usize) -> Vec<Vec<TraceBundle>> {
-        if shards == 0 {
-            return Vec::new();
-        }
-        let snapshot = self.snapshot();
-        let len = snapshot.len();
-        if len == 0 {
-            return Vec::new();
-        }
-        let shards = shards.min(len);
-        let base = len / shards;
-        let remainder = len % shards;
-        let mut out = Vec::with_capacity(shards);
-        let mut iter = snapshot.into_iter();
-        for i in 0..shards {
-            let size = base + usize::from(i < remainder);
-            out.push(iter.by_ref().take(size).collect());
-        }
-        out
-    }
-
-    /// Iterates over the snapshot in owned chunks of at most
-    /// `shard_size` bundles — the streaming counterpart of
-    /// [`TraceStore::snapshot_shards`] for callers that size shards by
-    /// trace count rather than worker count. A `shard_size` of zero
-    /// yields nothing.
-    pub fn iter_shards(
-        &self,
-        shard_size: usize,
-    ) -> impl Iterator<Item = Vec<TraceBundle>> {
-        let snapshot = if shard_size == 0 {
-            Vec::new()
-        } else {
-            self.snapshot()
-        };
-        let mut iter = snapshot.into_iter().peekable();
-        std::iter::from_fn(move || {
-            iter.peek()?;
-            Some(iter.by_ref().take(shard_size.max(1)).collect())
-        })
     }
 
     /// Distinct users that have uploaded at least one bundle.
@@ -939,43 +874,6 @@ mod tests {
                 ("u2".to_string(), 0)
             ]
         );
-    }
-
-    #[test]
-    fn snapshot_shards_concatenate_to_the_snapshot() {
-        let store = TraceStore::new();
-        for u in 0..3 {
-            for s in 0..4 {
-                store.ingest(bundle(&format!("u{u}"), s)).unwrap();
-            }
-        }
-        let snapshot = store.snapshot();
-        for shards in 1..=15 {
-            let split = store.snapshot_shards(shards);
-            assert!(split.len() <= shards);
-            assert!(split.iter().all(|s| !s.is_empty()), "shards={shards}");
-            let concat: Vec<TraceBundle> =
-                split.into_iter().flatten().collect();
-            assert_eq!(concat, snapshot, "shards={shards}");
-        }
-        assert!(store.snapshot_shards(0).is_empty());
-        assert!(TraceStore::new().snapshot_shards(4).is_empty());
-    }
-
-    #[test]
-    fn iter_shards_chunks_by_size() {
-        let store = TraceStore::new();
-        for s in 0..7 {
-            store.ingest(bundle("u1", s)).unwrap();
-        }
-        let chunks: Vec<Vec<TraceBundle>> = store.iter_shards(3).collect();
-        assert_eq!(
-            chunks.iter().map(Vec::len).collect::<Vec<_>>(),
-            vec![3, 3, 1]
-        );
-        let concat: Vec<TraceBundle> = chunks.into_iter().flatten().collect();
-        assert_eq!(concat, store.snapshot());
-        assert_eq!(store.iter_shards(0).count(), 0);
     }
 
     #[test]
