@@ -27,6 +27,28 @@ ENERGYDX_JOBS=1 RAYON_NUM_THREADS=1 cargo test -q --workspace
 echo "== full workspace tests (default parallelism) =="
 cargo test -q --workspace
 
+echo "== paper figures (results/<bin>.txt byte for byte) =="
+# Every results/<bin>.txt is the checked-in output of the experiment
+# bin of the same name; regen_results.sh rewrites the same files. A
+# fresh run must reproduce each one exactly, so drift in the
+# paper-fidelity figures fails here and names the file.
+fresh=$(mktemp)
+trap 'rm -f "$fresh"' EXIT
+for f in results/*.txt; do
+  b=${f#results/}
+  b=${b%.txt}
+  echo "-- $b"
+  if ! cargo run -q --release -p energydx-bench --bin "$b" >"$fresh"; then
+    echo "$b failed to run; $f not reproduced"
+    exit 1
+  fi
+  if ! cmp -s "$fresh" "$f"; then
+    echo "$f differs from a fresh run of $b:"
+    diff "$f" "$fresh" | head -n 20 || true
+    exit 1
+  fi
+done
+
 echo "== benchmark budget gates (smoke) =="
 # Every BENCH_<bin>.json at the repo root is a checked-in report whose
 # bin re-measures it here under --check; regen_results.sh rewrites the

@@ -1,15 +1,16 @@
 //! Throughput/latency benchmark of the fleetd ingest pipeline.
 //!
 //! Drives the in-process daemon handle (`FleetdHandle`: bounded
-//! queue, single ingest worker) with a deterministic fixture corpus —
-//! a fraction of it damaged through the fault injector, so salvage
-//! and quarantine are on the measured path, exactly as in production.
+//! queue, each upload committed on its caller's thread under the state
+//! lock) with a deterministic fixture corpus — a fraction of it
+//! damaged through the fault injector, so salvage and quarantine are
+//! on the measured path, exactly as in production.
 //! Everything runs on one CPU (`jobs = 1`, one producer): the numbers
 //! are per-core figures, not a parallel-speedup showcase.
 //!
 //! Reported:
 //!
-//! - sustained `uploads_per_sec` through submit → queue → worker →
+//! - sustained `uploads_per_sec` through submit → admit → commit →
 //!   fold, with p50/p99 end-to-end submit latency (a `submit` call
 //!   blocks until its upload's outcome, so this is the full path);
 //! - `query_secs` — one snapshot-consistent `diagnose` over the

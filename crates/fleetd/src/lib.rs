@@ -23,9 +23,12 @@
 //! - [`convert`] — the one shared bundle → powered-trace conversion.
 //! - [`state`] — deterministic epoch state ([`FleetState`]); no I/O.
 //! - [`checkpoint`] — CRC-framed, versioned snapshot of the state.
-//! - [`queue`] — bounded ingest queue with explicit backpressure.
+//! - [`queue`] — bounded ingest queue: admission ahead of the state
+//!   lock, with explicit backpressure.
 //! - [`protocol`] — the framed request/response wire protocol.
-//! - [`server`] — the daemon: TCP front end + in-process handle.
+//! - [`server`] — the daemon: in-process handle + TCP front end, with
+//!   every request (an upload's commit included) on its connection's
+//!   thread.
 //! - [`client`] — blocking client + an [`UploadBackend`] adapter so
 //!   the phone-side retry loop talks to a live daemon.
 //! - [`cluster`] — sharded routing, worker transports, circuit

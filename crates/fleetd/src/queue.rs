@@ -1,67 +1,57 @@
 //! The bounded ingest queue: explicit backpressure, total accounting.
 //!
-//! Submissions either enter the queue (and later get their real
-//! [`IngestOutcome`] through a per-job reply slot) or are turned away
-//! *immediately* with [`Enqueue::Full`] — the daemon never buffers
-//! unboundedly and never drops silently. The server translates `Full`
-//! into a `RetryAfter` response, which the phone-side retry loop
+//! An admitted upload holds a [`Ticket`] while its connection thread
+//! waits for the fleet state, and gives it back once it holds the
+//! state lock; at most `depth` uploads wait like that at once. Any
+//! further submission is turned away *immediately* with
+//! [`Enqueue::Full`] — the daemon never buffers unboundedly and never
+//! drops silently. The server translates `Full` into a `RetryAfter`
+//! response, which the phone-side retry loop
 //! ([`energydx_trace::upload`]) consumes as a wait floor. Every
 //! submission therefore ends in exactly one of: accepted, salvaged,
 //! quarantined, or retried by the client.
 
 use energydx_obsv::{EventKind, Metrics};
-use energydx_trace::store::IngestOutcome;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::mpsc;
-use std::sync::{Condvar, Mutex};
-
-/// One queued upload plus the slot its outcome is delivered through.
-#[derive(Debug)]
-pub struct Job {
-    /// Target app.
-    pub app: String,
-    /// Raw wire payload.
-    pub payload: Vec<u8>,
-    reply: mpsc::SyncSender<IngestOutcome>,
-}
-
-impl Job {
-    /// Delivers the ingest outcome to the waiting submitter. A
-    /// submitter that gave up (dropped its receiver) is fine — the
-    /// outcome is simply discarded, the state update already
-    /// happened.
-    pub fn complete(self, outcome: IngestOutcome) {
-        let _ = self.reply.send(outcome);
-    }
-}
+use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Result of [`IngestQueue::submit`].
 #[derive(Debug)]
-pub enum Enqueue {
-    /// Queued; await the outcome on this receiver.
-    Queued(mpsc::Receiver<IngestOutcome>),
+pub enum Enqueue<'q> {
+    /// Admitted; the upload holds its place until the ticket drops.
+    Queued(Ticket<'q>),
     /// The queue is at capacity; retry later.
     Full,
     /// The daemon is shutting down; no more submissions.
     Closed,
 }
 
+/// An admitted upload's place in the queue; dropping it frees the
+/// place.
+#[derive(Debug)]
+pub struct Ticket<'q>(&'q IngestQueue);
+
+impl Drop for Ticket<'_> {
+    fn drop(&mut self) {
+        self.0.inner().pending -= 1;
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
-    items: VecDeque<Job>,
+    pending: usize,
     max_seen: usize,
     shed: usize,
     shed_by_app: BTreeMap<String, usize>,
     closed: bool,
 }
 
-/// Fixed-capacity MPSC queue between connection handlers and the
-/// single ingest worker.
+/// Fixed-capacity admission between connection threads and the state
+/// lock they commit under.
 #[derive(Debug)]
 pub struct IngestQueue {
     depth: usize,
     inner: Mutex<Inner>,
-    not_empty: Condvar,
     metrics: Metrics,
 }
 
@@ -78,9 +68,14 @@ impl IngestQueue {
         IngestQueue {
             depth: depth.max(1),
             inner: Mutex::new(Inner::default()),
-            not_empty: Condvar::new(),
             metrics,
         }
+    }
+
+    /// The accounting, recovered from poison: every update leaves it
+    /// valid, and [`Ticket`]'s `Drop` must not panic.
+    fn inner(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The configured capacity.
@@ -88,17 +83,17 @@ impl IngestQueue {
         self.depth
     }
 
-    /// Offers one upload. Never blocks: a full queue answers
+    /// Offers one upload for `app`. Never blocks: a full queue answers
     /// [`Enqueue::Full`] right away so the caller can propagate
     /// backpressure instead of waiting invisibly.
-    pub fn submit(&self, app: String, payload: Vec<u8>) -> Enqueue {
-        let mut inner = self.inner.lock().unwrap();
+    pub fn submit(&self, app: &str) -> Enqueue<'_> {
+        let mut inner = self.inner();
         if inner.closed {
             return Enqueue::Closed;
         }
-        if inner.items.len() >= self.depth {
+        if inner.pending >= self.depth {
             inner.shed += 1;
-            *inner.shed_by_app.entry(app.clone()).or_insert(0) += 1;
+            *inner.shed_by_app.entry(app.to_string()).or_insert(0) += 1;
             drop(inner);
             self.metrics.inc("fleetd_uploads_shed_total", &[]);
             self.metrics.event(
@@ -107,45 +102,25 @@ impl IngestQueue {
             );
             return Enqueue::Full;
         }
-        let (tx, rx) = mpsc::sync_channel(1);
-        inner.items.push_back(Job {
-            app,
-            payload,
-            reply: tx,
-        });
-        inner.max_seen = inner.max_seen.max(inner.items.len());
-        drop(inner);
-        self.not_empty.notify_one();
-        Enqueue::Queued(rx)
+        inner.pending += 1;
+        inner.max_seen = inner.max_seen.max(inner.pending);
+        Enqueue::Queued(Ticket(self))
     }
 
-    /// Takes the next job, blocking while the queue is empty. After
-    /// [`IngestQueue::close`], drains the remaining jobs and then
-    /// returns `None` — nothing already accepted into the queue is
-    /// lost on shutdown.
-    pub fn pop(&self) -> Option<Job> {
-        let mut inner = self.inner.lock().unwrap();
-        loop {
-            if let Some(job) = inner.items.pop_front() {
-                return Some(job);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.not_empty.wait(inner).unwrap();
-        }
-    }
-
-    /// Stops accepting new submissions and wakes the worker so it can
-    /// drain and exit.
+    /// Stops admitting submissions. An upload admitted earlier checks
+    /// [`IngestQueue::is_closed`] again before it commits.
     pub fn close(&self) {
-        self.inner.lock().unwrap().closed = true;
-        self.not_empty.notify_all();
+        self.inner().closed = true;
+    }
+
+    /// Whether [`IngestQueue::close`] has run.
+    pub fn is_closed(&self) -> bool {
+        self.inner().closed
     }
 
     /// Uploads currently queued.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().items.len()
+        self.inner().pending
     }
 
     /// Whether the queue is currently empty.
@@ -156,19 +131,19 @@ impl IngestQueue {
     /// High-water mark of the queue length — must never exceed
     /// [`IngestQueue::depth`].
     pub fn max_depth_seen(&self) -> usize {
-        self.inner.lock().unwrap().max_seen
+        self.inner().max_seen
     }
 
     /// Submissions turned away with [`Enqueue::Full`].
     pub fn shed_count(&self) -> usize {
-        self.inner.lock().unwrap().shed
+        self.inner().shed
     }
 
     /// Sheds broken down by app — each shed answered a specific
     /// client with `RetryAfter`, so this is also the per-client
     /// `RetryAfter` count the health document reports.
     pub fn shed_by_app(&self) -> BTreeMap<String, usize> {
-        self.inner.lock().unwrap().shed_by_app.clone()
+        self.inner().shed_by_app.clone()
     }
 }
 
@@ -180,12 +155,17 @@ mod tests {
     #[test]
     fn full_queue_sheds_instead_of_blocking() {
         let q = IngestQueue::new(2);
-        let _a = q.submit("app".into(), vec![1]);
-        let _b = q.submit("app".into(), vec![2]);
-        assert!(matches!(q.submit("app".into(), vec![3]), Enqueue::Full));
+        let a = q.submit("app");
+        let _b = q.submit("app");
+        assert!(matches!(q.submit("app"), Enqueue::Full));
         assert_eq!(q.len(), 2);
         assert_eq!(q.shed_count(), 1);
         assert_eq!(q.max_depth_seen(), 2);
+        // A dropped ticket frees its place for the next upload.
+        drop(a);
+        assert_eq!(q.len(), 1);
+        assert!(matches!(q.submit("app"), Enqueue::Queued(_)));
+        assert_eq!(q.shed_count(), 1);
     }
 
     #[test]
@@ -195,10 +175,10 @@ mod tests {
         let reg = Arc::new(MetricsRegistry::deterministic());
         let q =
             IngestQueue::with_metrics(1, Metrics::enabled(Arc::clone(&reg)));
-        let _keep = q.submit("mail".into(), vec![1]);
-        assert!(matches!(q.submit("mail".into(), vec![2]), Enqueue::Full));
-        assert!(matches!(q.submit("gps".into(), vec![3]), Enqueue::Full));
-        assert!(matches!(q.submit("mail".into(), vec![4]), Enqueue::Full));
+        let _keep = q.submit("mail");
+        assert!(matches!(q.submit("mail"), Enqueue::Full));
+        assert!(matches!(q.submit("gps"), Enqueue::Full));
+        assert!(matches!(q.submit("mail"), Enqueue::Full));
         let by_app = q.shed_by_app();
         assert_eq!(by_app.get("mail"), Some(&2));
         assert_eq!(by_app.get("gps"), Some(&1));
@@ -215,49 +195,5 @@ mod tests {
             .recent_events()
             .iter()
             .any(|e| e.detail == "app=gps depth=1"));
-    }
-
-    #[test]
-    fn outcomes_flow_back_through_the_reply_slot() {
-        let q = Arc::new(IngestQueue::new(4));
-        let rx = match q.submit("app".into(), vec![9]) {
-            Enqueue::Queued(rx) => rx,
-            other => panic!("expected Queued, got {other:?}"),
-        };
-        let worker = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let job = q.pop().unwrap();
-                assert_eq!(job.payload, vec![9]);
-                job.complete(IngestOutcome::Clean);
-            })
-        };
-        assert_eq!(rx.recv().unwrap(), IngestOutcome::Clean);
-        worker.join().unwrap();
-    }
-
-    #[test]
-    fn close_drains_pending_jobs_then_stops() {
-        let q = IngestQueue::new(4);
-        let _rx1 = q.submit("app".into(), vec![1]);
-        let _rx2 = q.submit("app".into(), vec![2]);
-        q.close();
-        assert!(matches!(q.submit("app".into(), vec![3]), Enqueue::Closed));
-        assert!(q.pop().is_some());
-        assert!(q.pop().is_some());
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn pop_blocks_until_a_job_or_close() {
-        let q = Arc::new(IngestQueue::new(1));
-        let popper = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop().is_none())
-        };
-        // Give the popper time to park, then close.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        q.close();
-        assert!(popper.join().unwrap(), "pop after close must be None");
     }
 }

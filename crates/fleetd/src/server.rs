@@ -1,15 +1,15 @@
-//! The daemon itself: a bounded ingest queue, one ingest worker, and
-//! a localhost TCP front end.
+//! The daemon itself: the in-process [`FleetdHandle`] and a localhost
+//! TCP front end.
 //!
 //! Architecture: connection handlers (one thread per connection)
-//! decode framed requests and either answer queries against a
-//! snapshot of the shared [`FleetState`] or offer uploads to the
-//! [`IngestQueue`]. A single ingest worker drains the queue in FIFO
-//! order — which is what makes "accept order" well-defined — and
-//! folds each upload into the state. Queries lock the state only long
-//! enough to fold and finish, so a report is always a consistent
-//! snapshot: it sees every upload acknowledged before the query and
-//! none of the ones after.
+//! decode framed requests and answer each on their own thread. Queries
+//! run against a snapshot of the shared [`FleetState`]; an upload is
+//! admitted by the bounded [`IngestQueue`], then commits under the
+//! state lock. The lock serializes commits, and the order uploads take
+//! it is "accept order". Queries lock the state only long enough to
+//! fold and finish, so a report is always a consistent snapshot: it
+//! sees every upload acknowledged before the query and none of the
+//! ones after.
 //!
 //! Backpressure is explicit end to end: a full queue answers
 //! `RetryAfter` immediately, the client's retry loop waits at least
@@ -33,15 +33,16 @@ use energydx_trace::store::{IngestOutcome, RejectReason};
 use std::collections::BTreeMap;
 use std::io::Write as IoWrite;
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Locks a mutex, recovering from poison. A panic on one connection
-/// or ingest thread must cost that one request — never wedge every
-/// later request behind a `PoisonError` unwrap.
+/// thread must cost that one request — never wedge every later request
+/// behind a `PoisonError` unwrap.
 fn relock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
     lock.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -51,12 +52,14 @@ fn relock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
 pub struct ServerConfig {
     /// Analysis/repair/spill parameters of the resident state.
     pub fleet: FleetConfig,
-    /// Ingest queue capacity; beyond it submissions get `RetryAfter`.
+    /// Uploads that may wait for the state lock at once; beyond it
+    /// submissions get `RetryAfter`.
     pub queue_depth: usize,
     /// The wait the daemon suggests when shedding load, in ms.
     pub retry_after_ms: u64,
-    /// Artificial per-upload ingest delay in ms (test lever: makes
-    /// backpressure deterministic by slowing the worker down).
+    /// Artificial per-upload ingest delay in ms, slept under the state
+    /// lock before each commit (test lever: makes backpressure
+    /// deterministic by slowing commits down).
     pub ingest_delay_ms: u64,
     /// Directory holding the checkpoint; `None` = in-memory only.
     pub state_dir: Option<PathBuf>,
@@ -88,25 +91,36 @@ pub enum SubmitReply {
         /// Suggested wait in milliseconds.
         ms: u64,
     },
-    /// The daemon is draining for shutdown; no new uploads.
+    /// The daemon is shutting down; no new uploads.
     ShuttingDown,
 }
 
-/// The in-process daemon: shared state + queue + ingest worker.
+/// The in-process daemon: the fleet state behind its ingest queue.
+/// It runs no thread of its own; every request, an upload's commit
+/// included, runs on its caller's thread.
 #[derive(Debug)]
 pub struct FleetdHandle {
-    state: Arc<Mutex<FleetState>>,
-    queue: Arc<IngestQueue>,
+    state: Mutex<FleetState>,
+    queue: IngestQueue,
     metrics: Metrics,
     retry_after_ms: u64,
+    ingest_delay_ms: u64,
     state_dir: Option<PathBuf>,
-    last_checkpoint: Arc<Mutex<Option<Instant>>>,
-    worker: Mutex<Option<JoinHandle<()>>>,
+    checkpoint_every: usize,
+    clock: Mutex<CheckpointClock>,
+}
+
+/// When the last checkpoint was saved, and how many uploads were
+/// accepted since the last periodic one.
+#[derive(Debug, Default)]
+struct CheckpointClock {
+    saved: Option<Instant>,
+    accepted: usize,
 }
 
 impl FleetdHandle {
-    /// Starts the daemon: restores the checkpoint when the state
-    /// directory holds one, then spawns the ingest worker.
+    /// Starts the daemon, restoring the checkpoint when the state
+    /// directory holds one.
     ///
     /// # Errors
     ///
@@ -120,105 +134,85 @@ impl FleetdHandle {
             None => FleetState::new(config.fleet.clone()),
         };
         let metrics = state.metrics().clone();
-        let state = Arc::new(Mutex::new(state));
-        // The queue shares the state's registry, so sheds and queue
-        // gauges land in the same exposition as ingest accounting.
-        let queue = Arc::new(IngestQueue::with_metrics(
-            config.queue_depth,
-            metrics.clone(),
-        ));
-        let last_checkpoint = Arc::new(Mutex::new(None));
-        let worker = {
-            let state = Arc::clone(&state);
-            let queue = Arc::clone(&queue);
-            let last_checkpoint = Arc::clone(&last_checkpoint);
-            let state_dir = config.state_dir.clone();
-            let every = config.checkpoint_every;
-            let delay = config.ingest_delay_ms;
-            let metrics = metrics.clone();
-            std::thread::spawn(move || {
-                let mut since_checkpoint = 0usize;
-                while let Some(job) = queue.pop() {
-                    if delay > 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(
-                            delay,
-                        ));
-                    }
-                    // A panicking bundle (an ingest bug the
-                    // decode/repair/validate pipeline failed to
-                    // catch) costs that one upload, never the
-                    // daemon: without this the worker dies and
-                    // every later submission blocks forever.
-                    // Sound to catch because `FleetState::submit`
-                    // stages all fallible work before its first
-                    // mutation (see its commit-point comment), so a
-                    // caught panic leaves the state exactly as if
-                    // the upload never arrived — continuing cannot
-                    // serve torn per-app state, and daemon==batch
-                    // byte-identity over accepted traces still holds.
-                    let outcome =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            || relock(&state).submit(&job.app, &job.payload),
-                        ))
-                        .unwrap_or_else(|_| {
-                            eprintln!(
-                                "fleetd: ingest panicked on an upload for \
-                             {:?}; upload rejected",
-                                job.app
-                            );
-                            metrics.inc(
-                                "fleetd_uploads_quarantined_total",
-                                &[("reason", "ingest-panic")],
-                            );
-                            IngestOutcome::Rejected(RejectReason::Invalid)
-                        });
-                    if outcome.accepted() {
-                        since_checkpoint += 1;
-                    }
-                    if let Some(dir) = &state_dir {
-                        if every > 0 && since_checkpoint >= every {
-                            since_checkpoint = 0;
-                            // Best-effort: a failed periodic snapshot
-                            // must not take ingestion down.
-                            match checkpoint::save_to(&relock(&state), dir) {
-                                Ok(_) => {
-                                    *relock(&last_checkpoint) =
-                                        Some(Instant::now());
-                                }
-                                Err(e) => {
-                                    eprintln!("fleetd: checkpoint failed: {e}");
-                                }
-                            }
-                        }
-                    }
-                    job.complete(outcome);
-                }
-            })
-        };
         Ok(FleetdHandle {
-            state,
-            queue,
+            state: Mutex::new(state),
+            // The queue shares the state's registry, so sheds and queue
+            // gauges land in the same exposition as ingest accounting.
+            queue: IngestQueue::with_metrics(
+                config.queue_depth,
+                metrics.clone(),
+            ),
             metrics,
             retry_after_ms: config.retry_after_ms,
+            ingest_delay_ms: config.ingest_delay_ms,
             state_dir: config.state_dir,
-            last_checkpoint,
-            worker: Mutex::new(Some(worker)),
+            checkpoint_every: config.checkpoint_every,
+            clock: Mutex::default(),
         })
     }
 
-    /// Offers one upload. Blocks only while the upload is actually
-    /// being ingested; a full queue returns immediately.
+    /// Offers one upload and commits it on the calling thread. A full
+    /// queue returns at once; an admitted upload waits for the state
+    /// lock and returns its real outcome.
     pub fn submit(&self, app: &str, payload: Vec<u8>) -> SubmitReply {
-        match self.queue.submit(app.to_string(), payload) {
-            Enqueue::Queued(rx) => match rx.recv() {
-                Ok(outcome) => SubmitReply::Outcome(outcome),
-                Err(_) => SubmitReply::ShuttingDown,
-            },
-            Enqueue::Full => SubmitReply::RetryAfter {
-                ms: self.retry_after_ms,
-            },
-            Enqueue::Closed => SubmitReply::ShuttingDown,
+        let ticket = match self.queue.submit(app) {
+            Enqueue::Queued(ticket) => ticket,
+            Enqueue::Full => {
+                return SubmitReply::RetryAfter {
+                    ms: self.retry_after_ms,
+                }
+            }
+            Enqueue::Closed => return SubmitReply::ShuttingDown,
+        };
+        let mut state = relock(&self.state);
+        drop(ticket);
+        // `shutdown` closes the queue before it takes the state lock for
+        // its final checkpoint, so an upload that finds the queue open
+        // here commits into that checkpoint.
+        if self.queue.is_closed() {
+            return SubmitReply::ShuttingDown;
         }
+        if self.ingest_delay_ms > 0 {
+            std::thread::sleep(Duration::from_millis(self.ingest_delay_ms));
+        }
+        // A panicking bundle (an ingest bug the decode/repair/validate
+        // pipeline failed to catch) costs that one upload, never the
+        // daemon. Sound to catch because `FleetState::submit` stages
+        // all fallible work before its first mutation (see its
+        // commit-point comment), so a caught panic leaves the state
+        // exactly as if the upload never arrived — continuing cannot
+        // serve torn per-app state, and daemon==batch byte-identity
+        // over accepted traces still holds.
+        let caught =
+            catch_unwind(AssertUnwindSafe(|| state.submit(app, &payload)));
+        let outcome = caught.unwrap_or_else(|_| {
+            eprintln!(
+                "fleetd: ingest panicked on an upload for {app:?}; \
+                 upload rejected"
+            );
+            self.metrics.inc(
+                "fleetd_uploads_quarantined_total",
+                &[("reason", "ingest-panic")],
+            );
+            IngestOutcome::Rejected(RejectReason::Invalid)
+        });
+        if outcome.accepted() {
+            let mut clock = relock(&self.clock);
+            clock.accepted += 1;
+            if let Some(dir) = &self.state_dir {
+                let every = self.checkpoint_every;
+                if every > 0 && clock.accepted >= every {
+                    clock.accepted = 0;
+                    // Best-effort: a failed periodic snapshot must not
+                    // take ingestion down.
+                    match checkpoint::save_to(&state, dir) {
+                        Ok(_) => clock.saved = Some(Instant::now()),
+                        Err(e) => eprintln!("fleetd: checkpoint failed: {e}"),
+                    }
+                }
+            }
+        }
+        SubmitReply::Outcome(outcome)
     }
 
     /// Canonical-JSON diagnosis of `app`'s epoch, snapshot-consistent.
@@ -352,7 +346,7 @@ impl FleetdHandle {
     /// first one. Pinned to `0` under deterministic time so the
     /// exposition stays byte-stable.
     fn checkpoint_age_seconds(&self) -> Option<f64> {
-        let saved = (*relock(&self.last_checkpoint))?;
+        let saved = relock(&self.clock).saved?;
         let deterministic = self
             .metrics
             .registry()
@@ -373,9 +367,8 @@ impl FleetdHandle {
     pub fn checkpoint_now(&self) -> Result<Option<PathBuf>, CheckpointError> {
         match &self.state_dir {
             Some(dir) => {
-                let state = relock(&self.state);
-                let path = checkpoint::save_to(&state, dir)?;
-                *relock(&self.last_checkpoint) = Some(Instant::now());
+                let path = checkpoint::save_to(&relock(&self.state), dir)?;
+                relock(&self.clock).saved = Some(Instant::now());
                 Ok(Some(path))
             }
             None => Ok(None),
@@ -502,23 +495,17 @@ impl FleetdHandle {
         self.queue.shed_count()
     }
 
-    /// Graceful shutdown: stop accepting, drain the queue, join the
-    /// worker, flush a final checkpoint. Idempotent.
+    /// Graceful shutdown: stop accepting, then flush a final
+    /// checkpoint. Every upload answered with an outcome is in it; one
+    /// still waiting for the state lock is answered `ShuttingDown`, and
+    /// none commits after it. Idempotent.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Io`] if the final flush fails.
     pub fn shutdown(&self) -> Result<(), CheckpointError> {
         self.queue.close();
-        if let Some(worker) = relock(&self.worker).take() {
-            let _ = worker.join();
-        }
-        if let Some(dir) = &self.state_dir {
-            let state = relock(&self.state);
-            checkpoint::save_to(&state, dir)?;
-            *relock(&self.last_checkpoint) = Some(Instant::now());
-        }
-        Ok(())
+        self.checkpoint_now().map(drop)
     }
 }
 
@@ -808,9 +795,9 @@ impl Dispatch for FleetdHandle {
 }
 
 /// Serves the framed protocol on `listener` until a `Shutdown`
-/// request arrives, then drains and checkpoints via
-/// [`FleetdHandle::shutdown`]. One thread per connection; the single
-/// ingest worker behind the queue serializes state updates.
+/// request arrives, then checkpoints via [`FleetdHandle::shutdown`].
+/// One thread per connection; each commits its uploads under the state
+/// lock, which serializes state updates.
 ///
 /// # Errors
 ///

@@ -168,6 +168,142 @@ fn restart_from_checkpoint_preserves_reports_dedup_and_quarantine() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `checkpoint_every` saves as uploads commit: a daemon dropped
+/// without `shutdown` after 7 accepted uploads restarts from the
+/// checkpoint its sixth wrote, holding exactly the first 6.
+#[test]
+fn periodic_checkpoints_survive_a_drop_without_shutdown() {
+    let dir = tmp_dir("periodic");
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = || ServerConfig {
+        state_dir: Some(dir.clone()),
+        checkpoint_every: 3,
+        ..ServerConfig::default()
+    };
+
+    let first = FleetdHandle::start(config()).expect("fresh start");
+    for session in 0..7 {
+        assert_eq!(
+            first.submit("mail", fixture::payload("u7", session)),
+            SubmitReply::Outcome(IngestOutcome::Clean)
+        );
+    }
+    drop(first);
+
+    let second = FleetdHandle::start(config()).expect("restore");
+    assert_eq!(second.counts(), (6, 0));
+    let first_six: Vec<_> = (0..6).map(|s| fixture::bundle("u7", s)).collect();
+    let reference = EnergyDx::default()
+        .diagnose_reference(&convert::bundles_to_input(&first_six))
+        .to_canonical_json();
+    assert_eq!(
+        second.diagnose_json("mail", None).expect("restored report"),
+        reference,
+        "the restored daemon diverged from batch over the first 6"
+    );
+    assert_eq!(
+        second.submit("mail", fixture::payload("u7", 5)),
+        SubmitReply::Outcome(IngestOutcome::Rejected(RejectReason::Duplicate)),
+        "the sixth upload is in the checkpoint"
+    );
+    assert_eq!(
+        second.submit("mail", fixture::payload("u7", 6)),
+        SubmitReply::Outcome(IngestOutcome::Clean),
+        "the seventh upload came after the last checkpoint"
+    );
+    drop(second);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Uploads racing `shutdown` either commit before its final checkpoint
+/// and are answered with their outcome, or are answered `ShuttingDown`
+/// and leave no trace: after a restart the state holds exactly the
+/// uploads answered with an outcome, and a refused one is new to it.
+/// Which uploads wait for the state lock as the queue closes varies
+/// from run to run, so the race runs several times.
+#[test]
+fn shutdown_keeps_exactly_the_uploads_it_answered() {
+    for round in 0..5 {
+        race_uploads_against_shutdown(round);
+    }
+}
+
+fn race_uploads_against_shutdown(round: usize) {
+    const THREADS: usize = 4;
+    const PER_THREAD: u64 = 50;
+    let dir = tmp_dir(&format!("shutdown-race-{round}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = |ingest_delay_ms| ServerConfig {
+        state_dir: Some(dir.clone()),
+        ingest_delay_ms,
+        ..ServerConfig::default()
+    };
+    // A 1 ms commit keeps the submitters busy well past the shutdown.
+    let handle = Arc::new(FleetdHandle::start(config(1)).expect("fresh start"));
+    let barrier = Arc::new(Barrier::new(THREADS + 1));
+    let submitters: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let handle = Arc::clone(&handle);
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let user = format!("r{t}");
+                barrier.wait();
+                let (mut answered, mut refused) = (Vec::new(), Vec::new());
+                for session in 0..PER_THREAD {
+                    let payload = fixture::payload(&user, session);
+                    match handle.submit("race", payload.clone()) {
+                        SubmitReply::Outcome(o) => {
+                            assert_eq!(o, IngestOutcome::Clean);
+                            answered.push(payload);
+                        }
+                        SubmitReply::ShuttingDown => refused.push(payload),
+                        other => panic!("{THREADS} submitters shed: {other:?}"),
+                    }
+                }
+                (answered, refused)
+            })
+        })
+        .collect();
+    barrier.wait();
+    while handle.counts().0 < 8 {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    handle.shutdown().expect("final checkpoint");
+    let (mut answered, mut refused) = (Vec::new(), Vec::new());
+    for submitter in submitters {
+        let (a, r) = submitter.join().unwrap();
+        answered.extend(a);
+        refused.extend(r);
+    }
+    assert!(!refused.is_empty(), "shutdown came after every upload");
+    drop(handle);
+
+    let restarted = FleetdHandle::start(config(0)).expect("restore");
+    assert_eq!(
+        restarted.counts(),
+        (answered.len(), 0),
+        "round {round}: the checkpoint holds other uploads than were answered"
+    );
+    for payload in answered {
+        assert_eq!(
+            restarted.submit("race", payload),
+            SubmitReply::Outcome(IngestOutcome::Rejected(
+                RejectReason::Duplicate
+            )),
+            "an upload answered before shutdown is in its checkpoint"
+        );
+    }
+    for payload in refused {
+        assert_eq!(
+            restarted.submit("race", payload),
+            SubmitReply::Outcome(IngestOutcome::Clean),
+            "an upload refused at shutdown left no trace"
+        );
+    }
+    drop(restarted);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Shutdown is idempotent and submissions after it are refused
 /// explicitly rather than hanging or panicking.
 #[test]

@@ -75,8 +75,8 @@ fn scripted_exposition() -> String {
     let ckpt = checkpoint_bytes(&state);
     assert!(!ckpt.is_empty());
     let queue = IngestQueue::with_metrics(1, Metrics::enabled(reg));
-    let _keep = queue.submit("mail".into(), vec![1]);
-    let _shed = queue.submit("mail".into(), vec![2]);
+    let _keep = queue.submit("mail");
+    let _shed = queue.submit("mail");
     render_metrics(&state, &queue, Some(0.0))
 }
 
