@@ -116,6 +116,16 @@ echo "== float text (release, 10^6 cases per class) =="
 PROPTEST_CASES=1000000 cargo test -q --release -p energydx \
   --test float_text >/dev/null
 
+echo "== partial decoder fuzz (debug, 10^5 cases) =="
+# Checkpoints, PartialState frames and spill segments share one
+# partial decoder, and every other damage test is stopped by a CRC
+# before it reads a field. This property mutates a segment's body,
+# frames it again with correct CRCs, and must get a partial or a typed
+# SegmentError back. A debug build keeps overflow checks on, so an
+# unchecked offset sum panics here instead of wrapping.
+PROPTEST_CASES=100000 cargo test -q -p energydx-segment --test corruption \
+  body_mutations_behind_valid_crcs >/dev/null
+
 echo "== differential harness (release, optimized float paths) =="
 # The seq==parallel==sharded byte-identity must also hold under
 # release codegen, where float expression fusion would surface.

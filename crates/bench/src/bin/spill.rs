@@ -1,7 +1,7 @@
 //! Bounded-memory benchmark of the fleetd spill path.
 //!
 //! Drives two [`FleetState`]s through the same deterministic corpus —
-//! one fully resident, one spilling every cold epoch to columnar
+//! one fully resident, one spilling every cold epoch to on-disk
 //! segments under a zero memory budget — and measures **peak live
 //! heap growth** during ingest with a counting allocator. The
 //! resident daemon's peak grows with the fleet; the spilling daemon's

@@ -30,8 +30,8 @@
 //! live daemon's `query` byte for byte. It *streams*: each payload is
 //! prepared, converted, and folded one at a time, so memory stays
 //! bounded by one trace plus the accumulated partial rather than the
-//! whole fleet. Point it at a directory of columnar `*.seg` segments
-//! (a spilling daemon's spool) and it folds those instead.
+//! whole fleet. Point it at a directory of `*.seg` segments (a
+//! spilling daemon's spool) and it folds those instead.
 //!
 //! `serve --spill-dir <dir> --mem-budget <bytes>` runs the daemon in
 //! bounded-memory mode: cold epochs spill to segments and fold back
@@ -992,9 +992,9 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
 /// Streams diagnosis over a directory without materializing the
 /// fleet. Two layouts:
 ///
-/// - `*.seg` columnar segments (a spilling daemon's spool): each is
-///   loaded, validated against its CRCs, and folded in file-name
-///   order, which is sequence order.
+/// - `*.seg` segments (a spilling daemon's spool): each is loaded,
+///   validated against its CRCs, and folded in file-name order, which
+///   is sequence order.
 /// - `*.edxt` wire payloads (sorted by file name): each runs the same
 ///   salvage/quarantine/dedup pipeline the daemon runs, is converted,
 ///   mapped at its running offset, and folded.

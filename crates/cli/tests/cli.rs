@@ -487,7 +487,7 @@ fn demo_rejects_out_of_range_ids() {
 }
 
 /// A spilling daemon under a zero memory budget (every upload folded
-/// straight to a columnar segment) must serve the same bytes as the
+/// straight to an on-disk segment) must serve the same bytes as the
 /// streaming batch CLI over the payload directory — and the streaming
 /// CLI pointed at the daemon's own segment spool must produce those
 /// bytes a third time.

@@ -85,7 +85,7 @@ struct Daemon {
 }
 
 /// Every daemon in the soak runs in bounded-memory mode: a small
-/// budget over a shared spill spool, so cold epochs hit the columnar
+/// budget over a shared spill spool, so cold epochs hit the on-disk
 /// segment path and the kill -9 / restart cycle below also covers
 /// checkpoints that reference segment files (and the orphan
 /// collection of runs spilled after the restored checkpoint).

@@ -463,6 +463,19 @@ pub enum PartsError {
         /// The skip entry's global trace index.
         index: usize,
     },
+    /// A segment's trace range runs past `usize::MAX`.
+    RangeOverflow {
+        /// The segment's offset.
+        offset: usize,
+        /// Its trace count.
+        traces: usize,
+    },
+    /// A trace holds a NaN or infinite power. Mapping empties such a
+    /// trace into its segment's skip list, so no partial holds one.
+    NonFinitePower {
+        /// Global index of the offending trace.
+        trace: usize,
+    },
 }
 
 impl std::fmt::Display for PartsError {
@@ -487,6 +500,14 @@ impl std::fmt::Display for PartsError {
                 "skip entry {index} names a trace that was not emptied \
                  (or a zero non-finite count)"
             ),
+            PartsError::RangeOverflow { offset, traces } => write!(
+                f,
+                "a segment of {traces} trace(s) at offset {offset} runs \
+                 past the largest trace index"
+            ),
+            PartsError::NonFinitePower { trace } => {
+                write!(f, "trace {trace} holds a non-finite power")
+            }
         }
     }
 }
@@ -513,8 +534,9 @@ impl ShardPartial {
 
     /// Reassembles a partial from parts, validating every structural
     /// invariant the rest of the pipeline assumes: canonical
-    /// vocabulary, in-range event ids, disjoint segments, and skip
-    /// entries that point at emptied traces inside their segment.
+    /// vocabulary, in-range event ids, finite powers, disjoint
+    /// segments whose ranges fit in `usize`, and skip entries that
+    /// point at emptied traces inside their segment.
     /// Group tables are rebuilt from the traces.
     ///
     /// # Errors
@@ -543,7 +565,12 @@ impl ShardPartial {
         let mut by_offset: Vec<&SegmentParts> = parts.segments.iter().collect();
         by_offset.sort_by_key(|s| s.offset);
         for seg in by_offset {
-            let end = seg.offset + seg.traces.len();
+            let end = seg.offset.checked_add(seg.traces.len()).ok_or(
+                PartsError::RangeOverflow {
+                    offset: seg.offset,
+                    traces: seg.traces.len(),
+                },
+            )?;
             if let Some((prev_off, prev_end)) = prev_range {
                 if seg.offset < prev_end {
                     return Err(PartsError::OverlappingSegments {
@@ -556,12 +583,17 @@ impl ShardPartial {
                 prev_range = Some((seg.offset, end));
             }
             for (i, trace) in seg.traces.iter().enumerate() {
-                for id in trace.ids() {
+                for (id, mw) in trace.ids().iter().zip(trace.powers()) {
                     if id.index() >= vocab {
                         return Err(PartsError::IdOutOfRange {
                             trace: seg.offset + i,
                             id: id.index(),
                             vocab,
+                        });
+                    }
+                    if !mw.is_finite() {
+                        return Err(PartsError::NonFinitePower {
+                            trace: seg.offset + i,
                         });
                     }
                 }

@@ -310,6 +310,54 @@ fn from_parts_rejects_malformed_skip_entries() {
 }
 
 #[test]
+fn from_parts_rejects_non_finite_powers() {
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let trace = InternedTrace::from_columns(
+            vec![EventId::from_index(0), EventId::from_index(0)],
+            vec![1.0, bad],
+        )
+        .unwrap();
+        let parts = ShardPartialParts {
+            names: vec!["a".into()],
+            segments: vec![energydx::shard::SegmentParts {
+                offset: 5,
+                traces: vec![InternedTrace::default(), trace],
+                skipped: vec![(5, 1)],
+            }],
+        };
+        assert_eq!(
+            ShardPartial::from_parts(parts),
+            Err(PartsError::NonFinitePower { trace: 6 }),
+            "{bad}"
+        );
+    }
+}
+
+#[test]
+fn from_parts_rejects_a_range_past_the_largest_index() {
+    // In a debug build an unchecked `offset + len` panics here.
+    let t = || {
+        InternedTrace::from_columns(vec![EventId::from_index(0)], vec![1.0])
+            .unwrap()
+    };
+    let parts = ShardPartialParts {
+        names: vec!["a".into()],
+        segments: vec![energydx::shard::SegmentParts {
+            offset: usize::MAX,
+            traces: vec![t(), t()],
+            skipped: vec![],
+        }],
+    };
+    assert_eq!(
+        ShardPartial::from_parts(parts),
+        Err(PartsError::RangeOverflow {
+            offset: usize::MAX,
+            traces: 2
+        })
+    );
+}
+
+#[test]
 fn from_parts_of_empty_parts_is_the_empty_partial() {
     let parts = ShardPartialParts {
         names: vec![],

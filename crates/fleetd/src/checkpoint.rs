@@ -4,9 +4,10 @@
 //! byte, an explicit body length, and a CRC32 over the body — so a
 //! half-written file, a truncated disk, or a flipped bit surfaces as a
 //! typed [`CheckpointError`], never a panic or a silently-wrong
-//! analysis. Partials are serialized through
-//! [`ShardPartial::to_parts`] and re-validated on the way back in with
-//! [`ShardPartial::from_parts`], which rebuilds the derived group
+//! analysis. Partials are written in the row layout spill segments and
+//! `PartialState` frames share ([`energydx_segment::encode_partial`])
+//! and re-validated on the way back in by its one decoder, which ends
+//! in [`ShardPartial::from_parts`]: that rebuilds the derived group
 //! tables and rejects any structurally impossible state.
 //!
 //! ```text
@@ -24,8 +25,9 @@
 //! Version 2 adds spill metadata: the state's next segment sequence
 //! number and, per epoch, references to the spilled runs (sequence
 //! number, trace count, file size). The segment *data* stays in its
-//! own CRC-framed files; [`load_from`] re-opens every referenced
-//! segment's footer, rejects any disagreement, and garbage-collects
+//! own CRC-framed files; [`load_from`] reads every referenced
+//! segment's fixed header, rejects any disagreement (a segment of a
+//! format this build does not read included), and garbage-collects
 //! unreferenced segment files (their traces are still resident inside
 //! the checkpoint being restored). Version 1 files — no spill
 //! metadata — still restore.
@@ -40,15 +42,13 @@
 //! ingestion does, so adjacent same-release runs come back merged and
 //! the restored runs are maximal whatever wrote the file.
 //!
-//! [`ShardPartial::to_parts`]: energydx::shard::ShardPartial::to_parts
 //! [`ShardPartial::from_parts`]: energydx::shard::ShardPartial::from_parts
 
-use crate::codec::{CodecError, Reader, Writer};
 use crate::spill::{self, SpilledRun};
 use crate::state::{AppState, EpochState, FleetConfig, FleetState};
-use energydx::shard::{SegmentParts, ShardPartial, ShardPartialParts};
 use energydx_obsv::{EventKind, MetricsRegistry};
-use energydx_trace::intern::{EventId, InternedTrace};
+use energydx_segment::codec::{CodecError, Reader, Writer};
+use energydx_segment::{decode_partial, encode_partial};
 use energydx_trace::store::{QuarantineEntry, RejectReason};
 use energydx_trace::wire;
 use std::collections::{BTreeMap, BTreeSet};
@@ -190,7 +190,7 @@ pub fn checkpoint_bytes(state: &FleetState) -> Vec<u8> {
             body.u32(e.runs.len() as u32);
             for run in &e.runs {
                 body.str(&run.version);
-                write_partial(&mut body, &run.partial);
+                encode_partial(&mut body, &run.partial.to_parts());
             }
         }
     }
@@ -213,89 +213,6 @@ pub fn checkpoint_bytes(state: &FleetState) -> Vec<u8> {
         format!("bytes={} apps={}", framed.len(), state.apps.len()),
     );
     framed
-}
-
-/// Serializes one partial with the checkpoint's column layout. Shared
-/// with the cluster protocol's `Response::Partial`, so a partial that
-/// round-trips through a checkpoint and one that crosses the wire are
-/// the same bytes.
-pub(crate) fn write_partial(w: &mut Writer, partial: &ShardPartial) {
-    let parts = partial.to_parts();
-    w.u32(parts.names.len() as u32);
-    for name in &parts.names {
-        w.str(name);
-    }
-    w.u32(parts.segments.len() as u32);
-    for seg in &parts.segments {
-        w.u64(seg.offset as u64);
-        w.u32(seg.traces.len() as u32);
-        for trace in &seg.traces {
-            w.u32(trace.ids().len() as u32);
-            for id in trace.ids() {
-                w.u32(id.index() as u32);
-            }
-            for &p in trace.powers() {
-                w.f64(p);
-            }
-        }
-        w.u32(seg.skipped.len() as u32);
-        for &(index, count) in &seg.skipped {
-            w.u64(index as u64);
-            w.u64(count as u64);
-        }
-    }
-}
-
-/// Inverse of [`write_partial`]; every length is validated against the
-/// remaining input before use and the result re-checked by
-/// `ShardPartial::from_parts`.
-pub(crate) fn read_partial(
-    r: &mut Reader<'_>,
-) -> Result<ShardPartial, CheckpointError> {
-    let name_count = r.u32("vocab count")? as usize;
-    let mut names = Vec::with_capacity(name_count.min(1 << 16));
-    for _ in 0..name_count {
-        names.push(r.str("vocab name")?);
-    }
-    let seg_count = r.u32("segment count")? as usize;
-    let mut segments = Vec::with_capacity(seg_count.min(1 << 16));
-    for _ in 0..seg_count {
-        let offset = r.usize("segment offset")?;
-        let trace_count = r.u32("segment trace count")? as usize;
-        let mut traces = Vec::with_capacity(trace_count.min(1 << 16));
-        for _ in 0..trace_count {
-            let len = r.u32("trace length")? as usize;
-            let mut ids = Vec::with_capacity(len.min(1 << 16));
-            for _ in 0..len {
-                ids.push(EventId::from_index(r.u32("event id")? as usize));
-            }
-            let mut powers = Vec::with_capacity(len.min(1 << 16));
-            for _ in 0..len {
-                powers.push(r.f64("power")?);
-            }
-            traces.push(InternedTrace::from_columns(ids, powers).ok_or_else(
-                || {
-                    CheckpointError::Malformed(
-                        "trace column lengths disagree".to_string(),
-                    )
-                },
-            )?);
-        }
-        let skip_count = r.u32("skip count")? as usize;
-        let mut skipped = Vec::with_capacity(skip_count.min(1 << 16));
-        for _ in 0..skip_count {
-            let index = r.usize("skip index")?;
-            let count = r.usize("skip value count")?;
-            skipped.push((index, count));
-        }
-        segments.push(SegmentParts {
-            offset,
-            traces,
-            skipped,
-        });
-    }
-    ShardPartial::from_parts(ShardPartialParts { names, segments })
-        .map_err(|e| CheckpointError::Malformed(e.to_string()))
 }
 
 /// Restores a fleet state from checkpoint bytes, re-validating every
@@ -359,6 +276,9 @@ pub fn restore_bytes_with(
     }
 
     let mut r = Reader::new(body);
+    let read_partial = |r: &mut Reader<'_>| {
+        decode_partial(r).map_err(|e| CheckpointError::Malformed(e.to_string()))
+    };
     let mut state = FleetState::with_registry(config, registry);
     let next_spill_seq = if version >= 2 {
         r.u64("next spill sequence")?
@@ -563,7 +483,7 @@ pub fn save_to(
 
 /// Loads the checkpoint from `dir`, or `Ok(None)` when none exists
 /// yet (a fresh daemon). When the restored state references spilled
-/// segments, every referenced file's footer is re-opened and checked
+/// segments, every referenced file's header is read and checked
 /// against the checkpoint's record — a daemon must refuse state it
 /// cannot trust — and unreferenced segment files (spilled after the
 /// checkpoint was written, so their traces are still resident inside
@@ -650,6 +570,7 @@ mod tests {
     use super::*;
     use crate::fixture::{payload, payload_versioned};
     use crate::spill::SpillConfig;
+    use energydx::shard::ShardPartial;
     use std::path::Path;
 
     /// The frozen version-1 layout (no spill metadata), byte for byte
@@ -695,7 +616,7 @@ mod tests {
                     }
                     body.str(&entry.detail);
                 }
-                write_partial(&mut body, &e.folded());
+                encode_partial(&mut body, &e.folded().to_parts());
             }
         }
         let body = body.into_vec();
@@ -875,7 +796,7 @@ mod tests {
                     body.u64(run.traces as u64);
                     body.u64(run.bytes);
                 }
-                write_partial(&mut body, &e.folded());
+                encode_partial(&mut body, &e.folded().to_parts());
             }
         }
         let body = body.into_vec();
@@ -1064,15 +985,41 @@ mod tests {
         assert!(!spool.join("run-000000000099.seg").exists());
         assert!(!spool.join("run-000000000098.seg.tmp").exists());
 
-        // A damaged referenced segment refuses the whole restore.
+        // A referenced segment whose header is damaged, that is cut
+        // short, or that is in the retired version-1 format refuses
+        // the whole restore.
         let seg = crate::spill::segment_path(&spool, 0);
-        let mut bytes = std::fs::read(&seg).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        std::fs::write(&seg, &bytes).unwrap();
+        let good = std::fs::read(&seg).unwrap();
+        let mut header = good.clone();
+        header[5] ^= 0x01; // the trace count, under the header CRC
+        let mut version_1 = good.clone();
+        version_1[4] = 1;
+        let short = good[..good.len() - 1].to_vec();
+        for (bad, expect) in [
+            (header, "header fails its crc32"),
+            (short, "truncated"),
+            (version_1, "unsupported segment version 1"),
+        ] {
+            std::fs::write(&seg, &bad).unwrap();
+            match load_from(&state_dir, config.clone()) {
+                Err(CheckpointError::Malformed(detail)) => {
+                    assert!(detail.contains(expect), "{detail}");
+                }
+                other => panic!("expected a refusal, got {other:?}"),
+            }
+        }
+        // Body damage is not the header's to see: the restore reads
+        // none, and the first query that folds the run refuses.
+        let mut body = good;
+        let mid = body.len() / 2;
+        body[mid] ^= 0x01;
+        std::fs::write(&seg, &body).unwrap();
+        let restored = load_from(&state_dir, config.clone())
+            .expect("the header is intact")
+            .expect("checkpoint exists");
         assert!(matches!(
-            load_from(&state_dir, config.clone()),
-            Err(CheckpointError::Malformed(_))
+            restored.diagnose_json("app", None),
+            Err(crate::state::QueryError::Storage(_))
         ));
         // A missing one is an I/O refusal.
         std::fs::remove_file(&seg).unwrap();

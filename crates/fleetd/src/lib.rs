@@ -39,7 +39,7 @@
 //!   restarted or replacement workers.
 //! - [`report`] — state → deterministic operator report (static HTML
 //!   + `report.json`) via `energydx-report`.
-//! - [`spill`] — bounded-memory mode: cold epochs written to columnar
+//! - [`spill`] — bounded-memory mode: cold epochs written to
 //!   [`energydx_segment`] files and folded back on query.
 //!
 //! [`EnergyDx::map_shard`]: energydx::EnergyDx::map_shard
@@ -49,7 +49,6 @@
 pub mod checkpoint;
 pub mod client;
 pub mod cluster;
-mod codec;
 pub mod convert;
 pub mod coordinator;
 pub mod fixture;

@@ -17,8 +17,8 @@
 //! oversized answer reaches the peer as a readable
 //! [`Response::Error`] rather than a frame it must abandon mid-stream.
 
-use crate::codec::{CodecError, Reader, Writer};
 use energydx::ShardPartial;
+use energydx_segment::codec::{CodecError, Reader, Writer};
 use energydx_trace::store::IngestOutcome;
 use energydx_trace::wire;
 use std::fmt;
@@ -164,7 +164,7 @@ pub enum Request {
         version: Option<String>,
         /// Last-seen `(epoch, incarnation, generation)` from a prior
         /// [`Response::PartialState`]; `None` when the coordinator
-        /// holds none (or runs without a query cache).
+        /// holds none.
         token: Option<(u64, u64, u64)>,
     },
     /// Differential query: diagnose the `from` and `to` releases of
@@ -344,9 +344,10 @@ pub enum Response {
         epoch: u64,
     },
     /// Cluster: the partial answering a [`Request::PartialSince`] (or
-    /// why there is none), serialized with the checkpoint's partial
-    /// codec, plus the `(incarnation, generation)` the coordinator
-    /// should present as its token next time.
+    /// why there is none), in the row layout checkpoints and spill
+    /// segments share ([`energydx_segment::encode_partial`]), plus the
+    /// `(incarnation, generation)` the coordinator should present as
+    /// its token next time.
     PartialState {
         /// Whether the worker holds the app/epoch at all.
         status: PartialStatus,
@@ -800,7 +801,7 @@ impl Response {
                 w.u64(*epoch);
                 w.u64(*incarnation);
                 w.u64(*generation);
-                crate::checkpoint::write_partial(&mut w, partial);
+                energydx_segment::encode_partial(&mut w, &partial.to_parts());
                 15
             }
             Response::ReportArtifacts {
@@ -931,7 +932,7 @@ impl Response {
                 let epoch = r.u64("epoch")?;
                 let incarnation = r.u64("incarnation")?;
                 let generation = r.u64("generation")?;
-                let partial = crate::checkpoint::read_partial(&mut r)
+                let partial = energydx_segment::decode_partial(&mut r)
                     .map_err(|e| ProtocolError::Malformed(e.to_string()))?;
                 Response::PartialState {
                     status,
@@ -1352,6 +1353,81 @@ mod tests {
             hex(&resp.encode()),
             "45445846010307000000030000007b7d0afd2b4f9f"
         );
+        // A partial's row layout, after the status, epoch, incarnation
+        // and generation: names, then per run its offset and per trace
+        // the ids and the powers, then the run's emptied slots.
+        let resp = Response::PartialState {
+            status: PartialStatus::Found,
+            epoch: 2,
+            incarnation: 7,
+            generation: 9,
+            partial: pinned_partial(),
+        };
+        assert_eq!(
+            hex(&resp.encode()),
+            "45445846010f7f00000000020000000000000007000000000000000900\
+             0000000000000200000003000000677073030000006e65740100000003\
+             000000000000000300000002000000010000000000000000000000\
+             00205e4000000000006073400000000001000000010000000000000000\
+             2045400100000004000000000000000100000000000000\
+             0b3b622b"
+        );
+    }
+
+    /// Two names, two traces and one emptied slot between them, in one
+    /// run at offset 3.
+    fn pinned_partial() -> ShardPartial {
+        use energydx::shard::{SegmentParts, ShardPartialParts};
+        use energydx_trace::intern::{EventId, InternedTrace};
+        let trace = |ids: &[usize], powers: &[f64]| {
+            let ids = ids.iter().map(|&i| EventId::from_index(i)).collect();
+            InternedTrace::from_columns(ids, powers.to_vec()).unwrap()
+        };
+        ShardPartial::from_parts(ShardPartialParts {
+            names: vec!["gps".into(), "net".into()],
+            segments: vec![SegmentParts {
+                offset: 3,
+                traces: vec![
+                    trace(&[1, 0], &[120.5, 310.0]),
+                    InternedTrace::default(),
+                    trace(&[1], &[42.25]),
+                ],
+                skipped: vec![(4, 1)],
+            }],
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn a_partial_state_holding_an_impossible_partial_is_malformed() {
+        let good = Response::PartialState {
+            status: PartialStatus::Found,
+            epoch: 2,
+            incarnation: 7,
+            generation: 9,
+            partial: pinned_partial(),
+        }
+        .encode();
+        let frame = read_frame(&mut io::Cursor::new(good)).unwrap().unwrap();
+        let at = |value: [u8; 8]| {
+            frame.body.windows(8).position(|w| w == value).unwrap()
+        };
+        // A non-finite power, which mapping never leaves in a trace,
+        // and a run offset whose range overflows.
+        let power = at(120.5f64.to_le_bytes());
+        let offset = at(3u64.to_le_bytes());
+        let damage = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+            .map(|p| (power, p.to_le_bytes()))
+            .into_iter()
+            .chain([(offset, u64::MAX.to_le_bytes())]);
+        for (at, value) in damage {
+            let mut body = frame.body.clone();
+            body[at..at + 8].copy_from_slice(&value);
+            match Response::decode(&Frame { kind: 15, body }) {
+                Err(ProtocolError::Malformed(_)) => {}
+                other => panic!("{value:02x?} at {at}: got {other:?}"),
+            }
+        }
     }
 
     #[test]

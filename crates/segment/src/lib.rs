@@ -1,31 +1,36 @@
-//! On-disk columnar segment format for interned trace partials.
+//! The one byte encoding of a [`ShardPartial`], and the segment file
+//! that carries it to disk.
 //!
-//! A **segment** is one [`ShardPartial`] serialized column-by-column:
-//! the same SoA layout as [`InternedTrace`] (one block of event ids,
-//! one block of powers per contiguous run) instead of the per-trace
-//! interleaving the EDXC checkpoint uses. Every block is CRC32-framed
-//! exactly like the wire-v2 and checkpoint formats, and a footer index
-//! lists every block's position so a segment can be *opened* — its
-//! trace count and run layout recovered — without scanning the column
-//! data ([`open_meta`]).
+//! A partial is written in **row layout** ([`encode_partial`]): its
+//! canonical vocabulary, then per contiguous run its global offset,
+//! each trace's event ids and powers, and the run's emptied slots.
+//! EDXC checkpoints, the cluster protocol's `PartialState` frames and
+//! spill segments all carry these bytes, so one decoder
+//! ([`decode_partial`], over the bounds-checked [`codec::Reader`],
+//! validated by [`ShardPartial::from_parts`]) guards all three.
 //!
 //! ```text
-//! "EDXS" version:u8
-//! block*                      one VOCAB, then RUN IDS POWERS SKIPS per run
-//! footer block (INDEX)        trace_count, run count, (kind,offset,len)*
-//! footer_len:u32 "EDXF"       fixed-size trailer: find the footer from EOF
-//!
-//! block := kind:u8 body_len:u32 body crc32(body):u32
+//! partial := names:u32 (len:u32 utf8)*
+//!            runs:u32 (offset:u64 traces:u32 trace* skips:u32 skip*)*
+//! trace   := len:u32 id:u32 * len power:f64 * len
+//! skip    := index:u64 nonfinite_count:u64
 //! ```
 //!
-//! The reader enforces that the index entries tile the file exactly —
-//! header, blocks, footer, trailer, with no gaps — so **every byte of
-//! a segment is covered by a check**: magic/version/kind/length fields
-//! by structural comparison, bodies by CRC. Any truncated prefix and
-//! any single-bit flip therefore surfaces as a typed [`SegmentError`],
-//! never a panic and never silently wrong data; the corruption suite
-//! in `tests/corruption.rs` proves both exhaustively, mirroring the
-//! EDXC checkpoint tests.
+//! A **segment** (EDXS version 2) is one partial framed for disk:
+//!
+//! ```text
+//! "EDXS" | 2 | trace_count u64 | body_len u32 | crc32(version..body_len) u32
+//! body: one partial | crc32(body) u32
+//! ```
+//!
+//! [`open_meta`] reads only the fixed 21-byte header, so a restart
+//! accounts for a spilled run without reading its body. Every byte is
+//! covered by a check — magic and version by comparison, the rest of
+//! the header and the body by their CRCs, their lengths by the file
+//! size — so any truncated prefix and any single-bit flip surfaces as
+//! a typed [`SegmentError`], never a panic and never silently wrong
+//! data (`tests/corruption.rs`). An EDXS version-1 file is refused as
+//! [`SegmentError::UnsupportedVersion`], not read.
 //!
 //! Durability: [`save_to`] publishes through [`write_atomic`] — temp
 //! file, fsync, rename into place, best-effort directory fsync — so a
@@ -33,11 +38,14 @@
 //! the daemon's checkpoints, the coordinator's replicas and the CLI's
 //! report artifacts.
 
+pub mod codec;
+
 use std::fmt;
 use std::fs::{self, File};
-use std::io::{Read as _, Seek, SeekFrom, Write as _};
+use std::io::{Read as _, Write as _};
 use std::path::Path;
 
+use codec::{CodecError, Reader, Writer};
 use energydx::shard::{
     PartsError, SegmentParts, ShardPartial, ShardPartialParts,
 };
@@ -45,31 +53,15 @@ use energydx_trace::intern::{EventId, InternedTrace};
 use energydx_trace::wire;
 
 /// Leading magic of every segment file.
-pub const MAGIC: [u8; 4] = *b"EDXS";
-/// Trailing magic, last four bytes of every segment file.
-pub const FOOTER_MAGIC: [u8; 4] = *b"EDXF";
-/// Current format version.
-pub const VERSION: u8 = 1;
-/// File extension segments are written with.
-pub const SEGMENT_EXT: &str = "seg";
+const MAGIC: [u8; 4] = *b"EDXS";
+/// The segment format this build writes and reads.
+const VERSION: u8 = 2;
+/// Fixed header: magic, version, trace count, body length, header CRC.
+const HEADER_LEN: usize = 21;
 
-/// Header length: magic + version byte.
-const HEADER_LEN: usize = 5;
-/// Trailer length: footer_len u32 + footer magic.
-const TRAILER_LEN: usize = 8;
-/// Framing overhead per block: kind u8 + body_len u32 + crc u32.
-const BLOCK_OVERHEAD: usize = 9;
-
-/// Block kinds, in the order they appear in a segment.
-const K_VOCAB: u8 = 1;
-const K_RUN: u8 = 2;
-const K_IDS: u8 = 3;
-const K_POWERS: u8 = 4;
-const K_SKIPS: u8 = 5;
-const K_INDEX: u8 = 6;
-
-/// Why a segment could not be read. Every corrupt, truncated, or
-/// adversarial input maps to one of these — reading never panics.
+/// Why partial bytes or a segment could not be read. Every corrupt,
+/// truncated, or adversarial input maps to one of these — reading
+/// never panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SegmentError {
     /// The underlying file operation failed.
@@ -79,27 +71,27 @@ pub enum SegmentError {
         /// The OS error text.
         detail: String,
     },
-    /// The header or trailer magic is not a segment's.
+    /// The header magic is not a segment's.
     BadMagic,
     /// The file declares a format version this build cannot read.
     UnsupportedVersion(u8),
-    /// The data ends before the named field is complete.
+    /// The file ends before the named field is complete.
     Truncated {
         /// The field being read when the data ran out.
         field: &'static str,
     },
-    /// A block's CRC32 does not match its body.
+    /// A CRC32 does not match the bytes it covers.
     CrcMismatch {
-        /// The block that failed the check.
+        /// The part that failed the check: `header` or `body`.
         block: &'static str,
     },
-    /// The data is structurally inconsistent (lengths, kinds, or
-    /// counts disagree with each other).
+    /// The bytes are structurally inconsistent: a length or count
+    /// disagrees with the data or the file.
     Malformed {
         /// What was inconsistent.
         detail: String,
     },
-    /// The decoded columns do not describe a valid partial.
+    /// The bytes decode to parts that describe no valid partial.
     Invalid(PartsError),
 }
 
@@ -119,19 +111,27 @@ impl fmt::Display for SegmentError {
                 write!(f, "segment truncated while reading {field}")
             }
             SegmentError::CrcMismatch { block } => {
-                write!(f, "segment crc mismatch in {block} block")
+                write!(f, "segment {block} fails its crc32 check")
             }
             SegmentError::Malformed { detail } => {
-                write!(f, "malformed segment: {detail}")
+                write!(f, "malformed partial: {detail}")
             }
             SegmentError::Invalid(e) => {
-                write!(f, "segment decodes to an invalid partial: {e:?}")
+                write!(f, "bytes decode to an invalid partial: {e}")
             }
         }
     }
 }
 
 impl std::error::Error for SegmentError {}
+
+impl From<CodecError> for SegmentError {
+    // Inside a length-checked, CRC-verified body an underrun means a
+    // length field lies, which is malformed content.
+    fn from(e: CodecError) -> Self {
+        SegmentError::malformed(e.to_string())
+    }
+}
 
 impl SegmentError {
     fn io(op: &'static str, e: &std::io::Error) -> Self {
@@ -148,504 +148,206 @@ impl SegmentError {
     }
 }
 
-/// What [`open_meta`] recovers from a segment's footer alone: enough
-/// to account for the segment (budget, checkpoint references, restore
-/// validation) without reading any column data.
+/// What [`open_meta`] reads from a segment's fixed header: enough to
+/// account for the segment (checkpoint references, restore
+/// validation) without reading its body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentMeta {
     /// Total traces across all runs, emptied slots included.
     pub trace_count: u64,
-    /// Number of contiguous runs.
-    pub runs: u32,
-    /// Whole-file size in bytes.
-    pub file_bytes: u64,
 }
 
 // ---------------------------------------------------------------------------
-// Writing
+// The partial's row layout
 // ---------------------------------------------------------------------------
 
-/// Appends one CRC-framed block and records it in the index.
-fn push_block(
-    out: &mut Vec<u8>,
-    index: &mut Vec<(u8, u64, u64)>,
-    kind: u8,
-    body: &[u8],
-) {
-    assert!(
-        body.len() <= u32::MAX as usize,
-        "segment block exceeds u32 length framing"
-    );
-    index.push((kind, out.len() as u64, (body.len() + BLOCK_OVERHEAD) as u64));
-    out.push(kind);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(body);
-    out.extend_from_slice(&wire::crc32(body).to_le_bytes());
-}
-
-/// Serializes a partial's parts into the columnar segment byte format.
-///
-/// The inverse of [`read_segment`]; round-trips bit-for-bit.
-pub fn segment_bytes(parts: &ShardPartialParts) -> Vec<u8> {
-    let mut out = Vec::new();
-    let mut index: Vec<(u8, u64, u64)> = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-
-    // VOCAB: the canonical (name-sorted) vocabulary.
-    let mut body = Vec::new();
-    body.extend_from_slice(&(parts.names.len() as u32).to_le_bytes());
+/// Appends `parts` to `w` in row layout: the one encoder of a
+/// partial's bytes, inverse of [`decode_partial`].
+pub fn encode_partial(w: &mut Writer, parts: &ShardPartialParts) {
+    w.u32(parts.names.len() as u32);
     for name in &parts.names {
-        body.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        body.extend_from_slice(name.as_bytes());
+        w.str(name);
     }
-    push_block(&mut out, &mut index, K_VOCAB, &body);
-
-    let mut trace_count: u64 = 0;
+    w.u32(parts.segments.len() as u32);
     for run in &parts.segments {
-        trace_count += run.traces.len() as u64;
-
-        // RUN: global offset plus the per-trace length column, which
-        // delimits the ids/powers columns that follow.
-        let mut body = Vec::new();
-        body.extend_from_slice(&(run.offset as u64).to_le_bytes());
-        body.extend_from_slice(&(run.traces.len() as u32).to_le_bytes());
+        w.u64(run.offset as u64);
+        w.u32(run.traces.len() as u32);
         for trace in &run.traces {
-            body.extend_from_slice(&(trace.ids().len() as u32).to_le_bytes());
-        }
-        push_block(&mut out, &mut index, K_RUN, &body);
-
-        // IDS: every trace's event ids, concatenated.
-        let mut body = Vec::new();
-        for trace in &run.traces {
+            w.u32(trace.ids().len() as u32);
             for id in trace.ids() {
-                body.extend_from_slice(&(id.index() as u32).to_le_bytes());
+                w.u32(id.index() as u32);
+            }
+            for &p in trace.powers() {
+                w.f64(p);
             }
         }
-        push_block(&mut out, &mut index, K_IDS, &body);
-
-        // POWERS: every trace's powers, concatenated.
-        let mut body = Vec::new();
-        for trace in &run.traces {
-            for p in trace.powers() {
-                body.extend_from_slice(&p.to_le_bytes());
-            }
+        w.u32(run.skipped.len() as u32);
+        for &(index, count) in &run.skipped {
+            w.u64(index as u64);
+            w.u64(count as u64);
         }
-        push_block(&mut out, &mut index, K_POWERS, &body);
-
-        // SKIPS: emptied-trace bookkeeping.
-        let mut body = Vec::new();
-        body.extend_from_slice(&(run.skipped.len() as u32).to_le_bytes());
-        for &(index, nonfinite) in &run.skipped {
-            body.extend_from_slice(&(index as u64).to_le_bytes());
-            body.extend_from_slice(&(nonfinite as u64).to_le_bytes());
-        }
-        push_block(&mut out, &mut index, K_SKIPS, &body);
-    }
-
-    // INDEX footer: summary plus the block table, itself CRC-framed,
-    // followed by the fixed trailer that locates it from EOF.
-    let mut body = Vec::new();
-    body.extend_from_slice(&trace_count.to_le_bytes());
-    body.extend_from_slice(&(parts.segments.len() as u32).to_le_bytes());
-    body.extend_from_slice(&(index.len() as u32).to_le_bytes());
-    for &(kind, offset, len) in &index {
-        body.push(kind);
-        body.extend_from_slice(&offset.to_le_bytes());
-        body.extend_from_slice(&len.to_le_bytes());
-    }
-    let footer_len = (body.len() + BLOCK_OVERHEAD) as u32;
-    let mut discard = Vec::new();
-    push_block(&mut out, &mut discard, K_INDEX, &body);
-    out.extend_from_slice(&footer_len.to_le_bytes());
-    out.extend_from_slice(&FOOTER_MAGIC);
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Reading
-// ---------------------------------------------------------------------------
-
-/// A bounds-checked little-endian cursor over a block body.
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Cursor { data, pos: 0 }
-    }
-
-    fn take(
-        &mut self,
-        n: usize,
-        field: &'static str,
-    ) -> Result<&'a [u8], SegmentError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.data.len())
-            .ok_or(SegmentError::Truncated { field })?;
-        let slice = &self.data[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u32(&mut self, field: &'static str) -> Result<u32, SegmentError> {
-        let b = self.take(4, field)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self, field: &'static str) -> Result<u64, SegmentError> {
-        let b = self.take(8, field)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn f64(&mut self, field: &'static str) -> Result<f64, SegmentError> {
-        let b = self.take(8, field)?;
-        Ok(f64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn finish(self, block: &'static str) -> Result<(), SegmentError> {
-        if self.pos != self.data.len() {
-            return Err(SegmentError::malformed(format!(
-                "{block} block has {} trailing bytes",
-                self.data.len() - self.pos
-            )));
-        }
-        Ok(())
     }
 }
 
-/// One footer-index entry: where a block lives in the file.
-#[derive(Debug, Clone, Copy)]
-struct IndexEntry {
-    kind: u8,
-    offset: usize,
-    len: usize,
-}
-
-/// The parsed footer: summary counts plus the block table.
-struct Footer {
-    trace_count: u64,
-    runs: u32,
-    entries: Vec<IndexEntry>,
-}
-
-fn usize_of(v: u64, what: &str) -> Result<usize, SegmentError> {
-    usize::try_from(v)
-        .map_err(|_| SegmentError::malformed(format!("{what} overflows")))
-}
-
-/// Checks the header magic/version and returns nothing else.
-fn check_header(bytes: &[u8]) -> Result<(), SegmentError> {
-    if bytes.len() < HEADER_LEN {
-        return Err(SegmentError::Truncated { field: "header" });
-    }
-    if bytes[..4] != MAGIC {
-        return Err(SegmentError::BadMagic);
-    }
-    if bytes[4] != VERSION {
-        return Err(SegmentError::UnsupportedVersion(bytes[4]));
-    }
-    Ok(())
-}
-
-/// Locates the footer block from the trailer and returns its byte
-/// range within the file.
-fn footer_range(
-    file_len: usize,
-    trailer: &[u8; 8],
-) -> Result<(usize, usize), SegmentError> {
-    if trailer[4..] != FOOTER_MAGIC {
-        return Err(SegmentError::BadMagic);
-    }
-    let footer_len = usize_of(
-        u64::from(u32::from_le_bytes(trailer[..4].try_into().expect("4"))),
-        "footer length",
-    )?;
-    if footer_len < BLOCK_OVERHEAD {
-        return Err(SegmentError::malformed("footer shorter than a block"));
-    }
-    let trailer_start = file_len - TRAILER_LEN;
-    let footer_start = trailer_start
-        .checked_sub(footer_len)
-        .filter(|&s| s >= HEADER_LEN)
-        .ok_or(SegmentError::Truncated { field: "footer" })?;
-    Ok((footer_start, trailer_start))
-}
-
-/// Verifies one block's framing against its index entry and returns
-/// the body slice. `bytes` is the whole file.
-fn block_body<'a>(
-    bytes: &'a [u8],
-    entry: IndexEntry,
-    expect_kind: u8,
-    name: &'static str,
-) -> Result<&'a [u8], SegmentError> {
-    let end = entry
-        .offset
-        .checked_add(entry.len)
-        .filter(|&e| e <= bytes.len())
-        .ok_or(SegmentError::Truncated { field: "block" })?;
-    if entry.len < BLOCK_OVERHEAD {
-        return Err(SegmentError::malformed(format!(
-            "{name} block shorter than its framing"
-        )));
-    }
-    let block = &bytes[entry.offset..end];
-    if entry.kind != expect_kind || block[0] != expect_kind {
-        return Err(SegmentError::malformed(format!(
-            "expected {name} block, found kind {} (index kind {})",
-            block[0], entry.kind
-        )));
-    }
-    let body_len =
-        u32::from_le_bytes(block[1..5].try_into().expect("4 bytes")) as usize;
-    if body_len != entry.len - BLOCK_OVERHEAD {
-        return Err(SegmentError::malformed(format!(
-            "{name} block length disagrees with the index"
-        )));
-    }
-    let body = &block[5..5 + body_len];
-    let crc =
-        u32::from_le_bytes(block[5 + body_len..].try_into().expect("4 bytes"));
-    if wire::crc32(body) != crc {
-        return Err(SegmentError::CrcMismatch { block: name });
-    }
-    Ok(body)
-}
-
-/// Parses and CRC-checks the footer block body into the block table.
-fn parse_footer_body(
-    body: &[u8],
-    file_len: usize,
-) -> Result<Footer, SegmentError> {
-    let mut c = Cursor::new(body);
-    let trace_count = c.u64("footer trace count")?;
-    let runs = c.u32("footer run count")?;
-    let entry_count = c.u32("footer entry count")? as usize;
-    if entry_count != 1 + 4 * runs as usize {
-        return Err(SegmentError::malformed(
-            "footer entry count disagrees with run count",
-        ));
-    }
-    let mut entries = Vec::with_capacity(entry_count);
-    for _ in 0..entry_count {
-        let kind = c.take(1, "index entry kind")?[0];
-        let offset = usize_of(c.u64("index entry offset")?, "block offset")?;
-        let len = usize_of(c.u64("index entry length")?, "block length")?;
-        entries.push(IndexEntry { kind, offset, len });
-    }
-    c.finish("index")?;
-    // The entries must tile the file contiguously from the header on:
-    // any gap would be bytes no check covers. Callers additionally
-    // verify the last entry ends exactly where the footer begins.
-    let mut expected = HEADER_LEN;
-    for e in &entries {
-        if e.offset != expected {
-            return Err(SegmentError::malformed(
-                "index entries do not tile the file",
-            ));
-        }
-        expected = e
-            .offset
-            .checked_add(e.len)
-            .filter(|&end| end <= file_len)
-            .ok_or_else(|| {
-            SegmentError::malformed("block range overflows")
-        })?;
-    }
-    Ok(Footer {
-        trace_count,
-        runs,
-        entries,
-    })
-}
-
-/// Parses a whole in-memory segment's footer.
-fn read_footer(bytes: &[u8]) -> Result<Footer, SegmentError> {
-    check_header(bytes)?;
-    if bytes.len() < HEADER_LEN + TRAILER_LEN {
-        return Err(SegmentError::Truncated { field: "trailer" });
-    }
-    let trailer: [u8; 8] = bytes[bytes.len() - TRAILER_LEN..]
-        .try_into()
-        .expect("8 bytes");
-    let (footer_start, trailer_start) = footer_range(bytes.len(), &trailer)?;
-    let entry = IndexEntry {
-        kind: K_INDEX,
-        offset: footer_start,
-        len: trailer_start - footer_start,
-    };
-    let body = block_body(bytes, entry, K_INDEX, "index")?;
-    let footer = parse_footer_body(body, bytes.len())?;
-    // The block table must end exactly where the footer begins.
-    let covered = footer
-        .entries
-        .last()
-        .map(|e| e.offset + e.len)
-        .unwrap_or(HEADER_LEN);
-    if covered != footer_start {
-        return Err(SegmentError::malformed(
-            "index entries do not reach the footer",
-        ));
-    }
-    Ok(footer)
-}
-
-/// Decodes the columnar byte format back into parts.
-///
-/// Every block is CRC-verified and the footer index must tile the file
-/// exactly; see the module docs for the corruption guarantees.
+/// Reads one partial written by [`encode_partial`] and validates it
+/// with [`ShardPartial::from_parts`]: the one decoder of a partial's
+/// bytes. Each trace's ids and powers are read as one slice apiece,
+/// and no count sizes an allocation beyond what the input can hold.
 ///
 /// # Errors
 ///
-/// Any structural damage yields a typed [`SegmentError`].
-pub fn read_segment(bytes: &[u8]) -> Result<ShardPartialParts, SegmentError> {
-    let footer = read_footer(bytes)?;
-    let mut entries = footer.entries.iter().copied();
-
-    // VOCAB.
-    let entry = entries
-        .next()
-        .ok_or_else(|| SegmentError::malformed("missing vocab block"))?;
-    let body = block_body(bytes, entry, K_VOCAB, "vocab")?;
-    let mut c = Cursor::new(body);
-    let name_count = c.u32("vocab count")? as usize;
-    let mut names = Vec::with_capacity(name_count.min(body.len()));
+/// [`SegmentError::Malformed`] when the bytes run out or a field does
+/// not decode; [`SegmentError::Invalid`] when they decode to parts
+/// that describe no valid partial.
+pub fn decode_partial(
+    r: &mut Reader<'_>,
+) -> Result<ShardPartial, SegmentError> {
+    let name_count = r.u32("vocab count")? as usize;
+    let mut names = Vec::with_capacity(name_count.min(r.remaining() / 4));
     for _ in 0..name_count {
-        let len = c.u32("name length")? as usize;
-        let raw = c.take(len, "name bytes")?;
-        let name = std::str::from_utf8(raw)
-            .map_err(|_| SegmentError::malformed("name is not UTF-8"))?;
-        names.push(name.to_string());
+        names.push(r.str("vocab name")?);
     }
-    c.finish("vocab")?;
-
-    // One RUN/IDS/POWERS/SKIPS quartet per run.
-    let mut segments = Vec::with_capacity(footer.runs as usize);
-    let mut total: u64 = 0;
-    for _ in 0..footer.runs {
-        let entry = entries
-            .next()
-            .ok_or_else(|| SegmentError::malformed("missing run block"))?;
-        let body = block_body(bytes, entry, K_RUN, "run")?;
-        let mut c = Cursor::new(body);
-        let offset = usize_of(c.u64("run offset")?, "run offset")?;
-        let count = c.u32("run trace count")? as usize;
-        let mut lengths = Vec::with_capacity(count.min(body.len()));
-        let mut instances: usize = 0;
-        for _ in 0..count {
-            let len = c.u32("trace length")? as usize;
-            instances = instances.checked_add(len).ok_or_else(|| {
-                SegmentError::malformed("instance count overflows")
-            })?;
-            lengths.push(len);
+    let run_count = r.u32("run count")? as usize;
+    let mut segments = Vec::with_capacity(run_count.min(r.remaining() / 16));
+    for _ in 0..run_count {
+        let offset = r.usize("run offset")?;
+        let trace_count = r.u32("run trace count")? as usize;
+        let mut traces = Vec::with_capacity(trace_count.min(r.remaining() / 4));
+        for _ in 0..trace_count {
+            let len = r.u32("trace length")? as usize;
+            // Saturating: on a 32-bit target an overlong length must
+            // still be a short read, not a wrapped one.
+            let ids = r.raw(len.saturating_mul(4), "event ids")?;
+            let powers = r.raw(len.saturating_mul(8), "powers")?;
+            let ids = ids
+                .chunks_exact(4)
+                .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+                .map(|id| EventId::from_index(id as usize))
+                .collect();
+            let powers = powers
+                .chunks_exact(8)
+                .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
+                .collect();
+            traces.push(
+                InternedTrace::from_columns(ids, powers)
+                    .expect("one id and one power per instance"),
+            );
         }
-        c.finish("run")?;
-
-        let entry = entries
-            .next()
-            .ok_or_else(|| SegmentError::malformed("missing ids block"))?;
-        let ids_body = block_body(bytes, entry, K_IDS, "ids")?;
-        if ids_body.len() != instances * 4 {
-            return Err(SegmentError::malformed(
-                "ids column length disagrees with the length column",
-            ));
-        }
-
-        let entry = entries
-            .next()
-            .ok_or_else(|| SegmentError::malformed("missing powers block"))?;
-        let powers_body = block_body(bytes, entry, K_POWERS, "powers")?;
-        if powers_body.len() != instances * 8 {
-            return Err(SegmentError::malformed(
-                "powers column length disagrees with the length column",
-            ));
-        }
-
-        let entry = entries
-            .next()
-            .ok_or_else(|| SegmentError::malformed("missing skips block"))?;
-        let skips_body = block_body(bytes, entry, K_SKIPS, "skips")?;
-        let mut c = Cursor::new(skips_body);
-        let skip_count = c.u32("skip count")? as usize;
-        let mut skipped = Vec::with_capacity(skip_count.min(skips_body.len()));
+        let skip_count = r.u32("skip count")? as usize;
+        let mut skipped =
+            Vec::with_capacity(skip_count.min(r.remaining() / 16));
         for _ in 0..skip_count {
-            let index = usize_of(c.u64("skip index")?, "skip index")?;
-            let nonfinite = usize_of(c.u64("skip nonfinite")?, "skip count")?;
-            skipped.push((index, nonfinite));
+            let index = r.usize("skip index")?;
+            skipped.push((index, r.usize("skip value count")?));
         }
-        c.finish("skips")?;
-
-        // Rebuild the traces from the three columns.
-        let mut ids_c = Cursor::new(ids_body);
-        let mut powers_c = Cursor::new(powers_body);
-        let mut traces = Vec::with_capacity(count);
-        for &len in &lengths {
-            let mut ids = Vec::with_capacity(len);
-            let mut powers = Vec::with_capacity(len);
-            for _ in 0..len {
-                ids.push(EventId::from_index(ids_c.u32("id")? as usize));
-                let p = powers_c.f64("power")?;
-                if !p.is_finite() {
-                    return Err(SegmentError::malformed(
-                        "non-finite power in column",
-                    ));
-                }
-                powers.push(p);
-            }
-            let trace = InternedTrace::from_columns(ids, powers)
-                .expect("columns built with equal lengths");
-            traces.push(trace);
-        }
-        total += count as u64;
         segments.push(SegmentParts {
             offset,
             traces,
             skipped,
         });
     }
-    if total != footer.trace_count {
-        return Err(SegmentError::malformed(
-            "run trace counts disagree with the footer",
-        ));
+    ShardPartial::from_parts(ShardPartialParts { names, segments })
+        .map_err(SegmentError::Invalid)
+}
+
+// ---------------------------------------------------------------------------
+// Segment files
+// ---------------------------------------------------------------------------
+
+/// Serializes `parts` as one segment: the fixed header, then the
+/// partial's row layout as the body. The inverse of [`read_partial`].
+///
+/// # Panics
+///
+/// If the body does not fit the header's `u32` length field.
+pub fn segment_bytes(parts: &ShardPartialParts) -> Vec<u8> {
+    let mut body = Writer::new();
+    encode_partial(&mut body, parts);
+    let body = body.into_vec();
+    let body_len = u32::try_from(body.len())
+        .expect("segment body exceeds u32 length framing");
+    let traces: usize = parts.segments.iter().map(|s| s.traces.len()).sum();
+    let mut head = Writer::with_capacity(HEADER_LEN + body.len() + 4);
+    head.raw(&MAGIC);
+    head.u8(VERSION);
+    head.u64(traces as u64);
+    head.u32(body_len);
+    let mut out = head.into_vec();
+    out.extend_from_slice(&wire::crc32(&out[MAGIC.len()..]).to_le_bytes());
+    out.extend_from_slice(&body);
+    out.extend_from_slice(&wire::crc32(&body).to_le_bytes());
+    out
+}
+
+/// Checks a segment's header — `head` is the file's first bytes, up
+/// to [`HEADER_LEN`] of them — against the file's length.
+fn parse_header(
+    head: &[u8],
+    file_len: u64,
+) -> Result<SegmentMeta, SegmentError> {
+    if head.len() <= MAGIC.len() {
+        return Err(SegmentError::Truncated { field: "header" });
     }
-    Ok(ShardPartialParts { names, segments })
+    if head[..MAGIC.len()] != MAGIC {
+        return Err(SegmentError::BadMagic);
+    }
+    if head[MAGIC.len()] != VERSION {
+        return Err(SegmentError::UnsupportedVersion(head[MAGIC.len()]));
+    }
+    let head = head
+        .get(..HEADER_LEN)
+        .ok_or(SegmentError::Truncated { field: "header" })?;
+    let mut r = Reader::new(&head[MAGIC.len() + 1..]);
+    let trace_count = r.u64("trace count")?;
+    let body_len = r.u32("body length")?;
+    if wire::crc32(&head[MAGIC.len()..HEADER_LEN - 4]) != r.u32("crc")? {
+        return Err(SegmentError::CrcMismatch { block: "header" });
+    }
+    let whole = (HEADER_LEN + 4) as u64 + u64::from(body_len);
+    if file_len < whole {
+        return Err(SegmentError::Truncated { field: "body" });
+    }
+    if file_len > whole {
+        return Err(SegmentError::malformed(format!(
+            "{} trailing byte(s) after the body's crc",
+            file_len - whole
+        )));
+    }
+    Ok(SegmentMeta { trace_count })
 }
 
-/// Decodes a segment and validates it into a [`ShardPartial`].
+/// Decodes a whole in-memory segment into a validated [`ShardPartial`].
 ///
 /// # Errors
 ///
-/// Structural damage yields the reader's typed error; columns that
-/// decode but do not describe a valid partial yield
-/// [`SegmentError::Invalid`].
+/// Header damage, a length that disagrees with the data, or a body
+/// that fails its CRC yields the matching [`SegmentError`]; a body
+/// that decodes but disagrees with the header's trace count is
+/// [`SegmentError::Malformed`]; the rest as [`decode_partial`].
 pub fn read_partial(bytes: &[u8]) -> Result<ShardPartial, SegmentError> {
-    let parts = read_segment(bytes)?;
-    ShardPartial::from_parts(parts).map_err(SegmentError::Invalid)
+    let meta = parse_header(bytes, bytes.len() as u64)?;
+    let (body, crc) =
+        bytes[HEADER_LEN..].split_at(bytes.len() - HEADER_LEN - 4);
+    if wire::crc32(body).to_le_bytes() != crc {
+        return Err(SegmentError::CrcMismatch { block: "body" });
+    }
+    let mut r = Reader::new(body);
+    let partial = decode_partial(&mut r)?;
+    if r.remaining() != 0 {
+        return Err(SegmentError::malformed(format!(
+            "{} trailing byte(s) after the partial",
+            r.remaining()
+        )));
+    }
+    if partial.trace_count() as u64 != meta.trace_count {
+        return Err(SegmentError::malformed(format!(
+            "the header counts {} trace(s), the body holds {}",
+            meta.trace_count,
+            partial.trace_count()
+        )));
+    }
+    Ok(partial)
 }
-
-/// Reads only the footer of an in-memory segment.
-///
-/// # Errors
-///
-/// Same taxonomy as [`read_segment`], but only header/trailer/footer
-/// damage is observable.
-pub fn peek_meta(bytes: &[u8]) -> Result<SegmentMeta, SegmentError> {
-    let footer = read_footer(bytes)?;
-    Ok(SegmentMeta {
-        trace_count: footer.trace_count,
-        runs: footer.runs,
-        file_bytes: bytes.len() as u64,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Files
-// ---------------------------------------------------------------------------
 
 /// Atomically and durably publishes `bytes` at `path`: writes a
 /// sibling `<name>.tmp`, fsyncs it, renames it over `path`, then
@@ -711,72 +413,34 @@ pub fn save_to(
 /// # Errors
 ///
 /// File-system failures surface as [`SegmentError::Io`]; damaged
-/// contents surface with the byte reader's taxonomy.
+/// contents as [`read_partial`] reports them.
 pub fn load_from(path: &Path) -> Result<ShardPartial, SegmentError> {
     let bytes =
         fs::read(path).map_err(|e| SegmentError::io("read segment", &e))?;
     read_partial(&bytes)
 }
 
-/// Opens a segment file and reads only its header and footer — the
-/// column blocks are never touched, so this is O(footer) regardless of
-/// how many traces the segment holds.
+/// Opens a segment file and reads only its fixed header, checked
+/// against the file's size — O(1) however many traces the segment
+/// holds. Damage inside the body is left to [`load_from`].
 ///
 /// # Errors
 ///
 /// File-system failures surface as [`SegmentError::Io`]; a damaged
-/// header, trailer, or footer surfaces with the reader's taxonomy.
+/// header, or a file size the header disagrees with, as
+/// [`read_partial`] reports it.
 pub fn open_meta(path: &Path) -> Result<SegmentMeta, SegmentError> {
-    let mut file =
+    let file =
         File::open(path).map_err(|e| SegmentError::io("open segment", &e))?;
     let file_len = file
         .metadata()
         .map_err(|e| SegmentError::io("stat segment", &e))?
         .len();
-    let file_len = usize_of(file_len, "file length")?;
-    if file_len < HEADER_LEN + TRAILER_LEN {
-        return Err(SegmentError::Truncated { field: "trailer" });
-    }
-    let mut header = [0u8; HEADER_LEN];
-    file.read_exact(&mut header)
+    let mut head = Vec::with_capacity(HEADER_LEN);
+    file.take(HEADER_LEN as u64)
+        .read_to_end(&mut head)
         .map_err(|e| SegmentError::io("read header", &e))?;
-    check_header(&header)?;
-    let mut trailer = [0u8; TRAILER_LEN];
-    file.seek(SeekFrom::End(-(TRAILER_LEN as i64)))
-        .map_err(|e| SegmentError::io("seek trailer", &e))?;
-    file.read_exact(&mut trailer)
-        .map_err(|e| SegmentError::io("read trailer", &e))?;
-    let (footer_start, trailer_start) = footer_range(file_len, &trailer)?;
-    let footer_len = trailer_start - footer_start;
-    let mut block = vec![0u8; footer_len];
-    file.seek(SeekFrom::Start(footer_start as u64))
-        .map_err(|e| SegmentError::io("seek footer", &e))?;
-    file.read_exact(&mut block)
-        .map_err(|e| SegmentError::io("read footer", &e))?;
-    // Verify the footer block in place (offsets are file-relative, so
-    // hand `block_body` a zero-based entry over the block slice).
-    let entry = IndexEntry {
-        kind: K_INDEX,
-        offset: 0,
-        len: footer_len,
-    };
-    let body = block_body(&block, entry, K_INDEX, "index")?;
-    let footer = parse_footer_body(body, file_len)?;
-    let covered = footer
-        .entries
-        .last()
-        .map(|e| e.offset + e.len)
-        .unwrap_or(HEADER_LEN);
-    if covered != footer_start {
-        return Err(SegmentError::malformed(
-            "index entries do not reach the footer",
-        ));
-    }
-    Ok(SegmentMeta {
-        trace_count: footer.trace_count,
-        runs: footer.runs,
-        file_bytes: file_len as u64,
-    })
+    parse_header(&head, file_len)
 }
 
 #[cfg(test)]
@@ -822,20 +486,50 @@ mod tests {
     fn empty_partial_round_trips() {
         let parts = ShardPartial::empty().to_parts();
         let bytes = segment_bytes(&parts);
-        assert_eq!(read_segment(&bytes).unwrap(), parts);
-        let meta = peek_meta(&bytes).unwrap();
+        assert_eq!(read_partial(&bytes).unwrap().to_parts(), parts);
+        let meta = parse_header(&bytes, bytes.len() as u64).unwrap();
         assert_eq!(meta.trace_count, 0);
-        assert_eq!(meta.runs, 0);
+    }
+
+    /// Two names, two traces and one emptied slot between them, in one
+    /// run at offset 3: the partial the protocol's frame-layout test
+    /// pins inside a `PartialState` frame.
+    fn pinned_partial() -> ShardPartial {
+        let trace = |ids: &[usize], powers: &[f64]| {
+            let ids = ids.iter().map(|&i| EventId::from_index(i)).collect();
+            InternedTrace::from_columns(ids, powers.to_vec()).unwrap()
+        };
+        ShardPartial::from_parts(ShardPartialParts {
+            names: vec!["gps".into(), "net".into()],
+            segments: vec![SegmentParts {
+                offset: 3,
+                traces: vec![
+                    trace(&[1, 0], &[120.5, 310.0]),
+                    InternedTrace::default(),
+                    trace(&[1], &[42.25]),
+                ],
+                skipped: vec![(4, 1)],
+            }],
+        })
+        .unwrap()
     }
 
     #[test]
-    fn peek_meta_matches_the_full_read() {
-        let partial = sample_partial();
-        let bytes = segment_bytes(&partial.to_parts());
-        let meta = peek_meta(&bytes).unwrap();
-        assert_eq!(meta.trace_count, partial.trace_count() as u64);
-        assert_eq!(meta.runs, 1);
-        assert_eq!(meta.file_bytes, bytes.len() as u64);
+    fn segment_layout_is_pinned_byte_for_byte() {
+        // magic | version | trace count | body length | header crc |
+        // the partial's row layout | body crc; both CRCs computed
+        // independently (zlib).
+        let bytes = segment_bytes(&pinned_partial().to_parts());
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "4544585302030000000000000066000000e689fb06\
+             0200000003000000677073030000006e657401000000030000000000\
+             0000030000000200000001000000000000000000000000205e400000\
+             0000006073400000000001000000010000000000000000204540\
+             0100000004000000000000000100000000000000\
+             f8252cf3"
+        );
     }
 
     #[test]

@@ -4,18 +4,23 @@
 //! at any byte, any single bit flipped, trailing garbage — must
 //! surface as a typed [`SegmentError`], never a panic and never
 //! silently wrong data. Mirrors the EDXC checkpoint suite
-//! (`fleetd/tests/checkpoint_props.rs`).
+//! (`fleetd/tests/checkpoint_props.rs`). Behind a valid CRC, the one
+//! partial decoder checkpoints and `PartialState` frames share is
+//! fuzzed with body mutations the CRCs are recomputed over.
 
 use energydx::shard::ShardPartial;
 use energydx::EnergyDx;
 use energydx_segment::{
-    open_meta, peek_meta, read_partial, read_segment, save_to, segment_bytes,
-    SegmentError,
+    open_meta, read_partial, save_to, segment_bytes, SegmentError,
 };
 use energydx_trace::event::EventInstance;
 use energydx_trace::fault::{FaultInjector, FaultKind};
 use energydx_trace::join::PoweredInstance;
+use energydx_trace::wire::crc32;
 use proptest::prelude::*;
+
+/// The fixed header: magic, version, trace count, body length, CRC.
+const HEADER: usize = 21;
 
 const EVENTS: [&str; 6] = ["net", "gps", "cpu", "wake", "sensor", "render"];
 
@@ -48,7 +53,7 @@ fn script_strategy() -> impl Strategy<Value = Vec<Vec<(usize, f64)>>> {
 /// map_shard per trace, merged in order, occasionally split into two
 /// rebased runs so multi-run segments are exercised.
 fn partial_of(script: &[Vec<(usize, f64)>], gap: bool) -> ShardPartial {
-    let dx = EnergyDx::default();
+    let dx = EnergyDx::default().with_jobs(1);
     let mut partial = ShardPartial::empty();
     for (i, trace) in script.iter().enumerate() {
         let mut instances = powered(trace);
@@ -83,7 +88,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Round trip: reading a written segment reproduces the partial's
-    /// parts exactly, and the footer summary agrees with the data.
+    /// parts exactly, and the header's trace count agrees with them.
     #[test]
     fn segments_round_trip_arbitrary_partials(
         script in script_strategy(), gap in any::<bool>()
@@ -91,11 +96,9 @@ proptest! {
         let partial = partial_of(&script, gap);
         let parts = partial.to_parts();
         let bytes = segment_bytes(&parts);
-        prop_assert_eq!(read_segment(&bytes).unwrap(), parts.clone());
         prop_assert_eq!(read_partial(&bytes).unwrap().to_parts(), parts);
-        let meta = peek_meta(&bytes).unwrap();
-        prop_assert_eq!(meta.trace_count, partial.trace_count() as u64);
-        prop_assert_eq!(meta.file_bytes, bytes.len() as u64);
+        let count = u64::from_le_bytes(bytes[5..13].try_into().unwrap());
+        prop_assert_eq!(count, partial.trace_count() as u64);
     }
 
     /// Every strict prefix of a segment is a typed error — the reader
@@ -122,9 +125,70 @@ proptest! {
     }
 }
 
-/// Exhaustive single-bit damage: because the footer index tiles the
-/// file and every block is CRC-framed, there is no byte a flip can
-/// hide in. No flipped segment may read, and none may panic.
+/// Cases for the body fuzz: `PROPTEST_CASES` when set, else 256. The
+/// vendored proptest lets that variable only lower a configured case
+/// count, so the property reads it itself; `ci.sh` runs it at 100,000
+/// cases in a debug build, where an arithmetic overflow panics.
+fn fuzz_cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(256)
+}
+
+/// `header` with its body length and CRC recomputed for `body`, then
+/// `body` and its CRC: a segment every frame check passes.
+fn reframe(header: &[u8], body: &[u8]) -> Vec<u8> {
+    let mut out = header[..13].to_vec();
+    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(&out[4..]).to_le_bytes());
+    out.extend_from_slice(body);
+    out.extend_from_slice(&crc32(body).to_le_bytes());
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
+
+    /// The CRCs stop every other damage test before the partial decoder
+    /// reads a field. Here the body is mutated — one byte set to any
+    /// value, or a 4- or 8-byte window set to all ones (a count, an
+    /// offset, an id or a power at its largest; an all-ones power is a
+    /// NaN) — and framed again with correct CRCs: the decoder must
+    /// answer with a partial or a typed content error, never a panic.
+    #[test]
+    fn body_mutations_behind_valid_crcs_decode_or_fail_typed(
+        script in script_strategy(),
+        gap in any::<bool>(),
+        at in any::<usize>(),
+        width in prop_oneof![Just(1usize), Just(4), Just(8)],
+        byte in any::<u8>(),
+    ) {
+        let bytes = segment_bytes(&partial_of(&script, gap).to_parts());
+        let mut body = bytes[HEADER..bytes.len() - 4].to_vec();
+        let at = at % body.len();
+        if width == 1 {
+            body[at] = byte;
+        } else {
+            let end = (at + width).min(body.len());
+            body[at..end].fill(0xFF);
+        }
+        let framed = reframe(&bytes[..HEADER], &body);
+        match read_partial(&framed) {
+            Ok(_)
+            | Err(SegmentError::Malformed { .. })
+            | Err(SegmentError::Invalid(_)) => {}
+            Err(other) => {
+                prop_assert!(false, "a framed body gave {:?}", other);
+            }
+        }
+    }
+}
+
+/// Exhaustive single-bit damage: the header's CRC covers every header
+/// field after the version, the body's CRC the body, and the file
+/// size both lengths, so there is no byte a flip can hide in. No
+/// flipped segment may read, and none may panic.
 #[test]
 fn every_single_bit_flip_is_rejected() {
     let bytes = sample_bytes();
@@ -168,8 +232,9 @@ fn fault_injector_damage_is_survivable() {
 }
 
 #[test]
-fn header_and_trailer_damage_is_classified_precisely() {
+fn header_damage_is_classified_precisely() {
     let bytes = sample_bytes();
+    let body = &bytes[HEADER..bytes.len() - 4];
 
     let mut wrong_magic = bytes.clone();
     wrong_magic[0] = b'X';
@@ -178,31 +243,61 @@ fn header_and_trailer_damage_is_classified_precisely() {
         SegmentError::BadMagic
     );
 
-    let mut future_version = bytes.clone();
-    future_version[4] = 9;
+    // A future version and the retired columnar version 1 alike.
+    for version in [9, 1] {
+        let mut other = bytes.clone();
+        other[4] = version;
+        assert_eq!(
+            read_partial(&other).unwrap_err(),
+            SegmentError::UnsupportedVersion(version)
+        );
+    }
+
+    let mut wrong_count = bytes.clone();
+    wrong_count[5] ^= 0x01;
     assert_eq!(
-        read_partial(&future_version).unwrap_err(),
-        SegmentError::UnsupportedVersion(9)
+        read_partial(&wrong_count).unwrap_err(),
+        SegmentError::CrcMismatch { block: "header" }
     );
 
-    let mut wrong_trailer = bytes.clone();
-    let last = wrong_trailer.len() - 1;
-    wrong_trailer[last] = b'X';
+    // A body length that disagrees with the file, under a header CRC
+    // that vouches for it: one byte more is a cut file, one byte less
+    // leaves a trailing byte.
+    let with_body_len = |len: usize| {
+        let mut out = bytes.clone();
+        out[13..17].copy_from_slice(&(len as u32).to_le_bytes());
+        let crc = crc32(&out[4..17]);
+        out[17..21].copy_from_slice(&crc.to_le_bytes());
+        out
+    };
     assert_eq!(
-        read_partial(&wrong_trailer).unwrap_err(),
-        SegmentError::BadMagic
+        read_partial(&with_body_len(body.len() + 1)).unwrap_err(),
+        SegmentError::Truncated { field: "body" }
     );
+    assert!(matches!(
+        read_partial(&with_body_len(body.len() - 1)).unwrap_err(),
+        SegmentError::Malformed { .. }
+    ));
 
-    // Trailing garbage shifts the trailer away from the footer: the
-    // reader must notice rather than read a stale index.
     let mut trailing = bytes.clone();
     trailing.push(0);
-    assert!(read_partial(&trailing).is_err());
+    assert!(matches!(
+        read_partial(&trailing).unwrap_err(),
+        SegmentError::Malformed { .. }
+    ));
+
+    let mut wrong_body_crc = bytes.clone();
+    let last = wrong_body_crc.len() - 1;
+    wrong_body_crc[last] ^= 0x01;
+    assert_eq!(
+        read_partial(&wrong_body_crc).unwrap_err(),
+        SegmentError::CrcMismatch { block: "body" }
+    );
 }
 
-/// The footer-only open path classifies damage the same way the full
-/// reader does, and a damaged column body — invisible to the footer —
-/// is still caught by the full read.
+/// The header-only open path classifies header damage and a length
+/// mismatch the way the full reader does; a damaged body — invisible
+/// to the header — is still caught by the full read.
 #[test]
 fn open_meta_and_full_read_split_the_damage_surface() {
     let dir = std::env::temp_dir()
@@ -217,20 +312,38 @@ fn open_meta_and_full_read_split_the_damage_surface() {
     let meta = open_meta(&path).unwrap();
     assert_eq!(meta.trace_count, partial.trace_count() as u64);
 
-    // Damage one byte inside the first column block: open_meta (which
-    // never reads columns) still succeeds, the full read fails typed.
+    // Damage one byte of the body: open_meta (which never reads it)
+    // still succeeds, the full read fails typed.
     let mut damaged = bytes.clone();
-    damaged[8] ^= 0x01;
+    damaged[HEADER + 8] ^= 0x01;
     std::fs::write(&path, &damaged).unwrap();
     assert!(open_meta(&path).is_ok());
-    assert!(read_partial(&damaged).is_err());
+    assert_eq!(
+        read_partial(&damaged).unwrap_err(),
+        SegmentError::CrcMismatch { block: "body" }
+    );
 
-    // Damage the trailer: both paths fail typed.
-    let mut bad_trailer = bytes.clone();
-    let last = bad_trailer.len() - 1;
-    bad_trailer[last] ^= 0x01;
-    std::fs::write(&path, &bad_trailer).unwrap();
-    assert_eq!(open_meta(&path).unwrap_err(), SegmentError::BadMagic);
+    // Damage the header, cut the file, grow it, or mark it version 1:
+    // both paths fail, with the same error.
+    let mut bad_header = bytes.clone();
+    bad_header[9] ^= 0x01;
+    let mut version_1 = bytes.clone();
+    version_1[4] = 1;
+    let mut grown = bytes.clone();
+    grown.push(0);
+    for bad in [
+        bad_header,
+        version_1,
+        bytes[..bytes.len() - 1].to_vec(),
+        grown,
+        bytes[..HEADER - 1].to_vec(),
+    ] {
+        std::fs::write(&path, &bad).unwrap();
+        assert_eq!(
+            open_meta(&path).unwrap_err(),
+            read_partial(&bad).unwrap_err()
+        );
+    }
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

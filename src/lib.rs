@@ -16,7 +16,8 @@
 //! - [`energydx_obsv`] — metrics registry and Prometheus exposition.
 //! - [`energydx_regress`] — differential (release-to-release) diagnosis.
 //! - [`energydx_report`] — deterministic operator report (HTML + JSON).
-//! - [`energydx_segment`] — on-disk columnar segment format.
+//! - [`energydx_segment`] — the one byte encoding of a shard partial
+//!   (checkpoints, cluster frames) and the on-disk segment format.
 
 pub mod fixtures;
 

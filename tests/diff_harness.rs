@@ -885,7 +885,7 @@ fn kill_dash_nine_with_replica_resume_stays_byte_identical() {
 
 // ---------------------------------------------------------------------
 // The spilling daemon: a fleet under a memory budget spills cold
-// epochs to columnar segments and folds them back on query. Any
+// epochs to on-disk segments and folds them back on query. Any
 // interleaving of {upload, spill, checkpoint, restart, query} under **any** budget — including zero, where nothing stays
 // resident — must serve reports byte-identical to the batch reference
 // over the same accepted traces, including kill -9 + restart with the

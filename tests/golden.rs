@@ -93,7 +93,7 @@ fn chaos_report_matches_golden() {
     check_golden("chaos", &chaos_fleet());
 }
 
-/// The spilled path — fleets written to on-disk columnar segments,
+/// The spilled path — fleets written to on-disk segments,
 /// read back run by run and merged in sequence order — must reproduce
 /// the **same pinned bytes** as the resident path.
 /// This is the `analyze --bundles <segment dir>` dataflow without the
