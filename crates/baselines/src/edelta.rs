@@ -21,10 +21,9 @@ use energydx::pipeline::EventGroups;
 use energydx::DiagnosisInput;
 use energydx_dexir::MethodKey;
 use energydx_stats::percentile;
-use serde::{Deserialize, Serialize};
 
 /// One flagged high-deviation API event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EDeltaFinding {
     /// The flagged event.
     pub event: String,

@@ -17,7 +17,6 @@ use energydx_dexir::dataflow::leaked_at_exit;
 use energydx_dexir::instr::ResourceKind;
 use energydx_dexir::module::{MethodKey, Module};
 use energydx_dexir::DexError;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Teardown callbacks in which a release "counts" as correct cleanup.
@@ -25,7 +24,7 @@ const TEARDOWN_CALLBACKS: [&str; 4] =
     ["onPause", "onStop", "onDestroy", "onUnbind"];
 
 /// One detected no-sleep bug.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NoSleepBug {
     /// The callback that may exit with the resource held.
     pub acquiring_method: MethodKey,

@@ -645,9 +645,8 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
                 .map_err(|e| format!("cannot stamp {}: {e}", path.display()))?;
             *payload = wire::try_encode_v3(&bundle.with_app_version(version))
                 .map_err(|e| {
-                    format!("cannot re-encode {}: {e}", path.display())
-                })?
-                .to_vec();
+                format!("cannot re-encode {}: {e}", path.display())
+            })?;
         }
     }
     let max_attempts: u32 = num_flag(args, "--max-attempts", 16u32)?;

@@ -1,12 +1,10 @@
 //! Tunable parameters of the manifestation analysis.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the 5-step analysis. The defaults are the paper's
 /// published choices; §III-A notes they were "decided through
 /// experiments" and "can be adjusted for different training sets",
 /// hence a config struct rather than constants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnalysisConfig {
     /// Percentile of an event group used as the normalization base
     /// (Step 3). Paper: 10.

@@ -10,11 +10,10 @@
 use energydx_trace::event::EventTrace;
 use energydx_trace::join::{join_power, PoweredInstance};
 use energydx_trace::power::PowerTrace;
-use serde::{Deserialize, Serialize};
 
 /// The input to the 5-step analysis: one chronologically ordered
 /// sequence of powered event instances per collected user trace.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DiagnosisInput {
     traces: Vec<Vec<PoweredInstance>>,
 }

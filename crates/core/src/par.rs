@@ -1,9 +1,9 @@
 //! A minimal deterministic worker pool for fleet-parallel analysis.
 //!
-//! The container this workspace builds in has no network access, so
-//! `rayon` is not available; this module provides the small slice of it
-//! the pipeline needs — an indexed parallel map over a slice — on plain
-//! [`std::thread::scope`] workers.
+//! The workspace builds with no registry access, so it has no `rayon`;
+//! this module provides the small slice of it the pipeline needs — an
+//! indexed parallel map over a slice — on plain [`std::thread::scope`]
+//! workers.
 //!
 //! Determinism is the design constraint, not a side effect: results are
 //! returned **in input order** no matter how the operating system
@@ -70,24 +70,23 @@ pub fn parse_jobs(
 /// malformed environment values as an error.
 ///
 /// `0` means "auto": the `ENERGYDX_JOBS` environment variable if set,
-/// then `RAYON_NUM_THREADS` (honored for CI muscle-memory
-/// compatibility), then the machine's available parallelism. A set but
-/// invalid variable is an error, not a silent default — see
-/// [`parse_jobs`].
+/// then the machine's available parallelism, which reads cgroup files,
+/// so resolve once per pool ([`crate::EnergyDx::jobs`] does), never per
+/// work item. A set but invalid variable is an error, not a silent
+/// default — see [`parse_jobs`].
 ///
 /// # Errors
 ///
-/// Returns [`JobsEnvError`] when `requested` is 0 and a job-count
-/// variable holds a non-empty value that is not a positive integer.
+/// Returns [`JobsEnvError`] when `requested` is 0 and `ENERGYDX_JOBS`
+/// holds a non-empty value that is not a positive integer.
 pub fn try_resolve_jobs(requested: usize) -> Result<usize, JobsEnvError> {
     if requested > 0 {
         return Ok(requested);
     }
-    for var in ["ENERGYDX_JOBS", "RAYON_NUM_THREADS"] {
-        if let Ok(value) = std::env::var(var) {
-            if let Some(n) = parse_jobs(var, &value)? {
-                return Ok(n);
-            }
+    const VAR: &str = "ENERGYDX_JOBS";
+    if let Ok(value) = std::env::var(VAR) {
+        if let Some(n) = parse_jobs(VAR, &value)? {
+            return Ok(n);
         }
     }
     Ok(std::thread::available_parallelism()
@@ -102,9 +101,9 @@ pub fn try_resolve_jobs(requested: usize) -> Result<usize, JobsEnvError> {
 ///
 /// # Panics
 ///
-/// Panics with the [`JobsEnvError`] message when a job-count
-/// environment variable holds garbage; entry points that can report
-/// errors gracefully should call [`try_resolve_jobs`] first.
+/// Panics with the [`JobsEnvError`] message when `ENERGYDX_JOBS`
+/// holds garbage; entry points that can report errors gracefully
+/// should call [`try_resolve_jobs`] first.
 ///
 /// # Examples
 ///
@@ -120,12 +119,13 @@ pub fn resolve_jobs(requested: usize) -> usize {
 /// Applies `f` to every element of `items`, returning the results in
 /// input order.
 ///
-/// `jobs` is resolved via [`resolve_jobs`] and clamped to the item
-/// count; with one effective job the map runs inline on the calling
-/// thread (no spawn overhead). With more, workers claim indices from a
-/// shared atomic counter — dynamic load balancing for fleets whose
-/// traces differ wildly in length — and the results are reassembled by
-/// index, so the output is identical at every thread count.
+/// `jobs` is a resolved count (see [`resolve_jobs`]), clamped to
+/// `1..=items.len()`; with one effective job the map runs inline on
+/// the calling thread (no spawn overhead). With more, workers claim
+/// indices from a shared atomic counter — dynamic load balancing for
+/// fleets whose traces differ wildly in length — and the results are
+/// reassembled by index, so the output is identical at every thread
+/// count.
 ///
 /// # Panics
 ///
@@ -145,7 +145,7 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let jobs = resolve_jobs(jobs).min(items.len()).max(1);
+    let jobs = jobs.min(items.len()).max(1);
     if jobs == 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
@@ -234,12 +234,12 @@ mod tests {
     #[test]
     fn parse_jobs_rejects_non_numeric_garbage() {
         for bad in ["fulll", "-3", "4.5", "2x", "0x10", "∞"] {
-            let err = parse_jobs("RAYON_NUM_THREADS", bad)
+            let err = parse_jobs("ENERGYDX_JOBS", bad)
                 .expect_err(&format!("{bad:?} must be rejected"));
-            assert_eq!(err.var, "RAYON_NUM_THREADS");
+            assert_eq!(err.var, "ENERGYDX_JOBS");
             assert_eq!(err.value, bad);
             assert!(
-                err.to_string().contains("RAYON_NUM_THREADS"),
+                err.to_string().contains("ENERGYDX_JOBS"),
                 "error must name the variable: {err}"
             );
         }
@@ -248,7 +248,7 @@ mod tests {
     #[test]
     fn explicit_request_bypasses_environment_validation() {
         // A non-zero request never reads the environment, so it cannot
-        // fail even when the variables hold garbage.
+        // fail even when the variable holds garbage.
         assert_eq!(try_resolve_jobs(7), Ok(7));
     }
 
@@ -256,5 +256,7 @@ mod tests {
     fn jobs_beyond_item_count_are_harmless() {
         let out = par_map(&[1, 2], 64, |_, &x| x);
         assert_eq!(out, vec![1, 2]);
+        // Zero jobs is no count at all: the map runs inline.
+        assert_eq!(par_map(&[1, 2], 0, |_, &x| x), vec![1, 2]);
     }
 }

@@ -18,6 +18,7 @@ use energydx_stats::{average_ranks, percentile_many};
 use energydx_trace::intern::{EventId, InternedTrace};
 use energydx_trace::join::PoweredInstance;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Per-event-group power statistics shared by Steps 2 and 3.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -354,7 +355,10 @@ pub(crate) fn trace_impact_interned(
 #[derive(Debug, Clone, Default)]
 pub struct EnergyDx {
     config: AnalysisConfig,
-    jobs: usize,
+    /// The worker-pool size: the count [`EnergyDx::with_jobs`] set, or
+    /// the automatic one, resolved on first use and kept, so the
+    /// environment and cgroup files are read at most once per analyzer.
+    jobs: OnceLock<usize>,
     pub(crate) metrics: Metrics,
 }
 
@@ -364,7 +368,7 @@ impl EnergyDx {
     pub fn new(config: AnalysisConfig) -> Self {
         EnergyDx {
             config,
-            jobs: 0,
+            jobs: OnceLock::new(),
             metrics: Metrics::disabled(),
         }
     }
@@ -388,13 +392,21 @@ impl EnergyDx {
     /// default) auto-sizes from the environment; `1` forces sequential
     /// execution. The report is byte-identical at every setting.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
+        self.jobs = match jobs {
+            0 => OnceLock::new(),
+            n => OnceLock::from(n),
+        };
         self
     }
 
-    /// The configured worker-pool size (`0` = auto).
+    /// The resolved worker-pool size, at least 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`crate::par::resolve_jobs`] does when the size is
+    /// automatic and `ENERGYDX_JOBS` holds garbage.
     pub fn jobs(&self) -> usize {
-        self.jobs
+        *self.jobs.get_or_init(|| crate::par::resolve_jobs(0))
     }
 
     /// The active configuration.
@@ -756,6 +768,12 @@ mod tests {
             let report = EnergyDx::default().with_jobs(jobs).diagnose(&input);
             assert_eq!(report, reference, "jobs={jobs}");
         }
+    }
+
+    #[test]
+    fn the_job_count_is_resolved_once() {
+        assert!(EnergyDx::default().jobs() >= 1);
+        assert_eq!(EnergyDx::default().with_jobs(3).jobs(), 3);
     }
 
     #[test]

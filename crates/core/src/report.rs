@@ -1,10 +1,9 @@
 //! Diagnosis reports and the code-reduction metric.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One detected manifestation point in one trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ManifestationPoint {
     /// Index of the instance in the trace's chronological order.
     pub instance_index: usize,
@@ -16,7 +15,7 @@ pub struct ManifestationPoint {
 
 /// An event reported to the developer with the fraction of traces it
 /// impacted (the `%` column of Tables II, IV, V, VI).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankedEvent {
     /// The event identifier.
     pub event: String,
@@ -32,7 +31,7 @@ pub struct RankedEvent {
 
 /// Per-trace intermediate series — everything needed to re-plot the
 /// paper's per-app diagnosis figures (7a/b/c, 8, 9, 10, 12, 13, 15).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceAnalysis {
     /// Raw per-instance power (Fig. 7a).
     pub raw_power_mw: Vec<f64>,
@@ -50,7 +49,7 @@ pub struct TraceAnalysis {
 }
 
 /// One trace the analysis excluded rather than crashed on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SkippedTrace {
     /// Index of the trace in the input.
     pub index: usize,
@@ -64,7 +63,7 @@ pub struct SkippedTrace {
 /// they reach analysis, so a damaged trace is an expected input, not a
 /// programming error — it is skipped and accounted for here instead of
 /// panicking the whole diagnosis.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AnalysisStats {
     /// Traces in the input.
     pub total_traces: usize,
@@ -88,7 +87,7 @@ impl AnalysisStats {
 }
 
 /// The complete output of [`crate::EnergyDx::diagnose`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiagnosisReport {
     /// Per-trace analysis, parallel to the input traces.
     pub traces: Vec<TraceAnalysis>,
@@ -134,7 +133,7 @@ impl DiagnosisReport {
 ///
 /// Built from the app package by the caller (so the analysis crate does
 /// not depend on the IR crate).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CodeIndex {
     /// Total source lines of the app (`N_All`).
     pub total_lines: u64,

@@ -8,22 +8,10 @@
 //! acquire/release (wakelocks, GPS, WiFi locks, sensors — the no-sleep
 //! bug surface), and the two logging ops injected by the instrumenter.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A virtual register index (`v0`, `v1`, ...).
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Serialize,
-    Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Reg(pub u16);
 
 impl fmt::Display for Reg {
@@ -33,7 +21,7 @@ impl fmt::Display for Reg {
 }
 
 /// Kind of method invocation, mirroring Dalvik's `invoke-*` family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InvokeKind {
     /// `invoke-virtual` — dispatch on the receiver's dynamic type.
     Virtual,
@@ -56,7 +44,7 @@ impl InvokeKind {
 
 /// A fully qualified method reference, e.g.
 /// `Ljava/net/Socket;->connect()V`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MethodRef {
     /// Class descriptor in JVM form (`Lcom/example/Foo;`).
     pub class: String,
@@ -126,18 +114,7 @@ impl fmt::Display for MethodRef {
 /// These correspond to the resource handles whose misuse produces the
 /// paper's *no-sleep* ABD class (wakelock/sensors "not properly
 /// released", §IV-B).
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    Hash,
-    PartialOrd,
-    Ord,
-    Serialize,
-    Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ResourceKind {
     /// `PowerManager$WakeLock` — keeps the CPU awake.
     WakeLock,
@@ -187,7 +164,7 @@ impl fmt::Display for ResourceKind {
 }
 
 /// Binary arithmetic operators supported by [`Instruction::BinOp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BinOp {
     /// Integer addition.
     Add,
@@ -222,7 +199,7 @@ impl BinOp {
 ///
 /// Branch targets are symbolic label names (as in smali); label
 /// definitions are pseudo-instructions resolved by [`crate::cfg`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Instruction {
     /// No operation.
     Nop,

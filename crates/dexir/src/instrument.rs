@@ -9,7 +9,6 @@
 use crate::error::DexError;
 use crate::instr::Instruction;
 use crate::module::{ComponentKind, Method, MethodKey, Module};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// The pool of event callbacks to instrument (paper Table I).
@@ -22,7 +21,7 @@ use std::collections::BTreeSet;
 /// - its name starts with one of the configured UI prefixes (apps name
 ///   menu handlers `menu_item_newsfeed`, `menuDeleted`, ... — cf.
 ///   Tables V and VI).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventPool {
     lifecycle: BTreeSet<String>,
     ui: BTreeSet<String>,
@@ -130,7 +129,7 @@ impl Default for EventPool {
 
 /// Result of instrumenting a module: the rewritten module plus the
 /// overhead bookkeeping used by the §IV-F experiments.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstrumentationReport {
     /// The instrumented package (the "new APK").
     pub module: Module,

@@ -9,12 +9,11 @@
 
 use crate::error::DexError;
 use crate::instr::{Instruction, ResourceKind};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// The Android component kind of a class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComponentKind {
     /// An `android.app.Activity` subclass (has a UI lifecycle).
     Activity,
@@ -38,9 +37,7 @@ impl fmt::Display for ComponentKind {
 ///
 /// Event identifiers in traces are the display form of this key,
 /// e.g. `Lcom/fsck/k9/activity/MessageList;->onResume`.
-#[derive(
-    Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MethodKey {
     /// Class descriptor (`Lcom/example/Foo;`).
     pub class: String,
@@ -98,7 +95,7 @@ impl fmt::Display for MethodKey {
 }
 
 /// A method body with its metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Method {
     /// Method name (`onResume`).
     pub name: String,
@@ -200,7 +197,7 @@ impl Method {
 }
 
 /// A class: component kind, superclass, and methods.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Class {
     /// Class descriptor (`Lcom/example/Foo;`).
     pub name: String,
@@ -247,7 +244,7 @@ impl Class {
 
 /// A complete app package — the unit the instrumenter consumes and
 /// produces, and the unit droidsim executes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Module {
     /// Java package name of the app (`com.fsck.k9`).
     pub package: String,

@@ -8,10 +8,9 @@
 
 use energydx_dexir::instr::{MethodRef, ResourceKind};
 use energydx_trace::util::Component;
-use serde::{Deserialize, Serialize};
 
 /// A transient hardware burst caused by one API invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Burst {
     /// The component driven by the call.
     pub component: Component,
@@ -33,7 +32,7 @@ impl Burst {
 }
 
 /// One pattern rule: substring matches against the callee.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct EffectRule {
     class_contains: String,
     name_contains: String,
@@ -41,7 +40,7 @@ struct EffectRule {
 }
 
 /// The table mapping framework invocations to hardware bursts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrameworkEffects {
     rules: Vec<EffectRule>,
 }

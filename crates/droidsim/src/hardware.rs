@@ -8,11 +8,10 @@
 //! from procfs for the suspect app's PID.
 
 use energydx_trace::util::Component;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// One utilization interval on a component lane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Span {
     start_us: u64,
     end_us: u64,
@@ -24,7 +23,7 @@ struct Span {
 /// Overlapping intervals on the same lane add up, clamped to 1.0 at
 /// query time (two half-loaded tasks saturate a core; a GPS hold plus a
 /// GPS burst is still just "GPS on").
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Timeline {
     lanes: BTreeMap<Component, Vec<Span>>,
     end_us: u64,

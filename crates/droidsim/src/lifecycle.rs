@@ -8,11 +8,10 @@
 //! dispatches: `old.onPause`, `new.onCreate`, `new.onStart`,
 //! `new.onResume`, `old.onStop`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The lifecycle callbacks the state machine understands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LifecycleEvent {
     /// `onCreate` — first creation.
     Create,
@@ -59,9 +58,7 @@ impl fmt::Display for LifecycleEvent {
 }
 
 /// The state of one activity instance.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LifecycleState {
     /// Not yet created (or never launched).
     #[default]

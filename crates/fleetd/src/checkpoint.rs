@@ -15,40 +15,36 @@
 //! ```
 //!
 //! Each epoch's resident traces are written as the state holds them:
-//! one partial per maximal same-release run, which ingestion keeps
-//! maximal by extending the last run in place, so the on-disk size is
-//! independent of how bursty ingestion was.
+//! one partial per maximal same-release run, each with the release its
+//! traces were uploaded under, which ingestion keeps maximal by
+//! extending the last run in place, so the on-disk size is independent
+//! of how bursty ingestion was. Restore appends the runs it reads the
+//! way ingestion does, so adjacent same-release runs come back merged
+//! and the restored runs are maximal whatever wrote the file.
 //! [`save_to`] writes a temp file, fsyncs it and renames it over the
 //! old checkpoint, so a crash or power loss mid-write leaves the
 //! previous checkpoint intact.
 //!
-//! Version 2 adds spill metadata: the state's next segment sequence
-//! number and, per epoch, references to the spilled runs (sequence
-//! number, trace count, file size). The segment *data* stays in its
-//! own CRC-framed files; [`load_from`] reads every referenced
-//! segment's fixed header, rejects any disagreement (a segment of a
-//! format this build does not read included), and garbage-collects
-//! unreferenced segment files (their traces are still resident inside
-//! the checkpoint being restored). Version 1 files — no spill
-//! metadata — still restore.
+//! The body also holds spill metadata: the state's next segment
+//! sequence number and, per epoch, references to the spilled runs
+//! (sequence number, trace count, file size, release and global start
+//! offset). The segment *data* stays in its own CRC-framed files;
+//! [`load_from`] reads every referenced segment's fixed header, rejects
+//! any disagreement (a segment of a format this build does not read
+//! included), and garbage-collects unreferenced segment files (their
+//! traces are still resident inside the checkpoint being restored).
 //!
-//! Version 3 adds app releases: each spilled run carries the version
-//! its traces were uploaded under plus its global start offset, and
-//! the resident state is written as one partial per maximal
-//! same-version run instead of a single epoch-wide fold. Version 1
-//! and 2 files still restore, as a single implicit version `""` —
-//! exactly how a version-blind daemon's state reads under the
-//! versioned model. Restore appends the runs it reads the way
-//! ingestion does, so adjacent same-release runs come back merged and
-//! the restored runs are maximal whatever wrote the file.
+//! Only version 3 restores. Versions 1 and 2 are refused as
+//! [`CheckpointError::UnsupportedVersion`], as EDXS version-1 segments
+//! are.
 //!
 //! [`ShardPartial::from_parts`]: energydx::shard::ShardPartial::from_parts
 
 use crate::spill::{self, SpilledRun};
 use crate::state::{AppState, EpochState, FleetConfig, FleetState};
 use energydx_obsv::{EventKind, MetricsRegistry};
-use energydx_segment::codec::{CodecError, Reader, Writer};
 use energydx_segment::{decode_partial, encode_partial};
+use energydx_trace::codec::{CodecError, Reader, Writer};
 use energydx_trace::store::{QuarantineEntry, RejectReason};
 use energydx_trace::wire;
 use std::collections::{BTreeMap, BTreeSet};
@@ -58,8 +54,6 @@ use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"EDXC";
 const VERSION: u8 = 3;
-/// Oldest version [`restore_bytes`] still reads.
-const MIN_VERSION: u8 = 1;
 /// File name inside the state directory.
 pub const CHECKPOINT_FILE: &str = "fleet.ckpt";
 
@@ -195,16 +189,13 @@ pub fn checkpoint_bytes(state: &FleetState) -> Vec<u8> {
         }
     }
     let body = body.into_vec();
-    let mut out = Writer::new();
-    out.u8(MAGIC[0]);
-    out.u8(MAGIC[1]);
-    out.u8(MAGIC[2]);
-    out.u8(MAGIC[3]);
+    let mut out = Writer::with_capacity(body.len() + 13);
+    out.raw(MAGIC);
     out.u8(VERSION);
     out.u32(body.len() as u32);
-    let mut framed = out.into_vec();
-    framed.extend_from_slice(&body);
-    framed.extend_from_slice(&wire::crc32(&body).to_le_bytes());
+    out.raw(&body);
+    out.u32(wire::crc32(&body));
+    let framed = out.into_vec();
     let metrics = state.metrics();
     metrics.set_gauge("fleetd_checkpoint_size_bytes", &[], framed.len() as f64);
     metrics.inc("fleetd_checkpoint_saves_total", &[]);
@@ -253,7 +244,7 @@ pub fn restore_bytes_with(
         return Err(CheckpointError::Truncated);
     }
     let version = data[4];
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(CheckpointError::UnsupportedVersion(version));
     }
     let body_len = u32::from_le_bytes(data[5..9].try_into().unwrap()) as usize;
@@ -280,11 +271,7 @@ pub fn restore_bytes_with(
         decode_partial(r).map_err(|e| CheckpointError::Malformed(e.to_string()))
     };
     let mut state = FleetState::with_registry(config, registry);
-    let next_spill_seq = if version >= 2 {
-        r.u64("next spill sequence")?
-    } else {
-        0
-    };
+    let next_spill_seq = r.u64("next spill sequence")?;
     state.next_spill_seq = next_spill_seq;
     let mut referenced_seqs = BTreeSet::new();
     let app_count = r.u32("app count")? as usize;
@@ -327,51 +314,40 @@ pub fn restore_bytes_with(
                     detail,
                 });
             }
+            let run_count = r.u32("spilled run count")? as usize;
             let mut spilled = Vec::new();
-            if version >= 2 {
-                let run_count = r.u32("spilled run count")? as usize;
-                let mut run_start = 0;
-                for _ in 0..run_count {
-                    let seq = r.u64("spilled run sequence")?;
-                    let traces = r.usize("spilled run trace count")?;
-                    let bytes = r.u64("spilled run byte count")?;
-                    // Pre-version files carry no release stamps: the
-                    // whole run belongs to the single implicit
-                    // version, starting where its predecessors end.
-                    let (run_version, start) = if version >= 3 {
-                        (
-                            r.str("spilled run version")?,
-                            r.usize("spilled run start")?,
-                        )
-                    } else {
-                        (String::new(), run_start)
-                    };
-                    if start != run_start {
-                        return Err(CheckpointError::Malformed(format!(
-                            "spilled run {seq} claims start offset {start} \
-                             but its predecessors cover {run_start} trace(s)"
-                        )));
-                    }
-                    run_start += traces;
-                    if seq >= next_spill_seq {
-                        return Err(CheckpointError::Malformed(format!(
-                            "spilled run sequence {seq} is not below the \
-                             next sequence number {next_spill_seq}"
-                        )));
-                    }
-                    if !referenced_seqs.insert(seq) {
-                        return Err(CheckpointError::Malformed(format!(
-                            "spilled run sequence {seq} is referenced twice"
-                        )));
-                    }
-                    spilled.push(SpilledRun {
-                        seq,
-                        traces,
-                        bytes,
-                        version: run_version,
-                        start,
-                    });
+            let mut run_start = 0;
+            for _ in 0..run_count {
+                let seq = r.u64("spilled run sequence")?;
+                let traces = r.usize("spilled run trace count")?;
+                let bytes = r.u64("spilled run byte count")?;
+                let run_version = r.str("spilled run version")?;
+                let start = r.usize("spilled run start")?;
+                if start != run_start {
+                    return Err(CheckpointError::Malformed(format!(
+                        "spilled run {seq} claims start offset {start} but \
+                         its predecessors cover {run_start} trace(s)"
+                    )));
                 }
+                run_start += traces;
+                if seq >= next_spill_seq {
+                    return Err(CheckpointError::Malformed(format!(
+                        "spilled run sequence {seq} is not below the next \
+                         sequence number {next_spill_seq}"
+                    )));
+                }
+                if !referenced_seqs.insert(seq) {
+                    return Err(CheckpointError::Malformed(format!(
+                        "spilled run sequence {seq} is referenced twice"
+                    )));
+                }
+                spilled.push(SpilledRun {
+                    seq,
+                    traces,
+                    bytes,
+                    version: run_version,
+                    start,
+                });
             }
             if !spilled.is_empty() && state.config.spill.is_none() {
                 return Err(CheckpointError::Malformed(
@@ -382,18 +358,11 @@ pub fn restore_bytes_with(
             }
             let spilled_traces: usize =
                 spilled.iter().map(SpilledRun::traces).sum();
+            let run_count = r.u32("resident run count")? as usize;
             let mut runs = Vec::new();
-            if version >= 3 {
-                let run_count = r.u32("resident run count")? as usize;
-                for _ in 0..run_count {
-                    let run_version = r.str("resident run version")?;
-                    runs.push((run_version, read_partial(&mut r)?));
-                }
-            } else {
-                let partial = read_partial(&mut r)?;
-                if !partial.is_empty() {
-                    runs.push((String::new(), partial));
-                }
+            for _ in 0..run_count {
+                let run_version = r.str("resident run version")?;
+                runs.push((run_version, read_partial(&mut r)?));
             }
             let mut epoch = EpochState {
                 trace_count,
@@ -573,97 +542,10 @@ mod tests {
     use energydx::shard::ShardPartial;
     use std::path::Path;
 
-    /// The frozen version-1 layout (no spill metadata), byte for byte
-    /// as PR 6 wrote it — the compatibility surface `restore_bytes`
-    /// must keep reading.
-    fn v1_bytes(state: &FleetState) -> Vec<u8> {
-        let mut body = Writer::new();
-        body.u32(state.apps.len() as u32);
-        for (app, a) in &state.apps {
-            body.str(app);
-            body.u64(a.current_epoch);
-            body.u32(a.epochs.len() as u32);
-            for (&id, e) in &a.epochs {
-                assert!(
-                    e.spilled.is_empty(),
-                    "version 1 cannot describe spilled runs"
-                );
-                body.u64(id);
-                body.u64(e.trace_count as u64);
-                body.u64(e.clean as u64);
-                body.u64(e.recovered as u64);
-                body.u32(e.seen.len() as u32);
-                for (user, session) in &e.seen {
-                    body.str(user);
-                    body.u64(*session);
-                }
-                body.u32(e.quarantine.len() as u32);
-                for entry in &e.quarantine {
-                    body.u8(reason_code(entry.reason));
-                    match &entry.user {
-                        Some(user) => {
-                            body.u8(1);
-                            body.str(user);
-                        }
-                        None => body.u8(0),
-                    }
-                    match entry.session {
-                        Some(s) => {
-                            body.u8(1);
-                            body.u64(s);
-                        }
-                        None => body.u8(0),
-                    }
-                    body.str(&entry.detail);
-                }
-                encode_partial(&mut body, &e.folded().to_parts());
-            }
-        }
-        let body = body.into_vec();
-        let mut out = Writer::new();
-        out.u8(MAGIC[0]);
-        out.u8(MAGIC[1]);
-        out.u8(MAGIC[2]);
-        out.u8(MAGIC[3]);
-        out.u8(1);
-        out.u32(body.len() as u32);
-        let mut framed = out.into_vec();
-        framed.extend_from_slice(&body);
-        framed.extend_from_slice(&wire::crc32(&body).to_le_bytes());
-        framed
-    }
-
-    #[test]
-    fn version_1_checkpoints_still_restore() {
-        let mut state = FleetState::new(FleetConfig::default());
-        for s in 0..4 {
-            state.submit("app", &payload("u", s));
-        }
-        state.submit("app", &[0xAB; 8]); // one quarantined upload too
-        state.rollover("app");
-        state.submit("app", &payload("u", 9));
-        let old = v1_bytes(&state);
-        assert_eq!(old[4], 1);
-        let restored =
-            restore_bytes(&old, FleetConfig::default()).expect("v1 restores");
-        assert_eq!(restored.next_spill_seq, 0);
-        for epoch in [Some(0), Some(1)] {
-            assert_eq!(
-                restored.diagnose_json("app", epoch).unwrap(),
-                state.diagnose_json("app", epoch).unwrap()
-            );
-        }
-        // Every upload was unversioned, so each live epoch is one run,
-        // exactly what the single v1 partial restores to.
-        assert_eq!(restored.stats_json(), state.stats_json());
-        assert_eq!(restored.apps(), state.apps());
-    }
-
     /// Restore leaves maximal same-release runs whatever wrote the
-    /// file: one implicit-version run from v1 and v2, the writer's runs
-    /// from v3 — also when a v3 file splits one release's run in two,
-    /// which restore merges back — and later uploads keep extending
-    /// them.
+    /// file: the writer's runs, also when a file splits one release's
+    /// run in two, which restore merges back, and later uploads keep
+    /// extending them.
     #[test]
     fn restored_resident_runs_are_maximal() {
         let dir = std::env::temp_dir()
@@ -682,18 +564,6 @@ mod tests {
         }
         state.spill_all();
         state.submit("app", &payload("u", 4));
-        let blind = restore_bytes(&v2_bytes(&state), spilling.clone())
-            .expect("v2 restores");
-        crate::state::tests::assert_runs_maximal(&blind);
-        assert_eq!(blind.apps(), state.apps());
-
-        let mut fresh = FleetState::new(FleetConfig::default());
-        for s in 0..3 {
-            fresh.submit("app", &payload("u", s));
-        }
-        let old = restore_bytes(&v1_bytes(&fresh), FleetConfig::default())
-            .expect("v1 restores");
-        crate::state::tests::assert_runs_maximal(&old);
 
         for (s, version) in ["1.9.0", "1.9.0", "2.0.0", "", "2.0.0", "2.0.0"]
             .into_iter()
@@ -707,7 +577,7 @@ mod tests {
         crate::state::tests::assert_runs_maximal(&restored);
         assert_eq!(restored.apps(), state.apps());
 
-        // A v3 file whose writer split the last release's run in two.
+        // A file whose writer split the last release's run in two.
         let mut split = state.apps["app"].epochs[&0].clone();
         let last = split.runs.pop().expect("a resident run");
         assert_eq!(last.partial.trace_count(), 2);
@@ -749,102 +619,6 @@ mod tests {
     fn current_checkpoints_carry_the_version_3_marker() {
         let state = FleetState::new(FleetConfig::default());
         assert_eq!(checkpoint_bytes(&state)[4], 3);
-    }
-
-    /// The frozen version-2 layout (spill metadata, one resident
-    /// partial, no release stamps), byte for byte as PR 7 wrote it.
-    fn v2_bytes(state: &FleetState) -> Vec<u8> {
-        let mut body = Writer::new();
-        body.u64(state.next_spill_seq);
-        body.u32(state.apps.len() as u32);
-        for (app, a) in &state.apps {
-            body.str(app);
-            body.u64(a.current_epoch);
-            body.u32(a.epochs.len() as u32);
-            for (&id, e) in &a.epochs {
-                body.u64(id);
-                body.u64(e.trace_count as u64);
-                body.u64(e.clean as u64);
-                body.u64(e.recovered as u64);
-                body.u32(e.seen.len() as u32);
-                for (user, session) in &e.seen {
-                    body.str(user);
-                    body.u64(*session);
-                }
-                body.u32(e.quarantine.len() as u32);
-                for entry in &e.quarantine {
-                    body.u8(reason_code(entry.reason));
-                    match &entry.user {
-                        Some(user) => {
-                            body.u8(1);
-                            body.str(user);
-                        }
-                        None => body.u8(0),
-                    }
-                    match entry.session {
-                        Some(s) => {
-                            body.u8(1);
-                            body.u64(s);
-                        }
-                        None => body.u8(0),
-                    }
-                    body.str(&entry.detail);
-                }
-                body.u32(e.spilled.len() as u32);
-                for run in &e.spilled {
-                    body.u64(run.seq);
-                    body.u64(run.traces as u64);
-                    body.u64(run.bytes);
-                }
-                encode_partial(&mut body, &e.folded().to_parts());
-            }
-        }
-        let body = body.into_vec();
-        let mut out = Writer::new();
-        out.u8(MAGIC[0]);
-        out.u8(MAGIC[1]);
-        out.u8(MAGIC[2]);
-        out.u8(MAGIC[3]);
-        out.u8(2);
-        out.u32(body.len() as u32);
-        let mut framed = out.into_vec();
-        framed.extend_from_slice(&body);
-        framed.extend_from_slice(&wire::crc32(&body).to_le_bytes());
-        framed
-    }
-
-    #[test]
-    fn version_2_checkpoints_restore_as_the_implicit_version() {
-        let dir = std::env::temp_dir()
-            .join(format!("energydx-ckpt-v2compat-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spilling = FleetConfig {
-            spill: Some(SpillConfig {
-                dir: dir.clone(),
-                mem_budget: 0,
-            }),
-            ..FleetConfig::default()
-        };
-        let mut state = FleetState::new(spilling.clone());
-        for s in 0..3 {
-            state.submit("app", &payload("u", s));
-        }
-        let old = v2_bytes(&state);
-        assert_eq!(old[4], 2);
-        let restored = restore_bytes(&old, spilling).expect("v2 restores");
-        assert_eq!(
-            restored.diagnose_json("app", None).unwrap(),
-            state.diagnose_json("app", None).unwrap()
-        );
-        // Every restored trace lands under the implicit version "".
-        assert_eq!(
-            restored.apps()["app"].epochs()[&0]
-                .versions()
-                .into_iter()
-                .collect::<Vec<_>>(),
-            vec![(String::new(), 3)]
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

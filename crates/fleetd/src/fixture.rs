@@ -59,11 +59,11 @@ pub fn bundle(user: &str, session: u64) -> TraceBundle {
 
 /// [`bundle`] encoded to a wire-v2 payload.
 pub fn payload(user: &str, session: u64) -> Vec<u8> {
-    wire::encode_v2(&bundle(user, session)).to_vec()
+    wire::encode_v2(&bundle(user, session))
 }
 
 /// [`bundle`] stamped with an app release and encoded to wire v3 —
 /// the versioned twin of [`payload`] for regression-query tests.
 pub fn payload_versioned(user: &str, session: u64, version: &str) -> Vec<u8> {
-    wire::encode_v3(&bundle(user, session).with_app_version(version)).to_vec()
+    wire::encode_v3(&bundle(user, session).with_app_version(version))
 }

@@ -18,7 +18,7 @@
 //! [`Response::Error`] rather than a frame it must abandon mid-stream.
 
 use energydx::ShardPartial;
-use energydx_segment::codec::{CodecError, Reader, Writer};
+use energydx_trace::codec::{CodecError, Reader, Writer};
 use energydx_trace::store::IngestOutcome;
 use energydx_trace::wire;
 use std::fmt;

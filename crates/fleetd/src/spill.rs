@@ -40,8 +40,7 @@ pub struct SpilledRun {
     /// Segment file size, for the spilled-bytes gauge.
     pub(crate) bytes: u64,
     /// App release the run's traces were uploaded under (`""` for
-    /// unversioned uploads and runs restored from pre-version
-    /// checkpoints). A spilled segment never mixes versions: the
+    /// unversioned uploads). A spilled segment never mixes versions: the
     /// spiller cuts one segment per maximal same-version run.
     pub(crate) version: String,
     /// Global (epoch-wide, accept-order) offset of the run's first

@@ -187,20 +187,8 @@ impl EpochState {
         self.runs.iter().map(|r| r.partial.approx_bytes()).sum()
     }
 
-    /// The canonical partial of the epoch's *resident* runs, folded in
-    /// accept order. When runs have been spilled this covers only the
-    /// suffix that stayed in memory; a query's fold prepends the
-    /// spilled runs.
-    pub fn folded(&self) -> ShardPartial {
-        self.runs
-            .iter()
-            .map(|r| r.partial.clone())
-            .fold(ShardPartial::empty(), ShardPartial::merge)
-    }
-
     /// Per-release trace counts across spilled and resident runs. The
-    /// `""` key counts unversioned uploads (and anything restored from
-    /// a pre-version checkpoint).
+    /// `""` key counts unversioned uploads.
     pub fn versions(&self) -> BTreeMap<String, usize> {
         let mut counts = BTreeMap::new();
         for run in &self.spilled {
@@ -999,8 +987,8 @@ impl FleetState {
     /// result is byte-identical to a daemon that only ever accepted
     /// that release's uploads, in order.
     ///
-    /// Spilled runs are read in parallel (`par_map`, honoring
-    /// `ENERGYDX_JOBS`), then validated and merged sequentially, so
+    /// Spilled runs are read in parallel (`par_map` over the
+    /// analyzer's job count), then validated and merged sequentially, so
     /// damage surfaces as [`QueryError::Storage`] rather than a panic
     /// or a wrong answer.
     fn fold(
@@ -1033,7 +1021,7 @@ impl FleetState {
                 .iter()
                 .map(|(run, _)| spill::segment_path(&cfg.dir, run.seq))
                 .collect();
-            let jobs = energydx::par::resolve_jobs(self.config.jobs);
+            let jobs = self.dx.jobs();
             let loaded = energydx::par::par_map(&paths, jobs, |_, path| {
                 energydx_segment::load_from(path).map_err(|err| {
                     QueryError::Storage(format!("{}: {err}", path.display()))

@@ -216,12 +216,16 @@ fn header_damage_is_classified_precisely() {
         CheckpointError::BadMagic
     );
 
-    let mut future_version = bytes.clone();
-    future_version[4] = 9;
-    assert_eq!(
-        restore_bytes(&future_version, FleetConfig::default()).unwrap_err(),
-        CheckpointError::UnsupportedVersion(9)
-    );
+    // Only version 3 restores: 0 and 9 were never written, and 1 and 2
+    // are retired.
+    for version in [0, 1, 2, 9] {
+        let mut other_version = bytes.clone();
+        other_version[4] = version;
+        assert_eq!(
+            restore_bytes(&other_version, FleetConfig::default()).unwrap_err(),
+            CheckpointError::UnsupportedVersion(version)
+        );
+    }
 
     let mut trailing = bytes.clone();
     trailing.push(0);

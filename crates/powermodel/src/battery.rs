@@ -5,10 +5,8 @@
 //! module turns mean power draws into the user-visible quantity: hours
 //! of battery life, and how many of them an ABD costs.
 
-use serde::{Deserialize, Serialize};
-
 /// A phone battery: capacity and nominal voltage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Battery {
     /// Capacity in milliamp-hours.
     pub capacity_mah: f64,

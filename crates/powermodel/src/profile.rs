@@ -7,10 +7,9 @@
 //! paper measures with a Monsoon monitor.
 
 use energydx_trace::util::Component;
-use serde::{Deserialize, Serialize};
 
 /// Per-component power coefficients of one phone model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Profile name (matches `TraceBundle::device`).
     pub name: String,

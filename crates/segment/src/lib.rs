@@ -6,7 +6,8 @@
 //! each trace's event ids and powers, and the run's emptied slots.
 //! EDXC checkpoints, the cluster protocol's `PartialState` frames and
 //! spill segments all carry these bytes, so one decoder
-//! ([`decode_partial`], over the bounds-checked [`codec::Reader`],
+//! ([`decode_partial`], over the workspace's bounds-checked
+//! [`codec::Reader`](energydx_trace::codec::Reader),
 //! validated by [`ShardPartial::from_parts`]) guards all three.
 //!
 //! ```text
@@ -38,17 +39,15 @@
 //! the daemon's checkpoints, the coordinator's replicas and the CLI's
 //! report artifacts.
 
-pub mod codec;
-
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{Read as _, Write as _};
 use std::path::Path;
 
-use codec::{CodecError, Reader, Writer};
 use energydx::shard::{
     PartsError, SegmentParts, ShardPartial, ShardPartialParts,
 };
+use energydx_trace::codec::{CodecError, Reader, Writer};
 use energydx_trace::intern::{EventId, InternedTrace};
 use energydx_trace::wire;
 

@@ -7,11 +7,10 @@
 
 use crate::error::{validate, StatsError};
 use crate::percentile::percentile_of_sorted;
-use serde::{Deserialize, Serialize};
 
 /// An empirical CDF over a sample, supporting evaluation at arbitrary
 /// points and inverse lookup (quantiles).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }

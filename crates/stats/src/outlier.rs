@@ -9,10 +9,9 @@
 
 use crate::error::StatsError;
 use crate::percentile::quartiles;
-use serde::{Deserialize, Serialize};
 
 /// Lower/upper Tukey fences computed from a data set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TukeyFences {
     /// The lower fence `Q1 - k·IQR`.
     pub lower: f64,

@@ -1,13 +1,12 @@
 //! One-pass summary statistics used by the evaluation harness.
 
 use crate::error::{validate, StatsError};
-use serde::{Deserialize, Serialize};
 
 /// Count, mean, standard deviation, and extrema of a sample.
 ///
 /// Built with Welford's online algorithm so it can also be accumulated
 /// incrementally while a trace streams in.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Summary {
     count: u64,
     mean: f64,

@@ -14,11 +14,10 @@
 //! 5-step analysis operates on.
 
 use crate::error::TraceError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Whether a record marks a callback entry (`+`) or exit (`-`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
     /// Callback entry (`+` in the log).
     Enter,
@@ -37,7 +36,7 @@ impl Direction {
 }
 
 /// One logged record.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EventRecord {
     /// Milliseconds since device boot (system timestamp).
     pub timestamp_ms: u64,
@@ -75,7 +74,7 @@ impl fmt::Display for EventRecord {
 }
 
 /// A paired callback execution: `[start_ms, end_ms]` of one event.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EventInstance {
     /// Event identifier, `Lcls;->name` form.
     pub event: String,
@@ -109,7 +108,7 @@ impl EventInstance {
 }
 
 /// An append-only sequence of event records for one user session.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EventTrace {
     records: Vec<EventRecord>,
 }

@@ -245,7 +245,7 @@ impl FaultInjector {
             wire::try_encode(&bundle)
         };
         match encoded {
-            Ok(bytes) => vec![bytes.to_vec()],
+            Ok(bytes) => vec![bytes],
             Err(_) => self.corrupt(payload, FaultKind::BitFlip),
         }
     }
@@ -271,7 +271,7 @@ mod tests {
                 format!("LA;->cb{i}"),
             ));
         }
-        wire::encode_v2(&b).to_vec()
+        wire::encode_v2(&b)
     }
 
     #[test]

@@ -17,14 +17,13 @@
 
 use crate::event::EventInstance;
 use crate::power::PowerTrace;
-use serde::{Deserialize, Serialize};
 
 /// Default forward attribution horizon, matching the 500 ms sampling
 /// period.
 pub const DEFAULT_HORIZON_MS: u64 = 500;
 
 /// How an event instance's power is attributed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Attribution {
     /// The last full sampling window *before* the event: the state the
     /// event is ending. Used for teardown callbacks (`onPause`,
@@ -59,7 +58,7 @@ pub fn default_attribution(event: &str) -> Attribution {
 }
 
 /// An event instance annotated with its estimated power.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PoweredInstance {
     /// The underlying event instance.
     pub instance: EventInstance,

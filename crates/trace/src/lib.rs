@@ -19,8 +19,11 @@
 //! - [`anonymize`] — removal of user identifiers (phone numbers, IP
 //!   addresses, email addresses) before upload, per §II-B.
 //! - [`wire`] — a compact binary wire format for uploading trace
-//!   bundles, with CRC32-framed v2 payloads and a salvaging decoder
+//!   bundles, with CRC32-framed v2/v3 payloads and a salvaging decoder
 //!   for damaged ones.
+//! - [`codec`] — the bounds-checked byte reader and writer that every
+//!   binary format in the workspace is written with: uploads, daemon
+//!   frames, checkpoints and spill segments.
 //! - [`store`] — the backend trace store that aggregates bundles from
 //!   many users (thread-safe; uploads happen "when the smartphone is
 //!   charging with WiFi"), with a reject/repair/salvage ingest
@@ -49,6 +52,7 @@
 #![warn(missing_docs)]
 
 pub mod anonymize;
+pub mod codec;
 pub mod error;
 pub mod event;
 pub mod fault;

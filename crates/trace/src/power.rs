@@ -6,10 +6,9 @@
 //! GPS continuing to draw power after OpenGPS goes to the background.
 
 use crate::util::Component;
-use serde::{Deserialize, Serialize};
 
 /// One power sample: total app power plus the per-component split.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerSample {
     /// Milliseconds since device boot.
     pub timestamp_ms: u64,
@@ -55,7 +54,7 @@ impl PowerSample {
 }
 
 /// A sequence of power samples for one session.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PowerTrace {
     samples: Vec<PowerSample>,
 }
@@ -162,7 +161,7 @@ impl FromIterator<PowerSample> for PowerTrace {
 }
 
 /// Mean power per component over a window, in milliwatts.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PowerBreakdown {
     mw: [f64; 6],
 }

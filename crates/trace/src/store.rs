@@ -24,14 +24,12 @@ use crate::event::EventTrace;
 use crate::repair::{repair, RepairAction, RepairPolicy};
 use crate::util::UtilizationTrace;
 use crate::wire::{self, SalvageReport};
-use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// One uploaded session: who, which session, which device, plus the
 /// two raw traces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceBundle {
     /// Pseudonymous user id (assigned at install; never a phone number).
     pub user: String,
@@ -42,7 +40,6 @@ pub struct TraceBundle {
     /// App release the session ran under (`""` when the uploader
     /// predates versioned uploads — wire v1/v2 payloads decode to the
     /// implicit unversioned release).
-    #[serde(default)]
     pub app_version: String,
     /// The event trace.
     pub events: EventTrace,
@@ -227,8 +224,8 @@ impl IngestReport {
     }
 }
 
-/// A wire upload after the full decode → salvage → anonymize →
-/// repair → validate pipeline, *before* dedup and commit.
+/// A wire upload after the full salvaging decode → anonymize → repair
+/// → validate pipeline, *before* dedup and commit.
 ///
 /// This is the reusable half of ingestion: [`TraceStore`] and the
 /// fleet daemon share it, so a payload that salvages (or quarantines)
@@ -275,23 +272,24 @@ impl PreparedUpload {
     }
 }
 
-/// Runs one wire payload through decode → salvage → anonymize →
-/// repair → validate. Pure: no store, no dedup, deterministic in the
-/// payload and policy alone.
+/// Runs one wire payload through decode → anonymize → repair →
+/// validate. Pure: no store, no dedup, deterministic in the payload
+/// and policy alone.
+///
+/// One [`wire::decode_salvage`] parse serves every payload: an intact
+/// salvage is exactly what a strict [`wire::decode`] returns, and
+/// keeps no salvage report.
 pub fn prepare_wire(payload: &[u8], policy: &RepairPolicy) -> PreparedUpload {
-    match wire::decode(payload) {
-        Ok(bundle) => prepare_decoded(bundle, None, policy),
-        Err(_) => match wire::decode_salvage(payload) {
-            Ok(salvaged) => {
-                prepare_decoded(salvaged.bundle, Some(salvaged.report), policy)
-            }
-            Err(e) => PreparedUpload::Rejected(QuarantineEntry {
-                reason: RejectReason::Undecodable,
-                user: None,
-                session: None,
-                detail: e.to_string(),
-            }),
-        },
+    match wire::decode_salvage(payload) {
+        Ok(salvaged) => {
+            prepare_decoded(salvaged.bundle, Some(salvaged.report), policy)
+        }
+        Err(e) => PreparedUpload::Rejected(QuarantineEntry {
+            reason: RejectReason::Undecodable,
+            user: None,
+            session: None,
+            detail: e.to_string(),
+        }),
     }
 }
 
@@ -343,6 +341,18 @@ fn prepare_decoded(
         repairs,
         salvage: salvage.filter(|s| !s.is_intact()),
     }
+}
+
+/// Read-locks one of a [`TraceStore`]'s locks, recovering from poison:
+/// each guarded update is one push or insert, so a panic on another
+/// thread never leaves the data half-changed.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write-locks one of a [`TraceStore`]'s locks; see [`read`].
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Thread-safe collection of uploaded bundles.
@@ -407,8 +417,8 @@ impl TraceStore {
         self.apply_prepared(prepare_bundle(bundle, &self.policy))
     }
 
-    /// Ingests one wire payload resiliently: strict decode first, then
-    /// salvage of whatever valid prefix remains, then repair. This is
+    /// Ingests one wire payload resiliently: salvage of whatever valid
+    /// prefix it holds (all of an intact payload), then repair. This is
     /// the path fleet uploads take.
     pub fn ingest_wire(&self, payload: &[u8]) -> IngestOutcome {
         self.apply_prepared(prepare_wire(payload, &self.policy))
@@ -445,14 +455,14 @@ impl TraceStore {
         bundle: TraceBundle,
     ) -> Result<(), Box<(TraceBundle, String)>> {
         let key = (bundle.user.clone(), bundle.session);
-        if !self.seen.write().insert(key) {
+        if !write(&self.seen).insert(key) {
             let detail = format!(
                 "session {} for user {} already accepted",
                 bundle.session, bundle.user
             );
             return Err(Box::new((bundle, detail)));
         }
-        self.bundles.write().push(bundle);
+        write(&self.bundles).push(bundle);
         Ok(())
     }
 
@@ -471,7 +481,7 @@ impl TraceStore {
     }
 
     fn push_quarantine(&self, entry: QuarantineEntry) {
-        self.quarantine.write().push(entry);
+        write(&self.quarantine).push(entry);
     }
 
     /// Ingests many upload batches concurrently, one thread per batch,
@@ -526,18 +536,18 @@ impl TraceStore {
 
     /// Number of stored bundles.
     pub fn len(&self) -> usize {
-        self.bundles.read().len()
+        read(&self.bundles).len()
     }
 
     /// Whether the store holds no bundles.
     pub fn is_empty(&self) -> bool {
-        self.bundles.read().is_empty()
+        read(&self.bundles).is_empty()
     }
 
     /// Snapshot of all bundles, sorted by `(user, session)` so analysis
     /// input order is deterministic regardless of upload interleaving.
     pub fn snapshot(&self) -> Vec<TraceBundle> {
-        let mut v = self.bundles.read().clone();
+        let mut v = read(&self.bundles).clone();
         v.sort_by(|a, b| (&a.user, a.session).cmp(&(&b.user, b.session)));
         v
     }
@@ -545,7 +555,7 @@ impl TraceStore {
     /// Distinct users that have uploaded at least one bundle.
     pub fn users(&self) -> Vec<String> {
         let mut users: Vec<String> =
-            self.bundles.read().iter().map(|b| b.user.clone()).collect();
+            read(&self.bundles).iter().map(|b| b.user.clone()).collect();
         users.sort();
         users.dedup();
         users
@@ -553,18 +563,18 @@ impl TraceStore {
 
     /// Snapshot of the quarantine, in arrival order.
     pub fn quarantine(&self) -> Vec<QuarantineEntry> {
-        self.quarantine.read().clone()
+        read(&self.quarantine).clone()
     }
 
     /// Number of quarantined uploads.
     pub fn quarantine_len(&self) -> usize {
-        self.quarantine.read().len()
+        read(&self.quarantine).len()
     }
 
     /// Per-reason counts of quarantined uploads.
     pub fn quarantine_counters(&self) -> BTreeMap<RejectReason, usize> {
         let mut counters = BTreeMap::new();
-        for entry in self.quarantine.read().iter() {
+        for entry in read(&self.quarantine).iter() {
             *counters.entry(entry.reason).or_insert(0) += 1;
         }
         counters
@@ -572,9 +582,7 @@ impl TraceStore {
 }
 
 /// The phone conditions the uploader gates on.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhoneState {
     /// Whether the phone is charging.
     pub charging: bool,

@@ -392,7 +392,7 @@ mod tests {
             store: TraceStore::new(),
             failed_once: false,
         };
-        let payloads = vec![wire::encode_v2(&bundle("u1", 0)).to_vec()];
+        let payloads = vec![wire::encode_v2(&bundle("u1", 0))];
         let stats = upload_payloads_with_retry(
             &payloads,
             &mut backend,
@@ -568,7 +568,7 @@ mod tests {
             max_backoff_ms: 100,
             jitter: 0.0,
         };
-        let payloads = vec![wire::encode_v2(&bundle("u1", 0)).to_vec()];
+        let payloads = vec![wire::encode_v2(&bundle("u1", 0))];
         let mut backend = Shedding {
             remaining_failures: 2,
         };
@@ -603,9 +603,8 @@ mod tests {
             }
         }
         let store = TraceStore::new();
-        let payloads: Vec<Vec<u8>> = (0..30)
-            .map(|s| wire::encode_v2(&bundle("u1", s)).to_vec())
-            .collect();
+        let payloads: Vec<Vec<u8>> =
+            (0..30).map(|s| wire::encode_v2(&bundle("u1", s))).collect();
         let mut backend = Recording {
             inner: FlakyBackend::new(StoreBackend::new(&store), 0.35, 11),
             accepted: Vec::new(),

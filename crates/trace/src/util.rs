@@ -6,24 +6,11 @@
 //! numbers). A sample holds one value per component; the power model
 //! turns samples into watts.
 
-use serde::{Deserialize, Serialize};
-
 /// The hardware components tracked by the utilization sampler.
 ///
 /// The set matches the components of the PowerTutor-style model the
 /// paper builds on (§II-C): CPU, display, WiFi, GPS, cellular, audio.
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    Hash,
-    PartialOrd,
-    Ord,
-    Serialize,
-    Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Component {
     /// CPU load attributed to the app (0..=1 per core-normalized).
     Cpu,
@@ -70,7 +57,7 @@ impl std::fmt::Display for Component {
 }
 
 /// One 500 ms utilization sample: a value in `[0, 1]` per component.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct UtilizationSample {
     /// Milliseconds since device boot.
     pub timestamp_ms: u64,
@@ -114,7 +101,7 @@ impl UtilizationSample {
 }
 
 /// A sequence of utilization samples for one session.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct UtilizationTrace {
     samples: Vec<UtilizationSample>,
     /// Sampling period; the paper uses 500 ms as the accuracy/overhead

@@ -1,9 +1,10 @@
 //! Binary wire format for uploading trace bundles.
 //!
 //! Phones upload `(event trace, utilization trace)` bundles to the
-//! backend "when the smartphone is in charge with WiFi" (§II-B). Two
+//! backend "when the smartphone is in charge with WiFi" (§II-B). Three
 //! frame versions are understood; [`decode`] negotiates on the version
-//! byte.
+//! byte. Every version is written and read with [`crate::codec`], the
+//! byte codec the workspace's other binary formats share.
 //!
 //! **v1** (legacy, written by [`encode`]) is a simple length-prefixed
 //! little-endian encoding with no integrity protection:
@@ -46,11 +47,11 @@
 //! a long parse loop (no "4 billion records" DoS from a 40-byte
 //! payload).
 
+use crate::codec::{CodecError, Reader, Writer};
 use crate::error::TraceError;
-use crate::event::{Direction, EventRecord, EventTrace};
+use crate::event::{Direction, EventRecord};
 use crate::store::TraceBundle;
 use crate::util::{Component, UtilizationSample, UtilizationTrace};
-use bytes::{BufMut, Bytes, BytesMut};
 
 const MAGIC: &[u8; 4] = b"EDXT";
 /// The legacy unframed format version.
@@ -166,7 +167,7 @@ pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
 /// assert_eq!(decoded, bundle);
 /// # Ok::<(), energydx_trace::TraceError>(())
 /// ```
-pub fn encode(bundle: &TraceBundle) -> Bytes {
+pub fn encode(bundle: &TraceBundle) -> Vec<u8> {
     match try_encode(bundle) {
         Ok(bytes) => bytes,
         Err(e) => panic!("bundle not encodable: {e}"),
@@ -180,27 +181,19 @@ pub fn encode(bundle: &TraceBundle) -> Bytes {
 ///
 /// Returns [`TraceError::Wire`] if a count or string length exceeds
 /// `u32::MAX`.
-pub fn try_encode(bundle: &TraceBundle) -> Result<Bytes, TraceError> {
-    let mut buf = BytesMut::with_capacity(
+pub fn try_encode(bundle: &TraceBundle) -> Result<Vec<u8>, TraceError> {
+    let mut w = Writer::with_capacity(
         64 + bundle.events.len() * 48 + bundle.utilization.len() * 56,
     );
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION_V1);
-    put_str(&mut buf, &bundle.user)?;
-    buf.put_u64_le(bundle.session);
-    put_str(&mut buf, &bundle.device)?;
-
-    buf.put_u32_le(checked_count(bundle.events.len(), "event")?);
-    for r in bundle.events.records() {
-        put_event_record(&mut buf, r)?;
-    }
-
-    buf.put_u64_le(bundle.utilization.period_ms);
-    buf.put_u32_le(checked_count(bundle.utilization.len(), "sample")?);
-    for s in bundle.utilization.samples() {
-        put_sample(&mut buf, s);
-    }
-    Ok(buf.freeze())
+    w.raw(MAGIC);
+    w.u8(VERSION_V1);
+    put_str(&mut w, &bundle.user)?;
+    w.u64(bundle.session);
+    put_str(&mut w, &bundle.device)?;
+    put_events(&mut w, bundle)?;
+    w.u64(bundle.utilization.period_ms);
+    put_samples(&mut w, bundle)?;
+    Ok(w.into_vec())
 }
 
 /// Encodes a bundle in the CRC32-framed v2 format.
@@ -219,7 +212,7 @@ pub fn try_encode(bundle: &TraceBundle) -> Result<Bytes, TraceError> {
 /// assert_eq!(decoded, bundle);
 /// # Ok::<(), energydx_trace::TraceError>(())
 /// ```
-pub fn encode_v2(bundle: &TraceBundle) -> Bytes {
+pub fn encode_v2(bundle: &TraceBundle) -> Vec<u8> {
     match try_encode_v2(bundle) {
         Ok(bytes) => bytes,
         Err(e) => panic!("bundle not encodable: {e}"),
@@ -235,7 +228,7 @@ pub fn encode_v2(bundle: &TraceBundle) -> Bytes {
 ///
 /// Returns [`TraceError::Wire`] if a count or string length exceeds
 /// `u32::MAX`.
-pub fn try_encode_v2(bundle: &TraceBundle) -> Result<Bytes, TraceError> {
+pub fn try_encode_v2(bundle: &TraceBundle) -> Result<Vec<u8>, TraceError> {
     try_encode_framed(bundle, VERSION_V2)
 }
 
@@ -256,7 +249,7 @@ pub fn try_encode_v2(bundle: &TraceBundle) -> Result<Bytes, TraceError> {
 /// assert_eq!(decoded.app_version, "2.4.1");
 /// # Ok::<(), energydx_trace::TraceError>(())
 /// ```
-pub fn encode_v3(bundle: &TraceBundle) -> Bytes {
+pub fn encode_v3(bundle: &TraceBundle) -> Vec<u8> {
     match try_encode_v3(bundle) {
         Ok(bytes) => bytes,
         Err(e) => panic!("bundle not encodable: {e}"),
@@ -269,82 +262,81 @@ pub fn encode_v3(bundle: &TraceBundle) -> Bytes {
 ///
 /// Returns [`TraceError::Wire`] if a count or string length exceeds
 /// `u32::MAX`.
-pub fn try_encode_v3(bundle: &TraceBundle) -> Result<Bytes, TraceError> {
+pub fn try_encode_v3(bundle: &TraceBundle) -> Result<Vec<u8>, TraceError> {
     try_encode_framed(bundle, VERSION_V3)
 }
 
 fn try_encode_framed(
     bundle: &TraceBundle,
     version: u8,
-) -> Result<Bytes, TraceError> {
-    let mut header = BytesMut::with_capacity(64);
+) -> Result<Vec<u8>, TraceError> {
+    let mut header = Writer::with_capacity(64);
     put_str(&mut header, &bundle.user)?;
-    header.put_u64_le(bundle.session);
+    header.u64(bundle.session);
     put_str(&mut header, &bundle.device)?;
-    header.put_u64_le(bundle.utilization.period_ms);
+    header.u64(bundle.utilization.period_ms);
     if version >= VERSION_V3 {
         put_str(&mut header, &bundle.app_version)?;
     }
+    let header = header.into_vec();
 
-    let mut events = BytesMut::with_capacity(4 + bundle.events.len() * 48);
-    events.put_u32_le(checked_count(bundle.events.len(), "event")?);
-    for r in bundle.events.records() {
-        put_event_record(&mut events, r)?;
-    }
+    let mut events = Writer::with_capacity(4 + bundle.events.len() * 48);
+    put_events(&mut events, bundle)?;
+    let events = events.into_vec();
 
     let mut samples =
-        BytesMut::with_capacity(4 + bundle.utilization.len() * SAMPLE_BYTES);
-    samples.put_u32_le(checked_count(bundle.utilization.len(), "sample")?);
-    for s in bundle.utilization.samples() {
-        put_sample(&mut samples, s);
-    }
+        Writer::with_capacity(4 + bundle.utilization.len() * SAMPLE_BYTES);
+    put_samples(&mut samples, bundle)?;
+    let samples = samples.into_vec();
 
-    let mut buf = BytesMut::with_capacity(
+    let mut w = Writer::with_capacity(
         4 + 1 + 4 + header.len() + events.len() + samples.len() + 12,
     );
-    buf.put_slice(MAGIC);
-    buf.put_u8(version);
-    buf.put_u32_le(checked_count(header.len(), "header byte")?);
-    let header_crc = crc32(&header);
-    buf.put_slice(&header);
-    buf.put_u32_le(header_crc);
-    let events_crc = crc32(&events);
-    buf.put_slice(&events);
-    buf.put_u32_le(events_crc);
-    let samples_crc = crc32(&samples);
-    buf.put_slice(&samples);
-    buf.put_u32_le(samples_crc);
-    Ok(buf.freeze())
+    w.raw(MAGIC);
+    w.u8(version);
+    w.u32(checked_count(header.len(), "header byte")?);
+    for section in [header, events, samples] {
+        w.raw(&section);
+        w.u32(crc32(&section));
+    }
+    Ok(w.into_vec())
 }
 
 fn checked_count(len: usize, what: &str) -> Result<u32, TraceError> {
-    u32::try_from(len).map_err(|_| TraceError::Wire {
-        message: format!("{what} count {len} exceeds the u32 wire limit"),
+    u32::try_from(len).map_err(|_| {
+        wire_error(format!("{what} count {len} exceeds the u32 wire limit"))
     })
 }
 
-fn put_event_record(
-    buf: &mut BytesMut,
-    r: &EventRecord,
-) -> Result<(), TraceError> {
-    buf.put_u64_le(r.timestamp_ms);
-    buf.put_u8(match r.direction {
-        Direction::Enter => 0,
-        Direction::Exit => 1,
-    });
-    put_str(buf, &r.event)
-}
-
-fn put_sample(buf: &mut BytesMut, s: &UtilizationSample) {
-    buf.put_u64_le(s.timestamp_ms);
-    for c in Component::ALL {
-        buf.put_f64_le(s.get(c));
+/// The event count, then every record.
+fn put_events(w: &mut Writer, bundle: &TraceBundle) -> Result<(), TraceError> {
+    w.u32(checked_count(bundle.events.len(), "event")?);
+    for r in bundle.events.records() {
+        w.u64(r.timestamp_ms);
+        w.u8(match r.direction {
+            Direction::Enter => 0,
+            Direction::Exit => 1,
+        });
+        put_str(w, &r.event)?;
     }
+    Ok(())
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) -> Result<(), TraceError> {
-    buf.put_u32_le(checked_count(s.len(), "string byte")?);
-    buf.put_slice(s.as_bytes());
+/// The sample count, then every sample.
+fn put_samples(w: &mut Writer, bundle: &TraceBundle) -> Result<(), TraceError> {
+    w.u32(checked_count(bundle.utilization.len(), "sample")?);
+    for s in bundle.utilization.samples() {
+        w.u64(s.timestamp_ms);
+        for c in Component::ALL {
+            w.f64(s.get(c));
+        }
+    }
+    Ok(())
+}
+
+fn put_str(w: &mut Writer, s: &str) -> Result<(), TraceError> {
+    checked_count(s.len(), "string byte")?;
+    w.str(s);
     Ok(())
 }
 
@@ -352,108 +344,65 @@ fn put_str(buf: &mut BytesMut, s: &str) -> Result<(), TraceError> {
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// A byte cursor that reports errors instead of panicking.
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
+impl From<CodecError> for TraceError {
+    // The wire decoders read only fixed-width fields and raw slices
+    // through the codec, whose one failure there is an underrun.
+    fn from(e: CodecError) -> Self {
+        wire_error(format!("truncated {}", e.field))
+    }
 }
 
-impl<'a> Reader<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Reader { data, pos: 0 }
+fn wire_error(message: impl Into<String>) -> TraceError {
+    TraceError::Wire {
+        message: message.into(),
     }
+}
 
-    fn remaining(&self) -> usize {
-        self.data.len() - self.pos
+fn read_str(r: &mut Reader<'_>) -> Result<String, TraceError> {
+    let len = r.u32("string length")? as usize;
+    if len > MAX_STRING_BYTES {
+        return Err(wire_error(format!(
+            "string length {len} exceeds the {MAX_STRING_BYTES}-byte bound"
+        )));
     }
+    let bytes = r.raw(len, "string body")?;
+    String::from_utf8(bytes.to_vec())
+        .map_err(|_| wire_error("string is not UTF-8"))
+}
 
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], TraceError> {
-        if self.remaining() < n {
-            return Err(TraceError::Wire {
-                message: format!("truncated {what}"),
-            });
-        }
-        let slice = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
+fn read_event(r: &mut Reader<'_>) -> Result<EventRecord, TraceError> {
+    let ts = r.u64("event record")?;
+    let direction = match r.u8("event record")? {
+        0 => Direction::Enter,
+        1 => Direction::Exit,
+        d => return Err(wire_error(format!("invalid direction byte {d}"))),
+    };
+    Ok(EventRecord::new(ts, direction, read_str(r)?))
+}
 
-    fn get_u8(&mut self, what: &str) -> Result<u8, TraceError> {
-        Ok(self.take(1, what)?[0])
+fn read_sample(r: &mut Reader<'_>) -> Result<UtilizationSample, TraceError> {
+    let mut s = UtilizationSample::new(r.u64("utilization sample")?);
+    for c in Component::ALL {
+        s.set(c, r.f64("utilization sample")?);
     }
+    Ok(s)
+}
 
-    fn get_u32_le(&mut self, what: &str) -> Result<u32, TraceError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+/// Reads a declared element count, rejecting one that could not
+/// possibly fit in the bytes that remain.
+fn read_count(
+    r: &mut Reader<'_>,
+    field: &'static str,
+    min_bytes: usize,
+) -> Result<usize, TraceError> {
+    let declared = r.u32(field)? as usize;
+    if declared.saturating_mul(min_bytes) > r.remaining() {
+        return Err(wire_error(format!(
+            "declared {field} {declared} exceeds remaining payload ({} bytes)",
+            r.remaining()
+        )));
     }
-
-    fn get_u64_le(&mut self, what: &str) -> Result<u64, TraceError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn get_f64_le(&mut self, what: &str) -> Result<f64, TraceError> {
-        Ok(f64::from_bits(self.get_u64_le(what)?))
-    }
-
-    fn get_str(&mut self) -> Result<String, TraceError> {
-        let len = self.get_u32_le("string length")? as usize;
-        if len > MAX_STRING_BYTES {
-            return Err(TraceError::Wire {
-                message: format!("string length {len} exceeds the {MAX_STRING_BYTES}-byte bound"),
-            });
-        }
-        let bytes = self.take(len, "string body")?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| TraceError::Wire {
-            message: "string is not UTF-8".to_string(),
-        })
-    }
-
-    fn get_event_record(&mut self) -> Result<EventRecord, TraceError> {
-        let ts = self.get_u64_le("event record")?;
-        let direction = match self.get_u8("event record")? {
-            0 => Direction::Enter,
-            1 => Direction::Exit,
-            d => {
-                return Err(TraceError::Wire {
-                    message: format!("invalid direction byte {d}"),
-                })
-            }
-        };
-        let event = self.get_str()?;
-        Ok(EventRecord::new(ts, direction, event))
-    }
-
-    fn get_sample(&mut self) -> Result<UtilizationSample, TraceError> {
-        let mut s =
-            UtilizationSample::new(self.get_u64_le("utilization sample")?);
-        for c in Component::ALL {
-            s.set(c, self.get_f64_le("utilization sample")?);
-        }
-        Ok(s)
-    }
-
-    /// Rejects a declared element count that could not possibly fit in
-    /// the bytes that remain.
-    fn bound_count(
-        &self,
-        declared: u32,
-        min_bytes: usize,
-        what: &str,
-    ) -> Result<usize, TraceError> {
-        let declared = declared as usize;
-        if declared.saturating_mul(min_bytes) > self.remaining() {
-            return Err(TraceError::Wire {
-                message: format!(
-                    "declared {what} count {declared} exceeds remaining payload ({} bytes)",
-                    self.remaining()
-                ),
-            });
-        }
-        Ok(declared)
-    }
+    Ok(declared)
 }
 
 /// Decodes a bundle strictly, negotiating the frame version.
@@ -469,154 +418,103 @@ impl<'a> Reader<'a> {
 /// exceed the remaining payload.
 pub fn decode(data: &[u8]) -> Result<TraceBundle, TraceError> {
     let mut r = Reader::new(data);
-    match decode_version(&mut r)? {
-        VERSION_V1 => decode_v1_strict(&mut r),
-        version => decode_v2_strict(&mut r, version),
+    let version = decode_version(&mut r)?;
+    let framed = version != VERSION_V1;
+    let mut bundle = if framed {
+        decode_v2_header(&mut r, version)?
+    } else {
+        decode_v1_identity(&mut r)?
+    };
+
+    let events_start = r.clone();
+    let n_events = read_count(&mut r, "event count", MIN_EVENT_BYTES)?;
+    for _ in 0..n_events {
+        bundle.events.push(read_event(&mut r)?);
     }
+    if !framed {
+        bundle.utilization.period_ms = r.u64("utilization header")?;
+    } else if !section_crc_matches(events_start, &mut r)? {
+        return Err(wire_error("events crc mismatch"));
+    }
+
+    let samples_start = r.clone();
+    let n_samples = read_count(&mut r, "sample count", SAMPLE_BYTES)?;
+    for _ in 0..n_samples {
+        bundle.utilization.push(read_sample(&mut r)?);
+    }
+    if framed && !section_crc_matches(samples_start, &mut r)? {
+        return Err(wire_error("samples crc mismatch"));
+    }
+
+    if r.remaining() > 0 {
+        return Err(wire_error("trailing bytes after bundle"));
+    }
+    Ok(bundle)
 }
 
 fn decode_version(r: &mut Reader<'_>) -> Result<u8, TraceError> {
-    let magic = r.take(4, "magic")?;
-    if magic != MAGIC {
-        return Err(TraceError::Wire {
-            message: "bad magic".to_string(),
-        });
+    if r.raw(4, "magic")? != MAGIC {
+        return Err(wire_error("bad magic"));
     }
-    let version = r.get_u8("version")?;
+    let version = r.u8("version")?;
     if !matches!(version, VERSION_V1 | VERSION_V2 | VERSION_V3) {
-        return Err(TraceError::Wire {
-            message: format!("unsupported version {version}"),
-        });
+        return Err(wire_error(format!("unsupported version {version}")));
     }
     Ok(version)
 }
 
-fn decode_v1_strict(r: &mut Reader<'_>) -> Result<TraceBundle, TraceError> {
-    let user = r.get_str()?;
-    let session = r.get_u64_le("session id")?;
-    let device = r.get_str()?;
-
-    let declared = r.get_u32_le("event count")?;
-    let n_events = r.bound_count(declared, MIN_EVENT_BYTES, "event")?;
-    let mut events = EventTrace::new();
-    for _ in 0..n_events {
-        events.push(r.get_event_record()?);
-    }
-
-    let period_ms = r.get_u64_le("utilization header")?;
-    let declared = r.get_u32_le("sample count")?;
-    let n_samples = r.bound_count(declared, SAMPLE_BYTES, "sample")?;
-    let mut utilization = UtilizationTrace::with_period(period_ms);
-    for _ in 0..n_samples {
-        utilization.push(r.get_sample()?);
-    }
-    if r.remaining() > 0 {
-        return Err(TraceError::Wire {
-            message: "trailing bytes after bundle".to_string(),
-        });
-    }
-
-    let mut bundle = TraceBundle::new(user, session, device);
-    bundle.events = events;
-    bundle.utilization = utilization;
-    Ok(bundle)
+/// Parses the v1 identity fields into an identity-only bundle.
+fn decode_v1_identity(r: &mut Reader<'_>) -> Result<TraceBundle, TraceError> {
+    let user = read_str(r)?;
+    let session = r.u64("session id")?;
+    let device = read_str(r)?;
+    Ok(TraceBundle::new(user, session, device))
 }
 
-fn decode_v2_strict(
-    r: &mut Reader<'_>,
-    version: u8,
-) -> Result<TraceBundle, TraceError> {
-    let (mut bundle, events_start) = decode_v2_header(r, version)?;
-
-    // Events section: bytes are CRC-covered from the count field on.
-    let declared = r.get_u32_le("event count")?;
-    let n_events = r.bound_count(declared, MIN_EVENT_BYTES, "event")?;
-    let mut events = EventTrace::new();
-    for _ in 0..n_events {
-        events.push(r.get_event_record()?);
-    }
-    check_section_crc(r, events_start, "events")?;
-
-    let samples_start = r.pos;
-    let declared = r.get_u32_le("sample count")?;
-    let n_samples = r.bound_count(declared, SAMPLE_BYTES, "sample")?;
-    let mut utilization =
-        UtilizationTrace::with_period(bundle.utilization.period_ms);
-    for _ in 0..n_samples {
-        utilization.push(r.get_sample()?);
-    }
-    check_section_crc(r, samples_start, "samples")?;
-
-    if r.remaining() > 0 {
-        return Err(TraceError::Wire {
-            message: "trailing bytes after bundle".to_string(),
-        });
-    }
-    bundle.events = events;
-    bundle.utilization = utilization;
-    Ok(bundle)
-}
-
-/// Parses and CRC-verifies the v2/v3 header; returns the
-/// identity-only bundle and the offset where the events section
-/// starts. On v3 the header additionally carries the app-version
+/// Parses and CRC-verifies the v2/v3 header into an identity-only
+/// bundle. On v3 the header additionally carries the app-version
 /// stamp; on v2 it decodes as the implicit unversioned release.
 fn decode_v2_header(
     r: &mut Reader<'_>,
     version: u8,
-) -> Result<(TraceBundle, usize), TraceError> {
-    let header_len = r.get_u32_le("header length")? as usize;
+) -> Result<TraceBundle, TraceError> {
+    let header_len = r.u32("header length")? as usize;
     if header_len + 4 > r.remaining() {
-        return Err(TraceError::Wire {
-            message: format!(
-                "declared header length {header_len} exceeds remaining payload ({} bytes)",
-                r.remaining()
-            ),
-        });
+        return Err(wire_error(format!(
+            "declared header length {header_len} exceeds remaining payload \
+             ({} bytes)",
+            r.remaining()
+        )));
     }
-    let header_start = r.pos;
-    let header_bytes = r.take(header_len, "header")?;
-    let stored_crc = r.get_u32_le("header crc")?;
-    if crc32(header_bytes) != stored_crc {
-        return Err(TraceError::Wire {
-            message: "header crc mismatch".to_string(),
-        });
+    let header_bytes = r.raw(header_len, "header")?;
+    if crc32(header_bytes) != r.u32("header crc")? {
+        return Err(wire_error("header crc mismatch"));
     }
     let mut h = Reader::new(header_bytes);
-    let user = h.get_str()?;
-    let session = h.get_u64_le("session id")?;
-    let device = h.get_str()?;
-    let period_ms = h.get_u64_le("sampling period")?;
-    let app_version = if version >= VERSION_V3 {
-        h.get_str()?
-    } else {
-        String::new()
-    };
-    if h.remaining() > 0 {
-        return Err(TraceError::Wire {
-            message: "trailing bytes in header".to_string(),
-        });
-    }
-    let _ = header_start;
+    let user = read_str(&mut h)?;
+    let session = h.u64("session id")?;
+    let device = read_str(&mut h)?;
+    let period_ms = h.u64("sampling period")?;
     let mut bundle = TraceBundle::new(user, session, device);
-    bundle.app_version = app_version;
+    if version >= VERSION_V3 {
+        bundle.app_version = read_str(&mut h)?;
+    }
+    if h.remaining() > 0 {
+        return Err(wire_error("trailing bytes in header"));
+    }
     bundle.utilization = UtilizationTrace::with_period(period_ms);
-    Ok((bundle, r.pos))
+    Ok(bundle)
 }
 
-fn check_section_crc(
+/// Reads the section CRC that follows `r`'s position and checks it
+/// against the bytes read since `start`, a clone of `r` taken where
+/// the section began.
+fn section_crc_matches(
+    mut start: Reader<'_>,
     r: &mut Reader<'_>,
-    start: usize,
-    what: &str,
-) -> Result<(), TraceError> {
-    let section = &r.data[start..r.pos];
-    let stored = r.get_u32_le("section crc")?;
-    if crc32(section) != stored {
-        return Err(TraceError::Wire {
-            message: format!("{what} crc mismatch"),
-        });
-    }
-    Ok(())
+) -> Result<bool, TraceError> {
+    let section = start.raw(start.remaining() - r.remaining(), "section")?;
+    Ok(crc32(section) == r.u32("section crc")?)
 }
 
 // ---------------------------------------------------------------------------
@@ -685,113 +583,59 @@ pub struct Salvaged {
 /// header.
 pub fn decode_salvage(data: &[u8]) -> Result<Salvaged, TraceError> {
     let mut r = Reader::new(data);
-    match decode_version(&mut r)? {
-        VERSION_V1 => decode_v1_salvage(&mut r),
-        version => decode_v2_salvage(&mut r, version),
-    }
-}
-
-fn decode_v1_salvage(r: &mut Reader<'_>) -> Result<Salvaged, TraceError> {
-    let user = r.get_str()?;
-    let session = r.get_u64_le("session id")?;
-    let device = r.get_str()?;
-    let mut bundle = TraceBundle::new(user, session, device);
-
-    let events_declared = r.get_u32_le("event count").unwrap_or(0) as usize;
-    let mut events = EventTrace::new();
-    for _ in 0..events_declared {
-        match r.get_event_record() {
-            Ok(record) => events.push(record),
-            Err(_) => break,
-        }
-    }
-
-    let period_ms = r.get_u64_le("utilization header").unwrap_or(0);
-    let samples_declared = r.get_u32_le("sample count").unwrap_or(0) as usize;
-    let mut utilization = UtilizationTrace::with_period(period_ms);
-    for _ in 0..samples_declared.min(usable_count(r.remaining(), SAMPLE_BYTES))
-    {
-        match r.get_sample() {
-            Ok(sample) => utilization.push(sample),
-            Err(_) => break,
-        }
-    }
-
-    let report = SalvageReport {
-        version: VERSION_V1,
-        events_declared,
-        events_recovered: events.len(),
-        samples_declared,
-        samples_recovered: utilization.len(),
-        events_crc_ok: None,
-        samples_crc_ok: None,
+    let version = decode_version(&mut r)?;
+    let framed = version != VERSION_V1;
+    let mut bundle = if framed {
+        decode_v2_header(&mut r, version)?
+    } else {
+        decode_v1_identity(&mut r)?
     };
-    bundle.events = events;
-    bundle.utilization = utilization;
-    Ok(Salvaged { bundle, report })
-}
 
-fn decode_v2_salvage(
-    r: &mut Reader<'_>,
-    version: u8,
-) -> Result<Salvaged, TraceError> {
-    let (mut bundle, events_start) = decode_v2_header(r, version)?;
-
-    let events_declared = r.get_u32_le("event count").unwrap_or(0) as usize;
-    let mut events = EventTrace::new();
+    // Past the identity, keep every record that parses before the first
+    // defect. A section's CRC is read only after the whole section.
+    let events_start = r.clone();
+    let events_declared = r.u32("event count").unwrap_or(0) as usize;
     for _ in 0..events_declared {
-        match r.get_event_record() {
-            Ok(record) => events.push(record),
+        match read_event(&mut r) {
+            Ok(record) => bundle.events.push(record),
             Err(_) => break,
         }
     }
-    let events_complete = events.len() == events_declared;
-    let events_crc_ok = events_complete && section_crc_matches(r, events_start);
+    let events_complete = bundle.events.len() == events_declared;
+    let events_crc_ok = framed.then(|| {
+        events_complete
+            && section_crc_matches(events_start, &mut r).unwrap_or(false)
+    });
+    if !framed {
+        bundle.utilization.period_ms = r.u64("utilization header").unwrap_or(0);
+    }
 
-    let samples_start = r.pos;
-    let samples_declared = r.get_u32_le("sample count").unwrap_or(0) as usize;
-    let mut utilization =
-        UtilizationTrace::with_period(bundle.utilization.period_ms);
-    for _ in 0..samples_declared.min(usable_count(r.remaining(), SAMPLE_BYTES))
-    {
-        match r.get_sample() {
-            Ok(sample) => utilization.push(sample),
+    let samples_start = r.clone();
+    let samples_declared = r.u32("sample count").unwrap_or(0) as usize;
+    // Capped by what the remaining bytes could hold, so a corrupt
+    // count never loops past the payload.
+    for _ in 0..samples_declared.min(r.remaining() / SAMPLE_BYTES) {
+        match read_sample(&mut r) {
+            Ok(sample) => bundle.utilization.push(sample),
             Err(_) => break,
         }
     }
-    let samples_complete = utilization.len() == samples_declared;
-    let samples_crc_ok =
-        samples_complete && section_crc_matches(r, samples_start);
+    let samples_complete = bundle.utilization.len() == samples_declared;
+    let samples_crc_ok = framed.then(|| {
+        samples_complete
+            && section_crc_matches(samples_start, &mut r).unwrap_or(false)
+    });
 
     let report = SalvageReport {
         version,
         events_declared,
-        events_recovered: events.len(),
+        events_recovered: bundle.events.len(),
         samples_declared,
-        samples_recovered: utilization.len(),
-        events_crc_ok: Some(events_crc_ok),
-        samples_crc_ok: Some(samples_crc_ok),
+        samples_recovered: bundle.utilization.len(),
+        events_crc_ok,
+        samples_crc_ok,
     };
-    bundle.events = events;
-    bundle.utilization = utilization;
     Ok(Salvaged { bundle, report })
-}
-
-/// Caps a (possibly corrupt) declared count by how many whole elements
-/// the remaining bytes could hold, so salvage never loops past the
-/// payload.
-fn usable_count(remaining: usize, min_bytes: usize) -> usize {
-    remaining / min_bytes
-}
-
-/// Reads the trailing section CRC (consuming it) and checks it against
-/// the bytes from `start` to just before the CRC field.
-fn section_crc_matches(r: &mut Reader<'_>, start: usize) -> bool {
-    let section = &r.data[start..r.pos];
-    match r.get_u32_le("section crc") {
-        Ok(stored) => crc32(section) == stored,
-        Err(_) => false,
-    }
 }
 
 #[cfg(test)]
@@ -890,7 +734,7 @@ mod tests {
     #[test]
     fn v3_salvage_reports_version_and_keeps_the_stamp() {
         let bundle = busy_bundle(20).with_app_version("1.9");
-        let bytes = encode_v3(&bundle).to_vec();
+        let bytes = encode_v3(&bundle);
         let cut = bytes.len() * 2 / 3;
         let salvaged = decode_salvage(&bytes[..cut]).unwrap();
         assert_eq!(salvaged.report.version, VERSION_V3);
@@ -900,7 +744,7 @@ mod tests {
 
     #[test]
     fn bad_magic_is_rejected() {
-        let mut bytes = encode(&sample_bundle()).to_vec();
+        let mut bytes = encode(&sample_bundle());
         bytes[0] = b'X';
         assert!(matches!(decode(&bytes), Err(TraceError::Wire { .. })));
         assert!(decode_salvage(&bytes).is_err());
@@ -908,7 +752,7 @@ mod tests {
 
     #[test]
     fn bad_version_is_rejected() {
-        let mut bytes = encode(&sample_bundle()).to_vec();
+        let mut bytes = encode(&sample_bundle());
         bytes[4] = 99;
         let err = decode(&bytes).unwrap_err();
         assert!(err.to_string().contains("version"));
@@ -931,8 +775,8 @@ mod tests {
 
     #[test]
     fn trailing_garbage_is_rejected() {
-        for encoded in [encode(&sample_bundle()), encode_v2(&sample_bundle())] {
-            let mut bytes = encoded.to_vec();
+        for mut bytes in [encode(&sample_bundle()), encode_v2(&sample_bundle())]
+        {
             bytes.push(0);
             assert!(matches!(decode(&bytes), Err(TraceError::Wire { .. })));
         }
@@ -941,7 +785,7 @@ mod tests {
     #[test]
     fn invalid_direction_byte_is_rejected() {
         let bundle = sample_bundle();
-        let bytes = encode(&bundle).to_vec();
+        let bytes = encode(&bundle);
         // Find the first direction byte: after magic(4) + ver(1) +
         // user(4+12) + session(8) + device(4+6) + count(4) + ts(8).
         let offset =
@@ -954,7 +798,7 @@ mod tests {
     #[test]
     fn huge_declared_count_is_rejected_without_allocation() {
         let bundle = sample_bundle();
-        let bytes = encode(&bundle).to_vec();
+        let bytes = encode(&bundle);
         let count_offset =
             4 + 1 + 4 + bundle.user.len() + 8 + 4 + bundle.device.len();
         let mut corrupted = bytes.clone();
@@ -970,7 +814,7 @@ mod tests {
     #[test]
     fn v2_bitflip_in_events_fails_strict_decode() {
         let bundle = busy_bundle(10);
-        let bytes = encode_v2(&bundle).to_vec();
+        let bytes = encode_v2(&bundle);
         // Flip one bit somewhere in the middle of the events section.
         let mut corrupted = bytes.clone();
         let mid = bytes.len() / 2;
@@ -981,7 +825,7 @@ mod tests {
     #[test]
     fn v2_truncation_salvages_the_event_prefix() {
         let bundle = busy_bundle(20);
-        let bytes = encode_v2(&bundle).to_vec();
+        let bytes = encode_v2(&bundle);
         // Cut the payload somewhere inside the events section.
         let cut = bytes.len() * 2 / 3;
         let salvaged = decode_salvage(&bytes[..cut]).unwrap();
@@ -1000,7 +844,7 @@ mod tests {
     #[test]
     fn v1_truncation_salvages_the_event_prefix() {
         let bundle = busy_bundle(20);
-        let bytes = encode(&bundle).to_vec();
+        let bytes = encode(&bundle);
         let cut = bytes.len() / 2;
         let salvaged = decode_salvage(&bytes[..cut]).unwrap();
         assert_eq!(salvaged.bundle.user, bundle.user);
@@ -1020,7 +864,7 @@ mod tests {
 
     #[test]
     fn v2_corrupt_header_is_unsalvageable() {
-        let bytes = encode_v2(&sample_bundle()).to_vec();
+        let bytes = encode_v2(&sample_bundle());
         // Corrupt a byte inside the user string (header body starts at
         // magic + version + header_len = offset 9).
         let mut corrupted = bytes.clone();
@@ -1032,7 +876,7 @@ mod tests {
     #[test]
     fn v2_bitflip_in_samples_leaves_events_trusted() {
         let bundle = busy_bundle(8);
-        let bytes = encode_v2(&bundle).to_vec();
+        let bytes = encode_v2(&bundle);
         // Flip the last sample's low utilization byte (just before the
         // trailing samples CRC).
         let mut corrupted = bytes.clone();
@@ -1042,6 +886,183 @@ mod tests {
         assert_eq!(salvaged.report.events_crc_ok, Some(true));
         assert_eq!(salvaged.report.samples_crc_ok, Some(false));
         assert_eq!(salvaged.bundle.events, bundle.events);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn encodings_are_pinned_byte_for_byte() {
+        let user = "0c000000 766f6c756e746565722d3033";
+        let session = "2a00000000000000";
+        let device = "06000000 6e6578757336";
+        let period = "f401000000000000";
+        let name = "2c000000 4c636f6d2f6673636b2f6b392f7365727669\
+                    63652f4d61696c536572766963653b2d3e6f6e44657374726f79";
+        let ts = "7ba9ae0100000000";
+        let events = format!("02000000 {ts} 00 {name} {ts} 01 {name}");
+        let samples = "01000000 0ca8ae0100000000 666666666666d63f \
+                       0000000000000000 9a9999999999e93f 0000000000000000 \
+                       0000000000000000 0000000000000000";
+        let v1 = format!(
+            "45445854 01 {user} {session} {device} {events} {period} \
+             {samples}"
+        );
+        let header = format!("{user} {session} {device} {period}");
+        let v2 = format!(
+            "45445854 02 2a000000 {header} 5072c49b {events} da157a09 \
+             {samples} 33fb86d2"
+        );
+        let v3 = format!(
+            "45445854 03 33000000 {header} 05000000 322e342e31 d3acfd9d \
+             {events} da157a09 {samples} 33fb86d2"
+        );
+        let bundle = sample_bundle().with_app_version("2.4.1");
+        for (bytes, pinned) in [
+            (encode(&bundle), v1),
+            (encode_v2(&bundle), v2),
+            (encode_v3(&bundle), v3),
+        ] {
+            assert_eq!(hex(&bytes), pinned.replace(' ', ""));
+        }
+    }
+
+    /// A v2/v3 frame whose header is `header` under a valid CRC,
+    /// followed by empty event and sample sections.
+    fn frame_with_header(version: u8, header: &[u8]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.push(version);
+        out.extend((header.len() as u32).to_le_bytes());
+        out.extend(header);
+        out.extend(crc32(header).to_le_bytes());
+        for _ in 0..2 {
+            out.extend(0u32.to_le_bytes());
+            out.extend(crc32(&0u32.to_le_bytes()).to_le_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn every_decode_error_text_is_pinned() {
+        let v1 = encode(&sample_bundle());
+        let v2 = encode_v2(&sample_bundle());
+        let v3 = encode_v3(&sample_bundle().with_app_version("2.4.1"));
+        let patch = |base: &[u8], at: usize, with: &[u8]| {
+            let mut bytes = base.to_vec();
+            bytes[at..at + with.len()].copy_from_slice(with);
+            bytes
+        };
+        let grown = |base: &[u8]| [base, &[0]].concat();
+        // Header bytes that stop before the sampling period.
+        let short_header = [&v2[9..47], &[0; 2][..]].concat();
+        // (payload, strict error, salvage error: None when salvage
+        // recovers a bundle)
+        let cases: Vec<(Vec<u8>, &str, Option<&str>)> =
+            vec![
+            (patch(&v1, 0, b"X"), "bad magic", Some("bad magic")),
+            (
+                patch(&v1, 4, &[99]),
+                "unsupported version 99",
+                Some("unsupported version 99"),
+            ),
+            (v1[..3].to_vec(), "truncated magic", Some("truncated magic")),
+            (v1[..4].to_vec(), "truncated version", Some("truncated version")),
+            (
+                v1[..7].to_vec(),
+                "truncated string length",
+                Some("truncated string length"),
+            ),
+            (
+                v1[..12].to_vec(),
+                "truncated string body",
+                Some("truncated string body"),
+            ),
+            (
+                v1[..25].to_vec(),
+                "truncated session id",
+                Some("truncated session id"),
+            ),
+            (v1[..41].to_vec(), "truncated event count", None),
+            (v1[..101].to_vec(), "truncated event record", None),
+            (v1[..160].to_vec(), "truncated utilization header", None),
+            (v1[..167].to_vec(), "truncated sample count", None),
+            (
+                patch(&v1, 5, &5000u32.to_le_bytes()),
+                "string length 5000 exceeds the 4096-byte bound",
+                Some("string length 5000 exceeds the 4096-byte bound"),
+            ),
+            (
+                patch(&v1, 9, &[0xFF]),
+                "string is not UTF-8",
+                Some("string is not UTF-8"),
+            ),
+            (patch(&v1, 51, &[7]), "invalid direction byte 7", None),
+            (
+                patch(&v1, 39, &u32::MAX.to_le_bytes()),
+                "declared event count 4294967295 exceeds remaining payload \
+                 (182 bytes)",
+                None,
+            ),
+            (
+                patch(&v1, 165, &2u32.to_le_bytes()),
+                "declared sample count 2 exceeds remaining payload (56 bytes)",
+                None,
+            ),
+            (grown(&v1), "trailing bytes after bundle", None),
+            (
+                v2[..7].to_vec(),
+                "truncated header length",
+                Some("truncated header length"),
+            ),
+            (
+                v2[..20].to_vec(),
+                "declared header length 42 exceeds remaining payload \
+                 (11 bytes)",
+                Some(
+                    "declared header length 42 exceeds remaining payload \
+                     (11 bytes)",
+                ),
+            ),
+            (
+                patch(&v2, 13, &[v2[13] ^ 0xFF]),
+                "header crc mismatch",
+                Some("header crc mismatch"),
+            ),
+            (
+                patch(&v3, 4, &[VERSION_V2]),
+                "trailing bytes in header",
+                Some("trailing bytes in header"),
+            ),
+            (
+                patch(&v2, 4, &[VERSION_V3]),
+                "truncated string length",
+                Some("truncated string length"),
+            ),
+            (
+                frame_with_header(VERSION_V2, &short_header),
+                "truncated sampling period",
+                Some("truncated sampling period"),
+            ),
+            (patch(&v2, 100, &[v2[100] ^ 1]), "events crc mismatch", None),
+            (patch(&v2, 200, &[v2[200] ^ 1]), "samples crc mismatch", None),
+            (v2[..175].to_vec(), "truncated section crc", None),
+            (grown(&v2), "trailing bytes after bundle", None),
+        ];
+        for (i, (payload, strict, salvage)) in cases.iter().enumerate() {
+            let text = |e: TraceError| match e {
+                TraceError::Wire { message } => message,
+                other => panic!("case {i}: not a wire error: {other}"),
+            };
+            assert_eq!(text(decode(payload).unwrap_err()), *strict, "case {i}");
+            match (decode_salvage(payload), salvage) {
+                (Err(e), Some(expected)) => {
+                    assert_eq!(text(e), *expected, "case {i}")
+                }
+                (Ok(_), None) => {}
+                (got, _) => panic!("case {i}: salvage gave {got:?}"),
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! Property tests for the trace infrastructure: log and wire round
-//! trips, pairing invariants, and join bounds (DESIGN.md §6).
+//! trips, upload preparation, pairing invariants, and join bounds
+//! (DESIGN.md §6).
 
 use energydx_trace::event::{Direction, EventRecord, EventTrace};
 use energydx_trace::join_power;
 use energydx_trace::power::{PowerSample, PowerTrace};
-use energydx_trace::store::TraceBundle;
+use energydx_trace::store::{
+    prepare_bundle, prepare_wire, PreparedUpload, QuarantineEntry,
+    RejectReason, TraceBundle,
+};
 use energydx_trace::util::{Component, UtilizationSample};
-use energydx_trace::wire;
+use energydx_trace::{wire, RepairPolicy};
 use proptest::prelude::*;
 
 fn event_name() -> impl Strategy<Value = String> {
@@ -64,7 +68,63 @@ fn bundle() -> impl Strategy<Value = TraceBundle> {
         })
 }
 
+/// Upload preparation written out as a strict decode, then a salvage
+/// only when the strict decode fails.
+fn strict_then_salvage(
+    payload: &[u8],
+    policy: &RepairPolicy,
+) -> PreparedUpload {
+    let salvaged = match wire::decode(payload) {
+        Ok(bundle) => return prepare_bundle(bundle, policy),
+        Err(_) => match wire::decode_salvage(payload) {
+            Ok(salvaged) => salvaged,
+            Err(e) => {
+                return PreparedUpload::Rejected(QuarantineEntry {
+                    reason: RejectReason::Undecodable,
+                    user: None,
+                    session: None,
+                    detail: e.to_string(),
+                })
+            }
+        },
+    };
+    let mut prepared = prepare_bundle(salvaged.bundle, policy);
+    if let PreparedUpload::Ready { salvage, .. } = &mut prepared {
+        *salvage = Some(salvaged.report).filter(|r| !r.is_intact());
+    }
+    prepared
+}
+
 proptest! {
+    #[test]
+    fn prepare_wire_equals_strict_then_salvage(
+        b in bundle(),
+        version in 1u8..4,
+        damage in 0u8..3,
+        at in any::<usize>(),
+        bit in 0u8..8,
+    ) {
+        let mut bytes = match version {
+            1 => wire::encode(&b),
+            2 => wire::encode_v2(&b),
+            _ => wire::encode_v3(&b),
+        };
+        let i = at % bytes.len();
+        match damage {
+            0 => bytes.truncate(i),
+            1 => bytes[i] ^= 1 << bit,
+            _ => {
+                let end = (i + 4).min(bytes.len());
+                bytes[i..end].fill(0xFF);
+            }
+        }
+        let policy = RepairPolicy::default();
+        prop_assert_eq!(
+            prepare_wire(&bytes, &policy),
+            strict_then_salvage(&bytes, &policy)
+        );
+    }
+
     #[test]
     fn wire_round_trips_any_bundle(b in bundle()) {
         let bytes = wire::encode(&b);
@@ -133,7 +193,7 @@ proptest! {
         byte_seed in any::<usize>(),
         bit in 0u8..8,
     ) {
-        let mut bytes = wire::encode_v2(&b).to_vec();
+        let mut bytes = wire::encode_v2(&b);
         let idx = byte_seed % bytes.len();
         bytes[idx] ^= 1 << bit;
         let _ = wire::decode(&bytes);

@@ -20,10 +20,9 @@
 use crate::hooks::{HookAction, HookSet, TaskSpec};
 use energydx_dexir::instr::{Instruction, ResourceKind};
 use energydx_dexir::module::{MethodKey, Module};
-use serde::{Deserialize, Serialize};
 
 /// The ABD root-cause class (Table III's "Root Cause" column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultClass {
     /// Resource not released (`no-sleep`).
     NoSleep,

@@ -23,10 +23,9 @@ use energydx_dexir::instr::ResourceKind;
 use energydx_dexir::module::MethodKey;
 use energydx_droidsim::framework::Burst;
 use energydx_trace::util::Component;
-use serde::{Deserialize, Serialize};
 
 /// One row of Table III.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetApp {
     /// Table III app id (1–40).
     pub id: u32,

@@ -9,10 +9,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One user action driving the device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Action {
     /// Launch (or switch to) an activity by class descriptor.
     Launch(String),
@@ -33,7 +32,7 @@ pub enum Action {
 }
 
 /// A named sequence of actions.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct UserScript {
     /// The actions in order.
     pub actions: Vec<Action>,

@@ -85,10 +85,7 @@ fn corrupted_fleet_uploads_degrade_gracefully() {
         code_index.code_reduction(clean_report.reported_events());
 
     // Chaos run: 20% of the fleet's payloads are corrupted in flight.
-    let payloads: Vec<Vec<u8>> = bundles
-        .iter()
-        .map(|b| wire::encode_v2(b).to_vec())
-        .collect();
+    let payloads: Vec<Vec<u8>> = bundles.iter().map(wire::encode_v2).collect();
     let injection = FaultInjector::new(6, 0.20).inject(payloads);
     assert!(
         injection.total_injected() > 0,
