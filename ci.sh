@@ -111,7 +111,13 @@ echo "== fleetbench smoke (end-to-end benchmark builds and answers) =="
 # public API, so an API break would otherwise first show up when the
 # benchmark runs. Two seconds per workload: build, drive real
 # `energydx serve` processes, and check every answer. The driver exits
-# 0 either way; its last stdout line is the verdict.
+# 0 either way; its last stdout line is the verdict. Its build rewrites
+# fleetbench/Cargo.lock whenever the workspace's dependencies moved
+# since the lock was committed, so the committed lock is saved first
+# and put back afterwards, failure or not: CI leaves the tree clean.
+lock_copy=$(mktemp)
+cp fleetbench/Cargo.lock "$lock_copy"
+trap 'cp "$lock_copy" fleetbench/Cargo.lock; rm -f "$fresh" "$lock_copy"' EXIT
 for w in rollout-dashboard spill-cluster; do
   echo "-- $w"
   verdict=$(CARGO_TARGET_DIR="$PWD/target" python3 fleetbench/run.py \
@@ -122,6 +128,7 @@ for w in rollout-dashboard spill-cluster; do
     exit 1
   fi
 done
+cp "$lock_copy" fleetbench/Cargo.lock
 
 echo "== float text (release, 10^6 cases per class) =="
 # Every report float's text is computed by JsonWriter::float's own

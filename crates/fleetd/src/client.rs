@@ -131,7 +131,8 @@ impl Client {
         Ok(Client { stream })
     }
 
-    /// Sends one request and waits for its response.
+    /// Sends one request and waits for its response: [`Client::send`]
+    /// then [`Client::recv`].
     ///
     /// # Errors
     ///
@@ -140,11 +141,36 @@ impl Client {
     /// frame cap fails with [`ProtocolError::FrameTooLarge`] before
     /// anything is written.
     pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
+        self.send(req)?;
+        self.recv()
+    }
+
+    /// Writes one request without waiting for its response. The
+    /// daemon answers a connection's requests in order, so each
+    /// [`Client::recv`] reads the reply to the oldest unanswered one.
+    ///
+    /// # Errors
+    ///
+    /// Socket failures or a missed write deadline. A request over the
+    /// frame cap fails with [`ProtocolError::FrameTooLarge`] before
+    /// anything is written.
+    pub fn send(&mut self, req: &Request) -> Result<(), ClientError> {
         let frame = req.try_encode().map_err(ClientError::Protocol)?;
         self.stream
             .write_all(&frame)
             .and_then(|()| self.stream.flush())
-            .map_err(io_error)?;
+            .map_err(io_error)
+    }
+
+    /// Reads one response: the reply to the oldest request sent and
+    /// not yet read.
+    ///
+    /// # Errors
+    ///
+    /// Socket failures, a missed read deadline
+    /// ([`ClientError::TimedOut`]), protocol damage, or a close before
+    /// the reply.
+    pub fn recv(&mut self) -> Result<Response, ClientError> {
         match read_frame(&mut self.stream) {
             Ok(Some(frame)) => {
                 Response::decode(&frame).map_err(ClientError::Protocol)

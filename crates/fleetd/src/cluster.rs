@@ -72,6 +72,14 @@ pub fn shard_for_payload(
 /// One coordinator-to-worker channel. Implementations must bound
 /// every call (deadlines or immediate failure) — the coordinator's
 /// liveness argument rests on no call blocking forever.
+///
+/// A call may split into a write and a read, which is what lets the
+/// coordinator's fan have every worker fold at once, and fold the next
+/// selection while it analyzes this one: [`WorkerTransport::send`]
+/// writes a request and [`WorkerTransport::recv`] reads its reply. The
+/// provided defaults answer inside `send` through
+/// [`WorkerTransport::call`], so a transport that implements only
+/// `call` keeps working, one worker at a time.
 pub trait WorkerTransport: Send {
     /// Sends one request and returns the worker's response.
     ///
@@ -80,11 +88,41 @@ pub trait WorkerTransport: Send {
     /// Any transport-level failure (unreachable, timed out, damaged
     /// frame); the coordinator treats these as "worker not reached".
     fn call(&mut self, req: &Request) -> Result<Response, ClientError>;
+
+    /// Writes one request. `Ok(Some(response))` when the transport
+    /// answered at once (the default, through [`WorkerTransport::call`]);
+    /// `Ok(None)` when the reply waits for [`WorkerTransport::recv`].
+    /// The coordinator leaves at most one reply unread per transport
+    /// and reads it before any other use.
+    ///
+    /// # Errors
+    ///
+    /// As [`WorkerTransport::call`].
+    fn send(&mut self, req: &Request) -> Result<Option<Response>, ClientError> {
+        self.call(req).map(Some)
+    }
+
+    /// Reads the reply to the request [`WorkerTransport::send`] left
+    /// pending.
+    ///
+    /// # Errors
+    ///
+    /// As [`WorkerTransport::call`]; by default, always, since the
+    /// default `send` leaves nothing pending.
+    fn recv(&mut self) -> Result<Response, ClientError> {
+        Err(ClientError::Io("no request awaits a reply".to_string()))
+    }
+
+    /// Forgets whatever a previous holder left unread. The coordinator
+    /// calls it on a transport whose holder panicked, possibly between
+    /// a write and its read. A no-op by default.
+    fn reset(&mut self) {}
 }
 
 /// TCP transport: a lazily-connected [`Client`] with connect/read/
 /// write deadlines, reconnecting after any failure (the stream may be
-/// desynchronized mid-frame).
+/// desynchronized mid-frame). `send` and `recv` are the client's own,
+/// so a reply can be read while other workers' requests are in flight.
 #[derive(Debug)]
 pub struct TcpTransport {
     addr: String,
@@ -101,22 +139,53 @@ impl TcpTransport {
             client: None,
         }
     }
-}
 
-impl WorkerTransport for TcpTransport {
-    fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
+    /// The connection, opened if there is none.
+    fn client(&mut self) -> Result<&mut Client, ClientError> {
         if self.client.is_none() {
             self.client =
                 Some(Client::connect_with(&self.addr, self.timeouts)?);
         }
-        let client = self.client.as_mut().expect("connected above");
-        match client.request(req) {
-            Ok(resp) => Ok(resp),
-            Err(e) => {
-                self.client = None;
-                Err(e)
-            }
+        Ok(self.client.as_mut().expect("connected above"))
+    }
+
+    /// Passes `result` through, dropping the connection when it is an
+    /// error.
+    fn settle<T>(
+        &mut self,
+        result: Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
+        if result.is_err() {
+            self.client = None;
         }
+        result
+    }
+}
+
+impl WorkerTransport for TcpTransport {
+    fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
+        let result = self.client().and_then(|client| client.request(req));
+        self.settle(result)
+    }
+
+    fn send(&mut self, req: &Request) -> Result<Option<Response>, ClientError> {
+        let result = self.client().and_then(|client| client.send(req));
+        self.settle(result).map(|()| None)
+    }
+
+    fn recv(&mut self) -> Result<Response, ClientError> {
+        let result = match self.client.as_mut() {
+            Some(client) => client.recv(),
+            None => Err(ClientError::Io(format!(
+                "{}: no connection to read a reply from",
+                self.addr
+            ))),
+        };
+        self.settle(result)
+    }
+
+    fn reset(&mut self) {
+        self.client = None;
     }
 }
 

@@ -15,7 +15,9 @@
 //! (dedup lives wholly on one worker) and the coordinator itself
 //! holds no trace data, the answer is independent of upload
 //! interleaving, retries, crashes, and handoffs — anything that does
-//! not change each worker's accepted sequence.
+//! not change each worker's accepted sequence. Pipelining the fan
+//! changes when requests are written and replies read, never which
+//! partials merge or in what order.
 //!
 //! Robustness: every worker call runs under the transport's deadlines
 //! with a bounded, jittered [`RetryBudget`] and an attempt-counted
@@ -37,6 +39,7 @@ use crate::cluster::{
 use crate::protocol::{
     AppCatalog, DeploymentCounters, PartialStatus, Request, Response,
 };
+use crate::relock;
 use crate::replicate::ReplicaStore;
 use crate::server::Dispatch;
 use crate::state::{FleetConfig, QueryError, Selector};
@@ -47,7 +50,7 @@ use energydx_report::{
 };
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Coordinator deployment configuration.
 #[derive(Debug, Clone)]
@@ -86,8 +89,11 @@ impl Default for CoordinatorConfig {
 
 struct WorkerSlot {
     /// The single connection to this worker. Held across transport
-    /// I/O — calls to one worker serialize here — so nothing that
-    /// must stay responsive may ever wait on it.
+    /// I/O — calls to one worker serialize here, and a fan holds it
+    /// from a request's write to its reply's read — so nothing that
+    /// must stay responsive may ever wait on it. Taken through
+    /// [`Coordinator::transport`], which resets a transport whose
+    /// holder panicked.
     transport: Mutex<Box<dyn WorkerTransport>>,
     /// Health state. A leaf lock: held only long enough to read or
     /// bump counters, never across I/O, sleeps, or another lock.
@@ -95,7 +101,9 @@ struct WorkerSlot {
 }
 
 /// One worker's last-seen partial for one cache key — what a
-/// [`Response::PartialNotModified`] lets the coordinator reuse.
+/// [`Response::PartialNotModified`] lets the coordinator reuse. The
+/// partial is shared, so the snapshot a fan takes before each request
+/// costs a reference count.
 #[derive(Clone)]
 struct CoordCacheEntry {
     /// Resolved epoch id the partial belongs to.
@@ -105,7 +113,7 @@ struct CoordCacheEntry {
     /// The epoch's generation when the partial was folded.
     generation: u64,
     /// The worker's locally-offset folded partial.
-    partial: ShardPartial,
+    partial: Arc<ShardPartial>,
 }
 
 /// One worker's delta-query cache: last-seen partials keyed by
@@ -125,30 +133,68 @@ fn analysis_error(e: ShardError) -> Response {
     }
 }
 
-/// What one fan-out gathered: the surviving shards' partials (in
-/// worker order), the unreachable shard ids, and whether any worker
-/// disowned the requested epoch.
+/// What one selection's fan-out gathered: the surviving shards (in
+/// worker order) with the epoch each resolved, their partials, the
+/// unreachable shard ids, and whether any worker disowned the
+/// requested epoch.
 #[derive(Default)]
 struct Fan {
-    found: Vec<(usize, u64, ShardPartial)>,
+    found: Vec<(usize, u64)>,
+    /// `found`'s partials: a fresh one is this fan's own, a
+    /// `NotModified` one is shared with the cache.
+    partials: Vec<Arc<ShardPartial>>,
     missing: Vec<u32>,
     unknown_epoch: bool,
+}
+
+/// One worker's request of a written selection.
+struct Sent<'a> {
+    req: Request,
+    /// The cached entry whose token `req` carries.
+    cached: Option<CoordCacheEntry>,
+    call: Call<'a>,
+}
+
+/// Where a [`Sent`] request's call stands.
+enum Call<'a> {
+    /// Nothing written: the worker has failed since its last success,
+    /// so [`Coordinator::call_worker`] runs the whole call, probe
+    /// first, once the fan holds no transport guard.
+    Deferred,
+    /// Attempt 0's outcome, known at the write: a transport that
+    /// answers inside `send`, or a failed write.
+    Done(Result<Response, ClientError>),
+    /// Written; the reply is read through this guard, held from the
+    /// write to the read.
+    Pending(MutexGuard<'a, Box<dyn WorkerTransport>>),
 }
 
 /// The coordinator: stateless over trace data (workers own their
 /// partitions; this side owns routing, health, and replicas).
 ///
-/// Lock discipline (deadlock freedom): the only place two locks
-/// overlap is the handoff path, which holds `transport[k]` and
-/// briefly locks `replicas` (or `partial_cache`, to drop a handed-
-/// off worker's stale entries) — so the global order is
-/// `transport[k]` → {`replicas`, `partial_cache`}, and `breaker[k]`
-/// is a leaf acquired on its own. `partial_cache` is itself a leaf:
-/// it is never held across I/O or while taking another lock. The
+/// Queries fan out pipelined on the request's own thread (see
+/// `Coordinator::fans`): every worker's request of a selection is
+/// written before any reply is read, so the workers fold at once, and
+/// the next selection's requests are written before this one is
+/// analyzed, so they fold while the coordinator analyzes.
+///
+/// Lock discipline (deadlock freedom): a thread holding transport
+/// guards only ever waits for a higher-numbered one. A fan takes its
+/// guards in ascending worker order as it writes a selection's
+/// requests, holds each until it reads that reply — across at most
+/// the previous selection's analysis — and reads every reply, dropping
+/// every guard, before any retry re-locks a transport; every other
+/// caller holds one transport at a time. The handoff path holds
+/// `transport[k]` and briefly locks `replicas` (or `partial_cache`, to
+/// drop a handed-off worker's stale entries), and a fan's write locks
+/// `partial_cache` and `breaker[k]` for a snapshot: those three are
+/// leaves, never held across I/O or while taking another lock. The
 /// stats/health/metrics endpoints snapshot `replicas`, the cache,
 /// and each breaker separately and never touch a transport, so they
 /// answer immediately even while a worker call is mid-retry against
-/// a dead or slow node.
+/// a dead or slow node. Every lock is taken through `relock`, so a
+/// panic while one is held costs that one request; a transport whose
+/// holder panicked is reset first, since a reply may still be unread.
 pub struct Coordinator {
     config: CoordinatorConfig,
     dx: EnergyDx,
@@ -242,6 +288,18 @@ impl Coordinator {
         k.to_string()
     }
 
+    /// Locks worker `k`'s transport. One whose previous holder panicked
+    /// may still carry an unread reply, so it is reset before use.
+    fn transport(&self, k: usize) -> MutexGuard<'_, Box<dyn WorkerTransport>> {
+        let lock = &self.workers[k].transport;
+        lock.lock().unwrap_or_else(|poisoned| {
+            let mut transport = poisoned.into_inner();
+            transport.reset();
+            lock.clear_poison();
+            transport
+        })
+    }
+
     /// Explicitly probes worker `k` and hands its replica off if the
     /// worker is behind — the "operator replaced the node" path. The
     /// organic path (a failed call records a failure; the next call
@@ -255,7 +313,7 @@ impl Coordinator {
     /// replica.
     pub fn recover_worker(&self, k: usize) -> Result<(), ClientError> {
         let result = {
-            let mut transport = self.workers[k].transport.lock().unwrap();
+            let mut transport = self.transport(k);
             self.probe_and_handoff(k, transport.as_mut())
         };
         match result {
@@ -279,11 +337,23 @@ impl Coordinator {
         k: usize,
         req: &Request,
     ) -> Result<Response, ClientError> {
+        let none = ClientError::Io(format!("worker {k}: no attempt allowed"));
+        self.call_worker_from(k, req, 0, none)
+    }
+
+    /// [`Coordinator::call_worker`]'s loop from attempt `first`;
+    /// `last_err` is what the attempts before it ended in. A fan whose
+    /// pipelined attempt 0 failed continues here at attempt 1.
+    fn call_worker_from(
+        &self,
+        k: usize,
+        req: &Request,
+        first: u32,
+        mut last_err: ClientError,
+    ) -> Result<Response, ClientError> {
         let slot = &self.workers[k];
         let label = Self::worker_label(k);
-        let mut last_err =
-            ClientError::Io(format!("worker {k}: no attempt allowed"));
-        for attempt in 0..self.config.retry.max_attempts {
+        for attempt in first..self.config.retry.max_attempts {
             if attempt > 0 {
                 self.metrics
                     .inc("cluster_worker_retries_total", &[("worker", &label)]);
@@ -296,7 +366,7 @@ impl Coordinator {
                 }
             }
             let needs_probe = {
-                let mut breaker = slot.breaker.lock().unwrap();
+                let mut breaker = relock(&slot.breaker);
                 if !breaker.allow() {
                     last_err = ClientError::Io(format!(
                         "worker {k}: circuit open, call gated"
@@ -309,7 +379,7 @@ impl Coordinator {
             // Transport I/O runs without the breaker lock; the slot's
             // transport mutex alone serializes the connection.
             let outcome = {
-                let mut transport = slot.transport.lock().unwrap();
+                let mut transport = self.transport(k);
                 if needs_probe {
                     match self.probe_and_handoff(k, transport.as_mut()) {
                         Ok(()) => transport.call(req),
@@ -334,7 +404,7 @@ impl Coordinator {
     }
 
     fn note_success(&self, k: usize) {
-        self.workers[k].breaker.lock().unwrap().record_success();
+        relock(&self.workers[k].breaker).record_success();
         let label = Self::worker_label(k);
         self.metrics.set_gauge(
             "cluster_worker_healthy",
@@ -350,7 +420,7 @@ impl Coordinator {
 
     fn note_failure(&self, k: usize, e: &ClientError) {
         let failures = {
-            let mut breaker = self.workers[k].breaker.lock().unwrap();
+            let mut breaker = relock(&self.workers[k].breaker);
             breaker.record_failure();
             breaker.consecutive_failures()
         };
@@ -384,7 +454,7 @@ impl Coordinator {
     /// or without `transport[k]` held.
     fn drop_cached_partials(&self, k: usize) {
         let dropped = {
-            let mut cache = self.partial_cache.lock().unwrap();
+            let mut cache = relock(&self.partial_cache);
             std::mem::take(&mut cache[k]).len()
         };
         for _ in 0..dropped {
@@ -408,7 +478,7 @@ impl Coordinator {
     /// Current cache footprint by `approx_bytes` accounting.
     fn cached_partial_bytes(&self) -> usize {
         const ENTRY_OVERHEAD: usize = 96;
-        let cache = self.partial_cache.lock().unwrap();
+        let cache = relock(&self.partial_cache);
         cache
             .iter()
             .flat_map(|m| m.iter())
@@ -441,10 +511,7 @@ impl Coordinator {
         // discipline note on [`Coordinator`]): the replica is copied
         // out and the guard dropped at the end of this statement,
         // before the install call below.
-        let replica = self
-            .replicas
-            .lock()
-            .unwrap()
+        let replica = relock(&self.replicas)
             .get(k)
             .map(|r| (r.data.clone(), r.accepted));
         if let Some((data, replicated)) = replica {
@@ -516,23 +583,58 @@ impl Coordinator {
         }
     }
 
-    /// Fans one selection out to every worker as a
-    /// [`Request::PartialSince`] — the one fan behind diagnoses,
-    /// regressions and both report fans. Each request carries the
-    /// token cached for this worker under `(app, release)`, and a
-    /// `NotModified` reply stands in for the cached partial.
-    fn fan(&self, sel: &Selector) -> Result<Fan, Response> {
-        let mut fan = Fan::default();
+    /// Fans selections out to every worker as
+    /// [`Request::PartialSince`]s — the one fan behind diagnoses,
+    /// regressions and the report — and runs `each` on every
+    /// selection's [`Fan`], returning its answers in selection order.
+    ///
+    /// Pipelined on this thread: all of a selection's requests are
+    /// written before any reply is read, and selection i+1's before
+    /// `each` runs on selection i, so the workers fold at once and
+    /// while the coordinator analyzes. Each request carries the token
+    /// cached for its worker under `(app, release)`, and a
+    /// `NotModified` reply stands in for the cached partial. When
+    /// `each` or a fan fails, the requests already written are drained
+    /// first, so no connection is left with an unread reply.
+    fn fans<T>(
+        &self,
+        sels: &[Selector],
+        mut each: impl FnMut(Fan) -> Result<T, Response>,
+    ) -> Result<Vec<T>, Response> {
+        let mut answers = Vec::with_capacity(sels.len());
+        let mut next = sels.first().map(|sel| self.write(sel));
+        for (i, sel) in sels.iter().enumerate() {
+            let written = next.take().expect("each selection is written");
+            let fan = self.read(sel, written)?;
+            next = sels.get(i + 1).map(|sel| self.write(sel));
+            match each(fan) {
+                Ok(answer) => answers.push(answer),
+                Err(error) => {
+                    if let Some(written) = next {
+                        Self::drain(written);
+                    }
+                    return Err(error);
+                }
+            }
+        }
+        Ok(answers)
+    }
+
+    /// Writes `sel`'s request to every worker, taking transport guards
+    /// in ascending worker order: attempt 0 of each worker's
+    /// [`Coordinator::call_worker`], when that attempt would write the
+    /// request at once — the worker has not failed since its last
+    /// success, so its breaker neither gates nor asks for a probe.
+    fn write(&self, sel: &Selector) -> Vec<Sent<'_>> {
         let key = (sel.app.clone(), sel.version.clone());
-        let mut updates: Vec<(usize, CoordCacheEntry)> = Vec::new();
+        let mut written = Vec::with_capacity(self.workers.len());
         for k in 0..self.workers.len() {
-            // Snapshot this worker's cached entry before any I/O —
-            // the cache lock is a leaf, never held across a call. A
+            // Snapshot this worker's cached entry before any I/O — the
+            // cache lock is a leaf, never held across a call. A
             // concurrent clear can't invalidate the local copy: the
             // worker validates the exact token we send, so a
             // `NotModified` reply always vouches for this snapshot.
-            let cached: Option<CoordCacheEntry> =
-                self.partial_cache.lock().unwrap()[k].get(&key).cloned();
+            let cached = relock(&self.partial_cache)[k].get(&key).cloned();
             let req = Request::PartialSince {
                 app: sel.app.clone(),
                 epoch: sel.epoch,
@@ -541,11 +643,67 @@ impl Coordinator {
                     .as_ref()
                     .map(|c| (c.epoch, c.incarnation, c.generation)),
             };
-            match self.call_worker(k, &req) {
+            let healthy =
+                relock(&self.workers[k].breaker).consecutive_failures() == 0;
+            let call = if healthy {
+                let mut transport = self.transport(k);
+                match transport.send(&req) {
+                    Ok(None) => Call::Pending(transport),
+                    Ok(Some(resp)) => Call::Done(Ok(resp)),
+                    Err(e) => Call::Done(Err(e)),
+                }
+            } else {
+                Call::Deferred
+            };
+            written.push(Sent { req, cached, call });
+        }
+        written
+    }
+
+    /// Reads a written selection's replies in worker order, dropping
+    /// each guard after its read, then settles every worker's call as
+    /// [`Coordinator::call_worker`] would: a failed attempt 0 counts
+    /// once and continues at attempt 1, and a deferred call runs whole.
+    /// Retries start only once every guard is dropped. The reads and
+    /// retries are timed as the `fan_wait` stage.
+    fn read(
+        &self,
+        sel: &Selector,
+        written: Vec<Sent<'_>>,
+    ) -> Result<Fan, Response> {
+        let _span = self.metrics.span("fan_wait");
+        let attempts: Vec<_> = written
+            .into_iter()
+            .map(|sent| {
+                let attempt = match sent.call {
+                    Call::Deferred => None,
+                    Call::Done(outcome) => Some(outcome),
+                    Call::Pending(mut transport) => Some(transport.recv()),
+                };
+                (sent.req, sent.cached, attempt)
+            })
+            .collect();
+        let key = (sel.app.clone(), sel.version.clone());
+        let mut fan = Fan::default();
+        let mut updates: Vec<(usize, CoordCacheEntry)> = Vec::new();
+        for (k, (req, cached, attempt)) in attempts.into_iter().enumerate() {
+            let reply = match attempt {
+                None => self.call_worker(k, &req),
+                Some(Ok(resp)) => {
+                    self.note_success(k);
+                    Ok(resp)
+                }
+                Some(Err(e)) => {
+                    self.note_failure(k, &e);
+                    self.call_worker_from(k, &req, 1, e)
+                }
+            };
+            match reply {
                 Ok(Response::PartialNotModified { epoch }) => match cached {
                     Some(entry) => {
                         self.count_cache(true);
-                        fan.found.push((k, epoch, entry.partial));
+                        fan.found.push((k, epoch));
+                        fan.partials.push(entry.partial);
                     }
                     None => {
                         return Err(Response::Error {
@@ -564,16 +722,19 @@ impl Coordinator {
                 }) => match status {
                     PartialStatus::Found => {
                         self.count_cache(false);
+                        // The cache keeps a copy; the decoded partial
+                        // is this fan's, for its merge to consume.
                         updates.push((
                             k,
                             CoordCacheEntry {
                                 epoch,
                                 incarnation,
                                 generation,
-                                partial: partial.clone(),
+                                partial: Arc::new(partial.clone()),
                             },
                         ));
-                        fan.found.push((k, epoch, partial));
+                        fan.found.push((k, epoch));
+                        fan.partials.push(Arc::new(partial));
                     }
                     PartialStatus::UnknownApp => {}
                     PartialStatus::UnknownEpoch => fan.unknown_epoch = true,
@@ -594,7 +755,7 @@ impl Coordinator {
             }
         }
         if !updates.is_empty() {
-            let mut cache = self.partial_cache.lock().unwrap();
+            let mut cache = relock(&self.partial_cache);
             for (k, entry) in updates {
                 cache[k].insert(key.clone(), entry);
             }
@@ -602,15 +763,26 @@ impl Coordinator {
         Ok(fan)
     }
 
-    /// Concatenates a fan's surviving shards in worker order — each
+    /// Reads and discards the replies a written selection still has
+    /// in flight, so its connections carry nothing unread.
+    fn drain(written: Vec<Sent<'_>>) {
+        for sent in written {
+            if let Call::Pending(mut transport) = sent.call {
+                let _ = transport.recv();
+            }
+        }
+    }
+
+    /// Concatenates a fan's surviving partials in worker order — each
     /// worker's locally-0-based partial rebased to sit after the traces
-    /// of the workers before it.
-    fn merged(fan: Fan) -> ShardPartial {
+    /// of the workers before it. A partial the cache shares is copied;
+    /// a fresh one is consumed.
+    fn merged(partials: Vec<Arc<ShardPartial>>) -> ShardPartial {
         let mut merged = ShardPartial::empty();
         let mut base = 0usize;
-        for (_, _, partial) in fan.found {
+        for partial in partials {
             let n = partial.trace_count();
-            merged = merged.merge(partial.rebase(base));
+            merged = merged.merge(Arc::unwrap_or_clone(partial).rebase(base));
             base += n;
         }
         merged
@@ -618,9 +790,14 @@ impl Coordinator {
 
     /// Analyzes a fan's merged fleet and summarizes it, rendering
     /// nothing: what regressions and the report read.
-    fn summarize(&self, fan: Fan) -> Result<FleetSummary, Response> {
-        let fleet =
-            self.dx.analyze(Self::merged(fan)).map_err(analysis_error)?;
+    fn summarize(
+        &self,
+        partials: Vec<Arc<ShardPartial>>,
+    ) -> Result<FleetSummary, Response> {
+        let fleet = self
+            .dx
+            .analyze(Self::merged(partials))
+            .map_err(analysis_error)?;
         Ok(self.dx.summarize(&fleet))
     }
 
@@ -672,10 +849,8 @@ impl Coordinator {
             }
             return Err(Response::Error { message });
         }
-        let epochs: Vec<(usize, u64)> = fans
-            .iter()
-            .flat_map(|f| f.found.iter().map(|(k, e, _)| (*k, *e)))
-            .collect();
+        let epochs: Vec<(usize, u64)> =
+            fans.iter().flat_map(|f| f.found.iter().copied()).collect();
         if epochs.iter().any(|(_, e)| *e != epochs[0].1) {
             return Err(Response::Error {
                 message: format!(
@@ -720,20 +895,19 @@ impl Coordinator {
     /// [`DegradePolicy::Hold`]).
     pub fn diagnose(&self, app: &str, epoch: Option<u64>) -> Response {
         let sel = Selector::new(app, epoch, None);
-        self.fan(&sel)
-            .and_then(|fan| {
-                let missing = self.vet(&sel, &[&fan])?;
-                let json = {
-                    let _span = self.metrics.span("finish");
-                    let fleet = self
-                        .dx
-                        .analyze(Self::merged(fan))
-                        .map_err(analysis_error)?;
-                    self.dx.render_json(&fleet)
-                };
-                Ok(self.answer(json, missing, &format!("app={app}")))
-            })
-            .unwrap_or_else(|error| error)
+        self.fans(std::slice::from_ref(&sel), |fan| {
+            let missing = self.vet(&sel, &[&fan])?;
+            let json = {
+                let _span = self.metrics.span("finish");
+                let fleet = self
+                    .dx
+                    .analyze(Self::merged(fan.partials))
+                    .map_err(analysis_error)?;
+                self.dx.render_json(&fleet)
+            };
+            Ok(self.answer(json, missing, &format!("app={app}")))
+        })
+        .map_or_else(|error| error, |mut answers| answers.remove(0))
     }
 
     /// Differential query across two app releases: fans each release's
@@ -757,18 +931,31 @@ impl Coordinator {
         };
         let _span = self.metrics.span("regress");
         self.metrics.inc("fleetd_regress_queries_total", &[]);
-        let from_sel = Selector::new(app, epoch, Some(from));
+        let sels = [
+            Selector::new(app, epoch, Some(from)),
+            Selector::new(app, epoch, Some(to)),
+        ];
         let answer = || {
-            let from_fan = self.fan(&from_sel)?;
-            let to_fan = self.fan(&Selector::new(app, epoch, Some(to)))?;
+            // Each release is summarized as its fan lands, the other
+            // release's fetch in flight; the vetting below still
+            // judges both fans before either summary is used.
+            let fans = self.fans(&sels, |mut fan| {
+                let summary = self.summarize(std::mem::take(&mut fan.partials));
+                Ok((fan, summary))
+            })?;
+            let Ok([(from_fan, from_summary), (to_fan, to_summary)]) =
+                <[_; 2]>::try_from(fans)
+            else {
+                unreachable!("two selections fan out to two answers")
+            };
             // Both fans hit the same workers, so `vet` refuses to
             // compare releases across epochs as well as within one.
-            let missing = self.vet(&from_sel, &[&from_fan, &to_fan])?;
+            let missing = self.vet(&sels[0], &[&from_fan, &to_fan])?;
             let report = energydx_regress::compare_summaries(
                 from,
-                &self.summarize(from_fan)?,
+                &from_summary?,
                 to,
-                &self.summarize(to_fan)?,
+                &to_summary?,
                 &config,
             );
             self.metrics.inc(
@@ -842,12 +1029,13 @@ impl Coordinator {
                 Err(_) => missing.push(k as u32),
             }
         }
-        let inputs =
-            crate::report::report_inputs(&merge_catalogs(catalogs), |sel| {
-                let fan = self.fan(sel)?;
-                missing.extend(&fan.missing);
-                self.summarize(fan)
-            })?;
+        let catalog = merge_catalogs(catalogs);
+        let selections = crate::report::report_selections(&catalog);
+        let summaries = self.fans(&selections, |fan| {
+            missing.extend(&fan.missing);
+            self.summarize(fan.partials)
+        })?;
+        let inputs = crate::report::report_inputs(&catalog, summaries);
         let missing = self.hold(missing)?;
         let panel = crate::report::deployment_panel(
             &deployment,
@@ -895,7 +1083,7 @@ impl Coordinator {
                     let label = Self::worker_label(k);
                     let bytes = data.len();
                     if let Err(e) =
-                        self.replicas.lock().unwrap().store(k, data, accepted)
+                        relock(&self.replicas).store(k, data, accepted)
                     {
                         return Response::Error {
                             message: format!(
@@ -1035,7 +1223,7 @@ impl Coordinator {
         // transport, so a stats request answers even while a worker
         // call is mid-retry.
         let replica_info: Vec<Option<(u64, usize)>> = {
-            let replicas = self.replicas.lock().unwrap();
+            let replicas = relock(&self.replicas);
             (0..self.workers.len())
                 .map(|k| replicas.get(k).map(|r| (r.accepted, r.data.len())))
                 .collect()
@@ -1080,7 +1268,7 @@ impl Coordinator {
             w.obj(|w| {
                 for (k, replica) in replica_info.iter().enumerate() {
                     let (open, failures) = {
-                        let breaker = self.workers[k].breaker.lock().unwrap();
+                        let breaker = relock(&self.workers[k].breaker);
                         (breaker.is_open(), breaker.consecutive_failures())
                     };
                     let label = Self::worker_label(k);
@@ -1115,9 +1303,7 @@ impl Coordinator {
         let healthy = self
             .workers
             .iter()
-            .filter(|slot| {
-                slot.breaker.lock().unwrap().consecutive_failures() == 0
-            })
+            .filter(|slot| relock(&slot.breaker).consecutive_failures() == 0)
             .count();
         let mut w = JsonWriter::new();
         w.obj(|w| {
@@ -1147,13 +1333,13 @@ impl Coordinator {
         // then read each breaker on its own — no transport, no two
         // locks held together.
         let replica_accepted: Vec<Option<u64>> = {
-            let replicas = self.replicas.lock().unwrap();
+            let replicas = relock(&self.replicas);
             (0..self.workers.len())
                 .map(|k| replicas.get(k).map(|r| r.accepted))
                 .collect()
         };
         for (k, slot) in self.workers.iter().enumerate() {
-            let failures = slot.breaker.lock().unwrap().consecutive_failures();
+            let failures = relock(&slot.breaker).consecutive_failures();
             let label = Self::worker_label(k);
             self.metrics.set_gauge(
                 "cluster_worker_healthy",
@@ -1462,7 +1648,7 @@ mod tests {
             other => panic!("unexpected response {other:?}"),
         };
         // kill -9 worker 1: its handle vanishes mid-conversation.
-        let taken = cluster.slots[1].lock().unwrap().take();
+        let taken = relock(&cluster.slots[1]).take();
         let keep_alive = taken.expect("worker 1 was live");
         match cluster.coordinator.diagnose("mail", None) {
             Response::Degraded { missing, json } => {
@@ -1500,7 +1686,7 @@ mod tests {
         }
         // The worker comes back (state intact): the next query probes,
         // closes the breaker, and the full answer returns.
-        *cluster.slots[1].lock().unwrap() = Some(keep_alive);
+        *relock(&cluster.slots[1]) = Some(keep_alive);
         match cluster.coordinator.diagnose("mail", None) {
             Response::Report { json } => assert_eq!(json, full),
             other => panic!("unexpected response {other:?}"),
@@ -1516,7 +1702,7 @@ mod tests {
         let cluster = cluster_with(config, 2);
         let ups = uploads(14);
         drive(&cluster, &ups);
-        cluster.slots[0].lock().unwrap().take();
+        relock(&cluster.slots[0]).take();
         match cluster.coordinator.diagnose("mail", None) {
             Response::Error { message } => {
                 assert!(message.contains("unreachable"), "{message}");
@@ -1540,7 +1726,7 @@ mod tests {
             Response::Done
         ));
         // kill -9 worker 2; the coordinator observes the outage.
-        cluster.slots[2].lock().unwrap().take();
+        relock(&cluster.slots[2]).take();
         assert!(matches!(
             cluster.coordinator.diagnose("mail", None),
             Response::Degraded { .. }
@@ -1549,7 +1735,7 @@ mod tests {
         // probes, sees fewer accepted uploads than the replica, and
         // installs the replica before the partial request lands.
         let replacement = FleetdHandle::start(ServerConfig::default()).unwrap();
-        *cluster.slots[2].lock().unwrap() = Some(Arc::new(replacement));
+        *relock(&cluster.slots[2]) = Some(Arc::new(replacement));
         match cluster.coordinator.diagnose("mail", None) {
             Response::Report { json } => assert_eq!(json, full),
             other => panic!("unexpected response {other:?}"),
@@ -1577,7 +1763,7 @@ mod tests {
         }
         // With a shard down, "unknown" is qualified — the app might
         // live entirely on the dead worker.
-        cluster.slots[1].lock().unwrap().take();
+        relock(&cluster.slots[1]).take();
         match cluster.coordinator.diagnose("nope", None) {
             Response::Error { message } => {
                 assert!(message.contains("unknown app"), "{message}");
@@ -1593,8 +1779,7 @@ mod tests {
         let ups = uploads(14);
         drive(&cluster, &ups);
         // Roll one worker behind the coordinator's back.
-        let handle =
-            Arc::clone(cluster.slots[0].lock().unwrap().as_ref().unwrap());
+        let handle = Arc::clone(relock(&cluster.slots[0]).as_ref().unwrap());
         handle.handle_request(Request::Rollover {
             app: "mail".to_string(),
         });
@@ -1653,7 +1838,7 @@ mod tests {
         let cluster = deterministic_cluster(3);
         let ups = versioned_uploads(21);
         drive(&cluster, &ups);
-        cluster.slots[1].lock().unwrap().take();
+        relock(&cluster.slots[1]).take();
         match cluster.coordinator.report(Some(8)) {
             Response::ReportArtifacts {
                 missing,
@@ -1682,7 +1867,7 @@ mod tests {
 
     impl WorkerTransport for FailingTransport {
         fn call(&mut self, _req: &Request) -> Result<Response, ClientError> {
-            *self.attempts.lock().unwrap() += 1;
+            *relock(&self.attempts) += 1;
             Err(ClientError::TimedOut)
         }
     }
@@ -1700,13 +1885,13 @@ mod tests {
             other => panic!("unexpected response {other:?}"),
         }
         let max = test_config().retry.max_attempts;
-        assert_eq!(*attempts.lock().unwrap(), max);
+        assert_eq!(*relock(&attempts), max);
         // Subsequent traffic is breaker-gated: far fewer transport
         // calls than attempts once the circuit opens.
         for _ in 0..10 {
             let _ = coordinator.submit("mail", fixture::payload("u1", 1));
         }
-        let total = *attempts.lock().unwrap();
+        let total = *relock(&attempts);
         assert!(
             total < max * 11,
             "breaker failed to shed load: {total} calls"
@@ -1724,7 +1909,7 @@ mod tests {
         fn call(&mut self, _req: &Request) -> Result<Response, ClientError> {
             let _ = self.started.send(());
             let (lock, cv) = &*self.release;
-            let mut released = lock.lock().unwrap();
+            let mut released = relock(lock);
             while !*released {
                 released = cv.wait(released).unwrap();
             }
@@ -1767,7 +1952,7 @@ mod tests {
         assert!(coordinator.health_json().contains("\"status\""));
         let _ = coordinator.metrics_text();
         let (lock, cv) = &*release;
-        *lock.lock().unwrap() = true;
+        *relock(lock) = true;
         cv.notify_all();
         match submitter.join().unwrap() {
             Response::RetryAfter { ms } => assert!(ms > 0),
@@ -1789,7 +1974,7 @@ mod tests {
         assert!(stats.contains("\"circuit_open\": false"), "{stats}");
         let health = cluster.coordinator.health_json();
         assert!(health.contains("\"status\": \"ok\""), "{health}");
-        cluster.slots[1].lock().unwrap().take();
+        relock(&cluster.slots[1]).take();
         let _ = cluster.coordinator.diagnose("mail", None);
         let health = cluster.coordinator.health_json();
         assert!(health.contains("\"status\": \"degraded\""), "{health}");
@@ -1843,7 +2028,7 @@ mod tests {
         // kill -9 worker 1: the regression answer must degrade
         // explicitly, naming the missing shard exactly once even
         // though both release fans observed the outage.
-        cluster.slots[1].lock().unwrap().take();
+        relock(&cluster.slots[1]).take();
         match cluster
             .coordinator
             .regressions("mail", None, "1.9.0", "2.0.0", None)
@@ -2076,7 +2261,7 @@ mod tests {
         assert_eq!(counts(), (2 * holders, 3 * holders));
         // One entry per release plus the whole-epoch one, per holder —
         // not one per (requested epoch, release) pair.
-        let cache = cluster.coordinator.partial_cache.lock().unwrap();
+        let cache = relock(&cluster.coordinator.partial_cache);
         let entries: Vec<usize> = cache.iter().map(BTreeMap::len).collect();
         assert!(entries.iter().all(|&n| n == 0 || n == 3), "{entries:?}");
     }
@@ -2126,7 +2311,379 @@ mod tests {
         // which the entry serves repeats.
         assert_eq!(diagnose(None), (0, 9));
         assert_eq!(diagnose(None), (3, 9));
-        let cache = cluster.coordinator.partial_cache.lock().unwrap();
+        let cache = relock(&cluster.coordinator.partial_cache);
         assert!(cache.iter().all(|m| m.len() == 1));
+    }
+
+    /// What one of a scripted worker's pipelined reads does.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Read {
+        /// The reply arrives.
+        Deliver,
+        /// The reply is lost: the read fails.
+        Lose,
+        /// The read panics.
+        Panic,
+    }
+
+    /// One transport operation, as a scripted worker logs it.
+    #[derive(Debug, Clone)]
+    struct Op {
+        worker: usize,
+        /// `send`, `recv`, `call` or `reset`.
+        kind: &'static str,
+        /// The request written, for sends and calls.
+        req: Option<Request>,
+        /// Selections the coordinator had analyzed when this ran.
+        analyzed: u64,
+    }
+
+    type OpLog = Arc<Mutex<Vec<Op>>>;
+
+    /// A transport that splits every call into a write and a read, the
+    /// split the in-process transports never exercise: `send` has the
+    /// worker answer at once and queues the reply unread, and `recv`
+    /// hands back the oldest queued reply — or loses it, or panics, as
+    /// scripted. `call` goes straight through. Every operation is
+    /// logged with the number of analyses the coordinator had finished.
+    struct ScriptedTransport {
+        worker: usize,
+        inner: InProcessTransport,
+        unread: std::collections::VecDeque<Response>,
+        /// This worker's coming reads, first to last; past them,
+        /// `then`.
+        script: std::collections::VecDeque<Read>,
+        then: Read,
+        log: OpLog,
+        registry: Arc<MetricsRegistry>,
+    }
+
+    impl ScriptedTransport {
+        fn note(&self, kind: &'static str, req: Option<&Request>) {
+            let analyzed = self
+                .registry
+                .histogram_snapshot(
+                    "energydx_stage_duration_seconds",
+                    &[("stage", "analyze")],
+                )
+                .map_or(0, |h| h.count());
+            relock(&self.log).push(Op {
+                worker: self.worker,
+                kind,
+                req: req.cloned(),
+                analyzed,
+            });
+        }
+    }
+
+    impl WorkerTransport for ScriptedTransport {
+        fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
+            self.note("call", Some(req));
+            self.inner.call(req)
+        }
+
+        fn send(
+            &mut self,
+            req: &Request,
+        ) -> Result<Option<Response>, ClientError> {
+            self.note("send", Some(req));
+            let reply = self.inner.call(req)?;
+            self.unread.push_back(reply);
+            Ok(None)
+        }
+
+        fn recv(&mut self) -> Result<Response, ClientError> {
+            self.note("recv", None);
+            let reply = self.unread.pop_front().ok_or_else(|| {
+                ClientError::Io("no reply to read".to_string())
+            })?;
+            match self.script.pop_front().unwrap_or(self.then) {
+                Read::Deliver => Ok(reply),
+                Read::Lose => Err(ClientError::TimedOut),
+                Read::Panic => panic!("scripted read panic"),
+            }
+        }
+
+        fn reset(&mut self) {
+            self.note("reset", None);
+            self.unread.clear();
+        }
+    }
+
+    /// Three in-process workers behind [`ScriptedTransport`]s, worker
+    /// k reading as `scripts[k]` says, logging into one shared log,
+    /// with a coordinator on a deterministic registry.
+    fn scripted_cluster(
+        config: CoordinatorConfig,
+        scripts: [(&[Read], Read); 3],
+    ) -> (TestCluster, OpLog) {
+        let registry = Arc::new(MetricsRegistry::deterministic());
+        let log = OpLog::default();
+        let slots: Vec<WorkerSlot> = (0..3)
+            .map(|_| {
+                let handle = FleetdHandle::start(ServerConfig::default())
+                    .expect("worker start");
+                Arc::new(Mutex::new(Some(Arc::new(handle))))
+            })
+            .collect();
+        let transports: Vec<Box<dyn WorkerTransport>> = slots
+            .iter()
+            .zip(scripts)
+            .enumerate()
+            .map(|(worker, (slot, (script, then)))| {
+                Box::new(ScriptedTransport {
+                    worker,
+                    inner: InProcessTransport::new(Arc::clone(slot)),
+                    unread: Default::default(),
+                    script: script.iter().copied().collect(),
+                    then,
+                    log: Arc::clone(&log),
+                    registry: Arc::clone(&registry),
+                }) as Box<dyn WorkerTransport>
+            })
+            .collect();
+        let coordinator =
+            Coordinator::with_registry(config, transports, registry).unwrap();
+        (TestCluster { coordinator, slots }, log)
+    }
+
+    const DELIVER: (&[Read], Read) = (&[], Read::Deliver);
+
+    fn report_artifacts(cluster: &TestCluster) -> Response {
+        cluster
+            .coordinator
+            .handle_request(Request::Report { top: None })
+    }
+
+    fn reference_artifacts(ups: &[(String, Vec<u8>)]) -> Response {
+        let reference =
+            crate::report::fleet_report(&reference_state(ups, 3), 0, None)
+                .expect("the reference renders");
+        Response::ReportArtifacts {
+            missing: Vec::new(),
+            html: reference.html,
+            json: reference.json,
+        }
+    }
+
+    fn worker_counter(cluster: &TestCluster, name: &str, k: &str) -> u64 {
+        cluster
+            .coordinator
+            .metrics()
+            .registry()
+            .and_then(|r| r.counter_value(name, &[("worker", k)]))
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn a_report_writes_the_next_selection_before_it_analyzes_this_one() {
+        let (cluster, log) = scripted_cluster(test_config(), [DELIVER; 3]);
+        let ups = versioned_uploads(21);
+        drive(&cluster, &ups);
+        relock(&log).clear();
+        assert_eq!(report_artifacts(&cluster), reference_artifacts(&ups));
+        let selections = crate::report::report_selections(
+            &crate::report::state_catalog(&reference_state(&ups, 3)),
+        )
+        .len();
+        assert_eq!(selections, 3, "one epoch and two releases");
+        let log = relock(&log);
+        let fan: Vec<&Op> = log
+            .iter()
+            .filter(|op| {
+                op.kind == "recv"
+                    || matches!(op.req, Some(Request::PartialSince { .. }))
+            })
+            .collect();
+        // Every worker's request is written before any reply is read.
+        let shape: Vec<String> = fan
+            .iter()
+            .map(|op| format!("{}{}", &op.kind[..1], op.worker))
+            .collect();
+        let step = ["s0", "s1", "s2", "r0", "r1", "r2"];
+        assert_eq!(shape, step.repeat(selections), "{shape:?}");
+        // Selection i+1's requests go out while selection i is still
+        // unanalyzed: sequential fans would have analyzed it already.
+        for (i, chunk) in fan.chunks(step.len()).enumerate() {
+            for op in &chunk[..3] {
+                assert_eq!(op.analyzed, i.saturating_sub(1) as u64, "{op:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_reply_lost_after_a_good_write_is_retried_once() {
+        let (cluster, log) = scripted_cluster(
+            test_config(),
+            [DELIVER, (&[Read::Lose], Read::Deliver), DELIVER],
+        );
+        let ups = uploads(21);
+        drive(&cluster, &ups);
+        relock(&log).clear();
+        assert_eq!(
+            cluster.coordinator.diagnose("mail", None),
+            Response::Report {
+                json: reference_json(&ups, 3)
+            }
+        );
+        let failures =
+            |k| worker_counter(&cluster, "cluster_worker_failures_total", k);
+        let retries =
+            |k| worker_counter(&cluster, "cluster_worker_retries_total", k);
+        assert_eq!((failures("1"), retries("1")), (1, 1));
+        assert_eq!((failures("0"), retries("0")), (0, 0));
+        // The lost read continues call_worker at attempt 1: a probe
+        // (the worker failed since its last success), then the request
+        // again, both as whole calls.
+        let worker_1: Vec<String> = relock(&log)
+            .iter()
+            .filter(|op| op.worker == 1)
+            .map(|op| match &op.req {
+                Some(Request::Counts) => format!("{} counts", op.kind),
+                Some(Request::PartialSince { .. }) => {
+                    format!("{} partial", op.kind)
+                }
+                Some(other) => format!("{} {other:?}", op.kind),
+                None => op.kind.to_string(),
+            })
+            .collect();
+        assert_eq!(
+            worker_1,
+            ["send partial", "recv", "call counts", "call partial"]
+        );
+    }
+
+    #[test]
+    fn a_failing_each_leaves_no_reply_unread() {
+        let (cluster, log) = scripted_cluster(test_config(), [DELIVER; 3]);
+        let ups = versioned_uploads(21);
+        drive(&cluster, &ups);
+        relock(&log).clear();
+        // The second release's requests are written before `each`
+        // fails on the first; they must be drained, or the diagnosis
+        // below would read that release's partials as its own.
+        let sels = [
+            Selector::new("mail", None, Some("1.9.0")),
+            Selector::new("mail", None, Some("2.0.0")),
+        ];
+        let failed = cluster.coordinator.fans(&sels, |_| -> Result<(), _> {
+            Err(Response::Error {
+                message: "scripted".to_string(),
+            })
+        });
+        assert!(matches!(failed, Err(Response::Error { .. })));
+        let kinds =
+            |kind| relock(&log).iter().filter(|op| op.kind == kind).count();
+        assert_eq!((kinds("send"), kinds("recv")), (6, 6));
+        assert_eq!(
+            cluster.coordinator.diagnose("mail", None),
+            Response::Report {
+                json: reference_state(&ups, 3)
+                    .diagnose_json("mail", None)
+                    .unwrap()
+            }
+        );
+    }
+
+    #[test]
+    fn concurrent_reports_against_a_worker_that_loses_every_reply_return() {
+        // A backoff before each retry keeps a report that lost a reply
+        // away from worker 0 long enough for the other to take worker
+        // 0's guard and wait for worker 1's: a retry taken while still
+        // holding worker 1's guard would then deadlock the two.
+        let config = CoordinatorConfig {
+            retry: RetryBudget {
+                max_attempts: 2,
+                base_backoff_ms: 2,
+                max_backoff_ms: 4,
+            },
+            ..CoordinatorConfig::default()
+        };
+        let (cluster, _log) =
+            scripted_cluster(config, [(&[], Read::Lose), DELIVER, DELIVER]);
+        let ups = versioned_uploads(21);
+        drive(&cluster, &ups);
+        let expected = reference_artifacts(&ups);
+        let coordinator = Arc::new(cluster.coordinator);
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let threads: Vec<_> = (0..2)
+            .map(|_| {
+                let coordinator = Arc::clone(&coordinator);
+                let start = Arc::clone(&start);
+                let done = done_tx.clone();
+                std::thread::spawn(move || {
+                    start.wait();
+                    let answers: Vec<Response> = (0..5)
+                        .map(|_| {
+                            coordinator
+                                .handle_request(Request::Report { top: None })
+                        })
+                        .collect();
+                    let _ = done.send(answers);
+                })
+            })
+            .collect();
+        drop(done_tx);
+        // Every read of worker 0 fails and is retried while the other
+        // report holds or waits for guards. A deadlock fails on the
+        // deadline instead of hanging the suite.
+        for _ in 0..2 {
+            let answers = done_rx
+                .recv_timeout(std::time::Duration::from_secs(120))
+                .expect("both reports return");
+            for answer in answers {
+                assert_eq!(answer, expected);
+            }
+        }
+        for thread in threads {
+            thread.join().expect("a report thread panicked");
+        }
+        let failures = coordinator
+            .metrics()
+            .registry()
+            .unwrap()
+            .counter_value("cluster_worker_failures_total", &[("worker", "0")])
+            .unwrap_or(0);
+        assert!(failures > 0, "worker 0's reads were lost and retried");
+    }
+
+    #[test]
+    fn a_panicked_read_costs_one_report_not_the_connections() {
+        let (cluster, log) = scripted_cluster(
+            test_config(),
+            [
+                DELIVER,
+                (&[Read::Deliver, Read::Panic], Read::Deliver),
+                DELIVER,
+            ],
+        );
+        let ups = versioned_uploads(21);
+        drive(&cluster, &ups);
+        relock(&log).clear();
+        // Worker 1's read of the first release panics while worker 2's
+        // reply to the same selection is still unread.
+        let report =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                report_artifacts(&cluster)
+            }));
+        assert!(report.is_err(), "the scripted read panics");
+        assert_eq!(
+            cluster.coordinator.diagnose("mail", None),
+            Response::Report {
+                json: reference_state(&ups, 3)
+                    .diagnose_json("mail", None)
+                    .unwrap()
+            }
+        );
+        // The two guards the panic poisoned were reset before reuse;
+        // worker 0's, dropped before it, was not.
+        let resets: Vec<usize> = relock(&log)
+            .iter()
+            .filter(|op| op.kind == "reset")
+            .map(|op| op.worker)
+            .collect();
+        assert_eq!(resets, [1, 2]);
+        assert_eq!(report_artifacts(&cluster), reference_artifacts(&ups));
     }
 }

@@ -34,7 +34,7 @@
 //! - [`cluster`] — sharded routing, worker transports, circuit
 //!   breakers, and retry budgets for multi-node deployments.
 //! - [`coordinator`] — the merging coordinator: routes uploads to
-//!   shards, fans queries out, rebases + merges the partials.
+//!   shards, fans queries out pipelined, rebases + merges the partials.
 //! - [`replicate`] — coordinator-side checkpoint replicas that seed
 //!   restarted or replacement workers.
 //! - [`report`] — state → deterministic operator report (static HTML
@@ -77,3 +77,13 @@ pub use server::{
 };
 pub use spill::SpillConfig;
 pub use state::{FleetConfig, FleetState, QueryError};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks a mutex, recovering from poison. A panic on one request's
+/// thread must cost that one request — never wedge every later request
+/// behind a `PoisonError` unwrap. Sound only for data that every
+/// guarded update leaves valid at each step.
+pub(crate) fn relock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
+    lock.lock().unwrap_or_else(PoisonError::into_inner)
+}

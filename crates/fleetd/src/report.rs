@@ -9,13 +9,13 @@
 //! Byte identity: every summary here goes through the memoized
 //! [`FleetState::summary`], which reads the same analysis the query
 //! protocol's [`FleetState::diagnose_json`] renders (proven
-//! batch-identical by the diff harness), and the coordinator assembles
-//! its inputs with the same [`report_inputs`] over its workers' merged
-//! catalogs — so the report inherits the repo's cross-surface
-//! byte-identity story for free. The only surface-dependent values,
-//! the deployment counters, follow the pinning rule documented in
-//! `energydx-report`: they render as live numbers only when the
-//! state's registry runs on the wall clock; under
+//! batch-identical by the diff harness), and the coordinator fans out
+//! the same [`report_selections`] of its workers' merged catalogs and
+//! assembles with the same [`report_inputs`] — so the report inherits
+//! the repo's cross-surface byte-identity story for free. The only
+//! surface-dependent values, the deployment counters, follow the
+//! pinning rule documented in `energydx-report`: they render as live
+//! numbers only when the state's registry runs on the wall clock; under
 //! `ENERGYDX_DETERMINISTIC_TIME` (or a deterministic test registry)
 //! they pin to zero so batch, daemon, and cluster artifacts match.
 
@@ -39,63 +39,87 @@ pub struct RenderedReport {
 }
 
 /// Assembles one [`AppInput`] per app from resident state, in app
-/// order: [`report_inputs`] over the state's own catalog, each
-/// selection answered by the memoized [`FleetState::summary`].
+/// order: each of [`report_selections`] over the state's own catalog
+/// answered by the memoized [`FleetState::summary`], then
+/// [`report_inputs`].
 ///
 /// # Errors
 ///
 /// Propagates the first [`QueryError`] from a summary.
 pub fn state_inputs(state: &FleetState) -> Result<Vec<AppInput>, QueryError> {
-    report_inputs(&state_catalog(state), |sel| state.summary(sel))
+    let catalog = state_catalog(state);
+    let summaries = report_selections(&catalog)
+        .iter()
+        .map(|sel| state.summary(sel))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(report_inputs(&catalog, summaries))
+}
+
+/// Every selection a report summarizes, in the one order the daemon and
+/// the coordinator both follow: per catalog entry, each epoch (trend
+/// history), then each release of the current epoch on its own
+/// (regression verdicts).
+pub fn report_selections(catalog: &[AppCatalog]) -> Vec<Selector> {
+    let mut selections = Vec::new();
+    for cat in catalog {
+        for e in &cat.epochs {
+            selections.push(Selector::new(&cat.app, Some(e.epoch), None));
+        }
+        for version in current_versions(cat) {
+            selections.push(Selector::new(
+                &cat.app,
+                Some(cat.current_epoch),
+                Some(version),
+            ));
+        }
+    }
+    selections
+}
+
+/// The release labels of `cat`'s current epoch.
+fn current_versions(cat: &AppCatalog) -> impl Iterator<Item = &String> {
+    let current = cat.epochs.iter().find(|e| e.epoch == cat.current_epoch);
+    current.into_iter().flat_map(|e| &e.versions)
 }
 
 /// Assembles one [`AppInput`] per catalog entry, in catalog order —
 /// the one input builder of the daemon's and the coordinator's
-/// reports. Every epoch is summarized (trend history); each release
-/// of the current epoch is summarized on its own for regression
-/// verdicts. `summarize` answers one [`Selector`].
+/// reports. `summaries` answer [`report_selections`]`(catalog)`, in
+/// its order.
 ///
-/// # Errors
+/// # Panics
 ///
-/// Propagates the first error from `summarize`.
-pub fn report_inputs<E>(
+/// If `summaries` holds fewer entries than the catalog's selections.
+pub fn report_inputs(
     catalog: &[AppCatalog],
-    mut summarize: impl FnMut(&Selector) -> Result<FleetSummary, E>,
-) -> Result<Vec<AppInput>, E> {
-    let mut inputs = Vec::with_capacity(catalog.len());
-    for cat in catalog {
-        let mut epochs = Vec::with_capacity(cat.epochs.len());
-        for e in &cat.epochs {
-            epochs.push(EpochInput {
-                epoch: e.epoch,
-                summary: summarize(&Selector::new(
-                    &cat.app,
-                    Some(e.epoch),
-                    None,
-                ))?,
-                clean: e.clean,
-                recovered: e.recovered,
-                quarantine: e.quarantine.clone(),
-            });
-        }
-        let mut versions = Vec::new();
-        let current = cat.epochs.iter().find(|e| e.epoch == cat.current_epoch);
-        for version in current.into_iter().flat_map(|e| &e.versions) {
-            let sel =
-                Selector::new(&cat.app, Some(cat.current_epoch), Some(version));
-            versions.push(VersionInput {
-                version: version.clone(),
-                summary: summarize(&sel)?,
-            });
-        }
-        inputs.push(AppInput {
+    summaries: Vec<FleetSummary>,
+) -> Vec<AppInput> {
+    let mut summaries = summaries.into_iter();
+    let mut next = || summaries.next().expect("one summary per selection");
+    catalog
+        .iter()
+        .map(|cat| AppInput {
             app: cat.app.clone(),
             detail_epoch: cat.current_epoch,
-            epochs,
-            versions,
-        });
-    }
-    Ok(inputs)
+            epochs: cat
+                .epochs
+                .iter()
+                .map(|e| EpochInput {
+                    epoch: e.epoch,
+                    summary: next(),
+                    clean: e.clean,
+                    recovered: e.recovered,
+                    quarantine: e.quarantine.clone(),
+                })
+                .collect(),
+            versions: current_versions(cat)
+                .map(|version| VersionInput {
+                    version: version.clone(),
+                    summary: next(),
+                })
+                .collect(),
+        })
+        .collect()
 }
 
 /// The state's report catalog for coordinator fan-out: per-app /

@@ -24,6 +24,7 @@ use crate::protocol::{
     read_frame, OutcomeCode, PartialStatus, Request, Response,
 };
 use crate::queue::{Enqueue, IngestQueue};
+use crate::relock;
 use crate::state::{
     FleetConfig, FleetState, PartialSinceOutcome, QueryError, Selector,
 };
@@ -36,16 +37,9 @@ use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Locks a mutex, recovering from poison. A panic on one connection
-/// thread must cost that one request — never wedge every later request
-/// behind a `PoisonError` unwrap.
-fn relock<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
-    lock.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Daemon deployment configuration.
 #[derive(Debug, Clone)]
