@@ -18,6 +18,35 @@ for d in vendor/*/; do
   fi
 done
 
+echo "== unsafe boundary =="
+# Every library crate forbids unsafe code except energydx-trace, which
+# denies it and allows it in one private module, the hardware CRC
+# kernel (DESIGN.md §5d). That module's one `unsafe` block is the call
+# into a `#[target_feature]` fold after CPU feature detection. A crate
+# that stops forbidding, a second allow, or a second non-comment line
+# using `unsafe` in the trace crate fails here.
+for lib in crates/*/src/lib.rs; do
+  want='#![forbid(unsafe_code)]'
+  if [ "$lib" = crates/trace/src/lib.rs ]; then
+    want='#![deny(unsafe_code)]'
+  fi
+  if ! grep -qxF "$want" "$lib"; then
+    echo "$lib: lost its $want"
+    exit 1
+  fi
+done
+code() { grep -v '^[^:]*:[0-9]*: *//' || true; }
+allows=$(grep -rn 'allow(.*unsafe_code' crates/trace/src | code)
+uses=$(grep -rnw unsafe crates/trace/src | code)
+if [ "$(grep -c . <<<"$allows")" -gt 1 ] \
+  || [ "$(grep -c . <<<"$uses")" -gt 1 ] \
+  || grep -v 'unsafe {' <<<"$uses" | grep -q .; then
+  echo "crates/trace/src may hold one allow(unsafe_code) and one unsafe"
+  echo "block; found:"
+  printf '%s\n' "$allows" "$uses"
+  exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 

@@ -26,14 +26,24 @@
 //! `read_frame` + `Response::decode`, each reported as bytes allocated
 //! per body byte. A frame built in one buffer costs ~1 body copy to
 //! encode and ~2 to receive (the frame body, then the decoded string).
+//! Next to them, `frame_crc32` is `wire::crc32`'s best time of 20 over
+//! that frame's body: the CRC layer of every frame, reported, not
+//! gated.
+//!
+//! A `partial_read_decode` region does the same for a cluster reply:
+//! `read_frame` + `Response::decode` of one `PartialState` frame
+//! carrying the fleet's mapped partial, in bytes allocated per body
+//! byte. The frame body, the decoded traces and the rebuilt group
+//! tables each cost about one body's worth; a decoder that copies the
+//! traces again, or grows the groups by doubling, shows here.
 //!
 //! Gates (`BENCH_hotpath.json`): hot-path bytes per instance under
 //! `budget_bytes_per_instance`, the serving render's allocations per
 //! instance under `budget_json_allocs_per_instance`, each frame region
-//! under its `budget_frame_*_bytes_per_body_byte`, and the
+//! under its `budget_*_bytes_per_body_byte`, and the
 //! corpus-determined fields (traces, instances, vocab, JSON bytes,
-//! frame body bytes) exactly. Allocator counts repeat exactly, so the
-//! gate does not flake. `--obsv` attaches a live metrics registry to
+//! both frames' body bytes) exactly. Allocator counts repeat exactly,
+//! so the gate does not flake. `--obsv` attaches a live metrics registry to
 //! the pipeline, so the measured regions include the per-stage span
 //! instrumentation; `--obsv --check` is the metrics-overhead gate.
 
@@ -42,11 +52,12 @@ use energydx::pipeline::{
 };
 use energydx::{AnalysisConfig, DiagnosisInput, EnergyDx};
 use energydx_bench::harness::{self, Report};
-use energydx_fleetd::protocol::{read_frame, Response};
+use energydx_fleetd::protocol::{read_frame, PartialStatus, Response};
 use energydx_trace::event::{Direction, EventRecord, EventTrace};
 use energydx_trace::join_power;
 use energydx_trace::power::{PowerSample, PowerTrace};
 use energydx_trace::util::Component;
+use energydx_trace::wire;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -124,23 +135,58 @@ const FRAME_JSON_BYTES: usize = 2 << 20;
 const BUDGET_FRAME_ENCODE: f64 = 1.1;
 const BUDGET_FRAME_DECODE: f64 = 2.1;
 
+/// Allocation budget of the partial-frame region, in bytes per body
+/// byte: the frame body, the decoded traces and the exact-size group
+/// tables, plus a tenth of headroom. Copying the traces again, or
+/// growing the groups by doubling, each cost more than the headroom.
+const BUDGET_PARTIAL_DECODE: f64 = 2.9;
+
+/// `read_frame` + `Response::decode` of one encoded frame: the frame's
+/// body length and the response.
+fn read_decode(bytes: &[u8]) -> (usize, Response) {
+    let frame = read_frame(&mut &bytes[..])
+        .expect("frame reads")
+        .expect("one frame");
+    (
+        frame.body.len(),
+        Response::decode(&frame).expect("frame decodes"),
+    )
+}
+
 /// The frame regions: encode, then read + decode, of one `Report`.
-/// Returns the frame's body length with the two regions.
-fn frame_regions() -> (usize, Region, Region) {
+/// Returns the frame's body length with the two regions and the CRC
+/// kernel's best time of 20 over the body.
+fn frame_regions() -> (usize, Region, Region, f64) {
     let unit = "{\"amplitudes\": [1.5, 2.25, 3.125]}\n";
     let resp = Response::Report {
         json: unit.repeat(FRAME_JSON_BYTES / unit.len()),
     };
     let (bytes, encode) = measured(|| resp.encode());
-    let ((body, decoded), decode) = measured(|| {
-        let frame = read_frame(&mut bytes.as_slice())
-            .expect("frame reads")
-            .expect("one frame");
-        let decoded = Response::decode(&frame).expect("frame decodes");
-        (frame.body.len(), decoded)
-    });
+    // magic 4 | version 1 | kind 1 | length 4 | body | crc 4
+    let body = &bytes[10..bytes.len() - 4];
+    let crc_secs = (0..20)
+        .map(|_| harness::timed(|| wire::crc32(black_box(body))).1)
+        .fold(f64::INFINITY, f64::min);
+    let ((body, decoded), decode) = measured(|| read_decode(&bytes));
     assert_eq!(decoded, resp, "frame round trip");
-    (body, encode, decode)
+    (body, encode, decode, crc_secs)
+}
+
+/// The partial-frame region: read + decode of one `PartialState`
+/// frame carrying `partial`. Returns the frame's body length with the
+/// region.
+fn partial_region(partial: energydx::ShardPartial) -> (usize, Region) {
+    let resp = Response::PartialState {
+        status: PartialStatus::Found,
+        epoch: 1,
+        incarnation: 2,
+        generation: 3,
+        partial,
+    };
+    let bytes = resp.encode();
+    let ((body, decoded), region) = measured(|| read_decode(&bytes));
+    assert_eq!(decoded, resp, "partial frame round trip");
+    (body, region)
 }
 
 fn run(smoke: bool, obsv: bool) -> Report {
@@ -239,7 +285,10 @@ fn run(smoke: bool, obsv: bool) -> Report {
         eprintln!("obsv: per-stage spans recorded for map/analyze/render");
     }
 
-    let (frame_body_bytes, frame_encode, frame_decode) = frame_regions();
+    let (frame_body_bytes, frame_encode, frame_decode, crc_secs) =
+        frame_regions();
+    let (partial_body_bytes, partial_decode) =
+        partial_region(dx.map_shard(input.traces(), 0));
 
     let n = instances as f64;
     let region = |r: &Region| {
@@ -258,6 +307,8 @@ fn run(smoke: bool, obsv: bool) -> Report {
         region(r)
             .field("bytes_per_body_byte", format!("{:.3}", per_body_byte(r)))
     };
+    let partial_per_body_byte =
+        partial_decode.bytes as f64 / partial_body_bytes as f64;
     let reduction =
         |reference: u64, hot: u64| reference as f64 / (hot as f64).max(1.0);
     let reduction_allocs = reduction(reference.allocs, hotpath.allocs);
@@ -304,6 +355,15 @@ fn run(smoke: bool, obsv: bool) -> Report {
         .exact("frame_body_bytes", frame_body_bytes)
         .object("frame_encode", frame(&frame_encode))
         .object("frame_read_decode", frame(&frame_decode))
+        .object(
+            "frame_crc32",
+            Report::default()
+                .field("secs", format!("{crc_secs:.6}"))
+                .field(
+                    "gb_per_sec",
+                    format!("{:.2}", frame_body_bytes as f64 / crc_secs / 1e9),
+                ),
+        )
         .field(
             "budget_frame_encode_bytes_per_body_byte",
             BUDGET_FRAME_ENCODE,
@@ -319,6 +379,22 @@ fn run(smoke: bool, obsv: bool) -> Report {
         .at_most(
             "budget_frame_decode_bytes_per_body_byte",
             per_body_byte(&frame_decode),
+        )
+        .exact("partial_frame_body_bytes", partial_body_bytes)
+        .object(
+            "partial_read_decode",
+            region(&partial_decode).field(
+                "bytes_per_body_byte",
+                format!("{partial_per_body_byte:.3}"),
+            ),
+        )
+        .field(
+            "budget_partial_decode_bytes_per_body_byte",
+            BUDGET_PARTIAL_DECODE,
+        )
+        .at_most(
+            "budget_partial_decode_bytes_per_body_byte",
+            partial_per_body_byte,
         )
 }
 

@@ -537,7 +537,8 @@ impl ShardPartial {
     /// vocabulary, in-range event ids, finite powers, disjoint
     /// segments whose ranges fit in `usize`, and skip entries that
     /// point at emptied traces inside their segment.
-    /// Group tables are rebuilt from the traces.
+    /// Traces and skip lists are moved in, not copied; group tables
+    /// are rebuilt from the traces, each allocated once at its size.
     ///
     /// # Errors
     ///
@@ -562,8 +563,11 @@ impl ShardPartial {
             segments: BTreeMap::new(),
         };
         let mut prev_range: Option<(usize, usize)> = None;
-        let mut by_offset: Vec<&SegmentParts> = parts.segments.iter().collect();
+        let mut by_offset = parts.segments;
         by_offset.sort_by_key(|s| s.offset);
+        // Instances per event id in the segment at hand, counted while
+        // its traces are validated, so each group is allocated once.
+        let mut sizes = vec![0usize; vocab];
         for seg in by_offset {
             let end = seg.offset.checked_add(seg.traces.len()).ok_or(
                 PartsError::RangeOverflow {
@@ -582,6 +586,7 @@ impl ShardPartial {
             if !seg.traces.is_empty() {
                 prev_range = Some((seg.offset, end));
             }
+            sizes.fill(0);
             for (i, trace) in seg.traces.iter().enumerate() {
                 for (id, mw) in trace.ids().iter().zip(trace.powers()) {
                     if id.index() >= vocab {
@@ -596,6 +601,7 @@ impl ShardPartial {
                             trace: seg.offset + i,
                         });
                     }
+                    sizes[id.index()] += 1;
                 }
             }
             let mut prev_skip: Option<usize> = None;
@@ -614,7 +620,8 @@ impl ShardPartial {
             if seg.traces.is_empty() {
                 continue;
             }
-            let mut groups: Vec<Vec<f64>> = vec![Vec::new(); vocab];
+            let mut groups: Vec<Vec<f64>> =
+                sizes.iter().map(|&n| Vec::with_capacity(n)).collect();
             for trace in &seg.traces {
                 for (&id, &mw) in trace.ids().iter().zip(trace.powers()) {
                     groups[id.index()].push(mw);
@@ -624,8 +631,8 @@ impl ShardPartial {
                 seg.offset,
                 Segment {
                     offset: seg.offset,
-                    traces: seg.traces.clone(),
-                    skipped: seg.skipped.clone(),
+                    traces: seg.traces,
+                    skipped: seg.skipped,
                     groups,
                 },
             );

@@ -46,6 +46,8 @@
 //! [`ShardPartial::empty`]: energydx::shard::ShardPartial::empty
 //! [`UploadBackend`]: energydx_trace::upload::UploadBackend
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod client;
 pub mod cluster;

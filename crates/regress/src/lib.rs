@@ -25,6 +25,8 @@
 //! output is byte-deterministic and golden-testable like every other
 //! artifact in the repo.
 
+#![forbid(unsafe_code)]
+
 use energydx::report::DiagnosisReport;
 use energydx::{FleetSummary, JsonWriter};
 use energydx_stats::QuantileSketch;

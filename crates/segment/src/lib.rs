@@ -39,6 +39,8 @@
 //! the daemon's checkpoints, the coordinator's replicas and the CLI's
 //! report artifacts.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{Read as _, Write as _};

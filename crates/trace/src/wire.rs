@@ -123,7 +123,22 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// Extends the CRC32 `crc` of some bytes `a` over `data`, returning
 /// the CRC32 of `a ++ data`, so a checksum over non-contiguous pieces
 /// needs no joined copy. `crc32_update(0, data) == crc32(data)`.
+///
+/// On an x86_64 CPU that reports `pclmulqdq` and `sse4.1`, an input of
+/// 128 bytes or more is folded with carry-less multiplies, 64 bytes a
+/// step; anything else takes the slice-by-8 table kernel. Both give
+/// the same CRC.
 pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(crc) = clmul::crc32_update(crc, data) {
+        return crc;
+    }
+    crc32_update_table(crc, data)
+}
+
+/// The slice-by-8 table kernel: the only path off x86_64, the tail of
+/// the hardware fold, and the reference its tests compare against.
+fn crc32_update_table(crc: u32, data: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
     let mut crc = !crc;
     let mut words = data.chunks_exact(8);
@@ -143,6 +158,146 @@ pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
         crc = (crc >> 8) ^ t[0][(crc as u8 ^ byte) as usize];
     }
     !crc
+}
+
+/// The carry-less-multiply CRC32 kernel: Intel's "Fast CRC Computation
+/// for Generic Polynomials Using PCLMULQDQ Instruction" in its
+/// bit-reflected form, with the constants zlib and Linux use for the
+/// IEEE polynomial. Four 128-bit lanes each fold 64 bytes per step,
+/// the lanes fold into one, and a Barrett reduction takes the last
+/// 128 bits to the 32-bit CRC; a tail under 16 bytes goes through the
+/// table kernel.
+///
+/// The crate's one `unsafe` block is here: the call into the
+/// `#[target_feature]` fold, made only once the CPU has reported both
+/// features. The fold itself is safe code: register intrinsics inside
+/// a function compiled for their features, and loads through
+/// `i64::from_le_bytes`, never a raw pointer.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128,
+        _mm_extract_epi32, _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128,
+        _mm_xor_si128,
+    };
+
+    /// The shortest input the fold takes; below it the table kernel is
+    /// as fast.
+    pub(super) const MIN_LEN: usize = 128;
+
+    // Fold constants, each x^n mod P bit-reflected into 33 bits:
+    // `K1`/`K2` (n = 512 ± 32) carry a lane 512 bits forward,
+    // `K3`/`K4` (n = 128 ± 32) carry 128 bits, and `K5` (n = 64)
+    // takes 96 bits to 64.
+    const K1: i64 = 0x1_5444_2BD4;
+    const K2: i64 = 0x1_C6E4_1596;
+    const K3: i64 = 0x1_7519_97D0;
+    const K4: i64 = 0x0_CCAA_009E;
+    const K5: i64 = 0x1_63CD_6124;
+    /// The polynomial itself, all 33 bits, reflected.
+    const P: i64 = 0x1_DB71_0641;
+    /// Barrett's constant, floor(x^64 / P), reflected.
+    const MU: i64 = 0x1_F701_1641;
+
+    #[cfg(test)]
+    thread_local! {
+        /// Folds run on this thread, so a test can tell which kernel a
+        /// call took.
+        pub(super) static FOLDS: std::cell::Cell<u64> =
+            const { std::cell::Cell::new(0) };
+    }
+
+    /// Whether this CPU can run [`fold`].
+    fn detected() -> bool {
+        is_x86_feature_detected!("pclmulqdq")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// [`super::crc32_update`] by the fold, or `None` when `data` is
+    /// shorter than [`MIN_LEN`] or the CPU lacks a feature.
+    pub(super) fn crc32_update(crc: u32, data: &[u8]) -> Option<u32> {
+        if data.len() < MIN_LEN || !detected() {
+            return None;
+        }
+        let (blocks, tail) = data.as_chunks::<16>();
+        // SAFETY: `fold` is compiled for `pclmulqdq` and `sse4.1`, and
+        // `detected()` has just seen the CPU report both. `fold` reads
+        // memory only through the safe slice it is given.
+        let crc = unsafe { fold(crc, blocks) };
+        #[cfg(test)]
+        FOLDS.with(|n| n.set(n.get() + 1));
+        Some(super::crc32_update_table(crc, tail))
+    }
+
+    /// Extends `crc` over `blocks`, at least four of them.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold(crc: u32, blocks: &[[u8; 16]]) -> u32 {
+        let (first, rest) = blocks.split_at(4);
+        let mut lanes = [
+            load(&first[0]),
+            load(&first[1]),
+            load(&first[2]),
+            load(&first[3]),
+        ];
+        lanes[0] = _mm_xor_si128(lanes[0], _mm_cvtsi32_si128(!crc as i32));
+        let (quads, singles) = rest.as_chunks::<4>();
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for quad in quads {
+            for (lane, block) in lanes.iter_mut().zip(quad) {
+                *lane = fold_onto(*lane, load(block), k1k2);
+            }
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = lanes[0];
+        for &lane in &lanes[1..] {
+            x = fold_onto(x, lane, k3k4);
+        }
+        for block in singles {
+            x = fold_onto(x, load(block), k3k4);
+        }
+
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        // 128 bits to 96, then 96 to 64.
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128(x, k3k4, 0x10),
+            _mm_srli_si128(x, 8),
+        );
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128(
+                _mm_and_si128(x, low32),
+                _mm_set_epi64x(0, K5),
+                0x00,
+            ),
+            _mm_srli_si128(x, 4),
+        );
+        // Barrett: 64 bits to the 32-bit remainder, which the reflected
+        // form leaves in the second 32-bit word.
+        let p_mu = _mm_set_epi64x(MU, P);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), p_mu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), p_mu, 0x00);
+        !(_mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32)
+    }
+
+    /// `acc` carried forward by the distance `keys` encode, plus
+    /// `block`.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold_onto(acc: __m128i, block: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(acc, keys, 0x00);
+        let hi = _mm_clmulepi64_si128(acc, keys, 0x11);
+        _mm_xor_si128(_mm_xor_si128(block, lo), hi)
+    }
+
+    /// One block as a vector, first byte lowest.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn load(block: &[u8; 16]) -> __m128i {
+        let [lo, hi] = [0, 8].map(|at| {
+            i64::from_le_bytes(
+                block[at..at + 8].try_into().expect("8 of the 16 bytes"),
+            )
+        });
+        _mm_set_epi64x(hi, lo)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1072,10 +1227,29 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    /// Bit-at-a-time CRC32 straight from the polynomial: the reference
-    /// the table-driven kernel must reproduce.
-    fn crc32_bitwise(data: &[u8]) -> u32 {
-        let mut crc = !0u32;
+    /// `len` pseudo-random bytes, the same on every run and host.
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut rng = crate::rng::SplitMix64::new(seed);
+        let mut out = Vec::with_capacity(len + 8);
+        while out.len() < len {
+            out.extend(rng.next_u64().to_le_bytes());
+        }
+        out.truncate(len);
+        out
+    }
+
+    #[test]
+    fn crc32_of_a_fixed_mebibyte_is_pinned() {
+        // zlib's `crc32` of these bytes, which the table kernel also
+        // gives: a fold that drifts on long inputs changes it.
+        let data = noise(1 << 20, 0x00C0_FFEE);
+        assert_eq!(crc32(&data), 0x3A30_B92E);
+    }
+
+    /// Bit-at-a-time CRC32 straight from the polynomial, extending
+    /// `crc` over `data`: the reference both kernels must reproduce.
+    fn crc32_bitwise(crc: u32, data: &[u8]) -> u32 {
+        let mut crc = !crc;
         for &byte in data {
             crc ^= byte as u32;
             for _ in 0..8 {
@@ -1089,6 +1263,79 @@ mod tests {
         !crc
     }
 
+    /// The hardware kernel's answer, where this CPU runs it for `data`.
+    #[cfg(target_arch = "x86_64")]
+    use super::clmul::crc32_update as crc32_hardware;
+    #[cfg(not(target_arch = "x86_64"))]
+    fn crc32_hardware(_: u32, _: &[u8]) -> Option<u32> {
+        None
+    }
+
+    #[test]
+    fn every_kernel_equals_the_bitwise_reference_at_every_length() {
+        let data = noise(1024 + 16, 7);
+        for len in 0..=1024 {
+            for align in 0..16 {
+                let s = &data[align..align + len];
+                let want = crc32_bitwise(0, s);
+                let at = format!("length {len}, alignment {align}");
+                assert_eq!(crc32_update_table(0, s), want, "table, {at}");
+                assert_eq!(crc32(s), want, "dispatch, {at}");
+                if let Some(got) = crc32_hardware(0, s) {
+                    assert_eq!(got, want, "hardware, {at}");
+                }
+            }
+        }
+        // Several MB: every fold loop runs for a long time, and the
+        // odd length leaves a tail for the table kernel.
+        let big = noise((3 << 20) + 13, 8);
+        let want = crc32_bitwise(0, &big);
+        assert_eq!(crc32_update_table(0, &big), want, "table");
+        assert_eq!(crc32(&big), want, "dispatch");
+        if let Some(got) = crc32_hardware(0, &big) {
+            assert_eq!(got, want, "hardware");
+        }
+    }
+
+    #[test]
+    fn crc32_update_chains_a_seed_across_the_kernel_boundaries() {
+        // 16: one fold block; 64: the four lanes; 128: the hardware
+        // threshold. Each piece lands on, under and over each.
+        let lens = [0, 1, 15, 16, 17, 63, 64, 65, 127, 128, 129, 200, 257];
+        let data = noise(2 * 257, 9);
+        for (k, &a) in lens.iter().enumerate() {
+            for &b in &lens {
+                let seed = 0x9E37_79B9 ^ (k as u32);
+                let (x, y) = (&data[..a], &data[a..a + b]);
+                let whole = crc32_bitwise(seed, &data[..a + b]);
+                assert_eq!(crc32_update(seed, &data[..a + b]), whole);
+                let chained = crc32_update(crc32_update(seed, x), y);
+                assert_eq!(chained, whole, "pieces {a} + {b}");
+                if let Some(got) = crc32_hardware(seed, y) {
+                    assert_eq!(got, crc32_bitwise(seed, y), "hardware, {b}");
+                }
+            }
+        }
+    }
+
+    /// Where the CPU has both features, a call of 128 bytes or more
+    /// must reach the fold: a dispatch that silently keeps to the
+    /// tables fails here rather than only running slower.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn long_inputs_take_the_hardware_kernel_where_the_cpu_has_it() {
+        let cpu_has_it = is_x86_feature_detected!("pclmulqdq")
+            && is_x86_feature_detected!("sse4.1");
+        let folds = || clmul::FOLDS.with(std::cell::Cell::get);
+        let data = noise(4096, 10);
+        for len in [0, 16, 64, 127, 128, 129, 1000, 4096] {
+            let before = folds();
+            crc32_update(0x1234_5678, &data[..len]);
+            let hardware = len >= clmul::MIN_LEN && cpu_has_it;
+            assert_eq!(folds() - before, u64::from(hardware), "length {len}");
+        }
+    }
+
     proptest! {
         #[test]
         fn crc32_equals_the_bitwise_reference_at_every_alignment(
@@ -1097,7 +1344,7 @@ mod tests {
         ) {
             for align in 0..8 {
                 let s = &data[align..align + len];
-                prop_assert_eq!(crc32(s), crc32_bitwise(s), "align {}", align);
+                prop_assert_eq!(crc32(s), crc32_bitwise(0, s), "align {}", align);
             }
         }
 
