@@ -119,8 +119,8 @@ cargo run -q --release -p energydx-bench --bin ingest -- \
   --obsv --check BENCH_ingest.json >/dev/null
 
 echo "== fleetd soak (daemon vs batch CLI, crash + restart) =="
-# A real `energydx serve` process driven through the retrying
-# uploader: 200 uploads (~15% damaged), backpressure against a
+# A real `energydx serve` process driven through the upload retry
+# loop: 200 uploads (~15% damaged), backpressure against a
 # depth-4 queue, an explicit checkpoint, kill -9 mid-stream, restart
 # from the checkpoint, and a byte-diff of the served report against
 # `energydx analyze --bundles --json` over the same payloads.

@@ -30,6 +30,7 @@ use energydx_fleetd::{
     Dispatch, FleetdHandle, InProcessTransport, ServerConfig, WorkerSlot,
     WorkerTransport,
 };
+use energydx_trace::RepairPolicy;
 use std::hint::black_box;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -113,7 +114,12 @@ fn run(smoke: bool) -> Report {
     let mut state = FleetState::new(fleet.clone());
     for shard in 0..WORKERS {
         for payload in &payloads {
-            if shard_for_payload(APP, payload, &fleet.repair, WORKERS) == shard
+            if shard_for_payload(
+                APP,
+                payload,
+                &RepairPolicy::default(),
+                WORKERS,
+            ) == shard
             {
                 black_box(state.submit(APP, payload));
             }

@@ -3,8 +3,8 @@
 //!
 //! Each experiment is a library function returning structured results,
 //! wrapped by a thin binary (`src/bin/*.rs`) that prints the paper's
-//! rows/series. Criterion micro-benchmarks of the pipeline stages live
-//! in `benches/`.
+//! rows/series. The timed gates are the BENCH bins ([`harness`]), whose
+//! reports are checked in as `BENCH_<bin>.json`.
 //!
 //! | Paper artifact | Module | Binary |
 //! |---|---|---|

@@ -435,19 +435,28 @@ fn num_flag<T: std::str::FromStr>(
     }
 }
 
-/// Every flag `serve` reads, in either mode.
+/// The flags `serve` reads in both modes.
 const SERVE_FLAGS: &[&str] = &[
     "--listen",
     "--state",
     "--fraction",
     "--top",
     "--jobs",
-    "--spill-dir",
-    "--mem-budget",
     "--retry-after-ms",
+];
+
+/// The flags only the single daemon reads.
+const DAEMON_FLAGS: &[&str] = &[
     "--queue-depth",
     "--checkpoint-every",
     "--ingest-delay-ms",
+    "--spill-dir",
+    "--mem-budget",
+];
+
+/// The flags only the coordinator reads; `--coordinator` or
+/// `--workers` selects its mode.
+const COORDINATOR_FLAGS: &[&str] = &[
     "--coordinator",
     "--workers",
     "--degrade-policy",
@@ -462,15 +471,26 @@ const SERVE_FLAGS: &[&str] = &[
 ];
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    // A misspelled or retired flag would otherwise be ignored, and the
-    // server would run without what it asked for.
-    if let Some(flag) = args
+    let coordinator = args
         .iter()
-        .find(|a| a.starts_with("--") && !SERVE_FLAGS.contains(&a.as_str()))
-    {
-        return Err(format!(
-            "unknown serve flag `{flag}` (try `energydx help`)"
-        ));
+        .any(|a| a == "--coordinator" || a == "--workers");
+    let (mode, own, other) = if coordinator {
+        ("coordinator", COORDINATOR_FLAGS, DAEMON_FLAGS)
+    } else {
+        ("daemon", DAEMON_FLAGS, COORDINATOR_FLAGS)
+    };
+    // A misspelled, retired or other-mode flag would otherwise be
+    // ignored, and the server would run without what it asked for.
+    if let Some(flag) = args.iter().find(|a| {
+        a.starts_with("--")
+            && !SERVE_FLAGS.contains(&a.as_str())
+            && !own.contains(&a.as_str())
+    }) {
+        return Err(if other.contains(&flag.as_str()) {
+            format!("serve flag `{flag}` is not read in {mode} mode")
+        } else {
+            format!("unknown serve flag `{flag}` (try `energydx help`)")
+        });
     }
     let listen = flag_value(args, "--listen").unwrap_or("127.0.0.1:0");
     let fraction: f64 = num_flag(args, "--fraction", 0.15)?;
@@ -480,7 +500,15 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut analysis =
         AnalysisConfig::default().with_developer_fraction(fraction);
     analysis.top_k = top_k;
-    let spill = match flag_value(args, "--spill-dir") {
+    let mut fleet = FleetConfig {
+        analysis,
+        jobs,
+        ..FleetConfig::default()
+    };
+    if coordinator {
+        return serve_coordinator(args, fleet, listen);
+    }
+    fleet.spill = match flag_value(args, "--spill-dir") {
         Some(dir) => Some(SpillConfig {
             dir: PathBuf::from(dir),
             mem_budget: num_flag(args, "--mem-budget", 0usize)?,
@@ -492,17 +520,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             None
         }
     };
-    let fleet = FleetConfig {
-        analysis,
-        jobs,
-        spill,
-        ..FleetConfig::default()
-    };
-    if args.iter().any(|a| a == "--coordinator")
-        || flag_value(args, "--workers").is_some()
-    {
-        return serve_coordinator(args, fleet, listen);
-    }
     let config = ServerConfig {
         fleet,
         queue_depth: num_flag(args, "--queue-depth", 64usize)?,

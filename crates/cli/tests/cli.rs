@@ -807,8 +807,9 @@ fn assert_no_artifacts(out_dir: &std::path::Path) {
 }
 
 /// Both serve modes refuse a flag neither reads — a retired one or a
-/// typo — naming it. The listen address cannot bind, so a binary that
-/// let the flag through fails on that instead of serving forever.
+/// typo — and a flag only the other mode reads, naming it (and the
+/// mode). The listen address cannot bind, so a binary that let the
+/// flag through fails on that instead of serving forever.
 #[test]
 fn serve_refuses_flags_it_does_not_read() {
     let daemon = ["serve", "--listen", "127.0.0.1:99999"];
@@ -820,16 +821,49 @@ fn serve_refuses_flags_it_does_not_read() {
         "--listen",
         "127.0.0.1:99999",
     ];
+    let refused = |mode: &[&str], flag: &[&str], expect: &str| {
+        let out = energydx().args(mode).args(flag).output().unwrap();
+        assert!(!out.status.success(), "{mode:?} {flag:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(expect), "{mode:?} {flag:?}: {stderr}");
+    };
     for mode in [&daemon[..], &coordinator[..]] {
         for flag in [&["--no-query-cache"][..], &["--spill-dri", "spool"]] {
-            let out = energydx().args(mode).args(flag).output().unwrap();
-            assert!(!out.status.success(), "{mode:?} {flag:?}");
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert!(
-                stderr.contains(&format!("unknown serve flag `{}`", flag[0])),
-                "{mode:?} {flag:?}: {stderr}"
-            );
+            refused(mode, flag, &format!("unknown serve flag `{}`", flag[0]));
         }
+    }
+    for flag in [
+        &["--queue-depth", "8"][..],
+        &["--checkpoint-every", "8"],
+        &["--ingest-delay-ms", "8"],
+        &["--spill-dir", "spool"],
+        &["--mem-budget", "8"],
+    ] {
+        refused(
+            &coordinator,
+            flag,
+            &format!(
+                "serve flag `{}` is not read in coordinator mode",
+                flag[0]
+            ),
+        );
+    }
+    for flag in [
+        &["--degrade-policy", "hold"][..],
+        &["--max-attempts", "8"],
+        &["--base-backoff-ms", "8"],
+        &["--max-backoff-ms", "8"],
+        &["--breaker-threshold", "8"],
+        &["--probe-every", "8"],
+        &["--connect-timeout-ms", "8"],
+        &["--read-timeout-ms", "8"],
+        &["--write-timeout-ms", "8"],
+    ] {
+        refused(
+            &daemon,
+            flag,
+            &format!("serve flag `{}` is not read in daemon mode", flag[0]),
+        );
     }
 }
 

@@ -1,7 +1,7 @@
 //! The cluster soak gate (run from `ci.sh` with `-- --ignored`):
 //! three real `energydx serve` worker processes behind a real
 //! `energydx serve --coordinator` process, driven through the
-//! phone-side retrying uploader with 120 payloads (a deterministic
+//! phone-side upload retry loop with 120 payloads (a deterministic
 //! ~15% of them damaged), replicated mid-stream, one worker killed
 //! with SIGKILL, a **blank** replacement started on the same port and
 //! seeded organically by the coordinator's probe-and-handoff — and
@@ -14,10 +14,10 @@
 
 use energydx_fleetd::cluster::shard_for_payload;
 use energydx_fleetd::fixture;
-use energydx_fleetd::state::FleetConfig;
 use energydx_fleetd::TcpBackend;
 use energydx_trace::fault::{FaultInjector, FaultKind};
 use energydx_trace::upload::{upload_payloads_with_retry, RetryPolicy};
+use energydx_trace::RepairPolicy;
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -162,7 +162,7 @@ fn drive(addr: &str, payloads: &[Vec<u8>]) {
         },
         0xD22,
     );
-    assert_eq!(stats.gave_up, 0, "the retrying uploader must drain");
+    assert_eq!(stats.gave_up, 0, "the upload retry loop must drain");
     assert_eq!(stats.delivered, payloads.len());
 }
 
@@ -194,7 +194,7 @@ fn cluster_soak_survives_kill_dash_nine_and_blank_replacement() {
 
     // Shard every payload exactly the way the coordinator will, and
     // name the files so sorted order == the cluster's merge order.
-    let repair = FleetConfig::default().repair;
+    let repair = RepairPolicy::default();
     let payloads = soak_payloads();
     let shards: Vec<usize> = payloads
         .iter()

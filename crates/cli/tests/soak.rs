@@ -1,6 +1,6 @@
 //! The fleetd soak gate (run from `ci.sh` with `-- --ignored`):
 //! a real `energydx serve` process is driven through the phone-side
-//! retrying uploader with 200 payloads (a deterministic ~15% of them
+//! upload retry loop with 200 payloads (a deterministic ~15% of them
 //! damaged), checkpointed, killed with SIGKILL mid-stream, restarted
 //! from the checkpoint, and re-driven — and the final served report
 //! must be **byte-identical** to `energydx analyze --bundles --json`
@@ -124,7 +124,7 @@ fn drive(addr: &str, app: &str, payloads: &[Vec<u8>]) {
         },
         0xD21,
     );
-    assert_eq!(stats.gave_up, 0, "the retrying uploader must drain");
+    assert_eq!(stats.gave_up, 0, "the upload retry loop must drain");
     assert_eq!(stats.delivered, payloads.len());
 }
 

@@ -34,6 +34,11 @@
 //! included), and garbage-collects unreferenced segment files (their
 //! traces are still resident inside the checkpoint being restored).
 //!
+//! The replica a worker hands a coordinator is the same frame with no
+//! spill metadata but the sequence number: each spilled run is read
+//! back and written inline as a resident run, so the replica restores
+//! on a node that has none of the segment files.
+//!
 //! Only version 3 restores. Versions 1 and 2 are refused as
 //! [`CheckpointError::UnsupportedVersion`], as EDXS version-1 segments
 //! are.
@@ -41,7 +46,7 @@
 //! [`ShardPartial::from_parts`]: energydx::shard::ShardPartial::from_parts
 
 use crate::spill::{self, SpilledRun};
-use crate::state::{AppState, EpochState, FleetConfig, FleetState};
+use crate::state::{AppState, EpochState, FleetConfig, FleetState, QueryError};
 use energydx_obsv::{EventKind, MetricsRegistry};
 use energydx_segment::{decode_partial, encode_partial};
 use energydx_trace::codec::{CodecError, Reader, Writer};
@@ -107,33 +112,36 @@ impl From<CodecError> for CheckpointError {
     }
 }
 
-fn reason_code(reason: RejectReason) -> u8 {
-    match reason {
-        RejectReason::Undecodable => 0,
-        RejectReason::OutOfOrderBeyondRepair => 1,
-        RejectReason::UnmatchedBeyondRepair => 2,
-        RejectReason::Duplicate => 3,
-        RejectReason::Invalid => 4,
-    }
-}
-
-fn reason_from_code(code: u8) -> Result<RejectReason, CheckpointError> {
-    Ok(match code {
-        0 => RejectReason::Undecodable,
-        1 => RejectReason::OutOfOrderBeyondRepair,
-        2 => RejectReason::UnmatchedBeyondRepair,
-        3 => RejectReason::Duplicate,
-        4 => RejectReason::Invalid,
-        other => {
-            return Err(CheckpointError::Malformed(format!(
-                "unknown reject reason code {other}"
-            )))
-        }
-    })
-}
-
-/// Serializes the whole fleet state to a framed checkpoint.
+/// Serializes the whole fleet state to a framed checkpoint. Spilled
+/// runs are written as references to their segment files, so the
+/// checkpoint restores only next to those files: this is what
+/// [`save_to`] writes.
 pub fn checkpoint_bytes(state: &FleetState) -> Vec<u8> {
+    encode(state, false)
+        .expect("a checkpoint that references its segments reads none")
+}
+
+/// Serializes the whole fleet state to a framed checkpoint that needs
+/// no segment file: each spilled run is read back (checked against its
+/// record, as a query's fold does) and written inline as a resident
+/// run of its release. This is what a worker hands a coordinator to
+/// replicate, so the replica restores on any node, with or without a
+/// spill directory. A state with nothing spilled encodes exactly as
+/// [`checkpoint_bytes`].
+///
+/// # Errors
+///
+/// [`QueryError::Storage`] when a spilled run cannot be read back.
+pub(crate) fn replica_bytes(state: &FleetState) -> Result<Vec<u8>, QueryError> {
+    encode(state, true)
+}
+
+/// The one checkpoint encoder; `inline_spilled` picks between
+/// [`checkpoint_bytes`] and [`replica_bytes`].
+fn encode(
+    state: &FleetState,
+    inline_spilled: bool,
+) -> Result<Vec<u8>, QueryError> {
     let mut body = Writer::new();
     body.u64(state.next_spill_seq);
     body.u32(state.apps.len() as u32);
@@ -153,7 +161,7 @@ pub fn checkpoint_bytes(state: &FleetState) -> Vec<u8> {
             }
             body.u32(e.quarantine.len() as u32);
             for entry in &e.quarantine {
-                body.u8(reason_code(entry.reason));
+                body.u8(entry.reason.code());
                 match &entry.user {
                     Some(user) => {
                         body.u8(1);
@@ -170,8 +178,13 @@ pub fn checkpoint_bytes(state: &FleetState) -> Vec<u8> {
                 }
                 body.str(&entry.detail);
             }
-            body.u32(e.spilled.len() as u32);
-            for run in &e.spilled {
+            let (spilled, inlined) = if inline_spilled {
+                (&[][..], state.read_spilled(e, None)?)
+            } else {
+                (&e.spilled[..], Vec::new())
+            };
+            body.u32(spilled.len() as u32);
+            for run in spilled {
                 body.u64(run.seq);
                 body.u64(run.traces as u64);
                 body.u64(run.bytes);
@@ -180,11 +193,15 @@ pub fn checkpoint_bytes(state: &FleetState) -> Vec<u8> {
             }
             // Resident state: the runs as they are, one partial per
             // maximal same-version run, so each release's traces stay
-            // separable on restore.
-            body.u32(e.runs.len() as u32);
-            for run in &e.runs {
-                body.str(&run.version);
-                encode_partial(&mut body, &run.partial.to_parts());
+            // separable on restore. Inlined spilled runs precede them,
+            // as their traces do.
+            body.u32((inlined.len() + e.runs.len()) as u32);
+            let inlined = inlined.iter().map(|(run, p)| (&run.version, p));
+            let resident =
+                e.runs.iter().map(|run| (&run.version, &run.partial));
+            for (version, partial) in inlined.chain(resident) {
+                body.str(version);
+                encode_partial(&mut body, &partial.to_parts());
             }
         }
     }
@@ -203,7 +220,7 @@ pub fn checkpoint_bytes(state: &FleetState) -> Vec<u8> {
         EventKind::CheckpointSave,
         format!("bytes={} apps={}", framed.len(), state.apps.len()),
     );
-    framed
+    Ok(framed)
 }
 
 /// Restores a fleet state from checkpoint bytes, re-validating every
@@ -295,7 +312,13 @@ pub fn restore_bytes_with(
             let q_count = r.u32("quarantine count")? as usize;
             let mut quarantine = Vec::with_capacity(q_count.min(1 << 16));
             for _ in 0..q_count {
-                let reason = reason_from_code(r.u8("reject reason")?)?;
+                let code = r.u8("reject reason")?;
+                let reason =
+                    RejectReason::from_code(code).ok_or_else(|| {
+                        CheckpointError::Malformed(format!(
+                            "unknown reject reason code {code}"
+                        ))
+                    })?;
                 let user = if r.u8("user flag")? != 0 {
                     Some(r.str("quarantined user")?)
                 } else {
@@ -613,6 +636,36 @@ mod tests {
             state.diagnose_json("app", None).unwrap()
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_unknown_reject_reason_code_is_malformed() {
+        let mut state = FleetState::new(FleetConfig::default());
+        state.submit("app", b"not a payload");
+        let mut with = |reason| {
+            let app = state.apps.get_mut("app").unwrap();
+            app.epochs.get_mut(&0).unwrap().quarantine[0].reason = reason;
+            checkpoint_bytes(&state)
+        };
+        let (first, last) =
+            (with(RejectReason::Undecodable), with(RejectReason::Invalid));
+        // The frames differ in the reason's code byte and the CRC.
+        let body = 9..first.len() - 4;
+        let at = body
+            .clone()
+            .find(|&i| first[i] != last[i])
+            .expect("the code byte");
+        assert_eq!((first[at], last[at]), (0, 4));
+        let mut bad = last;
+        bad[at] = 5;
+        let crc = wire::crc32(&bad[body.clone()]);
+        bad[body.end..].copy_from_slice(&crc.to_le_bytes());
+        assert_eq!(
+            restore_bytes(&bad, FleetConfig::default()).err(),
+            Some(CheckpointError::Malformed(
+                "unknown reject reason code 5".to_string()
+            ))
+        );
     }
 
     #[test]

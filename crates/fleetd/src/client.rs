@@ -2,7 +2,7 @@
 //! phone-side retry loop ([`energydx_trace::upload`]) talk to a live
 //! daemon: [`TcpBackend`] maps `RetryAfter` responses into
 //! [`TransientUploadError::with_retry_after`], so the daemon's
-//! backpressure becomes the uploader's wait floor.
+//! backpressure becomes the retry loop's wait floor.
 
 use crate::protocol::{
     read_frame, OutcomeCode, ProtocolError, Request, Response,
@@ -182,16 +182,6 @@ impl Client {
     }
 }
 
-fn reason_from_str(s: &str) -> RejectReason {
-    match s {
-        "undecodable" => RejectReason::Undecodable,
-        "out-of-order-beyond-repair" => RejectReason::OutOfOrderBeyondRepair,
-        "unmatched-beyond-repair" => RejectReason::UnmatchedBeyondRepair,
-        "duplicate" => RejectReason::Duplicate,
-        _ => RejectReason::Invalid,
-    }
-}
-
 /// [`UploadBackend`] over a daemon connection: the phone-side retry
 /// loop pushes payloads through this to a live `fleetd`.
 ///
@@ -258,9 +248,12 @@ impl UploadBackend for TcpBackend {
                     repairs: Vec::new(),
                     salvage: None,
                 },
-                OutcomeCode::Rejected => {
-                    IngestOutcome::Rejected(reason_from_str(&reason))
-                }
+                // A label this build does not know is still a
+                // rejection; it reads as the catch-all.
+                OutcomeCode::Rejected => IngestOutcome::Rejected(
+                    RejectReason::from_label(&reason)
+                        .unwrap_or(RejectReason::Invalid),
+                ),
             }),
             Ok(Response::RetryAfter { ms }) => {
                 self.retry_after_seen += 1;
@@ -339,6 +332,37 @@ mod tests {
         let mut received = Vec::new();
         peer.read_to_end(&mut received).unwrap();
         assert!(received.is_empty(), "{} byte(s) sent", received.len());
+    }
+
+    #[test]
+    fn rejections_read_their_reason_label_and_unknown_ones_read_invalid() {
+        let mut labels: Vec<String> =
+            RejectReason::ALL.iter().map(|r| r.to_string()).collect();
+        labels.push("no-such-reason".to_string());
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let replies = labels.clone();
+        let server = std::thread::spawn(move || {
+            let (mut peer, _) = listener.accept().unwrap();
+            for reason in replies {
+                read_frame(&mut peer).unwrap().expect("a submit");
+                let reply = Response::Outcome {
+                    code: OutcomeCode::Rejected,
+                    reason,
+                };
+                peer.write_all(&reply.encode()).unwrap();
+            }
+        });
+        let mut backend = TcpBackend::new(addr, "mail");
+        let mut expected = RejectReason::ALL.to_vec();
+        expected.push(RejectReason::Invalid);
+        for want in expected {
+            assert_eq!(
+                backend.receive(b"payload"),
+                Ok(IngestOutcome::Rejected(want))
+            );
+        }
+        server.join().unwrap();
     }
 
     #[test]

@@ -48,6 +48,7 @@ use energydx_obsv::{EventKind, Metrics, MetricsRegistry};
 use energydx_report::{
     build_model, render_html, render_json, DEFAULT_TOP_APPS,
 };
+use energydx_trace::RepairPolicy;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -55,9 +56,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// Coordinator deployment configuration.
 #[derive(Debug, Clone)]
 pub struct CoordinatorConfig {
-    /// Analysis/repair parameters — must match the workers' so the
-    /// routing peek prepares payloads exactly as their ingest will,
-    /// and `finish` renders exactly as a single daemon would.
+    /// Analysis parameters — must match the workers' so `finish`
+    /// renders exactly as a single daemon would. (The routing peek
+    /// prepares payloads under the default [`RepairPolicy`], as every
+    /// worker's ingest does.)
     pub fleet: FleetConfig,
     /// What to do when a shard stays unreachable.
     pub policy: DegradePolicy,
@@ -559,7 +561,7 @@ impl Coordinator {
         let shard = shard_for_payload(
             app,
             &payload,
-            &self.config.fleet.repair,
+            &RepairPolicy::default(),
             self.workers.len(),
         );
         let label = Self::worker_label(shard);
@@ -1060,71 +1062,58 @@ impl Coordinator {
         })
     }
 
-    /// Fetches and stores every worker's checkpoint (re-validated
-    /// before it enters the store). Live workers replicate even when
-    /// others are down; any miss is an explicit error.
+    /// Fetches and stores every worker's replica checkpoint
+    /// (re-validated before it enters the store). A worker that is
+    /// unreachable, answers an error or sends an invalid checkpoint is
+    /// not replicated; the others still are, and the answer names every
+    /// miss.
     pub fn replicate_all(&self) -> Response {
-        let mut failed: Vec<usize> = Vec::new();
-        for k in 0..self.workers.len() {
-            match self.call_worker(k, &Request::FetchCheckpoint) {
-                Ok(Response::CheckpointData { data }) => {
-                    let accepted =
-                        match restore_bytes(&data, self.config.fleet.clone()) {
-                            Ok(state) => state.accepted_total() as u64,
-                            Err(e) => {
-                                return Response::Error {
-                                    message: format!(
-                                    "worker {k}: sent an invalid checkpoint: \
-                                     {e}"
-                                ),
-                                }
-                            }
-                        };
-                    let label = Self::worker_label(k);
-                    let bytes = data.len();
-                    if let Err(e) =
-                        relock(&self.replicas).store(k, data, accepted)
-                    {
-                        return Response::Error {
-                            message: format!(
-                                "replica store failed for worker {k}: {e}"
-                            ),
-                        };
-                    }
-                    self.metrics.inc(
-                        "cluster_replications_total",
-                        &[("worker", &label)],
-                    );
-                    self.metrics.set_gauge(
-                        "cluster_worker_replica_accepted",
-                        &[("worker", &label)],
-                        accepted as f64,
-                    );
-                    self.metrics.event(
-                        EventKind::Replication,
-                        format!("worker={k} accepted={accepted} bytes={bytes}"),
-                    );
-                }
-                Ok(other) => {
-                    return Response::Error {
-                        message: format!(
-                            "worker {k}: unexpected response {other:?}"
-                        ),
-                    }
-                }
-                Err(_) => failed.push(k),
-            }
-        }
+        let failed: Vec<String> = (0..self.workers.len())
+            .filter_map(|k| {
+                self.replicate(k).err().map(|e| format!("worker {k}: {e}"))
+            })
+            .collect();
         if failed.is_empty() {
             Response::Done
         } else {
             Response::Error {
                 message: format!(
-                    "replication incomplete: worker(s) {failed:?} \
-                     unreachable (live workers were replicated)"
+                    "replication incomplete ({}); the other workers were \
+                     replicated",
+                    failed.join("; ")
                 ),
             }
         }
+    }
+
+    /// Fetches, validates and stores worker `k`'s replica.
+    fn replicate(&self, k: usize) -> Result<(), String> {
+        let data = match self.call_worker(k, &Request::FetchCheckpoint) {
+            Ok(Response::CheckpointData { data }) => data,
+            Ok(Response::Error { message }) => return Err(message),
+            Ok(other) => return Err(format!("unexpected response {other:?}")),
+            Err(e) => return Err(format!("unreachable: {e}")),
+        };
+        let accepted = restore_bytes(&data, self.config.fleet.clone())
+            .map_err(|e| format!("sent an invalid checkpoint: {e}"))?
+            .accepted_total() as u64;
+        let bytes = data.len();
+        relock(&self.replicas)
+            .store(k, data, accepted)
+            .map_err(|e| format!("replica store failed: {e}"))?;
+        let label = Self::worker_label(k);
+        self.metrics
+            .inc("cluster_replications_total", &[("worker", &label)]);
+        self.metrics.set_gauge(
+            "cluster_worker_replica_accepted",
+            &[("worker", &label)],
+            accepted as f64,
+        );
+        self.metrics.event(
+            EventKind::Replication,
+            format!("worker={k} accepted={accepted} bytes={bytes}"),
+        );
+        Ok(())
     }
 
     /// Broadcasts a rollover and then drives every lagging worker
@@ -1747,6 +1736,80 @@ mod tests {
             .unwrap()
             .counter_value("cluster_handoffs_total", &[("worker", "2")]);
         assert_eq!(handoffs, Some(1));
+    }
+
+    /// Workers that spill everything (budget 0) behind a coordinator
+    /// with no spill directory: each replica carries its spilled runs
+    /// inline, so replication succeeds, a blank replacement on a fresh
+    /// disk serves the pre-kill bytes, and a coordinator restarted over
+    /// its persisted replicas starts.
+    #[test]
+    fn spilling_workers_replicate_and_hand_off_to_a_fresh_disk() {
+        let root = std::env::temp_dir()
+            .join(format!("energydx-coord-spill-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let spilling = |dir: &str| {
+            let config = ServerConfig {
+                fleet: FleetConfig {
+                    spill: Some(crate::spill::SpillConfig {
+                        dir: root.join(dir),
+                        mem_budget: 0,
+                    }),
+                    ..FleetConfig::default()
+                },
+                ..ServerConfig::default()
+            };
+            Arc::new(FleetdHandle::start(config).expect("worker start"))
+        };
+        let slots: Vec<WorkerSlot> = (0..2)
+            .map(|k| Arc::new(Mutex::new(Some(spilling(&format!("w{k}"))))))
+            .collect();
+        let transports = || -> Vec<Box<dyn WorkerTransport>> {
+            slots
+                .iter()
+                .map(|slot| {
+                    Box::new(InProcessTransport::new(Arc::clone(slot)))
+                        as Box<dyn WorkerTransport>
+                })
+                .collect()
+        };
+        let config = CoordinatorConfig {
+            state_dir: Some(root.join("coordinator")),
+            ..test_config()
+        };
+        let cluster = TestCluster {
+            coordinator: Coordinator::new(config.clone(), transports())
+                .unwrap(),
+            slots: slots.clone(),
+        };
+        let ups = uploads(20);
+        drive(&cluster, &ups);
+        let diagnose = |coordinator: &Coordinator| match coordinator
+            .diagnose("mail", None)
+        {
+            Response::Report { json } => json,
+            other => panic!("unexpected response {other:?}"),
+        };
+        let reference = reference_json(&ups, 2);
+        assert_eq!(diagnose(&cluster.coordinator), reference);
+        match cluster.coordinator.replicate_all() {
+            Response::Done => {}
+            other => panic!("replication failed: {other:?}"),
+        }
+        // kill -9 worker 1; a blank node on a fresh disk takes its slot.
+        *relock(&slots[1]) = Some(spilling("w1-fresh"));
+        cluster.coordinator.recover_worker(1).expect("handoff");
+        assert_eq!(diagnose(&cluster.coordinator), reference);
+        // The replacement spilled the installed traces to its own disk.
+        let spilled = std::fs::read_dir(root.join("w1-fresh"))
+            .expect("the replacement's spill directory")
+            .count();
+        assert!(spilled > 0, "the replacement kept everything resident");
+        drop(cluster);
+        let restarted = Coordinator::new(config, transports())
+            .expect("a coordinator restarts over its persisted replicas");
+        assert_eq!(diagnose(&restarted), reference);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 /// Daemon deployment configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Analysis/repair/spill parameters of the resident state.
+    /// Analysis and spill parameters of the resident state.
     pub fleet: FleetConfig,
     /// Uploads that may wait for the state lock at once; beyond it
     /// submissions get `RetryAfter`.
@@ -404,16 +404,25 @@ impl FleetdHandle {
         relock(&self.state).regressions_json(app, epoch, from, to, config)
     }
 
-    /// Serializes the current state as checkpoint bytes (for
-    /// coordinator-side replication; works without a state dir).
+    /// Serializes the current state as checkpoint bytes, spilled runs
+    /// as references to their segment files (works without a state
+    /// dir).
     pub fn checkpoint_data(&self) -> Vec<u8> {
         checkpoint::checkpoint_bytes(&relock(&self.state))
+    }
+
+    /// The checkpoint a coordinator replicates: the current state with
+    /// every spilled run read back and inlined, so a replacement on
+    /// another disk can install it.
+    pub(crate) fn replica_data(&self) -> Result<Vec<u8>, QueryError> {
+        checkpoint::replica_bytes(&relock(&self.state))
     }
 
     /// Replaces this daemon's fleet data with a restored checkpoint —
     /// the receiving half of a cluster handoff. The registry and
     /// analyzer are kept; only the per-app data is swapped, after the
-    /// checkpoint fully validates.
+    /// checkpoint fully validates. A daemon with a spill budget then
+    /// spills back under it.
     ///
     /// # Errors
     ///
@@ -437,6 +446,7 @@ impl FleetdHandle {
         // stop validating, so drop the cache and adopt a fresh
         // incarnation.
         state.invalidate_query_cache();
+        state.maybe_spill();
         self.metrics.inc("fleetd_checkpoint_installs_total", &[]);
         Ok(())
     }
@@ -630,8 +640,11 @@ fn dispatch(handle: &FleetdHandle, req: Request) -> Response {
         Request::Metrics => Response::Metrics {
             text: handle.metrics_text(),
         },
-        Request::FetchCheckpoint => Response::CheckpointData {
-            data: handle.checkpoint_data(),
+        Request::FetchCheckpoint => match handle.replica_data() {
+            Ok(data) => Response::CheckpointData { data },
+            Err(e) => Response::Error {
+                message: e.to_string(),
+            },
         },
         Request::InstallCheckpoint { data } => {
             match handle.install_checkpoint(&data) {

@@ -45,8 +45,6 @@ pub struct FleetConfig {
     pub analysis: AnalysisConfig,
     /// Worker-pool size for map/analyze phases; `0` = all cores.
     pub jobs: usize,
-    /// Bounds on upload repair, as in [`energydx_trace::store`].
-    pub repair: RepairPolicy,
     /// When set, cold epochs are spilled to on-disk segments whenever
     /// resident run state exceeds the budget. `None` keeps
     /// everything resident (and the state free of I/O).
@@ -60,7 +58,6 @@ impl Default for FleetConfig {
             // One worker: the daemon's latency budget is dominated by
             // single-trace maps, where a pool would only add overhead.
             jobs: 1,
-            repair: RepairPolicy::default(),
             spill: None,
         }
     }
@@ -626,9 +623,10 @@ impl FleetState {
     }
 
     /// Ingests one wire payload into `app`'s current epoch: the shared
-    /// decode → salvage → anonymize → repair → validate pipeline, then
-    /// per-epoch `(user, session)` dedup, then one single-trace
-    /// [`EnergyDx::map_shard`] at the epoch's running offset.
+    /// decode → salvage → anonymize → repair → validate pipeline (under
+    /// the default [`RepairPolicy`]), then per-epoch `(user, session)`
+    /// dedup, then one single-trace [`EnergyDx::map_shard`] at the
+    /// epoch's running offset.
     ///
     /// Total accounting: every submission maps to exactly one
     /// [`IngestOutcome`]; rejected uploads land in the epoch's
@@ -637,7 +635,7 @@ impl FleetState {
     ///
     /// [`EnergyDx::map_shard`]: energydx::EnergyDx::map_shard
     pub fn submit(&mut self, app: &str, payload: &[u8]) -> IngestOutcome {
-        let prepared = prepare_wire(payload, &self.config.repair);
+        let prepared = prepare_wire(payload, &RepairPolicy::default());
         self.submit_prepared(app, prepared)
     }
 
@@ -986,60 +984,76 @@ impl FleetState {
     /// (`map_shard(ts, g).rebase_to(l) == map_shard(ts, l)`), so the
     /// result is byte-identical to a daemon that only ever accepted
     /// that release's uploads, in order.
-    ///
-    /// Spilled runs are read in parallel (`par_map` over the
-    /// analyzer's job count), then validated and merged sequentially, so
-    /// damage surfaces as [`QueryError::Storage`] rather than a panic
-    /// or a wrong answer.
     fn fold(
         &self,
         e: &EpochState,
         version: Option<&str>,
     ) -> Result<ShardPartial, QueryError> {
         let _span = self.metrics.span("merge");
-        let selected = |v: &str| version.is_none_or(|want| want == v);
-        // Each selected spilled run with its place in the epoch's
-        // whole spilled prefix, which its record must match.
-        let mut start = 0;
-        let mut spilled: Vec<(&SpilledRun, usize)> = Vec::new();
-        for run in &e.spilled {
-            if selected(&run.version) {
-                spilled.push((run, start));
-            }
-            start += run.traces;
-        }
         let mut fold = ShardPartial::empty();
-        if !spilled.is_empty() {
-            let cfg = self.config.spill.as_ref().ok_or_else(|| {
-                QueryError::Storage(
-                    "epoch holds spilled run(s) but no spill directory is \
-                     configured"
-                        .to_string(),
-                )
-            })?;
-            let paths: Vec<std::path::PathBuf> = spilled
-                .iter()
-                .map(|(run, _)| spill::segment_path(&cfg.dir, run.seq))
-                .collect();
-            let jobs = self.dx.jobs();
-            let loaded = energydx::par::par_map(&paths, jobs, |_, path| {
-                energydx_segment::load_from(path).map_err(|err| {
-                    QueryError::Storage(format!("{}: {err}", path.display()))
-                })
-            });
-            for ((run, start), partial) in spilled.into_iter().zip(loaded) {
-                let partial = partial?;
-                check_run(&cfg.dir, run, start, &partial)?;
-                self.metrics.inc("fleetd_foldbacks_total", &[]);
-                let end = fold.end_offset();
-                fold = fold.merge(partial.rebase_to(end));
-            }
+        for (_, partial) in self.read_spilled(e, version)? {
+            self.metrics.inc("fleetd_foldbacks_total", &[]);
+            let end = fold.end_offset();
+            fold = fold.merge(partial.rebase_to(end));
         }
+        let selected = |v: &str| version.is_none_or(|want| want == v);
         for r in e.runs.iter().filter(|r| selected(&r.version)) {
             let end = fold.end_offset();
             fold = fold.merge(r.partial.clone().rebase_to(end));
         }
         Ok(fold)
+    }
+
+    /// Reads the epoch's spilled runs of release `version` (every
+    /// release when `None`) back from their segment files, in epoch
+    /// order, each paired with its record. The files are read in
+    /// parallel (`par_map` over the analyzer's job count), then each
+    /// partial is checked against its record, so damage surfaces as
+    /// [`QueryError::Storage`] rather than a panic or a wrong answer.
+    pub(crate) fn read_spilled<'e>(
+        &self,
+        e: &'e EpochState,
+        version: Option<&str>,
+    ) -> Result<Vec<(&'e SpilledRun, ShardPartial)>, QueryError> {
+        // Each selected spilled run with its place in the epoch's
+        // whole spilled prefix, which its record must match.
+        let mut start = 0;
+        let mut spilled: Vec<(&SpilledRun, usize)> = Vec::new();
+        for run in &e.spilled {
+            if version.is_none_or(|want| want == run.version) {
+                spilled.push((run, start));
+            }
+            start += run.traces;
+        }
+        if spilled.is_empty() {
+            return Ok(Vec::new());
+        }
+        let cfg = self.config.spill.as_ref().ok_or_else(|| {
+            QueryError::Storage(
+                "epoch holds spilled run(s) but no spill directory is \
+                 configured"
+                    .to_string(),
+            )
+        })?;
+        let paths: Vec<std::path::PathBuf> = spilled
+            .iter()
+            .map(|(run, _)| spill::segment_path(&cfg.dir, run.seq))
+            .collect();
+        let loaded =
+            energydx::par::par_map(&paths, self.dx.jobs(), |_, path| {
+                energydx_segment::load_from(path).map_err(|err| {
+                    QueryError::Storage(format!("{}: {err}", path.display()))
+                })
+            });
+        spilled
+            .into_iter()
+            .zip(loaded)
+            .map(|((run, start), partial)| {
+                let partial = partial?;
+                check_run(&cfg.dir, run, start, &partial)?;
+                Ok((run, partial))
+            })
+            .collect()
     }
 
     /// Freezes `app`'s current epoch and opens the next one; returns

@@ -17,6 +17,7 @@ use energydx_fleetd::protocol::{Request, Response};
 use energydx_fleetd::server::{FleetdHandle, ServerConfig};
 use energydx_fleetd::state::{FleetConfig, FleetState};
 use energydx_fleetd::{Dispatch, RetryBudget};
+use energydx_trace::RepairPolicy;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -142,7 +143,7 @@ fn reference_json(per_worker: &[Vec<Vec<u8>>]) -> String {
 #[test]
 fn chaos_schedule_stays_byte_identical_to_batch() {
     let cluster = chaos_cluster();
-    let repair = FleetConfig::default().repair;
+    let repair = RepairPolicy::default();
     let mut per_worker: Vec<Vec<Vec<u8>>> = vec![Vec::new(); WORKERS];
     let mut held_back: Vec<Vec<u8>> = Vec::new();
 
@@ -223,7 +224,7 @@ fn chaos_schedule_stays_byte_identical_to_batch() {
 #[test]
 fn tampered_queries_are_exact_or_typed_errors() {
     let cluster = chaos_cluster();
-    let repair = FleetConfig::default().repair;
+    let repair = RepairPolicy::default();
     let mut per_worker: Vec<Vec<Vec<u8>>> = vec![Vec::new(); WORKERS];
     for payload in payloads().iter().take(20) {
         let shard = shard_for_payload(APP, payload, &repair, WORKERS);

@@ -21,9 +21,9 @@ use energydx_fleetd::coordinator::{Coordinator, CoordinatorConfig};
 use energydx_fleetd::fixture;
 use energydx_fleetd::protocol::{Request, Response};
 use energydx_fleetd::server::{FleetdHandle, ServerConfig};
-use energydx_fleetd::state::FleetConfig;
 use energydx_fleetd::{Dispatch, RetryBudget};
 use energydx_obsv::{parse_exposition, MetricsRegistry};
+use energydx_trace::RepairPolicy;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -68,7 +68,7 @@ fn scripted_exposition() -> String {
 
     // Eight uploads across eight users: enough that every shard owns
     // at least one (asserted below — the handoff depends on it).
-    let repair = FleetConfig::default().repair;
+    let repair = RepairPolicy::default();
     let mut routed = vec![0usize; WORKERS];
     for user in 0..8u64 {
         let payload = fixture::payload(&format!("u{user}"), 0);

@@ -63,7 +63,7 @@ pub use ring::{EventKind, EventRing, ObsEvent};
 use std::sync::{Arc, OnceLock};
 
 /// The process-wide registry, for call sites with no natural owner to
-/// thread a registry through (the trace uploader's retry loop, the
+/// thread a registry through (the trace crate's upload retry loop, the
 /// power join). Created on first use; honors
 /// `ENERGYDX_DETERMINISTIC_TIME` at that moment.
 pub fn global() -> &'static Arc<MetricsRegistry> {

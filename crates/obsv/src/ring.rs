@@ -3,14 +3,15 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-/// The categories of notable events the daemon and uploader record.
+/// The categories of notable events the daemon and the upload retry
+/// loop record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// An upload was rejected and preserved for offline inspection.
     Quarantine,
     /// An upload was dropped at the full ingest queue.
     Shed,
-    /// A client was told (or an uploader was told) to back off.
+    /// A client (or the upload retry loop) was told to back off.
     RetryAfter,
     /// A checkpoint was encoded and persisted.
     CheckpointSave,

@@ -13,8 +13,6 @@
 //!   upper outer fence `Q3 + 3·IQR`.
 //! - **Empirical CDFs** ([`cdf`]), used to reproduce Figure 1 (event
 //!   distance distribution over the 40 ABD cases).
-//! - **Summary statistics** ([`summary`]), used throughout the
-//!   evaluation harness.
 //! - **Sort-once group views** ([`sorted`]), the hot-path kernel that
 //!   sorts an event group's population exactly once and serves the
 //!   normalization base, median, quartiles, and average ranks from the
@@ -52,7 +50,6 @@ pub mod percentile;
 pub mod rank;
 pub mod sketch;
 pub mod sorted;
-pub mod summary;
 
 pub use cdf::Ecdf;
 pub use error::StatsError;
@@ -61,7 +58,6 @@ pub use outlier::TukeyFences;
 pub use percentile::{
     median, percentile, percentile_many, quartiles, Quartiles,
 };
-pub use rank::{average_ranks, dense_ranks, ordinal_ranks};
+pub use rank::average_ranks;
 pub use sketch::QuantileSketch;
 pub use sorted::SortedGroup;
-pub use summary::Summary;

@@ -96,59 +96,6 @@ pub fn upper_outlier_indices(
         .collect())
 }
 
-/// Median absolute deviation (MAD): a robust scale estimator,
-/// `median(|x_i - median(x)|)`.
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptyInput`] / [`StatsError::NanInInput`] on
-/// invalid input.
-///
-/// # Examples
-///
-/// ```
-/// # use energydx_stats::outlier::mad;
-/// assert_eq!(mad(&[1.0, 1.0, 2.0, 2.0, 4.0, 6.0, 9.0]).unwrap(), 1.0);
-/// ```
-pub fn mad(data: &[f64]) -> Result<f64, StatsError> {
-    let m = crate::percentile::median(data)?;
-    let deviations: Vec<f64> = data.iter().map(|v| (v - m).abs()).collect();
-    crate::percentile::median(&deviations)
-}
-
-/// Indices of values more than `k` MADs above the median — the robust
-/// alternative to the Tukey fence the ablation harness compares
-/// against. `min_excess` plays the same degenerate-scale role as in
-/// [`upper_outlier_indices`].
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptyInput`] / [`StatsError::NanInInput`] on
-/// invalid input.
-///
-/// # Examples
-///
-/// ```
-/// # use energydx_stats::outlier::mad_upper_outliers;
-/// let data = [1.0, 1.2, 0.9, 1.1, 1.0, 12.0];
-/// assert_eq!(mad_upper_outliers(&data, 5.0, 0.0).unwrap(), vec![5]);
-/// ```
-pub fn mad_upper_outliers(
-    data: &[f64],
-    k: f64,
-    min_excess: f64,
-) -> Result<Vec<usize>, StatsError> {
-    let m = crate::percentile::median(data)?;
-    let scale = mad(data)?;
-    let threshold = m + k * scale + min_excess;
-    Ok(data
-        .iter()
-        .enumerate()
-        .filter(|(_, &v)| v > threshold)
-        .map(|(i, _)| i)
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,40 +155,6 @@ mod tests {
     fn empty_and_nan_inputs_error() {
         assert!(TukeyFences::from_data(&[], 3.0).is_err());
         assert!(TukeyFences::from_data(&[f64::NAN], 3.0).is_err());
-    }
-
-    #[test]
-    fn mad_of_constant_data_is_zero() {
-        assert_eq!(mad(&[5.0; 9]).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn mad_is_robust_to_a_single_outlier() {
-        let clean = mad(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
-        let dirty = mad(&[1.0, 2.0, 3.0, 4.0, 1_000.0]).unwrap();
-        assert_eq!(clean, 1.0);
-        assert_eq!(dirty, 1.0, "one outlier must not move the MAD");
-    }
-
-    #[test]
-    fn mad_outliers_match_tukey_on_clear_spikes() {
-        let mut data = vec![1.0; 30];
-        data[11] = 40.0;
-        assert_eq!(mad_upper_outliers(&data, 5.0, 0.1).unwrap(), vec![11]);
-        assert_eq!(upper_outlier_indices(&data, 3.0, 0.1).unwrap(), vec![11]);
-    }
-
-    #[test]
-    fn mad_min_excess_guards_degenerate_scale() {
-        let data = [1.0, 1.0, 1.0, 1.0, 1.04];
-        assert!(mad_upper_outliers(&data, 5.0, 0.1).unwrap().is_empty());
-        assert_eq!(mad_upper_outliers(&data, 5.0, 0.0).unwrap(), vec![4]);
-    }
-
-    #[test]
-    fn mad_rejects_invalid_input() {
-        assert!(mad(&[]).is_err());
-        assert!(mad_upper_outliers(&[f64::NAN], 3.0, 0.0).is_err());
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! traces by its estimated power. The rank vector is what makes the
 //! subsequent normalization meaningful: instances with an unusually high
 //! rank relative to their siblings are the ones plausibly impacted by
-//! the ABD. Three ranking conventions are provided; EnergyDx uses
-//! [`average_ranks`] so that ties (common after power quantization) do
-//! not introduce arbitrary ordering artifacts.
+//! the ABD. EnergyDx uses fractional ranking ([`average_ranks`]) so
+//! that ties (common after power quantization) do not introduce
+//! arbitrary ordering artifacts.
 
 use crate::error::{validate, StatsError};
 
@@ -41,60 +41,6 @@ pub fn average_ranks(data: &[f64]) -> Result<Vec<f64>, StatsError> {
             ranks[idx] = avg;
         }
         i = j + 1;
-    }
-    Ok(ranks)
-}
-
-/// Returns 1-based dense ranks: tied values get the same rank and the
-/// next distinct value gets the next integer (1, 2, 2, 3 → 1, 2, 2, 3).
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptyInput`] / [`StatsError::NanInInput`] on
-/// invalid input.
-///
-/// # Examples
-///
-/// ```
-/// # use energydx_stats::rank::dense_ranks;
-/// assert_eq!(dense_ranks(&[5.0, 1.0, 5.0]).unwrap(), vec![2, 1, 2]);
-/// ```
-pub fn dense_ranks(data: &[f64]) -> Result<Vec<usize>, StatsError> {
-    validate(data)?;
-    let order = sorted_indices(data);
-    let mut ranks = vec![0usize; data.len()];
-    let mut current = 0usize;
-    let mut prev: Option<f64> = None;
-    for &idx in &order {
-        if prev != Some(data[idx]) {
-            current += 1;
-            prev = Some(data[idx]);
-        }
-        ranks[idx] = current;
-    }
-    Ok(ranks)
-}
-
-/// Returns 1-based ordinal ranks: every value gets a distinct rank, ties
-/// broken by original position (stable).
-///
-/// # Errors
-///
-/// Returns [`StatsError::EmptyInput`] / [`StatsError::NanInInput`] on
-/// invalid input.
-///
-/// # Examples
-///
-/// ```
-/// # use energydx_stats::rank::ordinal_ranks;
-/// assert_eq!(ordinal_ranks(&[5.0, 1.0, 5.0]).unwrap(), vec![2, 1, 3]);
-/// ```
-pub fn ordinal_ranks(data: &[f64]) -> Result<Vec<usize>, StatsError> {
-    validate(data)?;
-    let order = sorted_indices(data);
-    let mut ranks = vec![0usize; data.len()];
-    for (pos, &idx) in order.iter().enumerate() {
-        ranks[idx] = pos + 1;
     }
     Ok(ranks)
 }
@@ -139,22 +85,8 @@ mod tests {
     }
 
     #[test]
-    fn dense_ranks_count_distinct_values() {
-        let ranks = dense_ranks(&[10.0, 30.0, 10.0, 20.0]).unwrap();
-        assert_eq!(ranks, vec![1, 3, 1, 2]);
-    }
-
-    #[test]
-    fn ordinal_ranks_are_stable_on_ties() {
-        let ranks = ordinal_ranks(&[1.0, 1.0, 1.0]).unwrap();
-        assert_eq!(ranks, vec![1, 2, 3]);
-    }
-
-    #[test]
     fn empty_input_is_rejected() {
         assert_eq!(average_ranks(&[]), Err(StatsError::EmptyInput));
-        assert_eq!(dense_ranks(&[]), Err(StatsError::EmptyInput));
-        assert_eq!(ordinal_ranks(&[]), Err(StatsError::EmptyInput));
     }
 
     #[test]
@@ -165,7 +97,5 @@ mod tests {
     #[test]
     fn single_element_gets_rank_one() {
         assert_eq!(average_ranks(&[42.0]).unwrap(), vec![1.0]);
-        assert_eq!(dense_ranks(&[42.0]).unwrap(), vec![1]);
-        assert_eq!(ordinal_ranks(&[42.0]).unwrap(), vec![1]);
     }
 }

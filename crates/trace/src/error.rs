@@ -30,14 +30,6 @@ pub enum TraceError {
         /// Index of the first out-of-order record.
         index: usize,
     },
-    /// A bundle for this `(user, session)` was already accepted — a
-    /// retrying client re-uploaded the same session.
-    DuplicateUpload {
-        /// The (anonymized) user id.
-        user: String,
-        /// The session id.
-        session: u64,
-    },
 }
 
 impl fmt::Display for TraceError {
@@ -57,9 +49,6 @@ impl fmt::Display for TraceError {
             }
             TraceError::OutOfOrder { index } => {
                 write!(f, "record {index} is out of timestamp order")
-            }
-            TraceError::DuplicateUpload { user, session } => {
-                write!(f, "session {session} for user {user} already uploaded")
             }
         }
     }

@@ -26,14 +26,16 @@
 //! - [`codec`] — the bounds-checked byte reader and writer that every
 //!   binary format in the workspace is written with: uploads, daemon
 //!   frames, checkpoints and spill segments.
-//! - [`store`] — the backend trace store that aggregates bundles from
-//!   many users (thread-safe; uploads happen "when the smartphone is
-//!   charging with WiFi"), with a reject/repair/salvage ingest
-//!   taxonomy and a quarantine for what cannot be kept.
+//! - [`store`] — the shared upload pipeline ([`store::prepare_wire`]:
+//!   salvage, anonymize, repair, validate) with its
+//!   reject/repair/salvage ingest taxonomy, and the thread-safe batch
+//!   store that dedups bundles from many users and quarantines what
+//!   cannot be kept.
 //! - [`repair`] — bounded, conservative fixes for common upload
 //!   defects (logger races, clock steps, stray exits).
-//! - [`upload`] — the retrying phone-side upload path: exponential
-//!   backoff with seeded jitter over a virtual clock.
+//! - [`upload`] — the retrying upload loop
+//!   ([`upload::upload_payloads_with_retry`]): exponential backoff with
+//!   seeded jitter over a virtual clock.
 //! - [`fault`] — seeded fault injection over wire payloads, for chaos
 //!   testing the whole ingest path.
 //!
@@ -85,11 +87,9 @@ pub use join::join_power;
 pub use power::{PowerBreakdown, PowerSample, PowerTrace};
 pub use repair::{RepairAction, RepairPolicy, RepairReject};
 pub use store::{
-    IngestOutcome, IngestReport, PhoneState, QuarantineEntry, RejectReason,
-    TraceBundle, TraceStore, Uploader,
+    IngestOutcome, IngestReport, QuarantineEntry, RejectReason, TraceBundle,
+    TraceStore,
 };
-pub use upload::{
-    FlakyBackend, RetryPolicy, StoreBackend, UploadBackend, UploadStats,
-};
+pub use upload::{RetryPolicy, UploadBackend, UploadStats};
 pub use util::{UtilizationSample, UtilizationTrace};
 pub use wire::{SalvageReport, Salvaged};

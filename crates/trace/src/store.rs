@@ -37,7 +37,7 @@ pub struct TraceBundle {
     pub session: u64,
     /// Device profile name, used for power-model scaling.
     pub device: String,
-    /// App release the session ran under (`""` when the uploader
+    /// App release the session ran under (`""` when the upload
     /// predates versioned uploads — wire v1/v2 payloads decode to the
     /// implicit unversioned release).
     pub app_version: String,
@@ -112,25 +112,41 @@ impl TraceBundle {
 }
 
 /// Why an upload was quarantined.
+///
+/// Each reason has one label ([`RejectReason::label`], what `Display`
+/// prints, the daemon's wire outcome carries and its catalog counts
+/// under) and one code ([`RejectReason::code`], its byte in EDXC
+/// checkpoints). Both are pinned: stored checkpoints and served
+/// reports carry them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RejectReason {
     /// The wire payload could not be decoded at all (bad magic,
     /// unsupported version, or an unrecoverable identity header).
-    Undecodable,
+    Undecodable = 0,
     /// Records were displaced beyond the repair policy's
     /// out-of-order bound.
-    OutOfOrderBeyondRepair,
+    OutOfOrderBeyondRepair = 1,
     /// More unmatched exit records than the repair policy allows.
-    UnmatchedBeyondRepair,
+    UnmatchedBeyondRepair = 2,
     /// A bundle for this `(user, session)` was already accepted.
-    Duplicate,
+    Duplicate = 3,
     /// The bundle failed validation in a way repair does not cover.
-    Invalid,
+    Invalid = 4,
 }
 
-impl std::fmt::Display for RejectReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
+impl RejectReason {
+    /// Every reason, in code order.
+    pub const ALL: [RejectReason; 5] = [
+        RejectReason::Undecodable,
+        RejectReason::OutOfOrderBeyondRepair,
+        RejectReason::UnmatchedBeyondRepair,
+        RejectReason::Duplicate,
+        RejectReason::Invalid,
+    ];
+
+    /// The reason's label.
+    pub fn label(self) -> &'static str {
+        match self {
             RejectReason::Undecodable => "undecodable",
             RejectReason::OutOfOrderBeyondRepair => {
                 "out-of-order-beyond-repair"
@@ -138,7 +154,28 @@ impl std::fmt::Display for RejectReason {
             RejectReason::UnmatchedBeyondRepair => "unmatched-beyond-repair",
             RejectReason::Duplicate => "duplicate",
             RejectReason::Invalid => "invalid",
-        })
+        }
+    }
+
+    /// The reason a label names; `None` for an unknown label.
+    pub fn from_label(label: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|r| r.label() == label)
+    }
+
+    /// The reason's checkpoint code.
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// The reason a checkpoint code names; `None` for an unknown code.
+    pub fn from_code(code: u8) -> Option<Self> {
+        Self::ALL.get(usize::from(code)).copied()
+    }
+}
+
+impl std::fmt::Display for RejectReason {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
     }
 }
 
@@ -362,126 +399,55 @@ pub struct TraceStore {
     /// `(user, session)` keys already accepted, for retry dedup.
     seen: RwLock<HashSet<(String, u64)>>,
     quarantine: RwLock<Vec<QuarantineEntry>>,
-    policy: RepairPolicy,
 }
 
 impl TraceStore {
-    /// Creates an empty store with the default [`RepairPolicy`].
+    /// Creates an empty store.
     pub fn new() -> Self {
         TraceStore::default()
     }
 
-    /// Ingests one bundle strictly: anonymizes, validates, dedups,
-    /// stores. No repair is attempted — this is the legacy path for
-    /// callers that want validation failures surfaced as errors.
-    ///
-    /// # Errors
-    ///
-    /// Rejects bundles that fail [`TraceBundle::validate`] or that
-    /// duplicate an already-accepted `(user, session)`; rejected
-    /// bundles are quarantined, not stored.
-    pub fn ingest(&self, mut bundle: TraceBundle) -> Result<(), TraceError> {
-        bundle.anonymize();
-        if let Err(e) = bundle.validate() {
-            let reason = match &e {
-                TraceError::OutOfOrder { .. } => {
-                    RejectReason::OutOfOrderBeyondRepair
-                }
-                TraceError::UnmatchedExit { .. } => {
-                    RejectReason::UnmatchedBeyondRepair
-                }
-                _ => RejectReason::Invalid,
-            };
-            self.quarantine_bundle(&bundle, reason, e.to_string());
-            return Err(e);
-        }
-        self.commit(bundle).map_err(|dup| {
-            let (bundle, _) = *dup;
-            let e = TraceError::DuplicateUpload {
-                user: bundle.user.clone(),
-                session: bundle.session,
-            };
-            self.quarantine_bundle(
-                &bundle,
-                RejectReason::Duplicate,
-                e.to_string(),
-            );
-            e
-        })
-    }
-
     /// Ingests one bundle resiliently: anonymizes, repairs within the
-    /// store's [`RepairPolicy`], dedups, stores. Never panics, never
+    /// default [`RepairPolicy`], dedups, stores. Never panics, never
     /// errors — every possible input maps to an [`IngestOutcome`].
     pub fn ingest_bundle(&self, bundle: TraceBundle) -> IngestOutcome {
-        self.apply_prepared(prepare_bundle(bundle, &self.policy))
+        self.apply_prepared(prepare_bundle(bundle, &RepairPolicy::default()))
     }
 
     /// Ingests one wire payload resiliently: salvage of whatever valid
     /// prefix it holds (all of an intact payload), then repair. This is
     /// the path fleet uploads take.
     pub fn ingest_wire(&self, payload: &[u8]) -> IngestOutcome {
-        self.apply_prepared(prepare_wire(payload, &self.policy))
+        self.apply_prepared(prepare_wire(payload, &RepairPolicy::default()))
     }
 
-    /// Commits a prepared upload: dedups `Ready` bundles on
-    /// `(user, session)`, quarantines everything else.
+    /// Commits a prepared upload: atomically claims a `Ready` bundle's
+    /// `(user, session)` key and stores it, quarantines a duplicate
+    /// and everything else.
     fn apply_prepared(&self, prepared: PreparedUpload) -> IngestOutcome {
         let outcome = prepared.outcome();
-        match prepared {
-            PreparedUpload::Ready { bundle, .. } => match self.commit(bundle) {
-                Ok(()) => outcome,
-                Err(dup) => {
-                    let (bundle, detail) = *dup;
-                    self.quarantine_bundle(
-                        &bundle,
-                        RejectReason::Duplicate,
-                        detail,
-                    );
-                    IngestOutcome::Rejected(RejectReason::Duplicate)
+        let entry = match prepared {
+            PreparedUpload::Ready { bundle, .. } => {
+                let key = (bundle.user.clone(), bundle.session);
+                if write(&self.seen).insert(key) {
+                    write(&self.bundles).push(bundle);
+                    return outcome;
                 }
-            },
-            PreparedUpload::Rejected(entry) => {
-                self.push_quarantine(entry);
-                outcome
+                QuarantineEntry {
+                    reason: RejectReason::Duplicate,
+                    detail: format!(
+                        "session {} for user {} already accepted",
+                        bundle.session, bundle.user
+                    ),
+                    user: Some(bundle.user),
+                    session: Some(bundle.session),
+                }
             }
-        }
-    }
-
-    /// Atomically claims the `(user, session)` key and stores the
-    /// bundle; gives the bundle back on a duplicate.
-    fn commit(
-        &self,
-        bundle: TraceBundle,
-    ) -> Result<(), Box<(TraceBundle, String)>> {
-        let key = (bundle.user.clone(), bundle.session);
-        if !write(&self.seen).insert(key) {
-            let detail = format!(
-                "session {} for user {} already accepted",
-                bundle.session, bundle.user
-            );
-            return Err(Box::new((bundle, detail)));
-        }
-        write(&self.bundles).push(bundle);
-        Ok(())
-    }
-
-    fn quarantine_bundle(
-        &self,
-        bundle: &TraceBundle,
-        reason: RejectReason,
-        detail: String,
-    ) {
-        self.push_quarantine(QuarantineEntry {
-            reason,
-            user: Some(bundle.user.clone()),
-            session: Some(bundle.session),
-            detail,
-        });
-    }
-
-    fn push_quarantine(&self, entry: QuarantineEntry) {
+            PreparedUpload::Rejected(entry) => entry,
+        };
+        let reason = entry.reason;
         write(&self.quarantine).push(entry);
+        IngestOutcome::Rejected(reason)
     }
 
     /// Ingests many upload batches concurrently, one thread per batch,
@@ -581,94 +547,6 @@ impl TraceStore {
     }
 }
 
-/// The phone conditions the uploader gates on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PhoneState {
-    /// Whether the phone is charging.
-    pub charging: bool,
-    /// Whether the phone is on WiFi.
-    pub on_wifi: bool,
-}
-
-impl PhoneState {
-    /// The §II-B upload condition: "when the smartphone is in charge
-    /// with WiFi ... the transmission process does not impact the
-    /// normal usage of smartphone".
-    pub fn may_upload(&self) -> bool {
-        self.charging && self.on_wifi
-    }
-}
-
-/// The phone-side upload queue: bundles accumulate locally and drain
-/// to the backend only when the phone is charging on WiFi.
-///
-/// Two drain paths exist: [`Uploader::try_upload`] pushes decoded
-/// bundles straight into a local store (handy in tests and
-/// simulations), while [`Uploader::upload_with_retry`] encodes each
-/// bundle to the wire and pushes it through an [`UploadBackend`] with
-/// exponential backoff — the realistic fleet path.
-///
-/// [`UploadBackend`]: crate::upload::UploadBackend
-/// [`Uploader::upload_with_retry`]: crate::upload
-#[derive(Debug, Default)]
-pub struct Uploader {
-    pub(crate) queue: Vec<TraceBundle>,
-}
-
-impl Uploader {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Uploader::default()
-    }
-
-    /// Queues a finished session's bundle for later upload.
-    pub fn enqueue(&mut self, bundle: TraceBundle) {
-        self.queue.push(bundle);
-    }
-
-    /// Bundles waiting on the phone.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Attempts to drain the queue into the store. Uploads happen only
-    /// when [`PhoneState::may_upload`]; bundles the store rejects
-    /// (failed validation) are dropped, matching a server that
-    /// discards corrupt uploads. Returns how many bundles the store
-    /// accepted.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # use energydx_trace::store::{PhoneState, TraceBundle, TraceStore, Uploader};
-    /// let store = TraceStore::new();
-    /// let mut up = Uploader::new();
-    /// up.enqueue(TraceBundle::new("u", 0, "nexus6"));
-    /// // On battery: nothing moves.
-    /// assert_eq!(up.try_upload(PhoneState { charging: false, on_wifi: true }, &store), 0);
-    /// assert_eq!(up.pending(), 1);
-    /// // Plugged in on WiFi: the queue drains.
-    /// assert_eq!(up.try_upload(PhoneState { charging: true, on_wifi: true }, &store), 1);
-    /// assert_eq!(up.pending(), 0);
-    /// ```
-    pub fn try_upload(
-        &mut self,
-        state: PhoneState,
-        store: &TraceStore,
-    ) -> usize {
-        if !state.may_upload() {
-            return 0;
-        }
-        let mut accepted = 0;
-        for bundle in self.queue.drain(..) {
-            if store.ingest(bundle).is_ok() {
-                accepted += 1;
-            }
-        }
-        accepted
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -684,23 +562,36 @@ mod tests {
     }
 
     #[test]
-    fn ingest_accepts_valid_bundles() {
+    fn ingest_bundle_accepts_valid_bundles() {
         let store = TraceStore::new();
-        store.ingest(bundle("u1", 0)).unwrap();
-        store.ingest(bundle("u1", 1)).unwrap();
+        assert_eq!(store.ingest_bundle(bundle("u1", 0)), IngestOutcome::Clean);
+        assert_eq!(store.ingest_bundle(bundle("u1", 1)), IngestOutcome::Clean);
         assert_eq!(store.len(), 2);
         assert_eq!(store.users(), vec!["u1".to_string()]);
     }
 
     #[test]
-    fn ingest_rejects_out_of_order_bundle() {
-        let store = TraceStore::new();
-        let mut b = bundle("u1", 0);
-        b.events
-            .push(EventRecord::new(5, Direction::Enter, "LB;->onClick"));
-        assert!(store.ingest(b).is_err());
-        assert!(store.is_empty());
-        assert_eq!(store.quarantine_len(), 1);
+    fn every_reject_reason_round_trips_its_label_and_code() {
+        for (code, reason) in RejectReason::ALL.into_iter().enumerate() {
+            assert_eq!(usize::from(reason.code()), code);
+            assert_eq!(RejectReason::from_code(reason.code()), Some(reason));
+            assert_eq!(RejectReason::from_label(reason.label()), Some(reason));
+            assert_eq!(reason.to_string(), reason.label());
+        }
+        // Stored checkpoints and served catalogs carry these.
+        let labels = RejectReason::ALL.map(RejectReason::label);
+        assert_eq!(
+            labels,
+            [
+                "undecodable",
+                "out-of-order-beyond-repair",
+                "unmatched-beyond-repair",
+                "duplicate",
+                "invalid",
+            ]
+        );
+        assert_eq!(RejectReason::from_label("bogus"), None);
+        assert_eq!(RejectReason::from_code(5), None);
     }
 
     #[test]
@@ -737,28 +628,6 @@ mod tests {
             }
             other => panic!("expected a repaired upload, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn ingest_rejects_unmatched_exit() {
-        let store = TraceStore::new();
-        let mut b = TraceBundle::new("u1", 0, "nexus6");
-        b.events
-            .push(EventRecord::new(5, Direction::Exit, "LB;->onClick"));
-        assert!(store.ingest(b).is_err());
-    }
-
-    #[test]
-    fn ingest_rejects_duplicate_session() {
-        let store = TraceStore::new();
-        store.ingest(bundle("u1", 0)).unwrap();
-        let err = store.ingest(bundle("u1", 0)).unwrap_err();
-        assert!(matches!(err, TraceError::DuplicateUpload { .. }));
-        assert_eq!(store.len(), 1);
-        assert_eq!(
-            store.quarantine_counters().get(&RejectReason::Duplicate),
-            Some(&1)
-        );
     }
 
     #[test]
@@ -812,6 +681,10 @@ mod tests {
             IngestOutcome::Rejected(RejectReason::Duplicate)
         );
         assert_eq!(store.len(), 1);
+        let q = store.quarantine();
+        assert_eq!(q.len(), 1);
+        assert_eq!(q[0].reason, RejectReason::Duplicate);
+        assert_eq!((q[0].user.as_deref(), q[0].session), (Some("u1"), Some(0)));
     }
 
     #[test]
@@ -868,9 +741,9 @@ mod tests {
     #[test]
     fn snapshot_is_deterministically_ordered() {
         let store = TraceStore::new();
-        store.ingest(bundle("u2", 0)).unwrap();
-        store.ingest(bundle("u1", 1)).unwrap();
-        store.ingest(bundle("u1", 0)).unwrap();
+        for (user, session) in [("u2", 0), ("u1", 1), ("u1", 0)] {
+            assert!(store.ingest_bundle(bundle(user, session)).accepted());
+        }
         let snap = store.snapshot();
         let keys: Vec<(String, u64)> =
             snap.iter().map(|b| (b.user.clone(), b.session)).collect();
@@ -885,7 +758,7 @@ mod tests {
     }
 
     #[test]
-    fn ingest_anonymizes_payloads() {
+    fn ingest_bundle_anonymizes_payloads() {
         let store = TraceStore::new();
         let mut b = TraceBundle::new("u1", 0, "nexus6");
         b.events.push(EventRecord::new(
@@ -898,7 +771,7 @@ mod tests {
             Direction::Exit,
             "LA;->connect 192.168.0.9",
         ));
-        store.ingest(b).unwrap();
+        assert_eq!(store.ingest_bundle(b), IngestOutcome::Clean);
         let snap = store.snapshot();
         assert!(snap[0].events.records()[0].event.contains("<redacted>"));
     }
@@ -960,62 +833,5 @@ mod tests {
             store.quarantine_counters().get(&RejectReason::Duplicate),
             Some(&7)
         );
-    }
-
-    #[test]
-    fn uploader_gates_on_charging_and_wifi() {
-        let store = TraceStore::new();
-        let mut up = Uploader::new();
-        up.enqueue(bundle("u1", 0));
-        up.enqueue(bundle("u1", 1));
-        for state in [
-            PhoneState {
-                charging: false,
-                on_wifi: false,
-            },
-            PhoneState {
-                charging: true,
-                on_wifi: false,
-            },
-            PhoneState {
-                charging: false,
-                on_wifi: true,
-            },
-        ] {
-            assert_eq!(up.try_upload(state, &store), 0);
-            assert_eq!(up.pending(), 2);
-        }
-        assert_eq!(
-            up.try_upload(
-                PhoneState {
-                    charging: true,
-                    on_wifi: true
-                },
-                &store
-            ),
-            2
-        );
-        assert_eq!(up.pending(), 0);
-        assert_eq!(store.len(), 2);
-    }
-
-    #[test]
-    fn uploader_drops_invalid_bundles_on_drain() {
-        let store = TraceStore::new();
-        let mut up = Uploader::new();
-        let mut bad = TraceBundle::new("bad", 0, "nexus6");
-        bad.events
-            .push(EventRecord::new(5, Direction::Exit, "LA;->x"));
-        up.enqueue(bad);
-        up.enqueue(bundle("ok", 0));
-        let accepted = up.try_upload(
-            PhoneState {
-                charging: true,
-                on_wifi: true,
-            },
-            &store,
-        );
-        assert_eq!(accepted, 1);
-        assert_eq!(up.pending(), 0);
     }
 }

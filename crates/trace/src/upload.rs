@@ -1,19 +1,15 @@
 //! Retrying wire uploads from the phone to the backend.
 //!
 //! Phones upload over residential WiFi: requests time out, servers
-//! shed load, captive portals eat connections. The uploader therefore
-//! pushes each encoded bundle through an [`UploadBackend`] with
-//! exponential backoff and seeded jitter, over a *virtual* clock — the
-//! simulation accumulates the waits it would have slept instead of
-//! sleeping, so a thousand-phone fleet run finishes in milliseconds
-//! and is replayable from its seed.
-//!
-//! [`FlakyBackend`] wraps any backend with seeded transient failures,
-//! which is how the chaos tests exercise the retry loop.
+//! shed load, captive portals eat connections.
+//! [`upload_payloads_with_retry`] therefore pushes each encoded payload
+//! through an [`UploadBackend`] with exponential backoff and seeded
+//! jitter, over a *virtual* clock — the simulation accumulates the
+//! waits it would have slept instead of sleeping, so a thousand-phone
+//! fleet run finishes in milliseconds and is replayable from its seed.
 
 use crate::rng::SplitMix64;
-use crate::store::{IngestOutcome, PhoneState, TraceStore, Uploader};
-use crate::wire;
+use crate::store::IngestOutcome;
 use std::fmt;
 
 /// A transient upload failure: the payload may succeed if retried.
@@ -74,76 +70,6 @@ pub trait UploadBackend {
     ) -> Result<IngestOutcome, TransientUploadError>;
 }
 
-/// The straightforward backend: hand payloads to a [`TraceStore`].
-#[derive(Debug)]
-pub struct StoreBackend<'a> {
-    store: &'a TraceStore,
-}
-
-impl<'a> StoreBackend<'a> {
-    /// Wraps a store.
-    pub fn new(store: &'a TraceStore) -> Self {
-        StoreBackend { store }
-    }
-}
-
-impl UploadBackend for StoreBackend<'_> {
-    fn receive(
-        &mut self,
-        payload: &[u8],
-    ) -> Result<IngestOutcome, TransientUploadError> {
-        Ok(self.store.ingest_wire(payload))
-    }
-}
-
-/// A backend that transiently fails a seeded fraction of attempts
-/// before delegating to the inner backend.
-#[derive(Debug)]
-pub struct FlakyBackend<B> {
-    inner: B,
-    failure_rate: f64,
-    rng: SplitMix64,
-    /// Attempts failed so far (for assertions).
-    pub failures: usize,
-}
-
-impl<B> FlakyBackend<B> {
-    /// Wraps `inner`, failing each attempt with probability
-    /// `failure_rate`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `failure_rate` is not in `[0, 1)` — a rate of 1 would
-    /// make every retry loop give up.
-    pub fn new(inner: B, failure_rate: f64, seed: u64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&failure_rate),
-            "failure_rate must be within [0, 1)"
-        );
-        FlakyBackend {
-            inner,
-            failure_rate,
-            rng: SplitMix64::new(seed),
-            failures: 0,
-        }
-    }
-}
-
-impl<B: UploadBackend> UploadBackend for FlakyBackend<B> {
-    fn receive(
-        &mut self,
-        payload: &[u8],
-    ) -> Result<IngestOutcome, TransientUploadError> {
-        if self.rng.unit_f64() < self.failure_rate {
-            self.failures += 1;
-            return Err(TransientUploadError::new(
-                "simulated connection reset",
-            ));
-        }
-        self.inner.receive(payload)
-    }
-}
-
 /// Backoff schedule for retried uploads.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
@@ -182,16 +108,16 @@ impl RetryPolicy {
     }
 }
 
-/// What one [`Uploader::upload_with_retry`] drain did.
+/// What one [`upload_payloads_with_retry`] drain did.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct UploadStats {
-    /// Backend outcome per delivered bundle, in queue order.
+    /// Backend outcome per delivered payload, in slice order.
     pub outcomes: Vec<IngestOutcome>,
-    /// Bundles delivered to the backend (any outcome).
+    /// Payloads delivered to the backend (any outcome).
     pub delivered: usize,
-    /// Bundles still queued after exhausting every attempt.
+    /// Payloads whose attempts were all exhausted.
     pub gave_up: usize,
-    /// Total attempts across all bundles.
+    /// Total attempts across all payloads.
     pub attempts: usize,
     /// Attempts that failed transiently and were retried.
     pub retries: usize,
@@ -216,7 +142,7 @@ fn deliver_with_retry(
     stats: &mut UploadStats,
 ) -> bool {
     // Retry-loop visibility goes to the process-wide registry: the
-    // uploader runs phone-side (or in a soak driver) with no daemon
+    // loop runs phone-side (or in a soak driver) with no daemon
     // registry to report into.
     let obs = energydx_obsv::global();
     for attempt in 0..policy.max_attempts {
@@ -237,7 +163,7 @@ fn deliver_with_retry(
                     obs.counter("uploader_retry_after_hints_total", &[]).inc();
                     obs.event(
                         energydx_obsv::EventKind::RetryAfter,
-                        format!("side=uploader hint_ms={ms}"),
+                        format!("side=client hint_ms={ms}"),
                     );
                 }
                 if attempt + 1 < policy.max_attempts {
@@ -252,13 +178,13 @@ fn deliver_with_retry(
     false
 }
 
-/// Drains pre-encoded wire payloads through `backend` with the same
-/// retry loop as [`Uploader::upload_with_retry`], **in order**: each
-/// payload is retried in place until delivered or its attempts are
-/// exhausted, so the backend observes payloads in slice order — the
-/// property the fleet daemon's accept-order/batch-order equivalence
-/// rests on. Payloads whose attempts are exhausted count as `gave_up`
-/// (the caller still owns the slice and can re-drive them).
+/// Drains pre-encoded wire payloads through `backend`, retrying
+/// transient failures per `policy`, **in order**: each payload is
+/// retried in place until delivered or its attempts are exhausted, so
+/// the backend observes payloads in slice order — the property the
+/// fleet daemon's accept-order/batch-order equivalence rests on.
+/// Payloads whose attempts are exhausted count as `gave_up` (the
+/// caller still owns the slice and can re-drive them).
 pub fn upload_payloads_with_retry(
     payloads: &[Vec<u8>],
     backend: &mut dyn UploadBackend,
@@ -275,69 +201,12 @@ pub fn upload_payloads_with_retry(
     stats
 }
 
-impl Uploader {
-    /// Drains the queue through `backend`, retrying transient failures
-    /// per `policy`. Gated on [`PhoneState::may_upload`] like
-    /// [`Uploader::try_upload`]. Bundles whose attempts are exhausted
-    /// stay queued for the next charge-and-WiFi window.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # use energydx_trace::store::{PhoneState, TraceBundle, TraceStore, Uploader};
-    /// # use energydx_trace::upload::{FlakyBackend, RetryPolicy, StoreBackend};
-    /// let store = TraceStore::new();
-    /// let mut up = Uploader::new();
-    /// up.enqueue(TraceBundle::new("u", 0, "nexus6"));
-    /// let mut backend = FlakyBackend::new(StoreBackend::new(&store), 0.3, 42);
-    /// let stats = up.upload_with_retry(
-    ///     PhoneState { charging: true, on_wifi: true },
-    ///     &mut backend,
-    ///     &RetryPolicy::default(),
-    ///     7,
-    /// );
-    /// assert_eq!(stats.delivered + stats.gave_up, 1);
-    /// ```
-    pub fn upload_with_retry(
-        &mut self,
-        state: PhoneState,
-        backend: &mut dyn UploadBackend,
-        policy: &RetryPolicy,
-        seed: u64,
-    ) -> UploadStats {
-        let mut stats = UploadStats::default();
-        if !state.may_upload() {
-            return stats;
-        }
-        let mut rng = SplitMix64::new(seed);
-        let mut requeue = Vec::new();
-        for bundle in self.queue.drain(..) {
-            let payload = match wire::try_encode_v2(&bundle) {
-                Ok(bytes) => bytes,
-                Err(_) => {
-                    // A bundle too large for the wire format cannot
-                    // succeed on retry either; drop it from the queue.
-                    stats.gave_up += 1;
-                    continue;
-                }
-            };
-            if !deliver_with_retry(
-                &payload, backend, policy, &mut rng, &mut stats,
-            ) {
-                stats.gave_up += 1;
-                requeue.push(bundle);
-            }
-        }
-        self.queue = requeue;
-        stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::{Direction, EventRecord};
-    use crate::store::TraceBundle;
+    use crate::store::{TraceBundle, TraceStore};
+    use crate::wire;
 
     fn bundle(user: &str, session: u64) -> TraceBundle {
         let mut b = TraceBundle::new(user, session, "nexus6");
@@ -348,11 +217,60 @@ mod tests {
         b
     }
 
-    fn charged() -> PhoneState {
-        PhoneState {
-            charging: true,
-            on_wifi: true,
+    /// The straightforward backend: hand payloads to a [`TraceStore`].
+    struct StoreBackend<'a> {
+        store: &'a TraceStore,
+    }
+
+    impl UploadBackend for StoreBackend<'_> {
+        fn receive(
+            &mut self,
+            payload: &[u8],
+        ) -> Result<IngestOutcome, TransientUploadError> {
+            Ok(self.store.ingest_wire(payload))
         }
+    }
+
+    /// A backend that transiently fails a seeded fraction of attempts
+    /// before delegating to the inner backend.
+    struct FlakyBackend<B> {
+        inner: B,
+        failure_rate: f64,
+        rng: SplitMix64,
+        /// Attempts failed so far.
+        failures: usize,
+    }
+
+    impl<B> FlakyBackend<B> {
+        fn new(inner: B, failure_rate: f64, seed: u64) -> Self {
+            FlakyBackend {
+                inner,
+                failure_rate,
+                rng: SplitMix64::new(seed),
+                failures: 0,
+            }
+        }
+    }
+
+    impl<B: UploadBackend> UploadBackend for FlakyBackend<B> {
+        fn receive(
+            &mut self,
+            payload: &[u8],
+        ) -> Result<IngestOutcome, TransientUploadError> {
+            if self.rng.unit_f64() < self.failure_rate {
+                self.failures += 1;
+                return Err(TransientUploadError::new(
+                    "simulated connection reset",
+                ));
+            }
+            self.inner.receive(payload)
+        }
+    }
+
+    fn payloads(user: &str, sessions: std::ops::Range<u64>) -> Vec<Vec<u8>> {
+        sessions
+            .map(|s| wire::encode_v2(&bundle(user, s)))
+            .collect()
     }
 
     #[test]
@@ -416,13 +334,9 @@ mod tests {
     #[test]
     fn reliable_backend_delivers_everything_first_try() {
         let store = TraceStore::new();
-        let mut up = Uploader::new();
-        for s in 0..10 {
-            up.enqueue(bundle("u1", s));
-        }
-        let mut backend = StoreBackend::new(&store);
-        let stats = up.upload_with_retry(
-            charged(),
+        let mut backend = StoreBackend { store: &store };
+        let stats = upload_payloads_with_retry(
+            &payloads("u1", 0..10),
             &mut backend,
             &RetryPolicy::default(),
             1,
@@ -436,31 +350,7 @@ mod tests {
     }
 
     #[test]
-    fn flaky_backend_is_survived_by_retries() {
-        let store = TraceStore::new();
-        let mut up = Uploader::new();
-        for s in 0..50 {
-            up.enqueue(bundle("u1", s));
-        }
-        let mut backend = FlakyBackend::new(StoreBackend::new(&store), 0.4, 99);
-        let stats = up.upload_with_retry(
-            charged(),
-            &mut backend,
-            &RetryPolicy::default(),
-            7,
-        );
-        // With 5 attempts against 40% flakiness, losing a bundle takes
-        // a 1-in-98 streak; this seed loses none.
-        assert_eq!(stats.delivered, 50);
-        assert_eq!(up.pending(), 0);
-        assert!(stats.retries > 0, "the flaky backend must have failed some");
-        assert!(stats.backoff_ms > 0);
-        assert_eq!(store.len(), 50);
-        assert_eq!(backend.failures, stats.retries);
-    }
-
-    #[test]
-    fn exhausted_attempts_requeue_the_bundle() {
+    fn exhausted_attempts_count_as_gave_up() {
         struct AlwaysDown;
         impl UploadBackend for AlwaysDown {
             fn receive(
@@ -470,39 +360,20 @@ mod tests {
                 Err(TransientUploadError::new("503"))
             }
         }
-        let mut up = Uploader::new();
-        up.enqueue(bundle("u1", 0));
         let policy = RetryPolicy {
             max_attempts: 3,
             ..RetryPolicy::default()
         };
-        let stats =
-            up.upload_with_retry(charged(), &mut AlwaysDown, &policy, 5);
+        let stats = upload_payloads_with_retry(
+            &payloads("u1", 0..1),
+            &mut AlwaysDown,
+            &policy,
+            5,
+        );
         assert_eq!(stats.delivered, 0);
         assert_eq!(stats.gave_up, 1);
         assert_eq!(stats.attempts, 3);
-        // The bundle survives for the next upload window.
-        assert_eq!(up.pending(), 1);
-    }
-
-    #[test]
-    fn retry_gates_on_phone_state() {
-        let store = TraceStore::new();
-        let mut up = Uploader::new();
-        up.enqueue(bundle("u1", 0));
-        let mut backend = StoreBackend::new(&store);
-        let stats = up.upload_with_retry(
-            PhoneState {
-                charging: false,
-                on_wifi: true,
-            },
-            &mut backend,
-            &RetryPolicy::default(),
-            1,
-        );
-        assert_eq!(stats, UploadStats::default());
-        assert_eq!(up.pending(), 1);
-        assert!(store.is_empty());
+        assert_eq!(stats.retries, 3);
     }
 
     #[test]
@@ -603,10 +474,9 @@ mod tests {
             }
         }
         let store = TraceStore::new();
-        let payloads: Vec<Vec<u8>> =
-            (0..30).map(|s| wire::encode_v2(&bundle("u1", s))).collect();
+        let payloads = payloads("u1", 0..30);
         let mut backend = Recording {
-            inner: FlakyBackend::new(StoreBackend::new(&store), 0.35, 11),
+            inner: FlakyBackend::new(StoreBackend { store: &store }, 0.35, 11),
             accepted: Vec::new(),
         };
         let policy = RetryPolicy {
@@ -618,6 +488,8 @@ mod tests {
         assert_eq!(stats.delivered, 30, "12 attempts at 35% never exhaust");
         assert_eq!(stats.gave_up, 0);
         assert!(stats.retries > 0, "the flaky link must have failed some");
+        assert_eq!(backend.inner.failures, stats.retries);
+        assert!(stats.backoff_ms > 0);
         assert_eq!(backend.accepted, payloads, "delivery order changed");
         assert_eq!(store.len(), 30);
     }
@@ -628,12 +500,9 @@ mod tests {
         // second delivery of the same session is rejected as a
         // duplicate, not double-counted.
         let store = TraceStore::new();
-        let mut up = Uploader::new();
-        up.enqueue(bundle("u1", 0));
-        up.enqueue(bundle("u1", 0));
-        let mut backend = StoreBackend::new(&store);
-        let stats = up.upload_with_retry(
-            charged(),
+        let mut backend = StoreBackend { store: &store };
+        let stats = upload_payloads_with_retry(
+            &[payloads("u1", 0..1), payloads("u1", 0..1)].concat(),
             &mut backend,
             &RetryPolicy::default(),
             1,

@@ -612,15 +612,49 @@ enum ClusterOp {
 struct ClusterUnderTest {
     coordinator: Coordinator,
     slots: Vec<WorkerSlot>,
+    disks: Disks,
 }
 
-fn new_cluster(workers: usize) -> ClusterUnderTest {
+/// Where a cluster's workers keep their traces: in memory, or each
+/// worker spilling everything (budget 0) to a directory no other
+/// worker has used, as a replacement node on a fresh disk would.
+struct Disks {
+    root: Option<TempDir>,
+    used: AtomicUsize,
+}
+
+impl Disks {
+    fn new(spilling: bool) -> Self {
+        Disks {
+            root: spilling.then(|| TempDir::new("cluster")),
+            used: AtomicUsize::new(0),
+        }
+    }
+
+    /// A blank worker on its own disk.
+    fn blank_worker(&self) -> Arc<FleetdHandle> {
+        let spill = self.root.as_ref().map(|root| SpillConfig {
+            dir: root.path().join(format!(
+                "disk-{}",
+                self.used.fetch_add(1, Ordering::Relaxed)
+            )),
+            mem_budget: 0,
+        });
+        let config = ServerConfig {
+            fleet: FleetConfig {
+                spill,
+                ..FleetConfig::default()
+            },
+            ..ServerConfig::default()
+        };
+        Arc::new(FleetdHandle::start(config).expect("worker"))
+    }
+}
+
+fn new_cluster(workers: usize, spilling: bool) -> ClusterUnderTest {
+    let disks = Disks::new(spilling);
     let slots: Vec<WorkerSlot> = (0..workers)
-        .map(|_| {
-            let handle =
-                FleetdHandle::start(ServerConfig::default()).expect("worker");
-            Arc::new(Mutex::new(Some(Arc::new(handle))))
-        })
+        .map(|_| Arc::new(Mutex::new(Some(disks.blank_worker()))))
         .collect();
     let transports: Vec<Box<dyn WorkerTransport>> = slots
         .iter()
@@ -639,7 +673,11 @@ fn new_cluster(workers: usize) -> ClusterUnderTest {
     };
     let coordinator =
         Coordinator::new(config, transports).expect("cluster starts");
-    ClusterUnderTest { coordinator, slots }
+    ClusterUnderTest {
+        coordinator,
+        slots,
+        disks,
+    }
 }
 
 /// One worker's model: the shared prepare + dedup pipeline, plus
@@ -742,11 +780,17 @@ fn assert_cluster_matches_reference(
     }
 }
 
-/// Runs one schedule over a K-worker cluster, checking acceptance
-/// classes against the model upload by upload and the report against
-/// the batch reference at every `Query` and at the end.
-fn run_cluster_schedule(workers: usize, ops: &[ClusterOp], pool: &[Vec<u8>]) {
-    let cluster = new_cluster(workers);
+/// Runs one schedule over a K-worker cluster, resident or spilling,
+/// checking acceptance classes against the model upload by upload and
+/// the report against the batch reference at every `Query` and at the
+/// end.
+fn run_cluster_schedule(
+    workers: usize,
+    spilling: bool,
+    ops: &[ClusterOp],
+    pool: &[Vec<u8>],
+) {
+    let cluster = new_cluster(workers, spilling);
     let mut model = ClusterModel::new(workers);
     apply_cluster_ops(&cluster, &mut model, ops, pool);
     assert_cluster_matches_reference(&cluster, &model);
@@ -812,9 +856,8 @@ fn apply_cluster_ops(
             }
             ClusterOp::Restart(w) => {
                 let k = w % workers;
-                let blank = FleetdHandle::start(ServerConfig::default())
-                    .expect("replacement worker");
-                *cluster.slots[k].lock().unwrap() = Some(Arc::new(blank));
+                let blank = cluster.disks.blank_worker();
+                *cluster.slots[k].lock().unwrap() = Some(blank);
                 cluster
                     .coordinator
                     .recover_worker(k)
@@ -846,8 +889,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The cluster headline property: over K ∈ {1, 2, 3} workers,
-    /// **any** interleaving of uploads, replications, kill -9 crashes,
-    /// blank-replacement handoffs, and queries serves byte-identical
+    /// resident or spilling everything to disk, **any** interleaving of
+    /// uploads, replications, kill -9 crashes, blank-replacement
+    /// handoffs (onto a fresh disk), and queries serves byte-identical
     /// reports to the batch reference over the traces the cluster
     /// holds — and degraded answers name exactly the dead shards while
     /// matching the reference over the rest.
@@ -856,7 +900,9 @@ proptest! {
         ops in cluster_ops(),
     ) {
         for workers in 1..=3usize {
-            run_cluster_schedule(workers, &ops, &payload_pool());
+            for spilling in [false, true] {
+                run_cluster_schedule(workers, spilling, &ops, &payload_pool());
+            }
         }
     }
 }
@@ -865,7 +911,8 @@ proptest! {
 /// worker after a replication, hand a blank replacement its replica,
 /// and prove the resumed cluster equals the batch reference — first
 /// as of the replica, then (after re-driving the lost tail) over the
-/// full fleet.
+/// full fleet. Resident workers, then workers that spill everything,
+/// whose replacement starts on a fresh disk.
 #[test]
 fn kill_dash_nine_with_replica_resume_stays_byte_identical() {
     let pool = payload_pool();
@@ -880,7 +927,9 @@ fn kill_dash_nine_with_replica_resume_stays_byte_identical() {
     ops.push(ClusterOp::Query); // worker 1 is back at the replica point
     ops.extend((0..12).map(ClusterOp::Upload)); // re-drive; dedup absorbs
     ops.push(ClusterOp::Query); // full fleet again
-    run_cluster_schedule(3, &ops, &pool);
+    for spilling in [false, true] {
+        run_cluster_schedule(3, spilling, &ops, &pool);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1173,7 +1222,7 @@ fn a_restart_may_empty_the_cache_but_never_changes_query_bytes() {
 fn coordinator_not_modified_replies_serve_identical_bytes() {
     use ClusterOp::*;
     let pool = payload_pool();
-    let cluster = new_cluster(3);
+    let cluster = new_cluster(3, false);
     let mut model = ClusterModel::new(3);
     // Payload 10 (clean, a session nothing else claims) is held back
     // to dirty exactly one shard later.
